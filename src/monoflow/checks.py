@@ -29,7 +29,7 @@ from .problems import (
     validate_instance,
 )
 from .report import CheckReport
-from .tensor import TensorConfig, tensor_oracle
+from .tensor import TensorConfig, TensorOracle
 
 __all__ = ["SUITE_NAMES", "SUITES", "run_suites"]
 
@@ -241,19 +241,17 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
     )
     wlo, whi = tcfg.window
     x = np.asarray(x0, dtype=float).copy()
-    hint = None
-    warm = None
+    oracle = TensorOracle(prob, tcfg)
     m_cert = m_win = m_hat = m_taylor = m_member = math.inf
     steps = 0
     for _ in range(iters):
         if ops.min_norm_residual(op, x) <= hcfg.stop_res:
             break
         try:
-            lam, y, v, eps = tensor_oracle(prob, x, tcfg, hint=hint, warm=warm)
+            lam, y, v, eps = oracle(x)
         except (StationaryPoint, MonoflowError):
             break
         steps += 1
-        hint = lam
         cert = verify_step(hcfg, x, lam, y, v, eps)
         m_cert = min(m_cert, cert.relative_error_slack, cert.large_step_slack)
 
@@ -333,8 +331,6 @@ def tensor_suite(seed=0):
     prob = make_cubic_1d()
     tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
     hcfg = HpeConfig(sigma=tcfg.sigma, theta=tcfg.theta, p=3, max_iters=40, stop_res=1e-10)
-    from .tensor import TensorOracle
-
     try:
         result = run(prob, TensorOracle(prob, tcfg), hcfg, np.array([2.0]), witness_count=8, seed=seed)
         records = result.records
@@ -350,16 +346,11 @@ def _box_monotone_instance():
     d = 2
     m = np.array([[1.0, 1.5], [-1.5, 2.0]])
     q = np.array([0.1, -0.2])
-    op = ops.make_affine(m, q, cone=ops.BoxCone(-np.ones(d), np.ones(d)), smoothness=(2, 0.0))
-    sol = SolutionSet(kind="UNKNOWN", point=None, basis=None)
     return ProblemInstance(
         name="box-monotone",
-        operator=op,
-        domain_bounded=True,
-        solution_set=sol,
+        operator=ops.make_affine(m, q, cone=ops.BoxCone(-np.ones(d), np.ones(d))),
+        solution_set=SolutionSet("UNKNOWN"),
         error_bound=None,
-        lipschitz_L=0.0,
-        order_p=2,
     )
 
 

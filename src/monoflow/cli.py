@@ -108,16 +108,6 @@ def _dist_or_nan(problem, x):
         return float("nan")
 
 
-def _energy_anchor(problem, x0):
-    sol = problem.solution_set
-    if sol.kind == "SINGLETON":
-        return np.asarray(sol.point, dtype=float)
-    if sol.kind == "AFFINE":
-        r = np.asarray(x0, dtype=float) - sol.point
-        return np.asarray(sol.point + sol.basis.T @ (sol.basis @ r), dtype=float)
-    return None
-
-
 def _run_flow(cfg, problem):
     params = cfg.mode_params()
     x0 = cfg.initial_point(problem)
@@ -136,7 +126,8 @@ def _run_flow(cfg, problem):
         + ["lambda", "speed", "gap_ergodic", "residue_pointwise", "dist", "E"]
     )
     gap_at = _GapProbe(problem)
-    anchor = _energy_anchor(problem, traj.states[0].x)
+    sol = problem.solution_set
+    anchor = sol.point if sol.kind == "SINGLETON" else None
 
     rows, ts, gaps, residues = [], [], [], []
     ae_ok = 0

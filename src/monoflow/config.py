@@ -11,6 +11,7 @@ that runs.  parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +53,17 @@ def _section(raw, name, allowed, required):
 def _number(name, val, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name} must be a number")
+    try:
+        num = float(val)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(f"{name} must be finite, got {num}")
     if integer:
-        if isinstance(val, float) and not val.is_integer():
+        if not num.is_integer():
             raise ConfigError(f"{name} must be an integer")
         return int(val)
-    return float(val)
+    return num
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class ExperimentConfig:
             if not x0["random_scale"] > 0:
                 raise ConfigError("x0.random_scale must be > 0")
         elif isinstance(x0, list):
-            x0 = [_number("x0 entry", v) for v in x0]
+            x0 = [_number(f"x0[{i}]", v) for i, v in enumerate(x0)]
             if not x0:
                 raise ConfigError("x0 must not be empty")
         else:

@@ -81,7 +81,6 @@ class _LawCurve:
         self.x = np.asarray(x, dtype=float)
         self.p = p
         self.warm = None
-        self.last = None  # (lam, y, w)
         self.last_uncertainty = 0.0
         self.evals = 0
 
@@ -89,7 +88,6 @@ class _LawCurve:
         r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
         if r.w is not None:
             self.warm = r.w
-        self.last = (lam, r.y, r.w)
         self.evals += 1
         d = float(np.linalg.norm(self.x - r.y))
         rho = r.residual

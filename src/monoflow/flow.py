@@ -85,14 +85,7 @@ class _Stage:
 def vector_field(op, x, params):
     """Right-hand side J_{lam(x)}(x) - x; raises StationaryPoint on zer(A)."""
     x = np.asarray(x, dtype=float)
-    if params.p == 1:
-        res = ops.min_norm_residual(op, x)
-        if res <= STATIONARITY_TOL:
-            raise StationaryPoint("field undefined convention: x is stationary", x=x, residual=res)
-        lam = params.theta
-    else:
-        lam = solve_lambda(op, x, params)
-    return ops.resolvent(op, lam, x).y - x
+    return ops.resolvent(op, solve_lambda(op, x, params), x).y - x
 
 
 def integrate(problem, x0, params, T, h, sample_stride=1):

@@ -320,9 +320,11 @@ def check_discrete_lemmas(records, problem, cfg):
             sup_sq = ops.domain_sup_dist_sq(problem.operator, records[0].x_prev)
             worst = np.inf
             lam_sum = 0.0
-            for i in range(len(records)):
-                lam_sum += records[i].lam
-                g = gap(problem, ergodic_iterate(records, i + 1))
+            num = np.zeros_like(records[0].y)
+            for r in records:
+                num += r.lam * r.y
+                lam_sum += r.lam
+                g = gap(problem, num / lam_sum)
                 cap_g = 0.5 * sup_sq / lam_sum
                 worst = min(worst, (cap_g - g) / max(cap_g, 1e-300) + 1e-8)
             rep.add("ergodic gap <= sup ||z-x0||^2 / (2 sum lam)", worst >= 0.0, worst)

@@ -59,7 +59,7 @@ def gap(problem, x, route="auto"):
     ValueError when x lies outside dom(A).
     """
     op = problem.operator
-    if not problem.domain_bounded or op.cone is None:
+    if not problem.domain_bounded:
         raise DomainUnbounded("gap needs a bounded domain")
     if op.poly is not None or op.radial is not None:
         raise UnsupportedMetric("gap is certified only for affine single-valued parts")
@@ -99,7 +99,7 @@ def gap(problem, x, route="auto"):
     for z0 in starts:
         z = z0.copy()
         for _ in range(500):
-            z_new = _cone_project(cone, z + step * grad(z))
+            z_new = ops.domain_project(op, z + step * grad(z))
             if float(np.linalg.norm(z_new - z)) <= 1e-13 * (1.0 + float(np.linalg.norm(z))):
                 z = z_new
                 break
@@ -132,16 +132,6 @@ def _domain_random(cone, rng):
     u = rng.standard_normal(d)
     u /= max(float(np.linalg.norm(u)), 1e-300)
     return cone.center + cone.radius * rng.random() ** (1.0 / d) * u
-
-
-def _cone_project(cone, z):
-    if isinstance(cone, ops.BoxCone):
-        return np.clip(z, cone.lower, cone.upper)
-    r = z - cone.center
-    nr = float(np.linalg.norm(r))
-    if nr <= cone.radius:
-        return z
-    return cone.center + (cone.radius / nr) * r
 
 
 def _active_set_polish(cone, sym, lin, z):
@@ -235,9 +225,6 @@ def dist_to_solutions(problem, x):
     x = np.asarray(x, dtype=float)
     if sol.kind == "SINGLETON":
         return float(np.linalg.norm(x - sol.point))
-    if sol.kind == "AFFINE":
-        r = x - sol.point
-        return float(np.linalg.norm(r - sol.basis.T @ (sol.basis @ r)))
     raise UnknownSolutionSet(f"problem {problem.name!r} declares no solution set")
 
 

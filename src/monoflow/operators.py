@@ -39,6 +39,7 @@ __all__ = [
     "domain_contains",
     "domain_sup_dist_sq",
     "min_norm_residual",
+    "normal_map_newton",
     "resolvent",
     "taylor_value",
     "taylor_jacobian",
@@ -155,19 +156,13 @@ class BallCone:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Structured description of A = F + H.
-
-    smoothness = (p, L): the derivative D^{p-1}F is L-Lipschitz.  This is
-    metadata consumed by the tensor machinery; the algebra below never
-    reads it.
-    """
+    """Structured description of A = F + H; cone is None when dom(A) = R^dim."""
 
     dim: int
     affine: AffinePart | None = None
     poly: PolyPart | None = None
     radial: RadialPart | None = None
     cone: BoxCone | BallCone | None = None
-    smoothness: tuple[int, float] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -182,19 +177,14 @@ class OperatorSpec:
             raise ValueError("ball cone dimension mismatch")
 
 
-def make_affine(matrix, offset=None, cone=None, smoothness=None):
+def make_affine(matrix, offset=None, cone=None):
     matrix = np.asarray(matrix, dtype=float)
     offset = np.zeros(matrix.shape[0]) if offset is None else offset
-    return OperatorSpec(
-        dim=matrix.shape[0],
-        affine=AffinePart(matrix, offset),
-        cone=cone,
-        smoothness=smoothness,
-    )
+    return OperatorSpec(dim=matrix.shape[0], affine=AffinePart(matrix, offset), cone=cone)
 
 
-def make_poly(coeffs, dim=1, cone=None, smoothness=None):
-    return OperatorSpec(dim=dim, poly=PolyPart(coeffs), cone=cone, smoothness=smoothness)
+def make_poly(coeffs, dim=1, cone=None):
+    return OperatorSpec(dim=dim, poly=PolyPart(coeffs), cone=cone)
 
 
 def single_value(op, x):
@@ -245,10 +235,6 @@ def domain_contains(op, x, atol=BOUNDARY_ATOL):
         scale = 1.0 + np.maximum(np.abs(c.lower), np.abs(c.upper))
         return bool(np.all(x >= c.lower - atol * scale) and np.all(x <= c.upper + atol * scale))
     return float(np.linalg.norm(x - c.center)) <= c.radius * (1.0 + atol)
-
-
-def domain_bounded(op):
-    return op.cone is not None
 
 
 def domain_sup_dist_sq(op, x0):
@@ -370,24 +356,31 @@ def _proj_jacobian(cone, w):
     return (cone.radius / nr) * (np.eye(w.size) - np.outer(u, u))
 
 
-def _normal_map_newton(op, lam, x, tol, w0):
-    """Semismooth Newton on w + lam*F(P(w)) - x = 0."""
+def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
+    """Damped semismooth Newton on the normal map w + lam*value(P(w)) - x = 0.
+
+    value and jacobian evaluate a monotone single-valued map and its
+    Jacobian; stop(y) is the residual accepted at y = P(w), and w0 the start
+    (None: x).  Returns (y, v, w, iterations) with v = value(y) + (w - y)/lam
+    in (value + N_dom)(y) exactly, so ||lam*v + y - x|| is the normal-map
+    residual.  Raises InnerSolverDiverged, its message prefixed by what, when
+    the line search stalls or NEWTON_MAX_ITERS steps fall short of stop.
+    """
     w = x.copy() if w0 is None else np.asarray(w0, dtype=float).copy()
-    d = op.dim
-    eye = np.eye(d)
+    eye = np.eye(op.dim)
 
     def phi(wv):
-        return wv + lam * single_value(op, domain_project(op, wv)) - x
+        return wv + lam * value(domain_project(op, wv)) - x
 
     f = phi(w)
     nf = float(np.linalg.norm(f))
     its = 0
     while its < NEWTON_MAX_ITERS:
         y = domain_project(op, w)
-        stop = tol * max(1.0, float(np.linalg.norm(y - x)))
-        if nf <= stop:
+        target = stop(y)
+        if nf <= target:
             break
-        jf = single_jacobian(op, y)
+        jf = jacobian(y)
         dp = _proj_jacobian(op.cone, w)
         if dp is None:
             jac = eye + lam * jf
@@ -404,26 +397,24 @@ def _normal_map_newton(op, lam, x, tol, w0):
             wn = w + t * step
             fn = phi(wn)
             nfn = float(np.linalg.norm(fn))
-            if nfn < nf * (1.0 - 1e-4 * t) or nfn <= stop:
+            if nfn < nf * (1.0 - 1e-4 * t) or nfn <= target:
                 break
             t *= 0.5
         else:
             raise InnerSolverDiverged(
-                f"resolvent newton stalled at residual {nf:.3e}", residual=nf, iterations=its
+                f"{what} newton stalled at residual {nf:.3e}", residual=nf, iterations=its
             )
         w, f, nf = wn, fn, nfn
         its += 1
     else:
-        y = domain_project(op, w)
-        if nf > tol * max(1.0, float(np.linalg.norm(y - x))):
+        if nf > stop(domain_project(op, w)):
             raise InnerSolverDiverged(
-                f"resolvent newton hit iteration cap at residual {nf:.3e}",
+                f"{what} newton hit iteration cap at residual {nf:.3e}",
                 residual=nf,
                 iterations=its,
             )
     y = domain_project(op, w)
-    v = single_value(op, y) + (w - y) / lam
-    return y, v, w, its
+    return y, value(y) + (w - y) / lam, w, its
 
 
 def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
@@ -485,7 +476,16 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         res = float(np.linalg.norm(lam * v + y - x))
         return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
 
-    y, v, w, its = _normal_map_newton(op, lam, x, tol, warm)
+    y, v, w, its = normal_map_newton(
+        op,
+        lam,
+        x,
+        lambda z: single_value(op, z),
+        lambda z: single_jacobian(op, z),
+        lambda y: tol * max(1.0, float(np.linalg.norm(y - x))),
+        warm,
+        "resolvent",
+    )
     res = float(np.linalg.norm(lam * v + y - x))
     return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=its, w=w)
 

@@ -1,8 +1,9 @@
 """Benchmark monotone inclusion instances with known structure.
 
 Each constructor returns a ProblemInstance whose declared metadata
-(solution set, error bound, smoothness constants) is exact, so metric and
-lemma checks can be run against ground truth.  Constructors are seeded and
+(solution set, error bound) is exact, so metric and lemma checks can be
+run against ground truth.  The smoothness constants of the tensor steps
+come from TensorConfig, not from the instance.  Constructors are seeded and
 bit-reproducible.
 """
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
+from .metrics import dist_to_solutions
 from .report import CheckReport
 
 __all__ = [
@@ -31,14 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """kind is SINGLETON (point), AFFINE (point + orthonormal basis), or UNKNOWN."""
+    """kind is SINGLETON (a point) or UNKNOWN."""
 
     kind: str
     point: np.ndarray | None = None
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("SINGLETON", "AFFINE", "UNKNOWN"):
+        if self.kind not in ("SINGLETON", "UNKNOWN"):
             raise ValueError(f"unknown solution-set kind {self.kind!r}")
         if self.kind != "UNKNOWN" and self.point is None:
             raise ValueError("solution set needs a point")
@@ -46,10 +47,6 @@ class SolutionSet:
             p = np.asarray(self.point, dtype=float)
             p.setflags(write=False)
             object.__setattr__(self, "point", p)
-        if self.basis is not None:
-            b = np.atleast_2d(np.asarray(self.basis, dtype=float))
-            b.setflags(write=False)
-            object.__setattr__(self, "basis", b)
 
 
 @dataclass(frozen=True)
@@ -64,23 +61,22 @@ class ErrorBound:
 class ProblemInstance:
     name: str
     operator: ops.OperatorSpec
-    domain_bounded: bool
     solution_set: SolutionSet
     error_bound: ErrorBound | None
-    lipschitz_L: float
-    order_p: int
 
     @property
     def dim(self):
         return self.operator.dim
 
+    @property
+    def domain_bounded(self):
+        return self.operator.cone is not None
+
 
 def make_bilinear_saddle(d=2, scale=1.0):
     """Skew coupling F(u, w) = (scale*w, -scale*u) over the unit box.
 
-    d must be even; the unique solution is the origin.  The affine part is
-    exactly reproduced by any order >= 2 surrogate, so lipschitz_L = 0 at
-    order_p = 2; tensor runs supply their own effective constant.
+    d must be even; the unique solution is the origin.
     """
     if d < 2 or d % 2:
         raise ValueError("bilinear saddle needs even d >= 2")
@@ -91,17 +87,14 @@ def make_bilinear_saddle(d=2, scale=1.0):
     m[:h, h:] = scale * np.eye(h)
     m[h:, :h] = -scale * np.eye(h)
     cone = ops.BoxCone(-np.ones(d), np.ones(d))
-    op = ops.OperatorSpec(dim=d, affine=ops.AffinePart(m, np.zeros(d)), cone=cone, smoothness=(2, 0.0))
+    op = ops.OperatorSpec(dim=d, affine=ops.AffinePart(m, np.zeros(d)), cone=cone)
     return ProblemInstance(
         name="bilinear_saddle",
         operator=op,
-        domain_bounded=True,
         solution_set=SolutionSet("SINGLETON", np.zeros(d)),
         # Interior: res = scale*||x|| and dist = ||x||; every boundary point
         # of the unit box has res >= scale, so delta = scale/2 is safe.
         error_bound=ErrorBound(kappa=1.0 / scale, delta=scale / 2.0),
-        lipschitz_L=0.0,
-        order_p=2,
     )
 
 
@@ -116,43 +109,31 @@ def make_strongly_monotone_affine(d=2, mu=1.0, seed=0):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d))
     m = mu * np.eye(d) + 0.5 * (g - g.T)
-    op = ops.make_affine(m, smoothness=(2, 0.0))
     return ProblemInstance(
         name="strongly_monotone_affine",
-        operator=op,
-        domain_bounded=False,
+        operator=ops.make_affine(m),
         solution_set=SolutionSet("SINGLETON", np.zeros(d)),
         error_bound=ErrorBound(kappa=1.0 / mu, delta=np.inf),
-        lipschitz_L=0.0,
-        order_p=2,
     )
 
 
 def make_cubic_1d():
     """Scalar F(u) = u^3 on R; D^2 F is 6-Lipschitz."""
-    op = ops.make_poly([0.0, 0.0, 0.0, 1.0], dim=1, smoothness=(3, 6.0))
     return ProblemInstance(
         name="cubic_1d",
-        operator=op,
-        domain_bounded=False,
+        operator=ops.make_poly([0.0, 0.0, 0.0, 1.0], dim=1),
         solution_set=SolutionSet("SINGLETON", np.zeros(1)),
         error_bound=None,
-        lipschitz_L=6.0,
-        order_p=3,
     )
 
 
 def make_convex_gradient(d=2):
     """Gradient field of Phi(x) = ||x||^4 / 4, i.e. F(x) = ||x||^2 x."""
-    op = ops.OperatorSpec(dim=d, radial=ops.RadialPart(1.0), smoothness=(3, 6.0))
     return ProblemInstance(
         name="convex_gradient",
-        operator=op,
-        domain_bounded=False,
+        operator=ops.OperatorSpec(dim=d, radial=ops.RadialPart(1.0)),
         solution_set=SolutionSet("SINGLETON", np.zeros(d)),
         error_bound=None,
-        lipschitz_L=6.0,
-        order_p=3,
     )
 
 
@@ -170,27 +151,14 @@ def build_problem(name, params=None):
     return PROBLEM_BUILDERS[name](**(params or {}))
 
 
-def _solution_points(problem, rng, count):
-    sol = problem.solution_set
-    if sol.kind == "SINGLETON":
-        return [np.array(sol.point)]
-    if sol.kind == "AFFINE":
-        pts = [np.array(sol.point)]
-        for _ in range(count - 1):
-            pts.append(sol.point + rng.standard_normal(sol.basis.shape[0]) @ sol.basis)
-        return pts
-    return []
-
-
 def validate_instance(problem, seed=0, samples=32):
     """Ground-truth audit of the declared metadata; returns a CheckReport."""
     rng = np.random.default_rng(seed)
     op = problem.operator
+    sol = problem.solution_set
     rep = CheckReport()
 
-    worst = 0.0
-    for z in _solution_points(problem, rng, 4):
-        worst = max(worst, ops.min_norm_residual(op, z))
+    worst = 0.0 if sol.kind == "UNKNOWN" else max(0.0, ops.min_norm_residual(op, sol.point))
     rep.add("solution residue <= 1e-8", worst <= 1e-8, 1e-8 - worst)
 
     worst = np.inf
@@ -201,26 +169,15 @@ def validate_instance(problem, seed=0, samples=32):
         worst = min(worst, inner + 1e-10)
     rep.add("operator monotone on sampled pairs", worst >= 0.0, worst)
 
-    if problem.error_bound is not None and problem.solution_set.kind != "UNKNOWN":
+    if problem.error_bound is not None and sol.kind != "UNKNOWN":
         eb = problem.error_bound
         worst = np.inf
         for _ in range(samples):
-            z = _solution_points(problem, rng, 1)[0]
-            x = ops.domain_project(op, z + rng.standard_normal(op.dim) * 0.05)
+            x = ops.domain_project(op, sol.point + rng.standard_normal(op.dim) * 0.05)
             res = ops.min_norm_residual(op, x)
             if not np.isfinite(res) or res > eb.delta:
                 continue
-            dist = _dist_to_declared(problem, x)
-            worst = min(worst, eb.kappa * res - dist + 1e-8)
+            worst = min(worst, eb.kappa * res - dist_to_solutions(problem, x) + 1e-8)
         rep.add("error bound on sampled near-solutions", worst >= 0.0, worst)
     return rep
 
-
-def _dist_to_declared(problem, x):
-    sol = problem.solution_set
-    if sol.kind == "SINGLETON":
-        return float(np.linalg.norm(x - sol.point))
-    if sol.kind == "AFFINE":
-        r = x - sol.point
-        return float(np.linalg.norm(r - sol.basis.T @ (sol.basis @ r)))
-    raise ValueError("no declared solution set")

@@ -34,13 +34,11 @@ __all__ = [
     "TensorConfig",
     "surrogate_resolvent",
     "lambda_window_search",
-    "tensor_oracle",
     "TensorOracle",
 ]
 
 MAX_DOUBLINGS = 200
 MAX_BISECTIONS = 200
-INNER_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,7 @@ def _check_surrogate_order(op, p):
 def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     """Inexact resolvent of the anchored surrogate plus the normal cone.
 
-    Runs damped semismooth Newton on the normal map
-    w + lam*F_anchor(P(w)) - x and stops as soon as the residual is within
+    Runs operators.normal_map_newton on w + lam*F_anchor(P(w)) - x and stops as soon as the residual is within
     sigma_hat * ||P(w) - x||.  Returns (y, u, w) with u an exact element of
     (F_anchor + H)(y), so the inexactness lives entirely in the residual
     ||lam*u + y - x|| <= sigma_hat * ||y - x||.
@@ -119,61 +116,17 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         if lo < -1e-10 * max(1.0, float(np.abs(jac).max())):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {lo:.3e}")
 
-    def surrogate(u):
-        return ops.taylor_value(op, anchor, p, u)
-
-    def surrogate_jac(u):
-        return ops.taylor_jacobian(op, anchor, p, u)
-
-    eye = np.eye(op.dim)
-    w = x.copy() if warm is None else np.asarray(warm, dtype=float).copy()
-
-    def phi(wv):
-        return wv + lam * surrogate(ops.domain_project(op, wv)) - x
-
-    f = phi(w)
-    nf = float(np.linalg.norm(f))
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
-    for it in range(INNER_MAX_ITERS):
-        y = ops.domain_project(op, w)
-        target = cfg.sigma_hat * float(np.linalg.norm(y - x))
-        if nf <= max(target, floor):
-            break
-        jf = surrogate_jac(y)
-        dp = ops._proj_jacobian(op.cone, w)
-        if dp is None:
-            jacm = eye + lam * jf
-        elif dp.ndim == 1:
-            jacm = eye + lam * (jf * dp[np.newaxis, :])
-        else:
-            jacm = eye + lam * (jf @ dp)
-        try:
-            step = np.linalg.solve(jacm, -f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jacm, -f, rcond=None)[0]
-        t = 1.0
-        for _ in range(60):
-            wn = w + t * step
-            fn = phi(wn)
-            nfn = float(np.linalg.norm(fn))
-            if nfn < nf * (1.0 - 1e-4 * t) or nfn <= max(target, floor):
-                break
-            t *= 0.5
-        else:
-            raise InnerSolverDiverged(
-                f"surrogate newton stalled at residual {nf:.3e}", residual=nf, iterations=it
-            )
-        w, f, nf = wn, fn, nfn
-    else:
-        y = ops.domain_project(op, w)
-        if nf > max(cfg.sigma_hat * float(np.linalg.norm(y - x)), floor):
-            raise InnerSolverDiverged(
-                f"surrogate newton hit iteration cap at residual {nf:.3e}",
-                residual=nf,
-                iterations=INNER_MAX_ITERS,
-            )
-    y = ops.domain_project(op, w)
-    u = surrogate(y) + (w - y) / lam
+    y, u, w, _ = ops.normal_map_newton(
+        op,
+        lam,
+        x,
+        lambda z: ops.taylor_value(op, anchor, p, z),
+        lambda z: ops.taylor_jacobian(op, anchor, p, z),
+        lambda y: max(cfg.sigma_hat * float(np.linalg.norm(y - x)), floor),
+        warm,
+        "surrogate",
+    )
     return y, u, w
 
 
@@ -270,22 +223,6 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None):
     raise WindowUnreachable("bisection budget exhausted", bracket=(lo, hi))
 
 
-def tensor_oracle(problem, x, cfg, hint=None, warm=None):
-    """One accelerated step: anchored surrogate solve plus window search.
-
-    Returns (lam, y, v, 0.0) with v in A(y) exactly: the surrogate error
-    F(y) - F_anchor(y) is folded into v, and the Taylor remainder bound
-    together with the window upper edge gives
-    ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.
-    """
-    op = problem.operator
-    x = np.asarray(x, dtype=float)
-    anchor = ops.domain_project(op, x)
-    lam, y, u, w = lambda_window_search(problem, x, cfg, hint=hint, warm=warm)
-    v = ops.single_value(op, y) + u - ops.taylor_value(op, anchor, cfg.p, y)
-    return lam, y, v, 0.0
-
-
 class TensorOracle:
     """Stateful oracle for hpe.run: warm-starts lam and the inner Newton."""
 
@@ -296,6 +233,13 @@ class TensorOracle:
         self.warm = None
 
     def __call__(self, x):
+        """One accelerated step: anchored surrogate solve plus window search.
+
+        Returns (lam, y, v, 0.0) with v in A(y) exactly: the surrogate error
+        F(y) - F_anchor(y) is folded into v, and the Taylor remainder bound
+        together with the window upper edge gives
+        ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.
+        """
         op = self.problem.operator
         x = np.asarray(x, dtype=float)
         anchor = ops.domain_project(op, x)

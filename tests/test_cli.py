@@ -105,6 +105,19 @@ class TestConfigRejection:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_finite_config_exits_two(self, tmp_path, capsys):
+        for i, payload in enumerate(
+            [
+                dict(flow_payload(tmp_path / "a.csv"), x0=[float("nan"), 0.5]),
+                dict(flow_payload(tmp_path / "b.csv"), horizon={"T": float("inf"), "h": 0.01}),
+            ]
+        ):
+            cfg = write_config(tmp_path, payload, f"bad{i}.json")
+            assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "x0[0] must be finite" in err
+        assert "horizon.T must be finite" in err
+
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

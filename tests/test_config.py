@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ class TestValidation:
             ExperimentConfig.from_dict(
                 flow_dict(horizon={"T": 1.0, "h": 0.01, "sample_stride": 0})
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            (lambda v: {"x0": [v, 0.5]}, "x0[0]"),
+            (lambda v: {"horizon": {"T": v, "h": 0.01}}, "horizon.T"),
+            (lambda v: {"horizon": {"T": 1.0, "h": v}}, "horizon.h"),
+            (lambda v: {"params": {"theta": v, "p": 1}}, "params.theta"),
+            (lambda v: {"params": {"theta": 0.1, "p": v}}, "params.p"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, over, field, bad):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be finite"):
+            ExperimentConfig.from_dict(flow_dict(**over(bad)))
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="horizon.h must be finite"):
+            ExperimentConfig.from_dict(flow_dict(horizon={"T": 1.0, "h": 10**400}))
 
 
 class TestDerivedObjects:

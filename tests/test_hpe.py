@@ -212,11 +212,8 @@ class TestLemmaAudit:
         anon = problems.ProblemInstance(
             name="anon",
             operator=op,
-            domain_bounded=False,
             solution_set=problems.SolutionSet("UNKNOWN"),
             error_bound=None,
-            lipschitz_L=0.0,
-            order_p=2,
         )
         cfg = saddle_config(p=1, theta=0.5, iters=3)
         res = run(anon, ExactProxOracle(anon, cfg), cfg, np.array([1.0]))

@@ -57,11 +57,8 @@ class TestGap:
                 affine=MONOTONE.operator.affine,
                 cone=SADDLE.operator.cone,
             ),
-            domain_bounded=True,
             solution_set=problems.SolutionSet("SINGLETON", np.zeros(2)),
             error_bound=None,
-            lipschitz_L=0.0,
-            order_p=2,
         )
         with pytest.raises(UnsupportedMetric):
             gap(prob, [0.3, 0.1], route="support")
@@ -82,11 +79,8 @@ class TestGap:
             operator=ops.make_poly(
                 [0.0, 0.0, 0.0, 1.0], cone=ops.BoxCone(-np.ones(1), np.ones(1))
             ),
-            domain_bounded=True,
             solution_set=problems.SolutionSet("SINGLETON", np.zeros(1)),
             error_bound=None,
-            lipschitz_L=6.0,
-            order_p=3,
         )
         with pytest.raises(UnsupportedMetric):
             gap(boxed, [0.5])
@@ -120,29 +114,12 @@ class TestDistance:
     def test_singleton(self):
         assert dist_to_solutions(SADDLE, [0.3, 0.4]) == pytest.approx(0.5)
 
-    def test_affine_set(self):
-        prob = problems.ProblemInstance(
-            name="line",
-            operator=SADDLE.operator,
-            domain_bounded=True,
-            solution_set=problems.SolutionSet(
-                "AFFINE", np.zeros(2), basis=np.array([[1.0, 0.0]])
-            ),
-            error_bound=None,
-            lipschitz_L=0.0,
-            order_p=2,
-        )
-        assert dist_to_solutions(prob, [0.9, -0.4]) == pytest.approx(0.4)
-
     def test_unknown_raises(self):
         prob = problems.ProblemInstance(
             name="anon",
             operator=SADDLE.operator,
-            domain_bounded=True,
             solution_set=problems.SolutionSet("UNKNOWN"),
             error_bound=None,
-            lipschitz_L=0.0,
-            order_p=2,
         )
         with pytest.raises(UnknownSolutionSet):
             dist_to_solutions(prob, [0.1, 0.1])

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from monoflow import operators as ops
+from monoflow import problems
+from monoflow.errors import InnerSolverDiverged
+from monoflow.tensor import TensorConfig, surrogate_resolvent
 
 
 def make_box_affine(seed=0, d=4):
@@ -174,6 +177,42 @@ class TestResolvent:
         op = ops.make_affine([[1.0]])
         with pytest.raises(ValueError):
             ops.resolvent(op, 0.0, [1.0])
+
+
+class TestNewtonFailures:
+    """Both normal-map solves surface Newton failure as InnerSolverDiverged."""
+
+    RADIAL_BALL = ops.OperatorSpec(dim=2, radial=ops.RadialPart(1.0), cone=ops.BallCone(np.zeros(2), 1.0))
+    CUBIC = problems.make_cubic_1d()
+    CUBIC_P3 = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
+
+    def solves(self, x):
+        # (message prefix, solve) for the exact resolvent (radial field over
+        # a ball: no closed form, so Newton runs) and the surrogate resolvent.
+        return [
+            ("resolvent", lambda: ops.resolvent(self.RADIAL_BALL, 5.0, np.array([x, 1.0]))),
+            (
+                "surrogate",
+                lambda: surrogate_resolvent(self.CUBIC, np.array([2.0]), np.array([x]), 0.5, self.CUBIC_P3),
+            ),
+        ]
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", 1)
+        for what, solve in self.solves(2.0):
+            with pytest.raises(InnerSolverDiverged, match=f"^{what} newton hit iteration cap") as exc:
+                solve()
+            assert exc.value.iterations == 1
+            assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-3
+
+    def test_stalled_line_search(self):
+        # A NaN query point makes every trial residual NaN, so no step of
+        # the Armijo search is accepted.
+        for what, solve in self.solves(np.nan):
+            with pytest.raises(InnerSolverDiverged, match=f"^{what} newton stalled") as exc:
+                solve()
+            assert exc.value.iterations == 0
+            assert np.isnan(exc.value.residual)
 
 
 class TestResidualAndEnlargement:

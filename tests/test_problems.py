@@ -48,8 +48,6 @@ class TestBuilders:
 
     def test_cubic_values(self):
         prob = problems.make_cubic_1d()
-        assert prob.order_p == 3
-        assert prob.lipschitz_L == 6.0
         assert np.allclose(ops.single_value(prob.operator, [2.0]), [8.0])
         assert ops.min_norm_residual(prob.operator, [0.0]) == 0.0
 

@@ -10,7 +10,6 @@ from monoflow.tensor import (
     TensorOracle,
     lambda_window_search,
     surrogate_resolvent,
-    tensor_oracle,
 )
 
 SADDLE = problems.make_bilinear_saddle(d=2)
@@ -130,7 +129,7 @@ class TestOracle:
         tc = cubic_config()
         drive = drive_for(tc)
         x = np.array([2.0])
-        lam, y, v, eps = tensor_oracle(CUBIC, x, tc)
+        lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
         assert eps == 0.0
         cert = verify_step(drive, x, lam, y, v, eps)
         assert cert.ok
@@ -161,5 +160,5 @@ class TestOracle:
         # graph: v - F(y) must vanish without a cone.
         tc = cubic_config()
         x = np.array([1.3])
-        lam, y, v, eps = tensor_oracle(CUBIC, x, tc)
+        lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
         assert np.allclose(v, ops.single_value(CUBIC.operator, y), atol=1e-12)
