@@ -24,6 +24,8 @@ from .hpe import HpeConfig
 from .tensor import TensorConfig
 
 MODES = ("FLOW", "HPE_EXACT", "TENSOR")
+# Most RK4 steps a FLOW config may ask for (horizon.T / horizon.h).
+MAX_FLOW_STEPS = 10**6
 
 _TOP_KEYS = {"problem", "mode", "params", "horizon", "x0", "seed", "out"}
 _PARAM_KEYS = {
@@ -119,6 +121,8 @@ class ExperimentConfig:
                 raise ConfigError("horizon.T must be >= 0")
             if not horizon["h"] > 0:
                 raise ConfigError("horizon.h must be > 0")
+            if horizon["T"] / horizon["h"] > MAX_FLOW_STEPS:
+                raise ConfigError(f"horizon.h gives more than {MAX_FLOW_STEPS} steps up to horizon.T")
         else:
             if "max_iters" not in horizon:
                 raise ConfigError(f"{mode} horizon needs max_iters")

@@ -89,7 +89,7 @@ class _LawCurve:
         if r.w is not None:
             self.warm = r.w
         self.evals += 1
-        d = float(np.linalg.norm(self.x - r.y))
+        d = ops.norm(self.x - r.y)
         rho = r.residual
         low = max(d - rho, 0.0)
         self.last_uncertainty = lam * ((d + rho) ** (self.p - 1) - low ** (self.p - 1))

@@ -194,14 +194,14 @@ def gap_grid_oracle(problem, x, points_per_axis=101):
     if op.dim != 2 or not isinstance(op.cone, ops.BoxCone):
         raise UnsupportedMetric("grid oracle is implemented for d = 2 boxes")
     x = np.asarray(x, dtype=float)
-    _, _, _, value, _ = _affine_objective(op, x)
+    m, q, _, _, _ = _affine_objective(op, x)
     g0 = np.linspace(op.cone.lower[0], op.cone.upper[0], points_per_axis)
     g1 = np.linspace(op.cone.lower[1], op.cone.upper[1], points_per_axis)
-    best = -np.inf
-    for a in g0:
-        for b in g1:
-            best = max(best, value(np.array([a, b])))
-    return best
+    a, b = g0[:, np.newaxis], g1[np.newaxis, :]
+    # <F(z), x - z> at every grid point z = (a, b), written out for d = 2.
+    f0 = m[0, 0] * a + m[0, 1] * b + q[0]
+    f1 = m[1, 0] * a + m[1, 1] * b + q[1]
+    return float(np.max(f0 * (x[0] - a) + f1 * (x[1] - b)))
 
 
 def residue(problem, x):

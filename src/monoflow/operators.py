@@ -16,6 +16,8 @@ solve error.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "make_poly",
     "single_value",
     "single_jacobian",
+    "norm",
     "domain_project",
     "domain_contains",
     "domain_sup_dist_sq",
@@ -57,6 +60,16 @@ def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def norm(v):
+    """np.linalg.norm of a contiguous 1-D float64 vector, bit for bit, minus its dispatch cost."""
+    return math.sqrt(v @ v)  # np.linalg.norm also takes the square root of v.dot(v)
+
+
+@functools.cache
+def _eye(d):
+    return _readonly(np.eye(d))
 
 
 @dataclass(frozen=True)
@@ -190,26 +203,27 @@ def make_poly(coeffs, dim=1, cone=None):
 def single_value(op, x):
     """Evaluate the single-valued part F(x); excludes the normal cone."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(op.dim)
+    terms = []
     if op.affine is not None:
-        out += op.affine.matrix @ x + op.affine.offset
+        terms.append(op.affine.matrix @ x + op.affine.offset)
     if op.poly is not None:
-        out += npoly.polyval(x, op.poly.coeffs)
+        terms.append(npoly.polyval(x, op.poly.coeffs))
     if op.radial is not None:
-        out += op.radial.weight * float(x @ x) * x
-    return out
+        terms.append(op.radial.weight * float(x @ x) * x)
+    return sum(terms[1:], terms[0]) if terms else np.zeros(op.dim)
 
 
 def single_jacobian(op, x):
+    """Jacobian of F at x; read-only when F is a lone affine part."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros((op.dim, op.dim))
+    terms = []
     if op.affine is not None:
-        out += op.affine.matrix
+        terms.append(op.affine.matrix)
     if op.poly is not None:
-        out += np.diag(npoly.polyval(x, npoly.polyder(op.poly.coeffs)))
+        terms.append(np.diag(npoly.polyval(x, npoly.polyder(op.poly.coeffs))))
     if op.radial is not None:
-        out += op.radial.weight * (float(x @ x) * np.eye(op.dim) + 2.0 * np.outer(x, x))
-    return out
+        terms.append(op.radial.weight * (float(x @ x) * _eye(op.dim) + 2.0 * np.outer(x, x)))
+    return sum(terms[1:], terms[0]) if terms else np.zeros((op.dim, op.dim))
 
 
 def domain_project(op, x):
@@ -218,9 +232,9 @@ def domain_project(op, x):
     if c is None:
         return x.copy()
     if isinstance(c, BoxCone):
-        return np.clip(x, c.lower, c.upper)
+        return np.minimum(np.maximum(x, c.lower), c.upper)
     r = x - c.center
-    nr = float(np.linalg.norm(r))
+    nr = norm(r)
     if nr <= c.radius:
         return x.copy()
     return c.center + (c.radius / nr) * r
@@ -234,7 +248,7 @@ def domain_contains(op, x, atol=BOUNDARY_ATOL):
     if isinstance(c, BoxCone):
         scale = 1.0 + np.maximum(np.abs(c.lower), np.abs(c.upper))
         return bool(np.all(x >= c.lower - atol * scale) and np.all(x <= c.upper + atol * scale))
-    return float(np.linalg.norm(x - c.center)) <= c.radius * (1.0 + atol)
+    return norm(x - c.center) <= c.radius * (1.0 + atol)
 
 
 def domain_sup_dist_sq(op, x0):
@@ -245,14 +259,14 @@ def domain_sup_dist_sq(op, x0):
         far = np.where(np.abs(c.lower - x0) > np.abs(c.upper - x0), c.lower, c.upper)
         return float(np.sum((far - x0) ** 2))
     if isinstance(c, BallCone):
-        return (float(np.linalg.norm(x0 - c.center)) + c.radius) ** 2
+        return (norm(x0 - c.center) + c.radius) ** 2
     raise ValueError("domain is unbounded")
 
 
 def _cone_residual(cone, x, g):
     """min_{n in N_cone(x)} ||g + n||; x assumed in the domain."""
     if cone is None:
-        return float(np.linalg.norm(g))
+        return norm(g)
     if isinstance(cone, BoxCone):
         scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
         at_hi = x >= cone.upper - BOUNDARY_ATOL * scale
@@ -261,15 +275,15 @@ def _cone_residual(cone, x, g):
         # n >= 0 available at the upper bound cancels negative g, and dually.
         r[at_hi & (g < 0)] = 0.0
         r[at_lo & (g > 0)] = 0.0
-        return float(np.linalg.norm(r))
+        return norm(r)
     rad = x - cone.center
-    nr = float(np.linalg.norm(rad))
+    nr = norm(rad)
     if nr < cone.radius * (1.0 - BOUNDARY_ATOL):
-        return float(np.linalg.norm(g))
+        return norm(g)
     u = rad / nr if nr > 0 else np.zeros_like(x)
     inner = float(g @ u)
     if inner >= 0:
-        return float(np.linalg.norm(g))
+        return norm(g)
     return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
 
 
@@ -349,11 +363,11 @@ def _proj_jacobian(cone, w):
     if isinstance(cone, BoxCone):
         return ((w > cone.lower) & (w < cone.upper)).astype(float)
     r = w - cone.center
-    nr = float(np.linalg.norm(r))
+    nr = norm(r)
     if nr <= cone.radius:
         return None
     u = r / nr
-    return (cone.radius / nr) * (np.eye(w.size) - np.outer(u, u))
+    return (cone.radius / nr) * (_eye(w.size) - np.outer(u, u))
 
 
 def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
@@ -367,16 +381,18 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
     the line search stalls or NEWTON_MAX_ITERS steps fall short of stop.
     """
     w = x.copy() if w0 is None else np.asarray(w0, dtype=float).copy()
-    eye = np.eye(op.dim)
+    eye = _eye(op.dim)
 
-    def phi(wv):
-        return wv + lam * value(domain_project(op, wv)) - x
+    def trial(wv):
+        # (P(wv), value there, normal map at wv, its norm)
+        yv = domain_project(op, wv)
+        vv = value(yv)
+        fv = wv + lam * vv - x
+        return yv, vv, fv, norm(fv)
 
-    f = phi(w)
-    nf = float(np.linalg.norm(f))
+    y, fy, f, nf = trial(w)
     its = 0
     while its < NEWTON_MAX_ITERS:
-        y = domain_project(op, w)
         target = stop(y)
         if nf <= target:
             break
@@ -395,8 +411,7 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
         t = 1.0
         for _ in range(60):
             wn = w + t * step
-            fn = phi(wn)
-            nfn = float(np.linalg.norm(fn))
+            yn, fyn, fn, nfn = trial(wn)
             if nfn < nf * (1.0 - 1e-4 * t) or nfn <= target:
                 break
             t *= 0.5
@@ -404,17 +419,16 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
             raise InnerSolverDiverged(
                 f"{what} newton stalled at residual {nf:.3e}", residual=nf, iterations=its
             )
-        w, f, nf = wn, fn, nfn
+        w, y, fy, f, nf = wn, yn, fyn, fn, nfn
         its += 1
     else:
-        if nf > stop(domain_project(op, w)):
+        if nf > stop(y):
             raise InnerSolverDiverged(
                 f"{what} newton hit iteration cap at residual {nf:.3e}",
                 residual=nf,
                 iterations=its,
             )
-    y = domain_project(op, w)
-    return y, value(y) + (w - y) / lam, w, its
+    return y, fy + (w - y) / lam, w, its
 
 
 def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
@@ -448,7 +462,7 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         m, q = op.affine.matrix, op.affine.offset
         y = np.linalg.solve(np.eye(op.dim) + lam * m, x - lam * q)
         v = m @ y + q
-        res = float(np.linalg.norm(lam * v + y - x))
+        res = norm(lam * v + y - x)
         return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
 
     if op.poly is not None and single_parts == 1 and not isinstance(op.cone, BallCone):
@@ -465,7 +479,7 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
             n[(yc > op.cone.lower) & (yc < op.cone.upper)] = 0.0
             y = yc
         v = npoly.polyval(y, c) + n
-        res = float(np.linalg.norm(lam * v + y - x))
+        res = norm(lam * v + y - x)
         return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
 
     if op.radial is not None and single_parts == 1 and op.cone is None:
@@ -473,7 +487,7 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         r = _radial_root(op.radial.weight, lam, s)
         y = (r / s) * x if s > 0 else np.zeros(op.dim)
         v = op.radial.weight * r * r * y
-        res = float(np.linalg.norm(lam * v + y - x))
+        res = norm(lam * v + y - x)
         return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
 
     y, v, w, its = normal_map_newton(
@@ -482,11 +496,11 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         x,
         lambda z: single_value(op, z),
         lambda z: single_jacobian(op, z),
-        lambda y: tol * max(1.0, float(np.linalg.norm(y - x))),
+        lambda y: tol * max(1.0, norm(y - x)),
         warm,
         "resolvent",
     )
-    res = float(np.linalg.norm(lam * v + y - x))
+    res = norm(lam * v + y - x)
     return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=its, w=w)
 
 

@@ -123,7 +123,7 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         x,
         lambda z: ops.taylor_value(op, anchor, p, z),
         lambda z: ops.taylor_jacobian(op, anchor, p, z),
-        lambda y: max(cfg.sigma_hat * float(np.linalg.norm(y - x)), floor),
+        lambda y: max(cfg.sigma_hat * ops.norm(y - x), floor),
         warm,
         "surrogate",
     )

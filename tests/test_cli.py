@@ -118,6 +118,16 @@ class TestConfigRejection:
         assert "x0[0] must be finite" in err
         assert "horizon.T must be finite" in err
 
+    def test_unbounded_step_count_exits_two(self, tmp_path, capsys):
+        # h = 1e-320 used to overflow math.ceil in the flow and h = 1e-9 to
+        # start a run of 1e9 steps; both are refused before any step.
+        for i, h in enumerate([1e-320, 1e-9]):
+            payload = dict(flow_payload(tmp_path / f"s{i}.csv", T=1.0), horizon={"T": 1.0, "h": h})
+            cfg = write_config(tmp_path, payload, f"steps{i}.json")
+            assert cli.main(["run", "--config", str(cfg)]) == 2
+            assert not (tmp_path / f"s{i}.csv").exists()
+        assert capsys.readouterr().err.count("horizon.h gives") == 2
+
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

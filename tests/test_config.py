@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monoflow.config import (
+    MAX_FLOW_STEPS,
     ExperimentConfig,
     load_config,
     parse_config,
@@ -153,6 +154,16 @@ class TestValidation:
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ConfigError, match="horizon.h must be finite"):
             ExperimentConfig.from_dict(flow_dict(horizon={"T": 1.0, "h": 10**400}))
+
+    @pytest.mark.parametrize("T, h", [(1.0, 1e-320), (1.0, 1e-9), (1e300, 1.0), (2.0, 2.0 / (MAX_FLOW_STEPS + 1))])
+    def test_flow_step_count_capped(self, T, h):
+        with pytest.raises(ConfigError, match=r"^horizon\.h gives .* steps"):
+            ExperimentConfig.from_dict(flow_dict(horizon={"T": T, "h": h}))
+
+    def test_flow_step_count_at_cap_accepted(self):
+        cfg = ExperimentConfig.from_dict(flow_dict(horizon={"T": 2.0, "h": 2.0 / MAX_FLOW_STEPS}))
+        assert cfg.horizon["h"] == 2.0 / MAX_FLOW_STEPS
+        assert ExperimentConfig.from_dict(flow_dict(horizon={"T": 0.0, "h": 1e-320})).horizon["T"] == 0.0
 
 
 class TestDerivedObjects:

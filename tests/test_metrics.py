@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from monoflow import operators as ops
 from monoflow import problems
 from monoflow.errors import (
     DomainUnbounded,
@@ -97,6 +98,30 @@ class TestGap:
             slow = gap_grid_oracle(SADDLE, x, points_per_axis=101)
             assert fast >= slow - 1e-12  # grid underestimates the sup
             assert fast == pytest.approx(slow, abs=1e-3)
+
+
+    def test_grid_oracle_matches_loop(self):
+        # The plain double loop over the same grid is the reference.
+        rng = np.random.default_rng(8)
+        skewed = problems.ProblemInstance(
+            name="boxed_affine",
+            operator=ops.make_affine(
+                [[0.5, 1.3], [-0.7, 0.2]], [0.3, -0.4], cone=ops.BoxCone([-1.0, -0.5], [2.0, 1.0])
+            ),
+            solution_set=problems.SolutionSet("UNKNOWN"),
+            error_bound=None,
+        )
+        for prob in [SADDLE, skewed]:
+            op = prob.operator
+            m, q = op.affine.matrix, op.affine.offset
+            for _ in range(4):
+                x = rng.uniform(-0.9, 0.9, size=2)
+                best = -np.inf
+                for a in np.linspace(op.cone.lower[0], op.cone.upper[0], 21):
+                    for b in np.linspace(op.cone.lower[1], op.cone.upper[1], 21):
+                        z = np.array([a, b])
+                        best = max(best, float((m @ z + q) @ (x - z)))
+                assert gap_grid_oracle(prob, x, points_per_axis=21) == pytest.approx(best, rel=0, abs=1e-12)
 
 
 class TestResidue:

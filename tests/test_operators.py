@@ -1,5 +1,9 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from monoflow import operators as ops
 from monoflow import problems
@@ -213,6 +217,202 @@ class TestNewtonFailures:
                 solve()
             assert exc.value.iterations == 0
             assert np.isnan(exc.value.residual)
+
+
+    @pytest.mark.xfail(strict=True, raises=InnerSolverDiverged, reason="affine + box Newton has no globalisation")
+    def test_affine_box_large_lam_stall(self):
+        # Bilinear saddle at d = 4: the damped Newton stalls at residual
+        # 2.253e3.  A globally convergent affine + box route turns this green.
+        op = problems.make_bilinear_saddle(d=4).operator
+        x = np.array([2.504, -0.309, 3.283, -1.598])
+        r = ops.resolvent(op, 1580.69, x)
+        assert r.residual <= ops.RESOLVENT_TOL * max(1.0, float(np.linalg.norm(r.y - x)))
+
+
+# Reference copy of the normal-map Newton kernel as it stood before its
+# per-call costs were cut: np.clip and np.linalg.norm, a fresh identity per
+# call, zero-filled part sums, and a second projection at the top of the
+# loop and on exit.  The live kernel must reproduce it bit for bit.
+
+
+def _ref_value(op, x):
+    out = np.zeros(op.dim)
+    if op.affine is not None:
+        out += op.affine.matrix @ x + op.affine.offset
+    if op.poly is not None:
+        out += npoly.polyval(x, op.poly.coeffs)
+    if op.radial is not None:
+        out += op.radial.weight * float(x @ x) * x
+    return out
+
+
+def _ref_jacobian(op, x):
+    out = np.zeros((op.dim, op.dim))
+    if op.affine is not None:
+        out += op.affine.matrix
+    if op.poly is not None:
+        out += np.diag(npoly.polyval(x, npoly.polyder(op.poly.coeffs)))
+    if op.radial is not None:
+        out += op.radial.weight * (float(x @ x) * np.eye(op.dim) + 2.0 * np.outer(x, x))
+    return out
+
+
+def _ref_project(op, x):
+    c = op.cone
+    if isinstance(c, ops.BoxCone):
+        return np.clip(x, c.lower, c.upper)
+    r = x - c.center
+    nr = float(np.linalg.norm(r))
+    if nr <= c.radius:
+        return x.copy()
+    return c.center + (c.radius / nr) * r
+
+
+def _ref_proj_jacobian(cone, w):
+    if isinstance(cone, ops.BoxCone):
+        return ((w > cone.lower) & (w < cone.upper)).astype(float)
+    r = w - cone.center
+    nr = float(np.linalg.norm(r))
+    if nr <= cone.radius:
+        return None
+    u = r / nr
+    return (cone.radius / nr) * (np.eye(w.size) - np.outer(u, u))
+
+
+def _ref_resolvent(op, lam, x, warm, tol=ops.RESOLVENT_TOL):
+    """(y, v, w, iterations, residual), or the InnerSolverDiverged raised."""
+    w = x.copy() if warm is None else np.asarray(warm, dtype=float).copy()
+    eye = np.eye(op.dim)
+
+    def phi(wv):
+        return wv + lam * _ref_value(op, _ref_project(op, wv)) - x
+
+    def stop(y):
+        return tol * max(1.0, float(np.linalg.norm(y - x)))
+
+    f = phi(w)
+    nf = float(np.linalg.norm(f))
+    its = 0
+    while its < ops.NEWTON_MAX_ITERS:
+        y = _ref_project(op, w)
+        target = stop(y)
+        if nf <= target:
+            break
+        jf = _ref_jacobian(op, y)
+        dp = _ref_proj_jacobian(op.cone, w)
+        if dp is None:
+            jac = eye + lam * jf
+        elif dp.ndim == 1:
+            jac = eye + lam * (jf * dp[np.newaxis, :])
+        else:
+            jac = eye + lam * (jf @ dp)
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        t = 1.0
+        for _ in range(60):
+            wn = w + t * step
+            fn = phi(wn)
+            nfn = float(np.linalg.norm(fn))
+            if nfn < nf * (1.0 - 1e-4 * t) or nfn <= target:
+                break
+            t *= 0.5
+        else:
+            return InnerSolverDiverged(
+                f"resolvent newton stalled at residual {nf:.3e}", residual=nf, iterations=its
+            )
+        w, f, nf = wn, fn, nfn
+        its += 1
+    else:
+        if nf > stop(_ref_project(op, w)):
+            return InnerSolverDiverged(
+                f"resolvent newton hit iteration cap at residual {nf:.3e}", residual=nf, iterations=its
+            )
+    y = _ref_project(op, w)
+    v = _ref_value(op, y) + (w - y) / lam
+    return y, v, w, its, float(np.linalg.norm(lam * v + y - x))
+
+
+def _newton_instances():
+    # Every instance leaves resolvent no closed form, so the kernel runs.
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((4, 4))
+    m = g @ g.T / 4.0 + (g - g.T)
+    box = ops.BoxCone(-np.ones(4), np.ones(4))
+    ball = ops.BallCone(0.3 * rng.standard_normal(4), 1.5)
+    return {
+        "affine+box": problems.make_bilinear_saddle(d=4).operator,
+        "psd affine+box": ops.make_affine(m, rng.standard_normal(4), cone=box),
+        "affine+ball": ops.make_affine(m, rng.standard_normal(4), cone=ball),
+        "poly+ball": ops.make_poly([0.1, 1.0, 0.0, 0.5], dim=4, cone=ball),
+        "radial+box": ops.OperatorSpec(dim=4, radial=ops.RadialPart(0.7), cone=box),
+        "affine+poly+radial+ball": ops.OperatorSpec(
+            dim=4,
+            affine=ops.AffinePart(m, np.zeros(4)),
+            poly=ops.PolyPart([0.0, 0.5, 0.0, 1.0]),
+            radial=ops.RadialPart(0.2),
+            cone=ball,
+        ),
+    }
+
+
+NEWTON_INSTANCES = _newton_instances()
+
+
+class TestKernelBitIdentity:
+    """The live kernel reproduces the reference copy above exactly."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(NEWTON_INSTANCES)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-1.0, 1.0),
+        warm_ratio=st.sampled_from([None, 0.5, 1.0, 2.0, 10.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference_kernel(self, name, log_lam, log_scale, warm_ratio, seed):
+        op = NEWTON_INSTANCES[name]
+        lam = 10.0**log_lam
+        x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(op.dim)
+        warm = None
+        if warm_ratio is not None:
+            # A warm start as the law solve passes it: w of a nearby lam.
+            try:
+                warm = ops.resolvent(op, lam * warm_ratio, x).w
+            except InnerSolverDiverged:
+                pass
+        want = _ref_resolvent(op, lam, x, warm)
+        if isinstance(want, InnerSolverDiverged):
+            with pytest.raises(InnerSolverDiverged) as exc:
+                ops.resolvent(op, lam, x, warm=warm)
+            assert str(exc.value) == str(want)
+            assert exc.value.residual == want.residual
+            assert exc.value.iterations == want.iterations
+            return
+        got = ops.resolvent(op, lam, x, warm=warm)
+        y, v, w, its, res = want
+        assert np.array_equal(got.y, y)
+        assert np.array_equal(got.v, v)
+        assert np.array_equal(got.w, w)
+        assert got.iterations == its
+        assert got.residual == res
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.sampled_from([1, 2, 10]),
+            elements=st.one_of(st.just(0.0), st.floats(-1e150, 1e150, allow_subnormal=True)),
+        )
+    )
+    def test_norm_matches_numpy(self, v):
+        assert ops.norm(v) == float(np.linalg.norm(v))
+        assert type(ops.norm(v)) is float
+
+    def test_norm_of_zeros(self):
+        for n in (1, 2, 10):
+            assert ops.norm(np.zeros(n)) == 0.0 == float(np.linalg.norm(np.zeros(n)))
 
 
 class TestResidualAndEnlargement:
