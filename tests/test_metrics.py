@@ -73,8 +73,6 @@ class TestGap:
         # Unbounded domain is reported first on the bare cubic.
         with pytest.raises(DomainUnbounded):
             gap(CUBIC, [0.5])
-        from monoflow import operators as ops
-
         boxed = problems.ProblemInstance(
             name="boxed_cubic",
             operator=ops.make_poly(
