@@ -260,7 +260,9 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
             m_win = min(m_win, s - wlo + 1e-12, whi - s + 1e-12)
 
         anchor = ops.domain_project(op, x)
-        u = v - ops.single_value(op, y) + ops.taylor_value(op, anchor, tcfg.p, y)
+        fy = ops.single_value(op, y)
+        ty = ops.TaylorSurrogate(op, anchor, tcfg.p).value(y)
+        u = v - fy + ty
         step_norm = float(np.linalg.norm(y - x))
         floor = 1e-13 * (1.0 + float(np.linalg.norm(x)))
         m_hat = min(
@@ -268,7 +270,7 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
             tcfg.sigma_hat * step_norm + floor - float(np.linalg.norm(lam * u + y - x)),
         )
 
-        taylor_err = float(np.linalg.norm(ops.single_value(op, y) - ops.taylor_value(op, anchor, tcfg.p, y)))
+        taylor_err = float(np.linalg.norm(fy - ty))
         cap = tcfg.L / math.factorial(tcfg.p) * float(np.linalg.norm(y - anchor)) ** tcfg.p
         m_taylor = min(m_taylor, cap * (1.0 + 1e-8) + 1e-12 - taylor_err)
 

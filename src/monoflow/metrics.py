@@ -193,6 +193,8 @@ def gap_grid_oracle(problem, x, points_per_axis=101):
     op = problem.operator
     if op.dim != 2 or not isinstance(op.cone, ops.BoxCone):
         raise UnsupportedMetric("grid oracle is implemented for d = 2 boxes")
+    if op.poly is not None or op.radial is not None:
+        raise UnsupportedMetric("grid oracle evaluates affine single-valued parts only")
     x = np.asarray(x, dtype=float)
     m, q, _, _, _ = _affine_objective(op, x)
     g0 = np.linspace(op.cone.lower[0], op.cone.upper[0], points_per_axis)

@@ -44,8 +44,7 @@ __all__ = [
     "min_norm_residual",
     "normal_map_newton",
     "resolvent",
-    "taylor_value",
-    "taylor_jacobian",
+    "TaylorSurrogate",
     "enlargement_check",
 ]
 
@@ -445,7 +444,8 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
     Returns
     -------
     Resolvent with v in A(y) exact by construction; residual reports
-    ||lam*v + y - x|| <= tol * max(1, ||y - x||).
+    ||lam*v + y - x|| <= tol * max(1, ||y - x||).  The Newton route and the
+    closed-form affine route raise InnerSolverDiverged when they miss it.
     """
     if not lam > 0:
         raise ValueError("resolvent needs lam > 0")
@@ -463,6 +463,11 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         y = np.linalg.solve(np.eye(op.dim) + lam * m, x - lam * q)
         v = m @ y + q
         res = norm(lam * v + y - x)
+        if res > tol * max(1.0, norm(y - x)):
+            # Rounding at eps*||x|| can exceed the bound; refining cannot help.
+            raise InnerSolverDiverged(
+                f"resolvent affine solve missed its bound at residual {res:.3e}", residual=res, iterations=0
+            )
         return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
 
     if op.poly is not None and single_parts == 1 and not isinstance(op.cone, BallCone):
@@ -504,84 +509,93 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
     return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=its, w=w)
 
 
-def _poly_taylor_coeffs(coeffs, order):
-    # Truncate to terms 0..order of the Taylor expansion; returns a callable
-    # pair (value, derivative) in the offset h = u - a.
-    ders = [coeffs]
-    while len(ders) <= order:
-        ders.append(npoly.polyder(ders[-1]))
-    return ders
-
-
-def taylor_value(op, anchor, p, u):
-    """Evaluate the order-(p-1) Taylor surrogate of F at anchor.
+class TaylorSurrogate:
+    """The order-(p-1) Taylor surrogate of F anchored at a fixed point.
 
     For p = 1 the surrogate is the frozen value F(anchor).  Affine parts
-    are reproduced exactly for p >= 2, the radial part for p >= 4.
+    are reproduced exactly for p >= 2, the radial part for p >= 4.  The
+    terms that depend on the anchor alone (polynomial derivative values,
+    the frozen affine value, the radial constants) are evaluated once here;
+    value and jacobian then cost only the terms in h = u - anchor.
     """
-    if p < 1:
-        raise ValueError("order must be >= 1")
-    anchor = np.asarray(anchor, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h = u - anchor
-    out = np.zeros(op.dim)
-    if op.affine is not None:
-        m, q = op.affine.matrix, op.affine.offset
-        out += m @ anchor + q if p == 1 else m @ u + q
-    if op.poly is not None:
-        ders = _poly_taylor_coeffs(op.poly.coeffs, p - 1)
-        fact = 1.0
-        acc = np.zeros(op.dim)
-        hk = np.ones(op.dim)
-        for j in range(p):
-            if j > 0:
+
+    def __init__(self, op, anchor, p):
+        if p < 1:
+            raise ValueError("order must be >= 1")
+        self.op = op
+        self.p = p
+        self.anchor = a = np.array(anchor, dtype=float)
+        self.frozen = self.ders = self.aa = self.aaa = self.rad_jac = None
+        if op.affine is not None and p == 1:
+            self.frozen = op.affine.matrix @ a + op.affine.offset
+        if op.poly is not None:
+            ders = [op.poly.coeffs]
+            while len(ders) < p:
+                ders.append(npoly.polyder(ders[-1]))
+            # ders[j] is the j-th derivative's value at the anchor.
+            self.ders = [npoly.polyval(a, c) for c in ders]
+        if op.radial is not None:
+            self.aa = float(a @ a)
+            self.aaa = self.aa * a
+            self.rad_jac = self.aa * _eye(op.dim) + 2.0 * np.outer(a, a)
+
+    def value(self, u):
+        """Surrogate value at u."""
+        op, p, a = self.op, self.p, self.anchor
+        u = np.asarray(u, dtype=float)
+        h = u - a
+        out = np.zeros(op.dim)
+        if op.affine is not None:
+            out += self.frozen if p == 1 else op.affine.matrix @ u + op.affine.offset
+        if op.poly is not None:
+            fact = 1.0
+            acc = np.zeros(op.dim)
+            hk = np.ones(op.dim)
+            for j, c in enumerate(self.ders):
+                if j > 0:
+                    fact *= j
+                    hk = hk * h
+                acc += c * hk / fact
+            out += acc
+        if op.radial is not None:
+            acc = self.aaa
+            if p >= 2:
+                ah = float(a @ h)
+                acc = acc + self.aa * h + 2.0 * ah * a
+            if p >= 3:
+                hh = float(h @ h)
+                acc = acc + hh * a + 2.0 * ah * h
+            if p >= 4:
+                acc = acc + hh * h
+            out += op.radial.weight * acc
+        return out
+
+    def jacobian(self, u):
+        """Jacobian in u of the surrogate."""
+        op, p, a = self.op, self.p, self.anchor
+        u = np.asarray(u, dtype=float)
+        h = u - a
+        out = np.zeros((op.dim, op.dim))
+        if op.affine is not None and p >= 2:
+            out += op.affine.matrix
+        if op.poly is not None and p >= 2:
+            fact = 1.0
+            diag = np.zeros(op.dim)
+            hk = np.ones(op.dim)
+            for j in range(1, p):
                 fact *= j
+                diag += self.ders[j] * hk * j / fact
                 hk = hk * h
-            acc += npoly.polyval(anchor, ders[j]) * hk / fact
-        out += acc
-    if op.radial is not None:
-        a = anchor
-        wgt = op.radial.weight
-        acc = float(a @ a) * a
-        if p >= 2:
-            acc = acc + float(a @ a) * h + 2.0 * float(a @ h) * a
-        if p >= 3:
-            acc = acc + float(h @ h) * a + 2.0 * float(a @ h) * h
-        if p >= 4:
-            acc = acc + float(h @ h) * h
-        out += wgt * acc
-    return out
-
-
-def taylor_jacobian(op, anchor, p, u):
-    """Jacobian in u of the order-(p-1) Taylor surrogate."""
-    anchor = np.asarray(anchor, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h = u - anchor
-    out = np.zeros((op.dim, op.dim))
-    if op.affine is not None and p >= 2:
-        out += op.affine.matrix
-    if op.poly is not None and p >= 2:
-        ders = _poly_taylor_coeffs(op.poly.coeffs, p - 1)
-        fact = 1.0
-        diag = np.zeros(op.dim)
-        hk = np.ones(op.dim)
-        for j in range(1, p):
-            fact *= j
-            diag += npoly.polyval(anchor, ders[j]) * hk * j / fact
-            hk = hk * h
-        out += np.diag(diag)
-    if op.radial is not None and p >= 2:
-        a = anchor
-        wgt = op.radial.weight
-        eye = np.eye(op.dim)
-        jac = float(a @ a) * eye + 2.0 * np.outer(a, a)
-        if p >= 3:
-            jac = jac + 2.0 * np.outer(a, h) + 2.0 * np.outer(h, a) + 2.0 * float(a @ h) * eye
-        if p >= 4:
-            jac = jac + 2.0 * np.outer(h, h) + float(h @ h) * eye
-        out += wgt * jac
-    return out
+            out += np.diag(diag)
+        if op.radial is not None and p >= 2:
+            jac = self.rad_jac
+            if p >= 3:
+                eye = _eye(op.dim)
+                jac = jac + 2.0 * np.outer(a, h) + 2.0 * np.outer(h, a) + 2.0 * float(a @ h) * eye
+            if p >= 4:
+                jac = jac + 2.0 * np.outer(h, h) + float(h @ h) * eye
+            out += op.radial.weight * jac
+        return out
 
 
 def _sample_domain_member(op, x, rng, scale_hint):

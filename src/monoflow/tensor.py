@@ -109,9 +109,9 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     p = cfg.p
     _check_surrogate_order(op, p)
     x = np.asarray(x, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
+    sur = ops.TaylorSurrogate(op, anchor, p)
     if p >= 3:
-        jac = ops.taylor_jacobian(op, anchor, p, anchor)
+        jac = sur.jacobian(sur.anchor)
         lo = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[0])
         if lo < -1e-10 * max(1.0, float(np.abs(jac).max())):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {lo:.3e}")
@@ -121,8 +121,8 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         op,
         lam,
         x,
-        lambda z: ops.taylor_value(op, anchor, p, z),
-        lambda z: ops.taylor_jacobian(op, anchor, p, z),
+        sur.value,
+        sur.jacobian,
         lambda y: max(cfg.sigma_hat * ops.norm(y - x), floor),
         warm,
         "surrogate",
@@ -242,11 +242,11 @@ class TensorOracle:
         """
         op = self.problem.operator
         x = np.asarray(x, dtype=float)
-        anchor = ops.domain_project(op, x)
         lam, y, u, w = lambda_window_search(
             self.problem, x, self.cfg, hint=self.hint, warm=self.warm
         )
         self.hint = lam
         self.warm = w
-        v = ops.single_value(op, y) + u - ops.taylor_value(op, anchor, self.cfg.p, y)
+        sur = ops.TaylorSurrogate(op, ops.domain_project(op, x), self.cfg.p)
+        v = ops.single_value(op, y) + u - sur.value(y)
         return lam, y, v, 0.0

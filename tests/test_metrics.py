@@ -84,6 +84,20 @@ class TestGap:
         with pytest.raises(UnsupportedMetric):
             gap(boxed, [0.5])
 
+    def test_grid_oracle_rejects_nonaffine(self):
+        # F(u) = u^3 on a 2-d box: the grid oracle refuses it as gap does,
+        # instead of reading the missing affine part as zero.
+        boxed = problems.ProblemInstance(
+            name="boxed_cubic_2d",
+            operator=ops.make_poly([0.0, 0.0, 0.0, 1.0], dim=2, cone=ops.BoxCone(-np.ones(2), np.ones(2))),
+            solution_set=problems.SolutionSet("SINGLETON", np.zeros(2)),
+            error_bound=None,
+        )
+        with pytest.raises(UnsupportedMetric):
+            gap(boxed, [0.5, 0.5])
+        with pytest.raises(UnsupportedMetric):
+            gap_grid_oracle(boxed, [0.5, 0.5])
+
     def test_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             gap(SADDLE, [1.5, 0.0])

@@ -70,7 +70,7 @@ class TestSurrogateResolvent:
         tc = cubic_config()
         x = np.array([2.0])
         y, u, w = surrogate_resolvent(CUBIC, x, x, 0.5, tc)
-        want = ops.taylor_value(CUBIC.operator, x, 3, y)
+        want = ops.TaylorSurrogate(CUBIC.operator, x, 3).value(y)
         assert np.allclose(u, want, atol=1e-12)
 
     def test_high_order_needs_small_dimension(self):
