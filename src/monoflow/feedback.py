@@ -5,7 +5,9 @@ strictly increasing and unbounded in lam off the solution set, so the law
 has exactly one root there.  The root is found by geometric bracketing from
 a warm hint followed by a guarded bracketed root-find; the post-condition
 |lam * ||x - y||^(p-1) - theta| <= ae_tol * theta is verified on exit, up to
-the uncertainty the inner resolvent certifies for its own result.
+the uncertainty the inner resolvent certifies for its own result.  Each
+lam is evaluated at most once per solve, and solve_law hands back the
+resolvent the accepted root was tested on.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "STATIONARITY_TOL",
     "AE_TOL",
     "scaled_displacement",
+    "solve_law",
     "solve_lambda",
     "stationarity_gauge",
 ]
@@ -68,12 +71,14 @@ def scaled_displacement(op, lam, x, p):
 
 
 class _LawCurve:
-    """Cached evaluations of g(lam) = lam * ||x - J_lam(x)||^(p-1).
+    """Memoised evaluations of g(lam) = lam * ||x - J_lam(x)||^(p-1).
 
     The resolvent residual rho bounds ||y - J_lam(x)|| (the resolvent is
     nonexpansive and the returned v lies in A(y) exactly), so each value
     carries a certified band lam * ((d+rho)^(p-1) - (d-rho)^(p-1)) outside
-    of which the true g cannot lie.
+    of which the true g cannot lie.  memo maps each lam evaluated (the
+    exact float) to (value, band, Resolvent); a repeated lam returns its
+    entry and leaves the warm start alone.
     """
 
     def __init__(self, op, x, p):
@@ -81,19 +86,93 @@ class _LawCurve:
         self.x = np.asarray(x, dtype=float)
         self.p = p
         self.warm = None
-        self.last_uncertainty = 0.0
-        self.evals = 0
+        self.memo = {}
+
+    def entry(self, lam):
+        hit = self.memo.get(lam)
+        if hit is None:
+            r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
+            if r.w is not None:
+                self.warm = r.w
+            d = ops.norm(self.x - r.y)
+            rho = r.residual
+            low = max(d - rho, 0.0)
+            band = lam * ((d + rho) ** (self.p - 1) - low ** (self.p - 1))
+            hit = self.memo[lam] = (lam * d ** (self.p - 1), band, r)
+        return hit
 
     def __call__(self, lam):
-        r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
-        if r.w is not None:
-            self.warm = r.w
-        self.evals += 1
-        d = ops.norm(self.x - r.y)
-        rho = r.residual
-        low = max(d - rho, 0.0)
-        self.last_uncertainty = lam * ((d + rho) ** (self.p - 1) - low ** (self.p - 1))
-        return lam * d ** (self.p - 1)
+        return self.entry(lam)[0]
+
+
+def solve_law(op, x, params, hint=None, ae_tol=AE_TOL):
+    """Root of the control law at x and the resolvent it was accepted on.
+
+    Parameters are those of solve_lambda.  Returns (lam, r): lam is the
+    unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta and r the
+    Resolvent at lam whose value passed the acceptance test
+    |lam * ||x - r.y||^(p-1) - theta| <= ae_tol * theta + band.  For p = 1
+    it returns (theta, None).  Raises StationaryPoint on solutions.
+    """
+    theta, p = params.theta, params.p
+    res = ops.min_norm_residual(op, x)
+    if res <= STATIONARITY_TOL:
+        raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=res)
+    if p == 1:
+        return theta, None
+
+    g = _LawCurve(op, x, p)
+
+    def accepted(lam):
+        val, band, _ = g.entry(lam)
+        return abs(val - theta) <= ae_tol * theta + band
+
+    def found(lam):
+        return lam, g.memo[lam][2]
+
+    lam = float(hint) if hint is not None and hint > 0 else 1.0
+    if accepted(lam):
+        return found(lam)
+
+    lo = hi = lam
+    if g(lam) < theta:
+        for _ in range(MAX_DOUBLINGS):
+            lo, hi = hi, hi * 2.0
+            if g(hi) >= theta:
+                break
+        else:
+            raise BracketOverflow(f"no upper bracket after {MAX_DOUBLINGS} doublings")
+    else:
+        for _ in range(MAX_DOUBLINGS):
+            lo, hi = lo * 0.5, lo
+            if g(lo) <= theta:
+                break
+        else:
+            raise BracketOverflow(f"no lower bracket after {MAX_DOUBLINGS} halvings")
+
+    for end in (lo, hi):
+        if accepted(end):
+            return found(end)
+    lam = float(brentq(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200))
+    if accepted(lam):
+        return found(lam)
+    # Brent met its own lam tolerance without the residual one; finish by
+    # plain bisection on the remaining interval.
+    lo, hi = (lam, hi) if g(lam) < theta else (lo, lam)
+    for _ in range(256):
+        mid = 0.5 * (lo + hi)
+        if accepted(mid):
+            return found(mid)
+        if g(mid) < theta:
+            lo = mid
+        else:
+            hi = mid
+    miss = abs(g(mid) - theta)
+    raise InnerSolverDiverged(
+        f"control-law residual {miss / theta:.3e} above {ae_tol:.1e}"
+        " plus the certified resolvent band",
+        residual=miss,
+    )
 
 
 def solve_lambda(op, x, params, hint=None, ae_tol=AE_TOL):
@@ -108,74 +187,10 @@ def solve_lambda(op, x, params, hint=None, ae_tol=AE_TOL):
     ae_tol : float, relative residual accepted on the algebraic equation.
 
     Returns the unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta
-    (for p = 1 this is theta itself).
+    (for p = 1 this is theta itself).  solve_law also returns the accepted
+    resolvent.
     """
-    theta, p = params.theta, params.p
-    res = ops.min_norm_residual(op, x)
-    if res <= STATIONARITY_TOL:
-        raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=res)
-    if p == 1:
-        return theta
-
-    g = _LawCurve(op, x, p)
-
-    def accepted(val):
-        return abs(val - theta) <= ae_tol * theta + g.last_uncertainty
-
-    lam = float(hint) if hint is not None and hint > 0 else 1.0
-    val = g(lam)
-    if accepted(val):
-        return lam
-
-    lo = hi = lam
-    vlo = vhi = val
-    ulo = uhi = g.last_uncertainty
-    if val < theta:
-        for _ in range(MAX_DOUBLINGS):
-            lo, vlo, ulo = hi, vhi, uhi
-            hi *= 2.0
-            vhi = g(hi)
-            uhi = g.last_uncertainty
-            if vhi >= theta:
-                break
-        else:
-            raise BracketOverflow(f"no upper bracket after {MAX_DOUBLINGS} doublings")
-    else:
-        for _ in range(MAX_DOUBLINGS):
-            hi, vhi, uhi = lo, vlo, ulo
-            lo *= 0.5
-            vlo = g(lo)
-            ulo = g.last_uncertainty
-            if vlo <= theta:
-                break
-        else:
-            raise BracketOverflow(f"no lower bracket after {MAX_DOUBLINGS} halvings")
-
-    if abs(vlo - theta) <= ae_tol * theta + ulo:
-        return lo
-    if abs(vhi - theta) <= ae_tol * theta + uhi:
-        return hi
-    lam = float(brentq(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200))
-    val = g(lam)
-    if accepted(val):
-        return lam
-    # Brent met its own lam tolerance without the residual one; finish by
-    # plain bisection on the remaining interval.
-    lo, hi = (lam, hi) if val < theta else (lo, lam)
-    for _ in range(256):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if accepted(val):
-            return mid
-        if val < theta:
-            lo = mid
-        else:
-            hi = mid
-    raise InnerSolverDiverged(
-        f"control-law residual {abs(val - theta) / theta:.3e} above {ae_tol:.1e}"
-        " plus the certified resolvent band",
-        residual=abs(val - theta),
-    )
+    return solve_law(op, x, params, hint=hint, ae_tol=ae_tol)[0]
 
 
 def stationarity_gauge(op, x, params):

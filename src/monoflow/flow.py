@@ -2,9 +2,11 @@
 
 The trajectory solves dx/dt = J_{lam(x)}(x) - x where lam(x) is the root
 of the control law at the current point (lam = theta identically when
-p = 1).  Integration is classical RK4 with the law re-solved at every
-stage, warm-started from the previous stage.  Ergodic averages of
-(lam, y) are accumulated with the trapezoid rule at step resolution.
+p = 1).  Integration is classical RK4 with the law solved at every stage,
+its bracket started from the previous stage's lam; the stage takes y from
+the resolvent the law accepted lam on, so each state carries the pair the
+law was certified on.  Ergodic averages of (lam, y) are accumulated with
+the trapezoid rule at step resolution.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
-from .feedback import STATIONARITY_TOL, FeedbackParams, solve_lambda
+# solve_lambda is re-exported for callers that import it from this module.
+from .feedback import STATIONARITY_TOL, FeedbackParams, solve_lambda, solve_law  # noqa: F401
 from .report import CheckReport
 
 __all__ = [
@@ -60,7 +63,13 @@ class Trajectory:
 
 
 class _Stage:
-    """Per-trajectory cache of warm starts for the stage solves."""
+    """Per-trajectory stage evaluator.
+
+    For p >= 2 each stage solves the law with the previous stage's lam as
+    the bracket hint and returns the resolvent the law accepted; for p = 1
+    lam = theta and the resolvent is warm-started from the previous stage.
+    rho is the certified residual of the last stage's resolvent.
+    """
 
     def __init__(self, op, params):
         self.op = op
@@ -72,12 +81,12 @@ class _Stage:
     def eval(self, x):
         if self.params.p == 1:
             lam = self.params.theta
+            r = ops.resolvent(self.op, lam, x, warm=self.warm)
+            if r.w is not None:
+                self.warm = r.w
         else:
-            lam = solve_lambda(self.op, x, self.params, hint=self.lam_hint)
+            lam, r = solve_law(self.op, x, self.params, hint=self.lam_hint)
             self.lam_hint = lam
-        r = ops.resolvent(self.op, lam, x, warm=self.warm)
-        if r.w is not None:
-            self.warm = r.w
         self.rho = r.residual
         return r.y - x, lam, r.y
 
@@ -85,7 +94,10 @@ class _Stage:
 def vector_field(op, x, params):
     """Right-hand side J_{lam(x)}(x) - x; raises StationaryPoint on zer(A)."""
     x = np.asarray(x, dtype=float)
-    return ops.resolvent(op, solve_lambda(op, x, params), x).y - x
+    lam, r = solve_law(op, x, params)
+    if r is None:
+        r = ops.resolvent(op, lam, x)
+    return r.y - x
 
 
 def integrate(problem, x0, params, T, h, sample_stride=1):

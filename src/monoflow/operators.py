@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -136,8 +136,12 @@ class RadialPart:
 
 @dataclass(frozen=True)
 class BoxCone:
+    """lower <= x <= upper; scale = 1 + max(|lower|, |upper|) sets the
+    boundary tolerance of each coordinate."""
+
     lower: np.ndarray
     upper: np.ndarray
+    scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _readonly(self.lower)
@@ -150,6 +154,7 @@ class BoxCone:
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "scale", _readonly(1.0 + np.maximum(np.abs(lo), np.abs(hi))))
 
 
 @dataclass(frozen=True)
@@ -245,8 +250,7 @@ def domain_contains(op, x, atol=BOUNDARY_ATOL):
     if c is None:
         return True
     if isinstance(c, BoxCone):
-        scale = 1.0 + np.maximum(np.abs(c.lower), np.abs(c.upper))
-        return bool(np.all(x >= c.lower - atol * scale) and np.all(x <= c.upper + atol * scale))
+        return bool((x >= c.lower - atol * c.scale).all() and (x <= c.upper + atol * c.scale).all())
     return norm(x - c.center) <= c.radius * (1.0 + atol)
 
 
@@ -267,9 +271,8 @@ def _cone_residual(cone, x, g):
     if cone is None:
         return norm(g)
     if isinstance(cone, BoxCone):
-        scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
-        at_hi = x >= cone.upper - BOUNDARY_ATOL * scale
-        at_lo = x <= cone.lower + BOUNDARY_ATOL * scale
+        at_hi = x >= cone.upper - BOUNDARY_ATOL * cone.scale
+        at_lo = x <= cone.lower + BOUNDARY_ATOL * cone.scale
         r = g.copy()
         # n >= 0 available at the upper bound cancels negative g, and dually.
         r[at_hi & (g < 0)] = 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from monoflow import feedback
 from monoflow import operators as ops
 from monoflow.errors import StationaryPoint
 from monoflow.feedback import (
@@ -10,6 +11,7 @@ from monoflow.feedback import (
     FeedbackParams,
     scaled_displacement,
     solve_lambda,
+    solve_law,
     stationarity_gauge,
 )
 
@@ -82,6 +84,40 @@ class TestSolveLambda:
         lo = solve_lambda(op, x, params, hint=1e-6)
         assert hi == pytest.approx(base, rel=1e-8)
         assert lo == pytest.approx(base, rel=1e-8)
+
+    @pytest.mark.parametrize("hint", [1e-6, 1e6])
+    @pytest.mark.parametrize("which", ["box_saddle", "poly_ball"])
+    def test_each_lam_solved_once(self, monkeypatch, which, hint):
+        # hint 1e-6 brackets by doubling, 1e6 by halving; Brent runs after.
+        if which == "box_saddle":
+            op, x = box_saddle_op(), np.array([0.6, -0.4])
+        else:
+            ball = ops.BallCone(np.zeros(3), 1.0)
+            op, x = ops.make_poly([0.0, 1.0, 0.0, 1.0], dim=3, cone=ball), np.array([0.9, -0.7, 0.4])
+        params = FeedbackParams(0.1, 2)
+        calls = []
+        resolvent = ops.resolvent
+
+        def recorder(op_, lam, x_, **kw):
+            r = resolvent(op_, lam, x_, **kw)
+            calls.append((lam, r))
+            return r
+
+        monkeypatch.setattr(feedback.ops, "resolvent", recorder)
+        lam = solve_lambda(op, x, params, hint=hint)
+        lams = [c[0] for c in calls]
+        assert len(lams) == len(set(lams))
+        assert lam in lams
+        # Some lam off the hint * 2^k ladder: the root-find ran past the bracket.
+        assert any(not math.log2(s / hint).is_integer() for s in lams)
+
+        calls.clear()
+        lam2, r = solve_law(op, x, params, hint=hint)
+        assert lam2 == lam
+        assert r is dict(calls)[lam]
+
+    def test_solve_law_first_order_has_no_resolvent(self):
+        assert solve_law(IDENTITY, [2.0], FeedbackParams(0.3, 1)) == (0.3, None)
 
     def test_relaxed_theta_above_one(self):
         params = FeedbackParams(1.5, 2, relax_theta=True)

@@ -6,7 +6,7 @@ import pytest
 from monoflow import operators as ops
 from monoflow import problems
 from monoflow.errors import StationaryPoint
-from monoflow.feedback import FeedbackParams
+from monoflow.feedback import AE_TOL, FeedbackParams, solve_law
 from monoflow.flow import (
     check_flow_invariants,
     ergodic_from_samples,
@@ -28,6 +28,13 @@ class TestVectorField:
     def test_stationary_raises(self):
         with pytest.raises(StationaryPoint):
             vector_field(IDENTITY_PROBLEM.operator, [0.0], FeedbackParams(0.5, 1))
+
+
+    def test_second_order_uses_the_law_pair(self):
+        params = FeedbackParams(0.05, 2)
+        x = np.array([0.7, -0.3])
+        lam, r = solve_law(SADDLE.operator, x, params)
+        assert np.array_equal(vector_field(SADDLE.operator, x, params), r.y - x)
 
 
 class TestIntegrate:
@@ -113,3 +120,13 @@ class TestIntegrate:
         traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(theta, 2), T=2.0, h=0.01)
         for s in traj.states:
             assert s.lam * s.speed == pytest.approx(theta, rel=1e-7)
+
+    def test_states_meet_the_law_at_the_solve_tolerance(self):
+        # AE_TOL, not FLOW_AE_TOL: each state holds the pair the law
+        # accepted, not a resolvent solved again at the accepted lam.
+        theta = 0.05
+        traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(theta, 2), T=3.0, h=0.01)
+        assert len(traj) == 301
+        for s in traj.states:
+            band = s.lam * ((s.speed + s.rho) - max(s.speed - s.rho, 0.0))
+            assert abs(s.lam * s.speed - theta) <= AE_TOL * theta + band

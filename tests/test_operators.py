@@ -453,6 +453,64 @@ class TestResidualAndEnlargement:
         assert margin >= -1e-12
 
 
+def _ref_box_contains(cone, x, atol=ops.BOUNDARY_ATOL):
+    scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
+    return bool(np.all(x >= cone.lower - atol * scale) and np.all(x <= cone.upper + atol * scale))
+
+
+def _ref_box_residual(cone, x, g):
+    scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
+    at_hi = x >= cone.upper - ops.BOUNDARY_ATOL * scale
+    at_lo = x <= cone.lower + ops.BOUNDARY_ATOL * scale
+    r = g.copy()
+    r[at_hi & (g < 0)] = 0.0
+    r[at_lo & (g > 0)] = 0.0
+    return ops.norm(r)
+
+
+@st.composite
+def _box_points(draw):
+    """A box and points on, just inside and just outside its tolerance edges."""
+    d = draw(st.integers(1, 6))
+    mag = st.floats(-1e3, 1e3, allow_subnormal=False)
+    lower = np.array(draw(st.lists(mag, min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 50.0]), min_size=d, max_size=d)))
+    upper = lower + width
+    scale = 1.0 + np.maximum(np.abs(lower), np.abs(upper))
+    edges = [
+        lower, upper,
+        lower - ops.BOUNDARY_ATOL * scale, lower + ops.BOUNDARY_ATOL * scale,
+        upper - ops.BOUNDARY_ATOL * scale, upper + ops.BOUNDARY_ATOL * scale,
+        lower - 1e-9 * scale, upper + 1e-9 * scale,
+    ]
+    pick = draw(st.lists(st.integers(0, len(edges) + 1), min_size=d, max_size=d))
+    nudge = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d))
+    x = np.empty(d)
+    for i, (k, step) in enumerate(zip(pick, nudge)):
+        if k < len(edges):
+            x[i] = edges[k][i]
+            for _ in range(abs(step)):
+                x[i] = np.nextafter(x[i], step * np.inf)
+        else:
+            x[i] = lower[i] + width[i] * (0.5 if k == len(edges) else 0.25)
+    g = np.array(draw(st.lists(st.sampled_from([-2.5, -1e-8, 0.0, -0.0, 1e-8, 3.0]), min_size=d, max_size=d)))
+    return ops.BoxCone(lower, upper), x, g
+
+
+class TestBoxConeBitIdentity:
+    """The stored box scale gives the bits of the scale computed per call."""
+
+    @settings(max_examples=300)
+    @given(_box_points())
+    def test_contains_and_residual(self, case):
+        cone, x, g = case
+        op = ops.make_affine(np.eye(len(x)), cone=cone)
+        assert np.array_equal(cone.scale, 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
+        for atol in (ops.BOUNDARY_ATOL, 1e-9):
+            assert ops.domain_contains(op, x, atol=atol) is _ref_box_contains(cone, x, atol)
+        assert ops._cone_residual(cone, x, g) == _ref_box_residual(cone, x, g)
+
+
 class TestTaylorSurrogate:
     def test_affine_reproduced_exactly(self):
         op = make_box_affine(seed=29)
