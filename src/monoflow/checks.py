@@ -14,10 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import operators as ops
-from .errors import MonoflowError, OracleFailure, StationaryPoint
+from .errors import CertificateViolation, OracleFailure
 from .feedback import FeedbackParams, scaled_displacement, solve_lambda, stationarity_gauge
 from .flow import check_flow_invariants, integrate
-from .hpe import ExactProxOracle, HpeConfig, check_discrete_lemmas, run, verify_step
+from .hpe import ExactProxOracle, HpeConfig, check_discrete_lemmas, run
 from .metrics import dist_to_solutions, fit_rate, gap, gap_grid_oracle, residue
 from .problems import (
     ProblemInstance,
@@ -204,12 +204,13 @@ def hpe_suite(seed=0):
         ("radial p=2", make_convex_gradient(2), HpeConfig(0.0, 0.2, 2, 80, stop_res=1e-12), np.array([1.0, 0.8])),
     ]
     for tag, prob, cfg, x0 in runs:
-        result = run(prob, ExactProxOracle(prob, cfg), cfg, x0, witness_count=8, seed=seed)
-        certs = min(
-            min(r.cert.relative_error_slack, r.cert.large_step_slack) for r in result.records
-        )
+        records = run(prob, ExactProxOracle(prob, cfg), cfg, x0).records
+        certs = min(min(r.cert.relative_error_slack, r.cert.large_step_slack) for r in records)
         rep.add(f"{tag}: every step certificate holds", certs >= 0.0, certs)
-        _merge(rep, check_discrete_lemmas(result.records, prob, cfg), tag)
+        witness = (ops.enlargement_check(prob.operator, r.y, r.v, r.eps, 8, seed + r.k) for r in records)
+        member = min(margin for _, margin in witness) + 1e-8
+        rep.add(f"{tag}: output direction passes the membership spot check", member >= 0.0, member)
+        _merge(rep, check_discrete_lemmas(records, prob, cfg), tag)
 
     mu, theta = 1.0, 0.7
     ident = make_strongly_monotone_affine(1, mu, seed=0)
@@ -234,26 +235,24 @@ def hpe_suite(seed=0):
 
 
 def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
-    """Replays the oracle step by step and audits each sub-certificate."""
+    """Audits each sub-certificate over the records of an hpe.run of the oracle;
+    a run cut short is audited up to the step that failed, whose certificate counts."""
     op = prob.operator
     hcfg = HpeConfig(
         sigma=tcfg.sigma, theta=tcfg.theta, p=tcfg.p, max_iters=iters, stop_res=1e-11
     )
     wlo, whi = tcfg.window
-    x = np.asarray(x0, dtype=float).copy()
-    oracle = TensorOracle(prob, tcfg)
     m_cert = m_win = m_hat = m_taylor = m_member = math.inf
-    steps = 0
-    for _ in range(iters):
-        if ops.min_norm_residual(op, x) <= hcfg.stop_res:
-            break
-        try:
-            lam, y, v, eps = oracle(x)
-        except (StationaryPoint, MonoflowError):
-            break
-        steps += 1
-        cert = verify_step(hcfg, x, lam, y, v, eps)
-        m_cert = min(m_cert, cert.relative_error_slack, cert.large_step_slack)
+    try:
+        records = run(prob, TensorOracle(prob, tcfg), hcfg, x0).records
+    except OracleFailure as exc:
+        records = exc.records
+    except CertificateViolation as exc:
+        records = exc.records
+        m_cert = min(exc.certificate.relative_error_slack, exc.certificate.large_step_slack)
+    for r in records:
+        x, lam, y, v = r.x_prev, r.lam, r.y, r.v
+        m_cert = min(m_cert, r.cert.relative_error_slack, r.cert.large_step_slack)
 
         s = lam * float(np.linalg.norm(y - x)) ** (tcfg.p - 1)
         if tcfg.p >= 2:
@@ -274,11 +273,9 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
         cap = tcfg.L / math.factorial(tcfg.p) * float(np.linalg.norm(y - anchor)) ** tcfg.p
         m_taylor = min(m_taylor, cap * (1.0 + 1e-8) + 1e-12 - taylor_err)
 
-        ok, margin = ops.enlargement_check(op, y, v, 0.0, witness_count=16, seed=seed)
+        margin = ops.enlargement_check(op, y, v, r.eps, witness_count=16, seed=seed)[1]
         m_member = min(m_member, margin + 1e-8)
-
-        x = x - lam * v
-    rep.add(f"{tag}: ran and produced steps", steps > 0, float(steps))
+    rep.add(f"{tag}: ran and produced steps", len(records) > 0, float(len(records)))
     rep.add(f"{tag}: framework certificate on every step", m_cert >= 0.0, m_cert)
     if tcfg.p >= 2:
         rep.add(f"{tag}: large-step product inside the window", m_win >= 0.0, m_win)
@@ -334,8 +331,7 @@ def tensor_suite(seed=0):
     tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
     hcfg = HpeConfig(sigma=tcfg.sigma, theta=tcfg.theta, p=3, max_iters=40, stop_res=1e-10)
     try:
-        result = run(prob, TensorOracle(prob, tcfg), hcfg, np.array([2.0]), witness_count=8, seed=seed)
-        records = result.records
+        records = run(prob, TensorOracle(prob, tcfg), hcfg, np.array([2.0])).records
     except OracleFailure as exc:
         records = exc.records
     _merge(rep, check_discrete_lemmas(records, prob, hcfg), "cubic p=3 framework run")

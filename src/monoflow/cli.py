@@ -180,7 +180,7 @@ def _run_iterative(cfg, problem):
         drive = cfg.drive_config(mode_params)
         oracle = tensor.TensorOracle(problem, mode_params)
     x0 = cfg.initial_point(problem)
-    result = hpe.run(problem, oracle, drive, x0, seed=cfg.seed)
+    result = hpe.run(problem, oracle, drive, x0)
 
     header = [
         "k",
@@ -266,6 +266,14 @@ def _write_outputs(out, header, rows, summary):
         fh.write(json.dumps(_jsonsafe(summary), indent=2, sort_keys=True) + "\n")
 
 
+def _seed(text):
+    """Type of --seed: numpy takes non-negative seeds only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load_with_overrides(args):
     cfg = load_config(args.config)
     updates = {}
@@ -346,7 +354,7 @@ def build_parser():
 
     run = sub.add_parser("run", help="run one configured experiment")
     run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="CSV trace path (overrides config)")
     run.set_defaults(func=cmd_run)
 
@@ -357,12 +365,12 @@ def build_parser():
         choices=["ALL"] + list(checks.SUITE_NAMES),
         help="which suite to run (default ALL)",
     )
-    check.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
+    check.add_argument("--seed", type=_seed, default=0, help="suite seed (default 0)")
     check.set_defaults(func=cmd_check)
 
     rates = sub.add_parser("rates", help="fit rate exponents for one experiment")
     rates.add_argument("--config", required=True, help="path to a JSON experiment config")
-    rates.add_argument("--seed", type=int, default=None, help="override the config seed")
+    rates.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     rates.add_argument("--out", default=None, help="CSV trace path (overrides config)")
     rates.set_defaults(func=cmd_rates)
 

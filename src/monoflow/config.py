@@ -145,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("x0 must be a coordinate list or {\"random_scale\": s}")
 
         seed = _number("seed", top.get("seed", 0), integer=True)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         out = top.get("out")
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a string path")

@@ -37,12 +37,13 @@ class StepRejected(MonoflowError):
 
 
 class CertificateViolation(MonoflowError):
-    """A machine-checked step certificate failed."""
+    """A machine-checked step certificate failed; records holds the steps before it."""
 
-    def __init__(self, message, k=None, certificate=None):
+    def __init__(self, message, k=None, certificate=None, records=None):
         super().__init__(message)
         self.k = k
         self.certificate = certificate
+        self.records = records
 
 
 class OracleFailure(MonoflowError):

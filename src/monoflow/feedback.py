@@ -4,8 +4,8 @@ The scaled displacement lam^{1/(p-1)} ||x - J_lam(x)|| is zero at lam = 0,
 strictly increasing and unbounded in lam off the solution set, so the law
 has exactly one root there.  The root is found by geometric bracketing from
 a warm hint followed by a guarded bracketed root-find; the post-condition
-|lam * ||x - y||^(p-1) - theta| <= ae_tol * theta is verified on exit, up to
-the uncertainty the inner resolvent certifies for its own result.  Each
+|lam * ||x - y||^(p-1) - theta| <= AE_TOL * theta is verified on exit, up to
+the band (law_band) the inner resolvent certifies for its own result.  Each
 lam is evaluated at most once per solve, and solve_law hands back the
 resolvent the accepted root was tested on.
 """
@@ -24,6 +24,7 @@ __all__ = [
     "FeedbackParams",
     "STATIONARITY_TOL",
     "AE_TOL",
+    "law_band",
     "scaled_displacement",
     "solve_law",
     "solve_lambda",
@@ -70,6 +71,12 @@ def scaled_displacement(op, lam, x, p):
     return lam ** (1.0 / (p - 1)) * float(np.linalg.norm(x - y))
 
 
+def law_band(lam, d, rho, p):
+    """Width of the band around lam * d^(p-1), d = ||x - y||, that holds the true
+    law value when the resolvent y carries certified residual rho."""
+    return lam * ((d + rho) ** (p - 1) - max(d - rho, 0.0) ** (p - 1))
+
+
 class _LawCurve:
     """Memoised evaluations of g(lam) = lam * ||x - J_lam(x)||^(p-1).
 
@@ -95,9 +102,7 @@ class _LawCurve:
             if r.w is not None:
                 self.warm = r.w
             d = ops.norm(self.x - r.y)
-            rho = r.residual
-            low = max(d - rho, 0.0)
-            band = lam * ((d + rho) ** (self.p - 1) - low ** (self.p - 1))
+            band = law_band(lam, d, r.residual, self.p)
             hit = self.memo[lam] = (lam * d ** (self.p - 1), band, r)
         return hit
 
@@ -105,13 +110,13 @@ class _LawCurve:
         return self.entry(lam)[0]
 
 
-def solve_law(op, x, params, hint=None, ae_tol=AE_TOL):
+def solve_law(op, x, params, hint=None):
     """Root of the control law at x and the resolvent it was accepted on.
 
     Parameters are those of solve_lambda.  Returns (lam, r): lam is the
     unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta and r the
     Resolvent at lam whose value passed the acceptance test
-    |lam * ||x - r.y||^(p-1) - theta| <= ae_tol * theta + band.  For p = 1
+    |lam * ||x - r.y||^(p-1) - theta| <= AE_TOL * theta + band.  For p = 1
     it returns (theta, None).  Raises StationaryPoint on solutions.
     """
     theta, p = params.theta, params.p
@@ -125,7 +130,7 @@ def solve_law(op, x, params, hint=None, ae_tol=AE_TOL):
 
     def accepted(lam):
         val, band, _ = g.entry(lam)
-        return abs(val - theta) <= ae_tol * theta + band
+        return abs(val - theta) <= AE_TOL * theta + band
 
     def found(lam):
         return lam, g.memo[lam][2]
@@ -169,13 +174,13 @@ def solve_law(op, x, params, hint=None, ae_tol=AE_TOL):
             hi = mid
     miss = abs(g(mid) - theta)
     raise InnerSolverDiverged(
-        f"control-law residual {miss / theta:.3e} above {ae_tol:.1e}"
+        f"control-law residual {miss / theta:.3e} above {AE_TOL:.1e}"
         " plus the certified resolvent band",
         residual=miss,
     )
 
 
-def solve_lambda(op, x, params, hint=None, ae_tol=AE_TOL):
+def solve_lambda(op, x, params, hint=None):
     """Root of the control law at x; raises StationaryPoint on solutions.
 
     Parameters
@@ -184,13 +189,12 @@ def solve_lambda(op, x, params, hint=None, ae_tol=AE_TOL):
     x : array
     params : FeedbackParams
     hint : float or None, warm start for the geometric bracket.
-    ae_tol : float, relative residual accepted on the algebraic equation.
 
     Returns the unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta
-    (for p = 1 this is theta itself).  solve_law also returns the accepted
-    resolvent.
+    (for p = 1 this is theta itself), to AE_TOL relative plus the certified
+    band.  solve_law also returns the accepted resolvent.
     """
-    return solve_law(op, x, params, hint=hint, ae_tol=ae_tol)[0]
+    return solve_law(op, x, params, hint=hint)[0]
 
 
 def stationarity_gauge(op, x, params):

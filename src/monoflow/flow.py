@@ -18,8 +18,8 @@ import numpy as np
 
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
-# solve_lambda is re-exported for callers that import it from this module.
-from .feedback import STATIONARITY_TOL, FeedbackParams, solve_lambda, solve_law  # noqa: F401
+# solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
+from .feedback import STATIONARITY_TOL, FeedbackParams, law_band, solve_lambda, solve_law  # noqa: F401
 from .report import CheckReport
 
 __all__ = [
@@ -51,8 +51,6 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    theta: float
-    p: int
     states: list[FlowState] = field(default_factory=list)
     erg_num: list[np.ndarray] = field(default_factory=list)
     erg_den: list[float] = field(default_factory=list)
@@ -126,7 +124,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         raise ValueError("need T >= 0 and h > 0")
 
     stage = _Stage(op, params)
-    traj = Trajectory(theta=params.theta, p=params.p)
+    traj = Trajectory()
     f1, lam, y = stage.eval(x)
     t = 0.0
     num = np.zeros(op.dim)
@@ -161,9 +159,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # of the solution set: stop with the last clean state rather than
         # commit steps whose control value cannot be certified.
         d_new = float(np.linalg.norm(x_new - y_new))
-        band = lam_new * (
-            (d_new + stage.rho) ** (params.p - 1) - max(d_new - stage.rho, 0.0) ** (params.p - 1)
-        )
+        band = law_band(lam_new, d_new, stage.rho, params.p)
         if band > 0.1 * params.theta:
             traj.status = "STATIONARY"
             break
@@ -227,7 +223,7 @@ def check_flow_invariants(traj, problem, params):
     worst = np.inf
     for s in states:
         ae = abs(s.lam * s.speed ** (p - 1) - theta)
-        band = s.lam * ((s.speed + s.rho) ** (p - 1) - max(s.speed - s.rho, 0.0) ** (p - 1))
+        band = law_band(s.lam, s.speed, s.rho, p)
         worst = min(worst, FLOW_AE_TOL - max(ae - band, 0.0) / theta)
     rep.add("algebraic equation residual <= 1e-8 rel", worst >= 0.0, worst)
 

@@ -14,13 +14,13 @@ and large-step equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators as ops
 from .errors import CertificateViolation, MonoflowError, OracleFailure, StationaryPoint, UnknownSolutionSet
-from .feedback import FeedbackParams, solve_lambda
+from .feedback import FeedbackParams, law_band, solve_lambda
 from .report import CheckReport
 
 __all__ = [
@@ -47,7 +47,6 @@ class HpeConfig:
     p: int
     max_iters: int
     stop_res: float = 1e-9
-    cert_tol: float = CERT_TOL
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
@@ -67,7 +66,6 @@ class HpeConfig:
 class StepCertificate:
     relative_error_ok: bool
     large_step_ok: bool
-    enlargement_margin: float | None = None
     relative_error_slack: float = 0.0
     large_step_slack: float = 0.0
 
@@ -93,12 +91,9 @@ class RunResult:
     records: list[IterateRecord]
     status: str  # SOLVED | MAX_ITERS
 
-    def __iter__(self):
-        return iter((self.records, self.status))
-
 
 def verify_step(cfg, x_prev, lam, y, v, eps):
-    """Machine-check the two step conditions with cert_tol relative slack.
+    """Machine-check the two step conditions with CERT_TOL relative slack.
 
     The slack scale max(1, ||y - x||^2) absorbs the resolvent tolerance of
     the exact oracle (residual <= 1e-10 * max(1, ||y - x||), squared).
@@ -113,8 +108,8 @@ def verify_step(cfg, x_prev, lam, y, v, eps):
     step = float(np.linalg.norm(y - x_prev))
     lhs = float(np.linalg.norm(lam * v + y - x_prev)) ** 2 + 2.0 * lam * eps
     rhs = cfg.sigma**2 * step**2
-    rel_slack = rhs - lhs + cfg.cert_tol * max(1.0, step**2)
-    ls_slack = lam * step ** (cfg.p - 1) - cfg.theta * (1.0 - cfg.cert_tol)
+    rel_slack = rhs - lhs + CERT_TOL * max(1.0, step**2)
+    ls_slack = lam * step ** (cfg.p - 1) - cfg.theta * (1.0 - CERT_TOL)
     return StepCertificate(
         relative_error_ok=rel_slack >= 0.0,
         large_step_ok=ls_slack >= 0.0,
@@ -146,7 +141,7 @@ def exact_oracle(problem, x, cfg, hint=None):
         val = lam * d ** (cfg.p - 1)
         if val >= cfg.theta:
             break
-        band = lam * ((d + r.residual) ** (cfg.p - 1) - max(d - r.residual, 0.0) ** (cfg.p - 1))
+        band = law_band(lam, d, r.residual, cfg.p)
         lam *= max((cfg.theta + band) / max(val, 1e-300), 1.0 + 1e-12)
         r = ops.resolvent(op, lam, x)
     return lam, r.y, r.v, 0.0
@@ -166,7 +161,7 @@ class ExactProxOracle:
         return lam, y, v, eps
 
 
-def run(problem, oracle, cfg, x0, witness_count=0, seed=0):
+def run(problem, oracle, cfg, x0):
     """Drive the iteration from x0 until solved or the budget is used.
 
     Parameters
@@ -175,12 +170,9 @@ def run(problem, oracle, cfg, x0, witness_count=0, seed=0):
     oracle : callable x -> (lam, y, v, eps)
     cfg : HpeConfig (verification constants sigma, theta, p)
     x0 : array
-    witness_count : sample size for the per-step enlargement audit
-        (0 disables it; the audit is a necessary-condition spot check).
-    seed : witness sampling seed.
 
     Returns RunResult; raises CertificateViolation / OracleFailure with the
-    offending iteration index.
+    offending iteration index k and the records of steps 1..k-1.
     """
     op = problem.operator
     x = np.asarray(x0, dtype=float).copy()
@@ -199,9 +191,6 @@ def run(problem, oracle, cfg, x0, witness_count=0, seed=0):
             raise OracleFailure(f"oracle failed at k={k}: {exc}", k=k, records=records) from exc
         v = np.asarray(v, dtype=float)
         cert = verify_step(cfg, x, lam, y, v, eps)
-        if witness_count:
-            margin = ops.enlargement_check(op, y, v, eps, witness_count, seed + k)[1]
-            cert = replace(cert, enlargement_margin=margin)
         if not cert.ok:
             raise CertificateViolation(
                 f"step certificate failed at k={k}: "
@@ -209,6 +198,7 @@ def run(problem, oracle, cfg, x0, witness_count=0, seed=0):
                 f"large_step_slack={cert.large_step_slack:.3e}",
                 k=k,
                 certificate=cert,
+                records=records,
             )
         x_next = x - lam * v
         records.append(IterateRecord(k, x, lam, np.asarray(y, dtype=float), v, eps, x_next, cert))

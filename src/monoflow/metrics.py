@@ -141,10 +141,10 @@ def _active_set_polish(cone, sym, lin, z):
     if not isinstance(cone, ops.BoxCone):
         return z
     d = z.size
-    scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
+    edge = ops.BOUNDARY_ATOL * cone.scale
     for _ in range(d + 2):
-        at_lo = z <= cone.lower + 1e-12 * scale
-        at_hi = z >= cone.upper - 1e-12 * scale
+        at_lo = z <= cone.lower + edge
+        at_hi = z >= cone.upper - edge
         grad_z = lin - sym @ z
         free = (~at_lo & ~at_hi) | (at_lo & (grad_z > 0)) | (at_hi & (grad_z < 0))
         if not free.any():
@@ -168,16 +168,15 @@ def _active_set_polish(cone, sym, lin, z):
 def _kkt_residual(cone, g, z):
     # Stationarity measure for maximization over the cone's set.
     if isinstance(cone, ops.BoxCone):
-        scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
-        at_lo = z <= cone.lower + 1e-12 * scale
-        at_hi = z >= cone.upper - 1e-12 * scale
+        at_lo = z <= cone.lower + ops.BOUNDARY_ATOL * cone.scale
+        at_hi = z >= cone.upper - ops.BOUNDARY_ATOL * cone.scale
         viol = np.abs(g.copy())
         viol[at_hi] = np.maximum(0.0, -g[at_hi])
         viol[at_lo & ~at_hi] = np.maximum(0.0, g[at_lo & ~at_hi])
         return float(viol.max()) if viol.size else 0.0
     r = z - cone.center
     nr = float(np.linalg.norm(r))
-    if nr < cone.radius * (1.0 - 1e-12):
+    if nr < cone.radius * (1.0 - ops.BOUNDARY_ATOL):
         return float(np.abs(g).max())
     u = r / max(nr, 1e-300)
     t = max(0.0, float(g @ u))

@@ -303,16 +303,15 @@ class Resolvent:
 
     y: np.ndarray
     v: np.ndarray
-    lam: float
     residual: float
     iterations: int
     w: np.ndarray | None = None
 
 
-def _scalar_poly_root(coeffs, lam, target, y0):
+def _scalar_poly_root(coeffs, lam, target):
     # Solve y + lam*poly(y) = target; left side strictly increasing.
     d = npoly.polyder(coeffs)
-    y = y0
+    y = target
     for _ in range(200):
         g = y + lam * float(npoly.polyval(y, coeffs)) - target
         if abs(g) <= 1e-14 * (1.0 + abs(target) + abs(y)):
@@ -324,7 +323,7 @@ def _scalar_poly_root(coeffs, lam, target, y0):
         if not np.isfinite(ynew):
             break
         y = ynew
-    lo, hi = min(y0, target), max(y0, target)
+    lo = hi = target
     width = max(1.0, abs(target))
     for _ in range(200):
         if (lo + lam * npoly.polyval(lo, coeffs) - target) <= 0 and (
@@ -433,7 +432,7 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
     return y, fy + (w - y) / lam, w, its
 
 
-def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
+def resolvent(op, lam, x, warm=None):
     """Solve the regularized inclusion x in y + lam*A(y).
 
     Parameters
@@ -441,14 +440,13 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
     op : OperatorSpec
     lam : float, positive proximal coefficient.
     x : array, query point (need not lie in dom(A)).
-    tol : float, relative tolerance on ||lam*v + y - x||.
     warm : array or None, start for the iterative routes (a previous w).
 
     Returns
     -------
     Resolvent with v in A(y) exact by construction; residual reports
-    ||lam*v + y - x|| <= tol * max(1, ||y - x||).  The Newton route and the
-    closed-form affine route raise InnerSolverDiverged when they miss it.
+    ||lam*v + y - x|| <= RESOLVENT_TOL * max(1, ||y - x||); the Newton and
+    the closed-form affine routes raise InnerSolverDiverged when they miss it.
     """
     if not lam > 0:
         raise ValueError("resolvent needs lam > 0")
@@ -459,25 +457,25 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
     if single_parts == 0:
         y = domain_project(op, x)
         v = (x - y) / lam
-        return Resolvent(y=y, v=v, lam=lam, residual=0.0, iterations=0)
+        return Resolvent(y=y, v=v, residual=0.0, iterations=0)
 
     if op.affine is not None and single_parts == 1 and op.cone is None:
         m, q = op.affine.matrix, op.affine.offset
         y = np.linalg.solve(np.eye(op.dim) + lam * m, x - lam * q)
         v = m @ y + q
         res = norm(lam * v + y - x)
-        if res > tol * max(1.0, norm(y - x)):
+        if res > RESOLVENT_TOL * max(1.0, norm(y - x)):
             # Rounding at eps*||x|| can exceed the bound; refining cannot help.
             raise InnerSolverDiverged(
                 f"resolvent affine solve missed its bound at residual {res:.3e}", residual=res, iterations=0
             )
-        return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
+        return Resolvent(y=y, v=v, residual=res, iterations=0)
 
     if op.poly is not None and single_parts == 1 and not isinstance(op.cone, BallCone):
         c = op.poly.coeffs
         y = np.empty(op.dim)
         for i in range(op.dim):
-            y[i] = _scalar_poly_root(c, lam, x[i], x[i])
+            y[i] = _scalar_poly_root(c, lam, x[i])
         n = np.zeros(op.dim)
         if isinstance(op.cone, BoxCone):
             yc = np.clip(y, op.cone.lower, op.cone.upper)
@@ -488,7 +486,7 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
             y = yc
         v = npoly.polyval(y, c) + n
         res = norm(lam * v + y - x)
-        return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
+        return Resolvent(y=y, v=v, residual=res, iterations=0)
 
     if op.radial is not None and single_parts == 1 and op.cone is None:
         s = float(np.linalg.norm(x))
@@ -496,7 +494,7 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         y = (r / s) * x if s > 0 else np.zeros(op.dim)
         v = op.radial.weight * r * r * y
         res = norm(lam * v + y - x)
-        return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=0)
+        return Resolvent(y=y, v=v, residual=res, iterations=0)
 
     y, v, w, its = normal_map_newton(
         op,
@@ -504,12 +502,12 @@ def resolvent(op, lam, x, tol=RESOLVENT_TOL, warm=None):
         x,
         lambda z: single_value(op, z),
         lambda z: single_jacobian(op, z),
-        lambda y: tol * max(1.0, norm(y - x)),
+        lambda y: RESOLVENT_TOL * max(1.0, norm(y - x)),
         warm,
         "resolvent",
     )
     res = norm(lam * v + y - x)
-    return Resolvent(y=y, v=v, lam=lam, residual=res, iterations=its, w=w)
+    return Resolvent(y=y, v=v, residual=res, iterations=its, w=w)
 
 
 class TaylorSurrogate:

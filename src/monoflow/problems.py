@@ -151,8 +151,9 @@ def build_problem(name, params=None):
     return PROBLEM_BUILDERS[name](**(params or {}))
 
 
-def validate_instance(problem, seed=0, samples=32):
+def validate_instance(problem, seed=0):
     """Ground-truth audit of the declared metadata; returns a CheckReport."""
+    samples = 32  # seeded draws per sampled check
     rng = np.random.default_rng(seed)
     op = problem.operator
     sol = problem.solution_set

@@ -1,6 +1,73 @@
+import math
+
+import numpy as np
 import pytest
 
+from monoflow import checks
+from monoflow import operators as ops
 from monoflow.checks import SUITE_NAMES, SUITES, run_suites
+from monoflow.errors import MonoflowError, StationaryPoint
+from monoflow.hpe import HpeConfig, verify_step
+from monoflow.tensor import TensorOracle
+
+
+def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
+    """Reference: the TENSOR audit as a hand-written replay of the oracle
+    loop, step by step, beside hpe.run."""
+    op = prob.operator
+    hcfg = HpeConfig(
+        sigma=tcfg.sigma, theta=tcfg.theta, p=tcfg.p, max_iters=iters, stop_res=1e-11
+    )
+    wlo, whi = tcfg.window
+    x = np.asarray(x0, dtype=float).copy()
+    oracle = TensorOracle(prob, tcfg)
+    m_cert = m_win = m_hat = m_taylor = m_member = math.inf
+    steps = 0
+    for _ in range(iters):
+        if ops.min_norm_residual(op, x) <= hcfg.stop_res:
+            break
+        try:
+            lam, y, v, eps = oracle(x)
+        except (StationaryPoint, MonoflowError):
+            break
+        steps += 1
+        cert = verify_step(hcfg, x, lam, y, v, eps)
+        m_cert = min(m_cert, cert.relative_error_slack, cert.large_step_slack)
+
+        s = lam * float(np.linalg.norm(y - x)) ** (tcfg.p - 1)
+        if tcfg.p >= 2:
+            m_win = min(m_win, s - wlo + 1e-12, whi - s + 1e-12)
+
+        anchor = ops.domain_project(op, x)
+        fy = ops.single_value(op, y)
+        ty = ops.TaylorSurrogate(op, anchor, tcfg.p).value(y)
+        u = v - fy + ty
+        step_norm = float(np.linalg.norm(y - x))
+        floor = 1e-13 * (1.0 + float(np.linalg.norm(x)))
+        m_hat = min(
+            m_hat,
+            tcfg.sigma_hat * step_norm + floor - float(np.linalg.norm(lam * u + y - x)),
+        )
+
+        taylor_err = float(np.linalg.norm(fy - ty))
+        cap = tcfg.L / math.factorial(tcfg.p) * float(np.linalg.norm(y - anchor)) ** tcfg.p
+        m_taylor = min(m_taylor, cap * (1.0 + 1e-8) + 1e-12 - taylor_err)
+
+        ok, margin = ops.enlargement_check(op, y, v, 0.0, witness_count=16, seed=seed)
+        m_member = min(m_member, margin + 1e-8)
+
+        x = x - lam * v
+    rep.add(f"{tag}: ran and produced steps", steps > 0, float(steps))
+    rep.add(f"{tag}: framework certificate on every step", m_cert >= 0.0, m_cert)
+    if tcfg.p >= 2:
+        rep.add(f"{tag}: large-step product inside the window", m_win >= 0.0, m_win)
+    rep.add(f"{tag}: surrogate solve within its inexactness budget", m_hat >= 0.0, m_hat)
+    rep.add(f"{tag}: Taylor remainder within the derivative bound", m_taylor >= 0.0, m_taylor)
+    rep.add(f"{tag}: output direction passes the membership spot check", m_member >= 0.0, m_member)
+
+
+def _outcomes(rep):
+    return [(o.name, o.passed, o.margin) for o in rep.outcomes]
 
 
 class TestSuiteRegistry:
@@ -33,3 +100,19 @@ class TestRunSuites:
         assert lines
         assert all(line.startswith("[PASS]") for line in lines)
         assert any("margin" in line for line in lines)
+
+
+class TestSuitesOverRunRecords:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tensor_audit_matches_the_replay(self, monkeypatch, seed):
+        got = _outcomes(checks.tensor_suite(seed))
+        with monkeypatch.context() as m:
+            m.setattr(checks, "_tensor_step_audit", _ref_tensor_step_audit)
+            want = _outcomes(checks.tensor_suite(seed))
+        assert got == want
+
+    def test_hpe_membership_line_per_run(self):
+        rep = checks.hpe_suite(0)
+        lines = [o for o in rep.outcomes if o.name.endswith(": output direction passes the membership spot check")]
+        assert [o.name.split(":")[0] for o in lines] == ["saddle p=1", "saddle p=2", "cubic p=2", "radial p=2"]
+        assert all(o.passed and o.margin >= 0.0 for o in lines)

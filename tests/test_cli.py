@@ -131,6 +131,23 @@ class TestConfigRejection:
     def test_missing_config_exits_two(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_negative_config_seed_exits_two(self, tmp_path, capsys):
+        payload = dict(hpe_payload(tmp_path / "x.csv"), x0={"random_scale": 0.5}, seed=-3)
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("cmd", ["run", "rates", "check"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, cmd):
+        payload = dict(hpe_payload(tmp_path / "x.csv"), x0={"random_scale": 0.5})
+        argv = [cmd, "--seed", "-1"]
+        if cmd != "check":
+            argv += ["--config", str(write_config(tmp_path, payload))]
+        assert cli.main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_usage_error_exits_two(self, capsys):
         assert cli.main(["run"]) == 2
         capsys.readouterr()

@@ -151,6 +151,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be finite"):
             ExperimentConfig.from_dict(flow_dict(**over(bad)))
 
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_seed_rejected(self, seed):
+        # numpy refuses negative seeds; a random x0 would crash at run time.
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0"):
+            ExperimentConfig.from_dict(hpe_dict(x0={"random_scale": 1.0}, seed=seed))
+
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(ConfigError, match="horizon.h must be finite"):
             ExperimentConfig.from_dict(flow_dict(horizon={"T": 1.0, "h": 10**400}))

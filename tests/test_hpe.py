@@ -165,6 +165,25 @@ class TestRun:
         assert exc.value.k == 1
         assert not exc.value.certificate.ok
 
+    def test_certificate_violation_keeps_the_earlier_records(self):
+        cfg = saddle_config(iters=10)
+        good = ExactProxOracle(SADDLE, cfg)
+        calls = {"n": 0}
+
+        def corrupt(x):
+            calls["n"] += 1
+            lam, y, v, eps = good(x)
+            if calls["n"] == 3:
+                v = v + 1.0  # breaks the relative-error condition
+            return lam, y, v, eps
+
+        with pytest.raises(CertificateViolation) as exc:
+            run(SADDLE, corrupt, cfg, np.array([0.7, 0.7]))
+        assert exc.value.k == 3
+        assert not exc.value.certificate.relative_error_ok
+        assert [r.k for r in exc.value.records] == [1, 2]
+        assert all(r.cert.ok for r in exc.value.records)
+
 
 class TestErgodicIterate:
     def test_matches_manual_average(self):
