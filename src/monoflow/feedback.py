@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import operators as ops
 from .errors import BracketOverflow, InnerSolverDiverged, StationaryPoint
@@ -110,6 +109,55 @@ class _LawCurve:
         return self.entry(lam)[0]
 
 
+def _brent(f, xa, xb, xtol, rtol, maxiter):
+    """Brent's root-finder on a sign-changing bracket [xa, xb].
+
+    A step-for-step port of scipy's brentq.c, so it evaluates f at the
+    same points in the same order.  Unlike scipy.optimize.brentq it
+    returns the last iterate, not an error, when maxiter steps run out.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur
+
+
 def solve_law(op, x, params, hint=None):
     """Root of the control law at x and the resolvent it was accepted on.
 
@@ -158,11 +206,11 @@ def solve_law(op, x, params, hint=None):
     for end in (lo, hi):
         if accepted(end):
             return found(end)
-    lam = float(brentq(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200))
+    lam = _brent(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
     if accepted(lam):
         return found(lam)
-    # Brent met its own lam tolerance without the residual one; finish by
-    # plain bisection on the remaining interval.
+    # Brent met its own lam tolerance (or its step cap) without the
+    # residual one; finish by plain bisection on the remaining interval.
     lo, hi = (lam, hi) if g(lam) < theta else (lo, lam)
     for _ in range(256):
         mid = 0.5 * (lo + hi)

@@ -10,6 +10,12 @@ for a step size whose large-step product lands in the window
 The returned (lam, y, v, 0) satisfies the large-step and relative-error
 conditions with theta = sigma_l * p!/L and sigma = sigma_hat + sigma_u, so
 every step is verifiable by the discrete framework's certificate.
+
+At p = 3 the anchored surrogate is quadratic in the step, and past a finite
+lam its subproblem has no point within the inexactness rule.  For a lone
+polynomial or radial part without a cone, a closed-form discriminant test
+certifies that before Newton runs, and the solve fails at once; the window
+search treats every failed solve as product = +inf either way.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ __all__ = [
 
 MAX_DOUBLINGS = 200
 MAX_BISECTIONS = 200
+# Relative margin of each closed-form unsolvability inequality; their
+# rounding is a few ulps of the magnitudes involved.
+CERT_TOL = 1e-9
+UNSOLVABLE = "surrogate has no point within its stop rule"
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,57 @@ def _check_surrogate_order(op, p):
         raise ConfigError("p >= 3 surrogate solves support only polynomial and radial parts")
 
 
+def _disc_gap(a, b, c, mag):
+    """4ac - b^2, the negated discriminant of a*h^2 + b*h + c, less CERT_TOL*mag.
+
+    mag bounds the magnitudes its rounding scales with, so a positive
+    result shows that the exact discriminant is negative."""
+    return 4.0 * a * c - b * b - CERT_TOL * mag
+
+
+def _unsolvable_bound(sur, x, lam, sigma_hat):
+    """A lower bound on ||R(h)|| over all h, or None.
+
+    R(h) = h - c + lam*F_anchor(anchor + h) with c = x - anchor is the
+    surrogate's normal map without a cone.  A bound is returned only when
+    a closed form also shows ||R(h)|| > sigma_hat*||h - c|| for every h.
+    That needs p = 3, no cone, and a lone polynomial part (any x) or a
+    lone radial part (x = anchor); other cases return None.
+    """
+    op = sur.op
+    if sur.p != 3 or op.cone is not None or op.affine is not None:
+        return None
+    if op.poly is not None and op.radial is None:
+        c = x - sur.anchor
+        # R_i = qa h_i^2 + qb h_i + qc: |R_i| > sigma_hat |h_i - c_i| for
+        # all h_i when both R_i -+ sigma_hat (h_i - c_i) have no real root.
+        d0, d1, d2 = (lam * v for v in sur.ders)
+        qa, qb, qc = 0.5 * d2, 1.0 + d1, d0 - c
+        mag = (1.0 + np.abs(d1) + sigma_hat) ** 2 + 4.0 * np.abs(qa) * (np.abs(d0) + 2.0 * np.abs(c))
+        for s in (sigma_hat, -sigma_hat):
+            if not np.all(_disc_gap(qa, qb - s, qc + s * c, mag) > 0.0):
+                return None
+        # min |R_i| = -disc_i / (4 |qa_i|), and ||R|| >= max_i |R_i|.
+        return float(np.max(_disc_gap(qa, qb, qc, mag) / (4.0 * np.abs(qa))))
+    if op.radial is not None and op.poly is None and np.array_equal(x, sur.anchor):
+        # With h = t*a + s*e, e a unit vector orthogonal to a, S = s^2/A and
+        # mu = lam*weight*A: ||R||^2/A = (q(t) + mu S)^2 + S (1 + mu + 2 mu t)^2
+        # and ||h||^2/A = t^2 + S, where q(t) = 3 mu t^2 + (1 + 3 mu) t + mu.
+        # If q + sigma_hat t has no real root, neither has q - sigma_hat t
+        # (its linear coefficient is smaller and still positive), so
+        # q(t) > sigma_hat |t|; and then mu > (1 + sigma_hat)(1 + 2/sqrt 3),
+        # which gives 12 mu min q = 3 mu^2 - 6 mu - 1 >= 6 sigma_hat^2, i.e.
+        # 2 mu q >= sigma_hat^2 covers the mu S terms.
+        aa = sur.aa
+        mu = lam * op.radial.weight * aa
+        b = 1.0 + 3.0 * mu
+        mag = (b + sigma_hat) ** 2 + 12.0 * mu * mu
+        if not _disc_gap(3.0 * mu, b + sigma_hat, mu, mag) > 0.0:
+            return None
+        return math.sqrt(aa) * _disc_gap(3.0 * mu, b, mu, mag) / (12.0 * mu)
+    return None
+
+
 def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     """Inexact resolvent of the anchored surrogate plus the normal cone.
 
@@ -104,6 +165,11 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     sigma_hat * ||P(w) - x||.  Returns (y, u, w) with u an exact element of
     (F_anchor + H)(y), so the inexactness lives entirely in the residual
     ||lam*u + y - x|| <= sigma_hat * ||y - x||.
+
+    At p = 3 an anchored surrogate can have no point that meets this stop
+    rule.  Where a closed form (_unsolvable_bound) shows that, the solve
+    raises InnerSolverDiverged before Newton runs, with iterations 0 and
+    residual the certified lower bound; Newton would only run to a stall.
     """
     op = problem.operator
     p = cfg.p
@@ -117,6 +183,11 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {lo:.3e}")
 
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
+    bound = _unsolvable_bound(sur, x, lam, cfg.sigma_hat)
+    if bound is not None and bound > floor:
+        raise InnerSolverDiverged(
+            f"{UNSOLVABLE} at residual >= {bound:.3e}", residual=bound, iterations=0
+        )
     y, u, w, _ = ops.normal_map_newton(
         op,
         lam,

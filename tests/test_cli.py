@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +200,15 @@ class TestHelp:
         assert "gap_ergodic" in text
         assert "17 significant digits" in text
         assert "MONOFLOW_THREADS" in text
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test dependency only; a fresh interpreter importing
+        # the CLI from this source tree must not load it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, monoflow.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

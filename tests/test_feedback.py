@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from monoflow import feedback
 from monoflow import operators as ops
+from monoflow import problems
 from monoflow.errors import StationaryPoint
 from monoflow.feedback import (
     AE_TOL,
@@ -189,3 +193,79 @@ class TestStationarityGauge:
             lhs = abs(g1 - g2)
             rhs = const * float(np.linalg.norm(x1 - x2))
             assert lhs <= rhs + 1e-8
+
+
+# Scalar test functions for the Brent differential; each changes sign once
+# on R except the cubic, and some are flat or steep near the root.
+BRENT_FAMILIES = [
+    lambda x, a, b: x**3 + a * x + b,
+    lambda x, a, b: math.expm1(a * x) + b,
+    lambda x, a, b: 1e3 * math.atan(x - a),
+    lambda x, a, b: (x - a) ** 5,
+    lambda x, a, b: math.copysign(abs(x - a) ** 0.3, x - a) + 1e-3 * b,
+]
+
+
+def _recorded(f):
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
+class TestBrent:
+    """feedback._brent against scipy.optimize.brentq: same root, same
+    evaluation points in the same order, the step cap included."""
+
+    @settings(max_examples=400)
+    @given(
+        family=st.integers(0, len(BRENT_FAMILIES) - 1),
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-3.0, 3.0),
+        ends=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        xtol=st.sampled_from([1e-300, 1e-12, 1e-4]),
+        rtol=st.sampled_from([1e-14, 8.9e-16, 1e-8]),
+        maxiter=st.sampled_from([0, 1, 5, 200]),
+    )
+    def test_matches_scipy_on_scalar_functions(self, family, a, b, ends, xtol, rtol, maxiter):
+        lo, hi = sorted(ends)
+        f = lambda x: BRENT_FAMILIES[family](x, a, b)  # noqa: E731
+        assume(f(lo) * f(hi) < 0)
+        g1, seen1 = _recorded(f)
+        g2, seen2 = _recorded(f)
+        want = brentq(g1, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True, disp=False)[0]
+        got = feedback._brent(g2, lo, hi, xtol, rtol, maxiter)
+        assert got == want
+        assert seen2 == seen1
+
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(["bilinear_saddle", "strongly_monotone_affine", "cubic_1d", "convex_gradient"]),
+        p=st.integers(2, 3),
+        theta=st.floats(1e-3, 0.9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_scipy_on_law_curves(self, name, p, theta, seed):
+        # The bracket solve_law hands to Brent, on a fresh memoised curve
+        # per solver so each sees the same warm starts.
+        op = problems.build_problem(name).operator
+        x = np.random.default_rng(seed).uniform(-0.9, 0.9, op.dim)
+        assume(ops.min_norm_residual(op, x) > feedback.STATIONARITY_TOL)
+        g = feedback._LawCurve(op, x, p)
+        lo = hi = 1.0
+        if g(1.0) < theta:
+            while g(hi) < theta:
+                lo, hi = hi, 2.0 * hi
+        else:
+            while g(lo) > theta:
+                lo, hi = 0.5 * lo, lo
+        assume(g(lo) < theta < g(hi))
+        g1, seen1 = _recorded(lambda s, c=feedback._LawCurve(op, x, p): c(s) - theta)
+        g2, seen2 = _recorded(lambda s, c=feedback._LawCurve(op, x, p): c(s) - theta)
+        want = brentq(g1, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        got = feedback._brent(g2, lo, hi, 1e-300, 1e-14, 200)
+        assert got == want
+        assert seen2 == seen1

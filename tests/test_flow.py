@@ -130,3 +130,15 @@ class TestIntegrate:
         for s in traj.states:
             band = s.lam * ((s.speed + s.rho) - max(s.speed - s.rho, 0.0))
             assert abs(s.lam * s.speed - theta) <= AE_TOL * theta + band
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stationarity_tested_once_per_state(self, monkeypatch, p):
+        # For p >= 2 each stage's law solve tests its own point, the step's
+        # end state included, so the flow adds only the x0 test; p = 1 has
+        # no law solve and tests each end state itself.
+        calls = []
+        real = ops.min_norm_residual
+        monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
+        traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.05, p), T=0.1, h=0.01)
+        assert traj.status == "OK" and len(traj) == 11
+        assert len(calls) == (1 + 10 if p == 1 else 1 + 1 + 4 * 10)

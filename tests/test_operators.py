@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from monoflow import operators as ops
-from monoflow import problems
+from monoflow import problems, tensor
 from monoflow.errors import InnerSolverDiverged, SurrogateNonmonotone
 from monoflow.tensor import TensorConfig, surrogate_resolvent
 
@@ -701,7 +703,12 @@ class TestSurrogateBitIdentity:
         if isinstance(want, Exception):
             with pytest.raises(type(want)) as exc:
                 surrogate_resolvent(problem, anchor, x, lam, cfg, warm=warm)
-            assert str(exc.value) == str(want)
+            if str(exc.value).startswith(tensor.UNSOLVABLE):
+                # Certified before Newton ran; the reference Newton failed too.
+                assert isinstance(want, InnerSolverDiverged)
+                assert exc.value.iterations == 0
+            else:
+                assert str(exc.value) == str(want)
             return
         got = surrogate_resolvent(problem, anchor, x, lam, cfg, warm=warm)
         for a, b in zip(got, want):
@@ -737,3 +744,112 @@ class TestSurrogateBitIdentity:
         want = _ref_surrogate_resolvent(SURROGATE_PROBLEMS["cubic_1d"], x, x, 102.4, _surrogate_config(3))
         assert isinstance(want, InnerSolverDiverged)
         self.check_resolvent(SURROGATE_PROBLEMS["cubic_1d"], x, x, 102.4, _surrogate_config(3))
+
+    def test_unsolvable_surrogate_within_the_floor(self):
+        # Past the knee too (lam x^2 = 3), but the least residual, about
+        # 2.2e-15, is under the stop rule's floor 1e-14: Newton meets the
+        # rule there, so no certificate may preempt it.
+        x = np.array([1e-14])
+        want = _ref_surrogate_resolvent(SURROGATE_PROBLEMS["cubic_1d"], x, x, 3e28, _surrogate_config(3))
+        assert not isinstance(want, Exception)
+        self.check_resolvent(SURROGATE_PROBLEMS["cubic_1d"], x, x, 3e28, _surrogate_config(3))
+
+
+def _exact_quadratic_gap(a, b, c):
+    """4ac - b^2 in exact rational arithmetic."""
+    return 4 * a * c - b * b
+
+
+class TestUnsolvableCertificate:
+    """Soundness of tensor._unsolvable_bound: whenever it fires, the exact
+    discriminants are negative, no sampled point meets the stop rule, and
+    the reference Newton fails on the same solve."""
+
+    INSTANCES = {
+        "cubic d=1": ops.make_poly([0.0, 0.0, 0.0, 1.0]),
+        "poly d=3": ops.make_poly([0.0, 0.5, 0.3, 1.0], dim=3),
+        "radial d=2": ops.OperatorSpec(dim=2, radial=ops.RadialPart(0.6)),
+        "radial d=4": ops.OperatorSpec(dim=4, radial=ops.RadialPart(2.5)),
+    }
+
+    def check_exact(self, op, sur, x, lam, sigma_hat, bound, floor):
+        sig = Fraction(sigma_hat)
+        lam = Fraction(lam)
+        if op.poly is not None:
+            best = Fraction(0)
+            for i in range(op.dim):
+                d0, d1, d2 = (lam * Fraction(float(v[i])) for v in sur.ders)
+                c = Fraction(float(x[i])) - Fraction(float(sur.anchor[i]))
+                qa, qb, qc = d2 / 2, 1 + d1, d0 - c
+                for s in (sig, -sig):
+                    assert _exact_quadratic_gap(qa, qb - s, qc + s * c) > 0
+                best = max(best, _exact_quadratic_gap(qa, qb, qc) / (4 * abs(qa)))
+            assert Fraction(bound) <= best
+            assert best > Fraction(floor)
+        else:
+            assert np.array_equal(x, sur.anchor)  # the radial reduction assumes c = 0
+            aa = sum(Fraction(float(v)) ** 2 for v in sur.anchor)
+            mu = lam * Fraction(op.radial.weight) * aa
+            for s in (sig, -sig):
+                assert _exact_quadratic_gap(3 * mu, 1 + 3 * mu - s, mu) > 0
+            gap = _exact_quadratic_gap(3 * mu, 1 + 3 * mu, mu)
+            assert gap >= 6 * sig * sig
+            min_q = gap / (12 * mu)
+            assert Fraction(bound) ** 2 <= aa * min_q**2
+            assert aa * min_q**2 > Fraction(floor) ** 2
+
+    def sample_steps(self, op, sur, lam, rng):
+        # Steps h around the per-coordinate (poly) or on-axis (radial)
+        # minimiser of the residual, on the axis and off it, plus wide draws.
+        d = op.dim
+        if op.poly is not None:
+            qa = 0.5 * lam * sur.ders[2]
+            qb = 1.0 + lam * sur.ders[1]
+            centre = -qb / (2.0 * qa)
+            axis = np.ones(d)
+        else:
+            mu = lam * op.radial.weight * sur.aa
+            centre = -(1.0 + 3.0 * mu) / (6.0 * mu) * sur.anchor
+            axis = sur.anchor
+        scale = 1.0 + float(np.abs(centre).max())
+        steps = [centre]
+        for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0, -1.0):
+            steps.append(f * centre)
+        for _ in range(24):
+            e = rng.standard_normal(d)
+            steps.append(centre + rng.choice([1e-6, 1e-2, 1.0]) * scale * e)
+            steps.append(rng.standard_normal() * axis + 10.0 ** rng.uniform(-3, 3) * e)
+        return steps
+
+    def test_sound_wherever_it_fires(self):
+        rng = np.random.default_rng(20)
+        fired = {name: 0 for name in self.INSTANCES}
+        for name, op in self.INSTANCES.items():
+            problem = problems.ProblemInstance(name, op, problems.SolutionSet("UNKNOWN"), None)
+            for _ in range(160):
+                sigma_hat = float(rng.choice([0.01, 0.1, 0.3]))
+                cfg = TensorConfig(sigma_hat=sigma_hat, sigma_l=0.1, sigma_u=0.6, L=6.0, p=3)
+                lam = 10.0 ** rng.uniform(-3.0, 6.0)
+                anchor = 10.0 ** rng.uniform(-3.0, 2.0) * rng.standard_normal(op.dim)
+                x = anchor.copy()
+                if rng.random() < 0.5:
+                    x = anchor + 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(op.dim)
+                sur = ops.TaylorSurrogate(op, anchor, 3)
+                floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
+                bound = tensor._unsolvable_bound(sur, x, lam, sigma_hat)
+                if bound is None or not bound > floor:
+                    continue
+                fired[name] += 1
+                self.check_exact(op, sur, x, lam, sigma_hat, bound, floor)
+                for h in self.sample_steps(op, sur, lam, rng):
+                    u = anchor + h
+                    r = ops.norm(u + lam * sur.value(u) - x)
+                    assert r > max(sigma_hat * ops.norm(u - x), floor)
+                    assert r >= bound
+                want = _ref_surrogate_resolvent(problem, anchor, x, lam, cfg)
+                assert isinstance(want, InnerSolverDiverged)
+                with pytest.raises(InnerSolverDiverged) as exc:
+                    surrogate_resolvent(problem, anchor, x, lam, cfg)
+                assert exc.value.iterations == 0
+                assert exc.value.residual == bound
+        assert min(fired.values()) >= 20, fired

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from monoflow import operators as ops
-from monoflow import problems
-from monoflow.errors import ConfigError, StationaryPoint
+from monoflow import problems, tensor
+from monoflow.errors import ConfigError, InnerSolverDiverged, StationaryPoint
 from monoflow.hpe import HpeConfig, run, verify_step
 from monoflow.tensor import (
     TensorConfig,
@@ -162,3 +162,28 @@ class TestOracle:
         x = np.array([1.3])
         lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
         assert np.allclose(v, ops.single_value(CUBIC.operator, y), atol=1e-12)
+
+
+class TestUnsolvableSolves:
+    @pytest.mark.parametrize("problem", [CUBIC, problems.make_convex_gradient(d=4)], ids=lambda p: p.name)
+    def test_failed_solves_spend_no_newton_step(self, monkeypatch, problem):
+        # A p = 3 run from 0.7 meets surrogate solves with no point inside
+        # the stop rule; each is certified in closed form before Newton runs.
+        failures = []
+        real = tensor.surrogate_resolvent
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except InnerSolverDiverged as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(tensor, "surrogate_resolvent", spy)
+        tc = cubic_config()
+        res = run(problem, TensorOracle(problem, tc), drive_for(tc, iters=60), np.full(problem.dim, 0.7))
+        assert all(r.cert.ok for r in res.records)
+        assert len(failures) >= 2
+        for exc in failures:
+            assert str(exc).startswith(tensor.UNSOLVABLE)
+            assert exc.iterations == 0
