@@ -21,7 +21,7 @@ from . import problems
 from .errors import ConfigError
 from .feedback import FeedbackParams
 from .hpe import HpeConfig
-from .tensor import TensorConfig
+from .tensor import TensorConfig, _check_surrogate_order
 
 MODES = ("FLOW", "HPE_EXACT", "TENSOR")
 # Most RK4 steps a FLOW config may ask for (horizon.T / horizon.h).
@@ -153,7 +153,12 @@ class ExperimentConfig:
 
         cfg = ExperimentConfig(name, pparams, mode, params, horizon, x0, seed, out)
         problem = cfg.problem_instance()
-        cfg.mode_params()
+        mode_params = cfg.mode_params()
+        if mode == "TENSOR":
+            try:
+                _check_surrogate_order(problem.operator, mode_params.p)
+            except ConfigError as exc:
+                raise ConfigError(f"params.p = {mode_params.p} does not fit problem {name!r}: {exc}") from None
         if isinstance(cfg.x0, list) and len(cfg.x0) != problem.operator.dim:
             raise ConfigError(
                 f"x0 has {len(cfg.x0)} coordinates but the problem dimension is "

@@ -67,7 +67,7 @@ def scaled_displacement(op, lam, x, p):
         return 0.0
     x = np.asarray(x, dtype=float)
     y = ops.resolvent(op, lam, x).y
-    return lam ** (1.0 / (p - 1)) * float(np.linalg.norm(x - y))
+    return lam ** (1.0 / (p - 1)) * ops.norm(x - y)
 
 
 def law_band(lam, d, rho, p):

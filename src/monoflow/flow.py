@@ -46,7 +46,7 @@ class FlowState:
 
     @property
     def speed(self):
-        return float(np.linalg.norm(self.x - self.y))
+        return ops.norm(self.x - self.y)
 
 
 @dataclass
@@ -158,7 +158,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # Once that band swamps theta the state is within resolvent noise
         # of the solution set: stop with the last clean state rather than
         # commit steps whose control value cannot be certified.
-        d_new = float(np.linalg.norm(x_new - y_new))
+        d_new = ops.norm(x_new - y_new)
         band = law_band(lam_new, d_new, stage.rho, params.p)
         if band > 0.1 * params.theta:
             traj.status = "STATIONARY"

@@ -105,8 +105,8 @@ def verify_step(cfg, x_prev, lam, y, v, eps):
     x_prev = np.asarray(x_prev, dtype=float)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    step = float(np.linalg.norm(y - x_prev))
-    lhs = float(np.linalg.norm(lam * v + y - x_prev)) ** 2 + 2.0 * lam * eps
+    step = ops.norm(y - x_prev)
+    lhs = ops.norm(lam * v + y - x_prev) ** 2 + 2.0 * lam * eps
     rhs = cfg.sigma**2 * step**2
     rel_slack = rhs - lhs + CERT_TOL * max(1.0, step**2)
     ls_slack = lam * step ** (cfg.p - 1) - cfg.theta * (1.0 - CERT_TOL)
@@ -137,7 +137,7 @@ def exact_oracle(problem, x, cfg, hint=None):
     lam = solve_lambda(op, x, FeedbackParams(cfg.theta, cfg.p, relax_theta=True), hint=hint)
     r = ops.resolvent(op, lam, x)
     for _ in range(60):
-        d = float(np.linalg.norm(np.asarray(r.y) - x))
+        d = ops.norm(r.y - x)
         val = lam * d ** (cfg.p - 1)
         if val >= cfg.theta:
             break

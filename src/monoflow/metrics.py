@@ -141,10 +141,9 @@ def _active_set_polish(cone, sym, lin, z):
     if not isinstance(cone, ops.BoxCone):
         return z
     d = z.size
-    edge = ops.BOUNDARY_ATOL * cone.scale
     for _ in range(d + 2):
-        at_lo = z <= cone.lower + edge
-        at_hi = z >= cone.upper - edge
+        at_lo = z <= cone.lower_in
+        at_hi = z >= cone.upper_in
         grad_z = lin - sym @ z
         free = (~at_lo & ~at_hi) | (at_lo & (grad_z > 0)) | (at_hi & (grad_z < 0))
         if not free.any():
@@ -168,8 +167,8 @@ def _active_set_polish(cone, sym, lin, z):
 def _kkt_residual(cone, g, z):
     # Stationarity measure for maximization over the cone's set.
     if isinstance(cone, ops.BoxCone):
-        at_lo = z <= cone.lower + ops.BOUNDARY_ATOL * cone.scale
-        at_hi = z >= cone.upper - ops.BOUNDARY_ATOL * cone.scale
+        at_lo = z <= cone.lower_in
+        at_hi = z >= cone.upper_in
         viol = np.abs(g.copy())
         viol[at_hi] = np.maximum(0.0, -g[at_hi])
         viol[at_lo & ~at_hi] = np.maximum(0.0, g[at_lo & ~at_hi])
@@ -225,7 +224,7 @@ def dist_to_solutions(problem, x):
     sol = problem.solution_set
     x = np.asarray(x, dtype=float)
     if sol.kind == "SINGLETON":
-        return float(np.linalg.norm(x - sol.point))
+        return ops.norm(x - sol.point)
     raise UnknownSolutionSet(f"problem {problem.name!r} declares no solution set")
 
 

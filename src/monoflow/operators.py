@@ -12,6 +12,11 @@ where P projects onto dom(A).  The returned pair (y, v) always satisfies
 v in A(y) exactly (v is assembled from the parts plus an explicit normal
 element), so the reported residual ||lam*v + y - x|| measures the full
 solve error.
+
+What depends on the operator alone is computed once, when its parts are
+built: a PolyPart keeps its derivative chain, and a BoxCone its boundary
+tolerance edges.  Solves read them; polynomials are evaluated by _horner,
+which gives npoly.polyval's bits on floats and on arrays alike.
 """
 
 from __future__ import annotations
@@ -66,6 +71,17 @@ def norm(v):
     return math.sqrt(v @ v)  # np.linalg.norm also takes the square root of v.dot(v)
 
 
+def _horner(c, x):
+    """npoly.polyval(x, c) bit for bit, by its own recurrence, without its dispatch.
+
+    c lists coefficients in increasing degree; x is a float or an array.
+    """
+    y = c[-1] + x * 0  # x * 0 as in polyval: shape, and NaN at infinite x
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
+
+
 @functools.cache
 def _eye(d):
     return _readonly(np.eye(d))
@@ -100,9 +116,14 @@ class PolyPart:
     Monotonicity on R is checked exactly up to root finding: the derivative
     must have even degree, positive leading coefficient, and nonnegative
     values at all of its real critical points.
+
+    ders is the derivative chain as coefficient tuples of floats: ders[j]
+    is npoly.polyder applied j times to coeffs, for j up to deg + 1, where
+    it reaches the zero polynomial (0.0,) that polyder maps to itself.
     """
 
     coeffs: np.ndarray
+    ders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.trim_zeros(np.atleast_1d(np.asarray(self.coeffs, dtype=float)), "b")
@@ -111,16 +132,19 @@ class PolyPart:
         deg = c.size - 1
         if deg % 2 == 0:
             raise ValueError("monotone polynomial on R must have odd degree")
-        d = npoly.polyder(c)
+        chain = [c]
+        for _ in range(deg + 1):
+            chain.append(npoly.polyder(chain[-1]))
+        d = chain[1]
         if d[-1] <= 0:
             raise ValueError("polynomial derivative has nonpositive leading coefficient")
-        if d.size >= 2:
-            crit = np.roots(npoly.polyder(d)[::-1]) if d.size >= 3 else np.array([])
-            crit = crit[np.abs(crit.imag) < 1e-9].real if crit.size else crit
-            vals = npoly.polyval(crit, d) if crit.size else np.array([])
-            if vals.size and float(vals.min()) < POLY_DERIV_TOL:
+        if d.size >= 3:
+            crit = np.roots(chain[2][::-1])
+            crit = crit[np.abs(crit.imag) < 1e-9].real
+            if crit.size and float(_horner(d, crit).min()) < POLY_DERIV_TOL:
                 raise ValueError("polynomial is not monotone on R")
         object.__setattr__(self, "coeffs", _readonly(c))
+        object.__setattr__(self, "ders", tuple(tuple(dj.tolist()) for dj in chain))
 
 
 @dataclass(frozen=True)
@@ -137,11 +161,20 @@ class RadialPart:
 @dataclass(frozen=True)
 class BoxCone:
     """lower <= x <= upper; scale = 1 + max(|lower|, |upper|) sets the
-    boundary tolerance of each coordinate."""
+    boundary tolerance of each coordinate.
+
+    The tolerance edges at BOUNDARY_ATOL * scale are stored: x lies in the
+    box when lower_out <= x <= upper_out, and a bound is active where
+    x <= lower_in or x >= upper_in.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
     scale: np.ndarray = field(init=False, repr=False, compare=False)
+    lower_out: np.ndarray = field(init=False, repr=False, compare=False)
+    upper_out: np.ndarray = field(init=False, repr=False, compare=False)
+    lower_in: np.ndarray = field(init=False, repr=False, compare=False)
+    upper_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _readonly(self.lower)
@@ -154,7 +187,12 @@ class BoxCone:
             raise ValueError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "scale", _readonly(1.0 + np.maximum(np.abs(lo), np.abs(hi))))
+        scale = _readonly(1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "lower_out", _readonly(lo - BOUNDARY_ATOL * scale))
+        object.__setattr__(self, "upper_out", _readonly(hi + BOUNDARY_ATOL * scale))
+        object.__setattr__(self, "lower_in", _readonly(lo + BOUNDARY_ATOL * scale))
+        object.__setattr__(self, "upper_in", _readonly(hi - BOUNDARY_ATOL * scale))
 
 
 @dataclass(frozen=True)
@@ -211,7 +249,7 @@ def single_value(op, x):
     if op.affine is not None:
         terms.append(op.affine.matrix @ x + op.affine.offset)
     if op.poly is not None:
-        terms.append(npoly.polyval(x, op.poly.coeffs))
+        terms.append(_horner(op.poly.ders[0], x))
     if op.radial is not None:
         terms.append(op.radial.weight * float(x @ x) * x)
     return sum(terms[1:], terms[0]) if terms else np.zeros(op.dim)
@@ -224,7 +262,7 @@ def single_jacobian(op, x):
     if op.affine is not None:
         terms.append(op.affine.matrix)
     if op.poly is not None:
-        terms.append(np.diag(npoly.polyval(x, npoly.polyder(op.poly.coeffs))))
+        terms.append(np.diag(_horner(op.poly.ders[1], x)))
     if op.radial is not None:
         terms.append(op.radial.weight * (float(x @ x) * _eye(op.dim) + 2.0 * np.outer(x, x)))
     return sum(terms[1:], terms[0]) if terms else np.zeros((op.dim, op.dim))
@@ -250,7 +288,11 @@ def domain_contains(op, x, atol=BOUNDARY_ATOL):
     if c is None:
         return True
     if isinstance(c, BoxCone):
-        return bool((x >= c.lower - atol * c.scale).all() and (x <= c.upper + atol * c.scale).all())
+        if atol == BOUNDARY_ATOL:
+            lo, hi = c.lower_out, c.upper_out
+        else:
+            lo, hi = c.lower - atol * c.scale, c.upper + atol * c.scale
+        return bool((x >= lo).all() and (x <= hi).all())
     return norm(x - c.center) <= c.radius * (1.0 + atol)
 
 
@@ -271,13 +313,9 @@ def _cone_residual(cone, x, g):
     if cone is None:
         return norm(g)
     if isinstance(cone, BoxCone):
-        at_hi = x >= cone.upper - BOUNDARY_ATOL * cone.scale
-        at_lo = x <= cone.lower + BOUNDARY_ATOL * cone.scale
-        r = g.copy()
         # n >= 0 available at the upper bound cancels negative g, and dually.
-        r[at_hi & (g < 0)] = 0.0
-        r[at_lo & (g > 0)] = 0.0
-        return norm(r)
+        cancel = ((x >= cone.upper_in) & (g < 0)) | ((x <= cone.lower_in) & (g > 0))
+        return norm(np.where(cancel, 0.0, g))
     rad = x - cone.center
     nr = norm(rad)
     if nr < cone.radius * (1.0 - BOUNDARY_ATOL):
@@ -308,34 +346,35 @@ class Resolvent:
     w: np.ndarray | None = None
 
 
-def _scalar_poly_root(coeffs, lam, target):
-    # Solve y + lam*poly(y) = target; left side strictly increasing.
-    d = npoly.polyder(coeffs)
+def _scalar_poly_root(c, dc, lam, target):
+    # Solve y + lam*poly(y) = target; left side strictly increasing.  c and
+    # dc are the coefficient tuples of poly and poly'; lam and target are
+    # Python floats, so the arithmetic runs on floats throughout.
     y = target
     for _ in range(200):
-        g = y + lam * float(npoly.polyval(y, coeffs)) - target
+        g = y + lam * _horner(c, y) - target
         if abs(g) <= 1e-14 * (1.0 + abs(target) + abs(y)):
             return y
-        dg = 1.0 + lam * float(npoly.polyval(y, d))
-        step = g / dg
-        ynew = y - step
-        # Safeguard with doubling bisection if Newton leaves a sane range.
-        if not np.isfinite(ynew):
+        dg = 1.0 + lam * _horner(dc, y)
+        # Safeguard with doubling bisection if Newton leaves a sane range
+        # (dg = 0 would make the step infinite or NaN).
+        if dg == 0.0:
+            break
+        ynew = y - g / dg
+        if not math.isfinite(ynew):
             break
         y = ynew
     lo = hi = target
     width = max(1.0, abs(target))
     for _ in range(200):
-        if (lo + lam * npoly.polyval(lo, coeffs) - target) <= 0 and (
-            hi + lam * npoly.polyval(hi, coeffs) - target
-        ) >= 0:
+        if (lo + lam * _horner(c, lo) - target) <= 0 and (hi + lam * _horner(c, hi) - target) >= 0:
             break
         lo -= width
         hi += width
         width *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid + lam * float(npoly.polyval(mid, coeffs)) > target:
+        if mid + lam * _horner(c, mid) > target:
             hi = mid
         else:
             lo = mid
@@ -461,7 +500,7 @@ def resolvent(op, lam, x, warm=None):
 
     if op.affine is not None and single_parts == 1 and op.cone is None:
         m, q = op.affine.matrix, op.affine.offset
-        y = np.linalg.solve(np.eye(op.dim) + lam * m, x - lam * q)
+        y = np.linalg.solve(_eye(op.dim) + lam * m, x - lam * q)
         v = m @ y + q
         res = norm(lam * v + y - x)
         if res > RESOLVENT_TOL * max(1.0, norm(y - x)):
@@ -472,19 +511,19 @@ def resolvent(op, lam, x, warm=None):
         return Resolvent(y=y, v=v, residual=res, iterations=0)
 
     if op.poly is not None and single_parts == 1 and not isinstance(op.cone, BallCone):
-        c = op.poly.coeffs
-        y = np.empty(op.dim)
-        for i in range(op.dim):
-            y[i] = _scalar_poly_root(c, lam, x[i])
-        n = np.zeros(op.dim)
+        c, dc = op.poly.ders[:2]
+        flam = float(lam)
+        y = np.array([_scalar_poly_root(c, dc, flam, t) for t in x.tolist()])
         if isinstance(op.cone, BoxCone):
-            yc = np.clip(y, op.cone.lower, op.cone.upper)
-            n = (x - yc) / lam - npoly.polyval(yc, c)
+            y = np.clip(y, op.cone.lower, op.cone.upper)
+            py = _horner(c, y)
             # Clamping keeps the normal element sign-correct because the
             # scalar map y + lam*poly(y) is increasing.
-            n[(yc > op.cone.lower) & (yc < op.cone.upper)] = 0.0
-            y = yc
-        v = npoly.polyval(y, c) + n
+            n = np.where((y > op.cone.lower) & (y < op.cone.upper), 0.0, (x - y) / lam - py)
+        else:
+            py = _horner(c, y)
+            n = np.zeros(op.dim)
+        v = py + n
         res = norm(lam * v + y - x)
         return Resolvent(y=y, v=v, residual=res, iterations=0)
 
@@ -496,12 +535,17 @@ def resolvent(op, lam, x, warm=None):
         res = norm(lam * v + y - x)
         return Resolvent(y=y, v=v, residual=res, iterations=0)
 
+    if op.affine is not None and single_parts == 1:
+        m, q = op.affine.matrix, op.affine.offset
+        value, jacobian = (lambda z: m @ z + q), (lambda z: m)
+    else:
+        value, jacobian = (lambda z: single_value(op, z)), (lambda z: single_jacobian(op, z))
     y, v, w, its = normal_map_newton(
         op,
         lam,
         x,
-        lambda z: single_value(op, z),
-        lambda z: single_jacobian(op, z),
+        value,
+        jacobian,
         lambda y: RESOLVENT_TOL * max(1.0, norm(y - x)),
         warm,
         "resolvent",
@@ -530,11 +574,10 @@ class TaylorSurrogate:
         if op.affine is not None and p == 1:
             self.frozen = op.affine.matrix @ a + op.affine.offset
         if op.poly is not None:
-            ders = [op.poly.coeffs]
-            while len(ders) < p:
-                ders.append(npoly.polyder(ders[-1]))
-            # ders[j] is the j-th derivative's value at the anchor.
-            self.ders = [npoly.polyval(a, c) for c in ders]
+            chain = op.poly.ders
+            # ders[j] is the j-th derivative's value at the anchor; the
+            # chain's last entry, the zero polynomial, repeats past its end.
+            self.ders = [_horner(chain[min(j, len(chain) - 1)], a) for j in range(p)]
         if op.radial is not None:
             self.aa = float(a @ a)
             self.aaa = self.aa * a

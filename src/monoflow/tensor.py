@@ -182,7 +182,7 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         if lo < -1e-10 * max(1.0, float(np.abs(jac).max())):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {lo:.3e}")
 
-    floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
+    floor = 1e-14 * (1.0 + ops.norm(x))
     bound = _unsolvable_bound(sur, x, lam, cfg.sigma_hat)
     if bound is not None and bound > floor:
         raise InnerSolverDiverged(
@@ -236,7 +236,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None):
         except InnerSolverDiverged:
             return None
         cache["warm"] = w
-        return lam * float(np.linalg.norm(y - x)) ** (cfg.p - 1), y, u, w
+        return lam * ops.norm(y - x) ** (cfg.p - 1), y, u, w
 
     lam = float(hint) if hint is not None and hint > 0 else math.sqrt(wlo * whi)
     out = product(lam)

@@ -109,6 +109,22 @@ class TestConfigRejection:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unsupported_surrogate_order_exits_two(self, tmp_path, capsys):
+        # p = 3 surrogate solves need d <= 4; the d = 10 saddle used to fail
+        # at its first oracle call with exit 1.
+        payload = {
+            "problem": {"name": "bilinear_saddle", "params": {"d": 10}},
+            "mode": "TENSOR",
+            "params": {"sigma_hat": 0.1, "sigma_l": 0.2, "sigma_u": 0.8, "L": 6.0, "p": 3},
+            "horizon": {"max_iters": 5},
+            "x0": [0.5] * 10,
+            "out": str(tmp_path / "t.csv"),
+        }
+        for cmd in ("run", "rates"):
+            assert cli.main([cmd, "--config", str(write_config(tmp_path, payload))]) == 2
+            assert "supported only for d <= 4" in capsys.readouterr().err
+            assert not (tmp_path / "t.csv").exists()
+
     def test_non_finite_config_exits_two(self, tmp_path, capsys):
         for i, payload in enumerate(
             [

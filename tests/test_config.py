@@ -166,6 +166,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"^horizon\.h gives .* steps"):
             ExperimentConfig.from_dict(flow_dict(horizon={"T": T, "h": h}))
 
+    @pytest.mark.parametrize(
+        "problem, x0, why",
+        [
+            ({"name": "bilinear_saddle", "params": {"d": 10}}, [0.5] * 10, "d <= 4"),
+            ({"name": "convex_gradient", "params": {"d": 5}}, [0.5] * 5, "d <= 4"),
+            ({"name": "strongly_monotone_affine", "params": {"d": 2}}, [0.5, 0.5], "polynomial and radial"),
+            ({"name": "bilinear_saddle", "params": {"d": 2}}, [0.5, 0.5], "polynomial and radial"),
+        ],
+    )
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_tensor_surrogate_order_checked(self, problem, x0, why, p):
+        # The oracle refuses these at its first solve; the parser refuses
+        # them before any run starts.
+        raw = tensor_dict(problem=problem, x0=x0)
+        raw["params"]["p"] = p
+        with pytest.raises(ConfigError, match=rf"^params\.p = {p} does not fit .*{why}"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "problem, x0, p",
+        [
+            ({"name": "bilinear_saddle", "params": {"d": 10}}, [0.5] * 10, 2),
+            ({"name": "convex_gradient", "params": {"d": 4}}, [0.5] * 4, 3),
+            ({"name": "cubic_1d"}, [2.0], 4),
+        ],
+    )
+    def test_tensor_surrogate_order_accepted(self, problem, x0, p):
+        raw = tensor_dict(problem=problem, x0=x0)
+        raw["params"]["p"] = p
+        assert ExperimentConfig.from_dict(raw).params["p"] == p
+
     def test_flow_step_count_at_cap_accepted(self):
         cfg = ExperimentConfig.from_dict(flow_dict(horizon={"T": 2.0, "h": 2.0 / MAX_FLOW_STEPS}))
         assert cfg.horizon["h"] == 2.0 / MAX_FLOW_STEPS

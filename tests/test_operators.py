@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from monoflow import metrics, problems, tensor
 from monoflow import operators as ops
-from monoflow import problems, tensor
 from monoflow.errors import InnerSolverDiverged, SurrogateNonmonotone
-from monoflow.tensor import TensorConfig, surrogate_resolvent
+from monoflow.hpe import HpeConfig, run
+from monoflow.tensor import TensorConfig, TensorOracle, surrogate_resolvent
 
 
 def make_box_affine(seed=0, d=4):
@@ -372,6 +373,119 @@ def _newton_instances():
 NEWTON_INSTANCES = _newton_instances()
 
 
+# Reference copy of the polynomial routes as they stood before PolyPart
+# stored its derivative chain: npoly.polyder on every call, npoly.polyval
+# on numpy scalars in the scalar root.  The live routes, which read the
+# stored chain through operators._horner, must match it bit for bit.
+
+
+def _ref_scalar_poly_root(coeffs, lam, target):
+    d = npoly.polyder(coeffs)
+    y = target
+    for _ in range(200):
+        g = y + lam * float(npoly.polyval(y, coeffs)) - target
+        if abs(g) <= 1e-14 * (1.0 + abs(target) + abs(y)):
+            return y
+        dg = 1.0 + lam * float(npoly.polyval(y, d))
+        step = g / dg
+        ynew = y - step
+        if not np.isfinite(ynew):
+            break
+        y = ynew
+    lo = hi = target
+    width = max(1.0, abs(target))
+    for _ in range(200):
+        if (lo + lam * npoly.polyval(lo, coeffs) - target) <= 0 and (
+            hi + lam * npoly.polyval(hi, coeffs) - target
+        ) >= 0:
+            break
+        lo -= width
+        hi += width
+        width *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + lam * float(npoly.polyval(mid, coeffs)) > target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * (1.0 + abs(mid)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _ref_poly_closed_form(op, lam, x):
+    """(y, v, residual) of the closed-form route for a lone PolyPart."""
+    c = op.poly.coeffs
+    y = np.empty(op.dim)
+    for i in range(op.dim):
+        y[i] = _ref_scalar_poly_root(c, lam, x[i])
+    n = np.zeros(op.dim)
+    if isinstance(op.cone, ops.BoxCone):
+        yc = np.clip(y, op.cone.lower, op.cone.upper)
+        n = (x - yc) / lam - npoly.polyval(yc, c)
+        n[(yc > op.cone.lower) & (yc < op.cone.upper)] = 0.0
+        y = yc
+    v = npoly.polyval(y, c) + n
+    return y, v, float(np.linalg.norm(lam * v + y - x))
+
+
+def _ref_poly_value(op, x):
+    return npoly.polyval(x, op.poly.coeffs)
+
+
+def _ref_poly_jacobian(op, x):
+    return np.diag(npoly.polyval(x, npoly.polyder(op.poly.coeffs)))
+
+
+def _poly_instances():
+    quintic = [-0.0, 0.5, 0.0, 0.0, 0.0, 2.0]  # a signed-zero constant term
+    return {
+        "cubic d=1": ops.make_poly([0.0, 0.0, 0.0, 1.0]),
+        "cubic+linear d=3": ops.make_poly([0.0, 1.0, 0.0, 1.0], dim=3),
+        "quintic d=2": ops.make_poly(quintic, dim=2),
+        "linear d=2": ops.make_poly([0.25, 3.0], dim=2),
+        "cubic+box d=3": ops.make_poly(
+            [0.1, 1.0, 0.0, 0.5], dim=3, cone=ops.BoxCone(np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0]))
+        ),
+        "quintic+box d=2": ops.make_poly(
+            quintic, dim=2, cone=ops.BoxCone(np.array([-1e-3, 0.3]), np.array([1e-3, 0.3]))
+        ),
+    }
+
+
+POLY_INSTANCES = _poly_instances()
+
+
+@st.composite
+def _poly_points(draw):
+    """A lone-polynomial operator, lam in [1e-8, 1e12] and a query point.
+
+    Coordinates are signed zeros, plain floats, or the image t + lam*poly(t)
+    of an edge t (a box bound, else +-1) moved by up to one ulp, so the root
+    lands on the bound or one ulp to either side of it.
+    """
+    name = draw(st.sampled_from(sorted(POLY_INSTANCES)))
+    op = POLY_INSTANCES[name]
+    lam = 10.0 ** draw(st.floats(-8.0, 12.0))
+    x = np.empty(op.dim)
+    for i in range(op.dim):
+        kind = draw(st.sampled_from(["zero", "float", "edge"]))
+        if kind == "zero":
+            x[i] = draw(st.sampled_from([0.0, -0.0]))
+        elif kind == "float":
+            x[i] = draw(st.floats(-1e3, 1e3))
+        else:
+            if isinstance(op.cone, ops.BoxCone):
+                t = draw(st.sampled_from([op.cone.lower[i], op.cone.upper[i]]))
+            else:
+                t = draw(st.sampled_from([-1.0, 1.0]))
+            x[i] = t + lam * npoly.polyval(t, op.poly.coeffs)
+            step = draw(st.sampled_from([-1, 0, 1]))
+            if step:
+                x[i] = np.nextafter(x[i], step * np.inf)
+    return name, lam, x
+
+
 class TestKernelBitIdentity:
     """The live kernel reproduces the reference copy above exactly."""
 
@@ -426,6 +540,43 @@ class TestKernelBitIdentity:
         for n in (1, 2, 10):
             assert ops.norm(np.zeros(n)) == 0.0 == float(np.linalg.norm(np.zeros(n)))
 
+    @settings(max_examples=300)
+    @given(_poly_points())
+    def test_poly_routes_match_reference(self, case):
+        name, lam, x = case
+        op = POLY_INSTANCES[name]
+        c, dc = op.poly.ders[:2]
+        for t in x:
+            want = _ref_scalar_poly_root(op.poly.coeffs, lam, t)
+            got = ops._scalar_poly_root(c, dc, float(lam), float(t))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        y, v, res = _ref_poly_closed_form(op, lam, x)
+        got = ops.resolvent(op, lam, x)
+        assert got.y.tobytes() == y.tobytes()
+        assert got.v.tobytes() == v.tobytes()
+        assert np.float64(got.residual).tobytes() == np.float64(res).tobytes()
+        for point in (x, y):
+            assert ops.single_value(op, point).tobytes() == _ref_poly_value(op, point).tobytes()
+            assert ops.single_jacobian(op, point).tobytes() == _ref_poly_jacobian(op, point).tobytes()
+
+    @settings(max_examples=100)
+    @given(
+        hnp.arrays(
+            np.float64,
+            3,
+            elements=st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(-1e100, 1e100)),
+        ),
+        st.sampled_from(sorted(POLY_INSTANCES)),
+    )
+    def test_horner_matches_polyval(self, x, name):
+        # Overflow and inf * 0 = NaN included: polyval's x * 0 term kept.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in POLY_INSTANCES[name].poly.ders:
+                assert ops._horner(c, x).tobytes() == npoly.polyval(x, np.array(c)).tobytes()
+                for t in x:
+                    want = npoly.polyval(t, np.array(c))
+                    assert np.float64(ops._horner(c, float(t))).tobytes() == want.tobytes()
+
 
 class TestResidualAndEnlargement:
     def test_min_norm_residual_cases(self):
@@ -470,6 +621,42 @@ def _ref_box_residual(cone, x, g):
     return ops.norm(r)
 
 
+def _ref_kkt_residual(cone, g, z):
+    scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
+    at_lo = z <= cone.lower + ops.BOUNDARY_ATOL * scale
+    at_hi = z >= cone.upper - ops.BOUNDARY_ATOL * scale
+    viol = np.abs(g.copy())
+    viol[at_hi] = np.maximum(0.0, -g[at_hi])
+    viol[at_lo & ~at_hi] = np.maximum(0.0, g[at_lo & ~at_hi])
+    return float(viol.max()) if viol.size else 0.0
+
+
+def _ref_active_set_polish(cone, sym, lin, z):
+    d = z.size
+    edge = ops.BOUNDARY_ATOL * (1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
+    for _ in range(d + 2):
+        at_lo = z <= cone.lower + edge
+        at_hi = z >= cone.upper - edge
+        grad_z = lin - sym @ z
+        free = (~at_lo & ~at_hi) | (at_lo & (grad_z > 0)) | (at_hi & (grad_z < 0))
+        if not free.any():
+            return z
+        zf = z.copy()
+        idx = np.where(free)[0]
+        a = sym[np.ix_(idx, idx)]
+        b = lin[idx] - sym[np.ix_(idx, np.where(~free)[0])] @ z[~free]
+        try:
+            sol = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return z
+        zf[idx] = sol
+        zf = np.clip(zf, cone.lower, cone.upper)
+        if float(np.linalg.norm(zf - z)) <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
+            return zf
+        z = zf
+    return z
+
+
 @st.composite
 def _box_points(draw):
     """A box and points on, just inside and just outside its tolerance edges."""
@@ -510,7 +697,34 @@ class TestBoxConeBitIdentity:
         assert np.array_equal(cone.scale, 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
         for atol in (ops.BOUNDARY_ATOL, 1e-9):
             assert ops.domain_contains(op, x, atol=atol) is _ref_box_contains(cone, x, atol)
-        assert ops._cone_residual(cone, x, g) == _ref_box_residual(cone, x, g)
+        got = ops._cone_residual(cone, x, g)
+        assert np.float64(got).tobytes() == np.float64(_ref_box_residual(cone, x, g)).tobytes()
+
+    @settings(max_examples=300)
+    @given(_box_points())
+    def test_stored_edges(self, case):
+        cone, _, _ = case
+        scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
+        edge = ops.BOUNDARY_ATOL * scale
+        assert cone.lower_out.tobytes() == (cone.lower - edge).tobytes()
+        assert cone.upper_out.tobytes() == (cone.upper + edge).tobytes()
+        assert cone.lower_in.tobytes() == (cone.lower + edge).tobytes()
+        assert cone.upper_in.tobytes() == (cone.upper - edge).tobytes()
+        for a in (cone.scale, cone.lower_out, cone.upper_out, cone.lower_in, cone.upper_in):
+            assert not a.flags.writeable
+
+    @settings(max_examples=300)
+    @given(_box_points(), st.integers(0, 2**16))
+    def test_gap_helpers_match_reference(self, case, seed):
+        cone, x, g = case
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((x.size, x.size))
+        sym = a @ a.T
+        lin = 10.0 * g
+        want = _ref_kkt_residual(cone, g, x)
+        assert np.float64(metrics._kkt_residual(cone, g, x)).tobytes() == np.float64(want).tobytes()
+        want = _ref_active_set_polish(cone, sym, lin, x)
+        assert metrics._active_set_polish(cone, sym, lin, x).tobytes() == want.tobytes()
 
 
 class TestTaylorSurrogate:
@@ -737,6 +951,24 @@ class TestSurrogateBitIdentity:
                 pass
         self.check_resolvent(problem, x, x, lam, cfg, warm)
 
+    @settings(max_examples=200)
+    @given(
+        name=st.sampled_from(sorted(POLY_INSTANCES)),
+        p=st.integers(1, 7),
+        anchor=hnp.arrays(
+            np.float64, 3, elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+        ),
+    )
+    def test_anchor_values(self, name, p, anchor):
+        # p up to 7 runs past the end of every stored chain (quintic: 7 entries).
+        op = POLY_INSTANCES[name]
+        a = anchor[: op.dim]
+        want = [npoly.polyval(a, c) for c in _ref_poly_ders(op.poly.coeffs, p - 1)]
+        got = ops.TaylorSurrogate(op, a, p).ders
+        assert len(got) == p
+        for gj, wj in zip(got, want):
+            assert gj.tobytes() == wj.tobytes()
+
     def test_unsolvable_surrogate(self):
         # lam * x^2 = 2.61 is past the anchored quadratic's solvability
         # knee (its discriminant 1 + 6 lam x^2 - 3 lam^2 x^4 < 0): no root.
@@ -853,3 +1085,41 @@ class TestUnsolvableCertificate:
                 assert exc.value.iterations == 0
                 assert exc.value.residual == bound
         assert min(fired.values()) >= 20, fired
+
+
+class TestStoredDerivatives:
+    """PolyPart builds its derivative chain once; solves only read it."""
+
+    @pytest.mark.parametrize("name", sorted(POLY_INSTANCES))
+    def test_chain_matches_polyder(self, name):
+        poly = POLY_INSTANCES[name].poly
+        want = poly.coeffs
+        for j in range(len(poly.ders) + 2):
+            got = np.array(poly.ders[min(j, len(poly.ders) - 1)])
+            assert got.tobytes() == want.tobytes()
+            want = npoly.polyder(want)
+        assert poly.ders[-1] == (0.0,)
+        assert len(poly.ders) == poly.coeffs.size + 1
+
+    def test_no_polyder_at_solve_time(self, monkeypatch):
+        ball = ops.BallCone(np.zeros(3), 0.5)
+        operators = list(POLY_INSTANCES.values())
+        operators.append(ops.make_poly([0.1, 1.0, 0.0, 0.5], dim=3, cone=ball))  # Newton route
+        cubic = problems.make_cubic_1d()
+        calls = []
+        real = ops.npoly.polyder
+        monkeypatch.setattr(ops.npoly, "polyder", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+        rng = np.random.default_rng(7)
+        for op in operators:
+            x = rng.standard_normal(op.dim)
+            for lam in (1e-3, 1.0, 1e3):
+                ops.resolvent(op, lam, x)
+            ops.single_jacobian(op, x)
+            for p in (1, 2, 3, 4):
+                ops.TaylorSurrogate(op, x, p)
+        tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
+        hcfg = HpeConfig(sigma=tcfg.sigma, theta=tcfg.theta, p=3, max_iters=8, stop_res=1e-9)
+        result = run(cubic, TensorOracle(cubic, tcfg), hcfg, np.array([0.7]))
+        assert len(result.records) == 8
+        assert calls == []
