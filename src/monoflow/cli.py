@@ -138,7 +138,7 @@ def _run_flow(cfg, problem):
         energy = (
             0.5 * float(np.linalg.norm(s.x - anchor)) ** 2 if anchor is not None else float("nan")
         )
-        if abs(s.lam * s.speed ** (params.p - 1) - params.theta) <= flow.FLOW_AE_TOL * params.theta:
+        if flow.law_margin(s.lam, s.speed, s.rho, params) >= 0.0:
             ae_ok += 1
         rows.append(
             [_fmt(s.t)]

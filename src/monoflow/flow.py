@@ -20,7 +20,7 @@ from . import operators as ops
 from .errors import StationaryPoint, StepRejected
 # solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
 from .feedback import STATIONARITY_TOL, FeedbackParams, law_band, solve_lambda, solve_law  # noqa: F401
-from .report import CheckReport
+from .report import CheckReport, worst
 
 __all__ = [
     "FLOW_AE_TOL",
@@ -28,6 +28,7 @@ __all__ = [
     "Trajectory",
     "vector_field",
     "integrate",
+    "law_margin",
     "ergodic_point",
     "ergodic_from_samples",
     "check_flow_invariants",
@@ -89,6 +90,19 @@ class _Stage:
         return r.y - x, lam, r.y
 
 
+def law_margin(lam, d, rho, params):
+    """Slack of the control law at a state with speed d = ||x - y||, relative to theta.
+
+    FLOW_AE_TOL less the part of |lam d^(p-1) - theta| that lies outside the
+    band law_band(lam, d, rho, p) certified by the resolvent residual rho.
+    A state satisfies the law exactly when this is >= 0 (NaN never does):
+    integrate commits a step, the audit passes a state and the run summary
+    counts one by this rule.
+    """
+    ae = abs(lam * d ** (params.p - 1) - params.theta)
+    return FLOW_AE_TOL - max(ae - law_band(lam, d, rho, params.p), 0.0) / params.theta
+
+
 def vector_field(op, x, params):
     """Right-hand side J_{lam(x)}(x) - x; raises StationaryPoint on zer(A)."""
     x = np.asarray(x, dtype=float)
@@ -112,9 +126,9 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         regardless of the stride.
 
     Returns a Trajectory; status is STATIONARY when the flow reached the
-    solution set early (benign).  A completed step whose control-law
-    residual exceeds FLOW_AE_TOL relative raises StepRejected; the stage
-    solves are two orders tighter, so this guards integrator misuse only.
+    solution set early (benign).  A completed step that fails law_margin
+    raises StepRejected; the stage solves are two orders tighter, so this
+    guards integrator misuse only.
     """
     op = problem.operator
     x = np.asarray(x0, dtype=float).copy()
@@ -163,12 +177,13 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         if band > 0.1 * params.theta:
             traj.status = "STATIONARY"
             break
-        ae = abs(lam_new * d_new ** (params.p - 1) - params.theta)
-        if ae > FLOW_AE_TOL * params.theta + band:
+        margin = law_margin(lam_new, d_new, stage.rho, params)
+        if not margin >= 0.0:
+            excess = FLOW_AE_TOL - margin
             raise StepRejected(
-                f"control law residual {ae / params.theta:.3e} rel at t={t_next:.6g}",
+                f"control law residual {excess:.3e} rel beyond its certified band at t={t_next:.6g}",
                 t=t_next,
-                residual=ae,
+                residual=excess * params.theta,
             )
         x, t = x_new, t_next
         prev_lam, prev_y = lam, y
@@ -218,68 +233,52 @@ def check_flow_invariants(traj, problem, params):
     theta, p = params.theta, params.p
     states = traj.states
     if not states:
-        rep.add("trajectory nonempty", False, -1.0)
+        rep.add("trajectory nonempty", -1.0)
         return rep
+    pairs = list(zip(states, states[1:]))
+    speed = [s.speed for s in states]
+    s0 = speed[0]
+    # (state, speed) after the start, at positive times
+    later = [(s, v) for s, v in zip(states[1:], speed[1:]) if not s.t <= 0]
 
-    worst = np.inf
-    for s in states:
-        ae = abs(s.lam * s.speed ** (p - 1) - theta)
-        band = law_band(s.lam, s.speed, s.rho, p)
-        worst = min(worst, FLOW_AE_TOL - max(ae - band, 0.0) / theta)
-    rep.add("algebraic equation residual <= 1e-8 rel", worst >= 0.0, worst)
-
-    worst = np.inf
-    for a, b in zip(states, states[1:]):
-        worst = min(worst, (b.lam - a.lam) / a.lam + 1e-9)
-    rep.add("lam nondecreasing", worst >= 0.0, worst)
-
-    worst = np.inf
-    for a, b in zip(states, states[1:]):
-        cap = a.lam * math.exp((p - 1) * (b.t - a.t)) * (1.0 + 1e-6)
-        worst = min(worst, (cap - b.lam) / a.lam)
-    rep.add("lam growth <= e^{(p-1) dt}", worst >= 0.0, worst)
+    rep.add(
+        "algebraic equation residual <= 1e-8 rel",
+        *worst(law_margin(s.lam, v, s.rho, params) for s, v in zip(states, speed)),
+    )
+    rep.add("lam nondecreasing", *worst((b.lam - a.lam) / a.lam + 1e-9 for a, b in pairs))
+    rep.add(
+        "lam growth <= e^{(p-1) dt}",
+        *worst((a.lam * math.exp((p - 1) * (b.t - a.t)) * (1.0 + 1e-6) - b.lam) / a.lam for a, b in pairs),
+    )
 
     sol = problem.solution_set
     if sol.kind == "SINGLETON":
         z = np.asarray(sol.point)
-        e0 = 0.5 * float(np.linalg.norm(states[0].x - z) ** 2)
-
-        worst = np.inf
-        prev = e0
-        for s in states[1:]:
-            e = 0.5 * float(np.linalg.norm(s.x - z) ** 2)
-            worst = min(worst, (prev - e) / max(e0, 1e-300) + 1e-9)
-            prev = e
-        rep.add("Lyapunov energy nonincreasing", worst >= 0.0, worst)
-
-        worst = np.inf
-        for s in states[1:]:
-            if s.t <= 0:
-                continue
-            cap = e0 / s.t * (1.0 + 1e-6)
-            worst = min(worst, cap - s.speed**2)
-        rep.add("speed^2 <= E(0)/t", worst >= 0.0, worst)
-
+        e = [0.5 * ops.norm(s.x - z) ** 2 for s in states]
+        e0 = e[0]
+        rep.add(
+            "Lyapunov energy nonincreasing",
+            *worst((a - b) / max(e0, 1e-300) + 1e-9 for a, b in zip(e, e[1:])),
+        )
+        rep.add("speed^2 <= E(0)/t", *worst(e0 / s.t * (1.0 + 1e-6) - v**2 for s, v in later))
         if p >= 2:
-            worst = np.inf
-            for s in states[1:]:
-                if s.t <= 0:
-                    continue
-                floor = theta * (s.t / e0) ** ((p - 1) / 2.0) * (1.0 - 1e-6)
-                worst = min(worst, (s.lam - floor) / max(floor, 1e-300))
-            rep.add("lam >= theta (t/E0)^{(p-1)/2}", worst >= 0.0, worst)
+            floors = [(s.lam, theta * (s.t / e0) ** ((p - 1) / 2.0) * (1.0 - 1e-6)) for s, _ in later]
+            rep.add(
+                "lam >= theta (t/E0)^{(p-1)/2}",
+                *worst((lam - floor) / max(floor, 1e-300) for lam, floor in floors),
+            )
 
-    worst = np.inf
-    for a, b in zip(states, states[1:]):
-        worst = min(worst, (a.speed - b.speed) / max(states[0].speed, 1e-300) + 1e-9)
-    rep.add("speed nonincreasing", worst >= 0.0, worst)
-
+    rep.add(
+        "speed nonincreasing",
+        *worst((a - b) / max(s0, 1e-300) + 1e-9 for a, b in zip(speed, speed[1:])),
+    )
     if p >= 2:
-        worst = np.inf
-        s0 = states[0].speed
-        for s in states[1:]:
-            floor = s0 * math.exp(-s.t) * (1.0 - 1e-3)
-            worst = min(worst, (s.speed - floor) / max(s0, 1e-300))
-        rep.add("speed >= e^{-t} speed(0) (non-stabilization)", worst >= 0.0, worst)
+        rep.add(
+            "speed >= e^{-t} speed(0) (non-stabilization)",
+            *worst(
+                (v - s0 * math.exp(-s.t) * (1.0 - 1e-3)) / max(s0, 1e-300)
+                for s, v in zip(states[1:], speed[1:])
+            ),
+        )
 
     return rep

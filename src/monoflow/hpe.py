@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import operators as ops
 from .errors import CertificateViolation, MonoflowError, OracleFailure, StationaryPoint, UnknownSolutionSet
 from .feedback import FeedbackParams, law_band, solve_lambda
-from .report import CheckReport
+from .report import CheckReport, worst
 
 __all__ = [
     "CERT_TOL",
@@ -236,7 +237,7 @@ def check_discrete_lemmas(records, problem, cfg):
         raise UnknownSolutionSet("discrete lemma audit needs a declared solution set")
     rep = CheckReport()
     if not records:
-        rep.add("run nonempty", False, -1.0)
+        rep.add("run nonempty", -1.0)
         return rep
 
     from .metrics import dist_to_solutions
@@ -248,76 +249,59 @@ def check_discrete_lemmas(records, problem, cfg):
     e_seq = [0.5 * d * d for d in d_seq]
     e0 = e_seq[0]
     scale = max(e0, 1e-300)
+    step_sq = [ops.norm(r.x_prev - r.y) ** 2 for r in records]
+    acc = list(accumulate(step_sq))
+    lam_sum = list(accumulate(r.lam for r in records))
 
-    worst = np.inf
-    for a, b in zip(e_seq, e_seq[1:]):
-        worst = min(worst, (a - b) / scale + 1e-9)
-    rep.add("Lyapunov distance nonincreasing", worst >= 0.0, worst)
-
-    worst = np.inf
-    acc = 0.0
-    for i, r in enumerate(records):
-        acc += float(np.linalg.norm(r.x_prev - r.y) ** 2)
-        bound = e0 - e_seq[i + 1]
-        worst = min(worst, (bound - 0.5 * (1.0 - sigma**2) * acc) / scale + 1e-9)
-    rep.add("descent sum <= E0 - Ek", worst >= 0.0, worst)
-
-    cap = d0**2 / (1.0 - sigma**2)
+    rep.add("Lyapunov distance nonincreasing", *worst((a - b) / scale + 1e-9 for a, b in zip(e_seq, e_seq[1:])))
     rep.add(
-        "sum ||x_{i-1} - y_i||^2 <= d0^2/(1-sigma^2)",
-        acc <= cap * (1.0 + 1e-8) + 1e-12,
-        (cap - acc) / max(cap, 1e-300) + 1e-8,
+        "descent sum <= E0 - Ek",
+        *worst((e0 - e - 0.5 * (1.0 - sigma**2) * a) / scale + 1e-9 for e, a in zip(e_seq[1:], acc)),
+    )
+    cap = d0**2 / (1.0 - sigma**2)
+    rep.add("sum ||x_{i-1} - y_i||^2 <= d0^2/(1-sigma^2)", (cap * (1.0 + 1e-8) + 1e-12 - acc[-1]) / max(cap, 1e-300))
+    rep.add(
+        "per-step squared-distance drop",
+        *worst(
+            (a**2 - b**2 + 2.0 * r.lam * r.eps - (1.0 - sigma**2) * sq) / max(d0**2, 1e-300) + 1e-9
+            for a, b, r, sq in zip(d_seq, d_seq[1:], records, step_sq)
+        ),
     )
 
-    worst = np.inf
-    for i, r in enumerate(records):
-        lhs = d_seq[i] ** 2 - d_seq[i + 1] ** 2 + 2.0 * r.lam * r.eps
-        rhs = (1.0 - sigma**2) * float(np.linalg.norm(r.x_prev - r.y) ** 2)
-        worst = min(worst, (lhs - rhs) / max(d0**2, 1e-300) + 1e-9)
-    rep.add("per-step squared-distance drop", worst >= 0.0, worst)
+    # Running minima fold by the same rule as the margins, so a NaN stays in them.
+    def running_worst(values):
+        return accumulate(values, lambda a, b: worst((a, b))[0])
 
-    lam_sum = 0.0
-    worst_err = np.inf
-    worst_eps = np.inf
-    best_vel = np.inf
-    best_eps = np.inf
     err_fac = math.sqrt((1.0 + sigma) / (1.0 - sigma))
     eps_fac = sigma**2 / (2.0 * (1.0 - sigma**2))
-    for r in records:
-        lam_sum += r.lam
-        best_vel = min(best_vel, math.sqrt(r.lam) * float(np.linalg.norm(r.v)))
-        best_eps = min(best_eps, r.eps)
-        cap_vel = err_fac * d0 / math.sqrt(lam_sum)
-        cap_eps = eps_fac * d0**2 / lam_sum
-        worst_err = min(worst_err, (cap_vel - best_vel) / max(cap_vel, 1e-300) + 1e-8)
-        worst_eps = min(worst_eps, cap_eps - best_eps + 1e-12)
-    rep.add("residual bound min sqrt(lam)||v||", worst_err >= 0.0, worst_err)
-    rep.add("enlargement bound min eps", worst_eps >= 0.0, worst_eps)
+    best_vel = running_worst(math.sqrt(r.lam) * ops.norm(r.v) for r in records)
+    best_eps = running_worst(r.eps for r in records)
+    cap_vel = [err_fac * d0 / math.sqrt(ls) for ls in lam_sum]
+    rep.add(
+        "residual bound min sqrt(lam)||v||",
+        *worst((c - b) / max(c, 1e-300) + 1e-8 for c, b in zip(cap_vel, best_vel)),
+    )
+    rep.add("enlargement bound min eps", *worst(eps_fac * d0**2 / ls - b + 1e-12 for ls, b in zip(lam_sum, best_eps)))
 
-    worst = np.inf
-    lam_sum = 0.0
     coef = theta * ((1.0 - sigma**2) / max(d0**2, 1e-300)) ** ((p - 1) / 2.0)
-    for i, r in enumerate(records):
-        lam_sum += r.lam
-        floor = coef * (i + 1.0) ** ((p + 1) / 2.0)
-        worst = min(worst, (lam_sum - floor) / max(floor, 1e-300) + 1e-8)
-    rep.add("sum lam_i >= theta ((1-s^2)/d0^2)^{(p-1)/2} k^{(p+1)/2}", worst >= 0.0, worst)
+    floors = [coef * (k + 1.0) ** ((p + 1) / 2.0) for k in range(len(records))]
+    rep.add(
+        "sum lam_i >= theta ((1-s^2)/d0^2)^{(p-1)/2} k^{(p+1)/2}",
+        *worst((ls - f) / max(f, 1e-300) + 1e-8 for ls, f in zip(lam_sum, floors)),
+    )
 
     if problem.domain_bounded:
         from .metrics import gap
 
         try:
             sup_sq = ops.domain_sup_dist_sq(problem.operator, records[0].x_prev)
-            worst = np.inf
-            lam_sum = 0.0
+            margins = []
             num = np.zeros_like(records[0].y)
-            for r in records:
+            for r, ls in zip(records, lam_sum):
                 num += r.lam * r.y
-                lam_sum += r.lam
-                g = gap(problem, num / lam_sum)
-                cap_g = 0.5 * sup_sq / lam_sum
-                worst = min(worst, (cap_g - g) / max(cap_g, 1e-300) + 1e-8)
-            rep.add("ergodic gap <= sup ||z-x0||^2 / (2 sum lam)", worst >= 0.0, worst)
+                cap_g = 0.5 * sup_sq / ls
+                margins.append((cap_g - gap(problem, num / ls)) / max(cap_g, 1e-300) + 1e-8)
+            rep.add("ergodic gap <= sup ||z-x0||^2 / (2 sum lam)", *worst(margins))
         except MonoflowError:
             pass
     return rep

@@ -83,7 +83,7 @@ def gap(problem, x, route="auto"):
         if isinstance(cone, ops.BoxCone):
             val = float(np.sum(np.maximum(c * cone.lower, c * cone.upper)))
         else:
-            val = cone.radius * float(np.linalg.norm(c)) + float(c @ cone.center)
+            val = cone.radius * ops.norm(c) + float(c @ cone.center)
         return val + float(q @ x)
 
     lip = float(np.linalg.eigvalsh(sym)[-1])
@@ -100,7 +100,7 @@ def gap(problem, x, route="auto"):
         z = z0.copy()
         for _ in range(500):
             z_new = ops.domain_project(op, z + step * grad(z))
-            if float(np.linalg.norm(z_new - z)) <= 1e-13 * (1.0 + float(np.linalg.norm(z))):
+            if ops.norm(z_new - z) <= 1e-13 * (1.0 + ops.norm(z)):
                 z = z_new
                 break
             z = z_new
@@ -158,7 +158,7 @@ def _active_set_polish(cone, sym, lin, z):
             return z
         zf[idx] = sol
         zf = np.clip(zf, cone.lower, cone.upper)
-        if float(np.linalg.norm(zf - z)) <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
+        if ops.norm(zf - z) <= 1e-14 * (1.0 + ops.norm(z)):
             return zf
         z = zf
     return z

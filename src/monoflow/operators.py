@@ -29,6 +29,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import InnerSolverDiverged
+from .report import worst
 
 __all__ = [
     "AffinePart",
@@ -528,7 +529,7 @@ def resolvent(op, lam, x, warm=None):
         return Resolvent(y=y, v=v, residual=res, iterations=0)
 
     if op.radial is not None and single_parts == 1 and op.cone is None:
-        s = float(np.linalg.norm(x))
+        s = norm(np.ascontiguousarray(x))  # x is the caller's, maybe strided
         r = _radial_root(op.radial.weight, lam, s)
         y = (r / s) * x if s > 0 else np.zeros(op.dim)
         v = op.radial.weight * r * r * y
@@ -677,21 +678,21 @@ def enlargement_check(op, x, v, eps, witness_count=64, seed=0):
     to a small relative slack.  A True answer is not a certificate (no
     finite one exists); a False answer exhibits a violating witness.
 
-    Returns (ok, worst_margin) with worst_margin = min inner product + eps.
+    Returns (ok, worst_margin) with worst_margin = min inner product + eps,
+    folded by report.worst; a NaN inner product fails both.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    # Contiguous, so that norm() matches np.linalg.norm on strided input too.
+    x = np.ascontiguousarray(x, dtype=float)
+    v = np.ascontiguousarray(v, dtype=float)
     rng = np.random.default_rng(seed)
-    scale_hint = 1.0 + float(np.linalg.norm(v)) + float(np.linalg.norm(single_value(op, domain_project(op, x))))
-    worst = np.inf
+    scale_hint = 1.0 + norm(v) + norm(single_value(op, domain_project(op, x)))
+    margins = []
     ok = True
     for _ in range(witness_count):
         xt, vt = _sample_domain_member(op, x, rng, scale_hint)
         inner = float((x - xt) @ (v - vt))
-        margin = inner + eps
-        if margin < worst:
-            worst = margin
-        slack = 1e-10 * (1.0 + float(np.linalg.norm(x - xt)) * float(np.linalg.norm(v - vt)))
-        if inner < -eps - slack:
+        margins.append(inner + eps)
+        slack = 1e-10 * (1.0 + norm(x - xt) * norm(v - vt))
+        if not inner >= -eps - slack:
             ok = False
-    return ok, worst
+    return ok, worst(margins)[0]

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from monoflow import cli
+from monoflow import operators as ops
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -184,6 +187,26 @@ class TestCheck:
     def test_unknown_suite_exits_two(self, capsys):
         assert cli.main(["check", "--suite", "NOPE"]) == 2
         capsys.readouterr()
+
+    def test_sampling_failure_is_a_typed_error(self, capsys, monkeypatch):
+        # No point is away from the solution set, so the suite cannot sample one.
+        monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: 0.0)
+        assert cli.main(["check", "--suite", "FEEDBACK"]) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_line_passes_exactly_when_its_margin_is_nonnegative(self, capsys, seed):
+        assert cli.main(["check", "--suite", "ALL", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "check result: PASS"
+        line_re = re.compile(r"^\[[A-Z]+\] \[(PASS|FAIL)\] .+: worst margin (\S+)( \(.*\))?$")
+        for line in lines[:-1]:
+            m = line_re.match(line)
+            assert m, line
+            margin = float(m.group(2))
+            assert not math.isnan(margin), line
+            assert (m.group(1) == "PASS") == (margin >= 0.0), line
 
     def test_thread_cap_env_is_validated(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOFLOW_THREADS", "zero")

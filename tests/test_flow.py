@@ -6,12 +6,16 @@ import pytest
 from monoflow import operators as ops
 from monoflow import problems
 from monoflow.errors import StationaryPoint
-from monoflow.feedback import AE_TOL, FeedbackParams, solve_law
+from monoflow.feedback import AE_TOL, FeedbackParams, law_band, solve_law
 from monoflow.flow import (
+    FLOW_AE_TOL,
+    FlowState,
+    Trajectory,
     check_flow_invariants,
     ergodic_from_samples,
     ergodic_point,
     integrate,
+    law_margin,
     vector_field,
 )
 
@@ -142,3 +146,67 @@ class TestIntegrate:
         traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.05, p), T=0.1, h=0.01)
         assert traj.status == "OK" and len(traj) == 11
         assert len(calls) == (1 + 10 if p == 1 else 1 + 1 + 4 * 10)
+
+
+def _audit_verdicts(traj, params):
+    return {o.name: o.passed for o in check_flow_invariants(traj, SADDLE, params).outcomes}
+
+
+class TestAuditFailsOnNaN:
+    def test_state_with_nan_pair_fails_where_it_enters(self):
+        params = FeedbackParams(0.1, 2)
+        traj = integrate(SADDLE, [0.7, 0.4], params, T=0.05, h=0.01)
+        assert len(traj) == 6 and all(_audit_verdicts(traj, params).values())
+        last = traj.states[-1]
+        traj.states.append(FlowState(last.t + 0.01, last.x.copy(), last.lam, np.full(2, np.nan), last.rho))
+        verdicts = _audit_verdicts(traj, params)
+        assert len(verdicts) == 8
+        for name in (
+            "algebraic equation residual <= 1e-8 rel",
+            "speed^2 <= E(0)/t",
+            "speed nonincreasing",
+            "speed >= e^{-t} speed(0) (non-stabilization)",
+        ):
+            assert verdicts[name] is False, name
+
+
+class TestOneLawRule:
+    """integrate, the audit and the run summary judge a state by law_margin."""
+
+    THETA = 0.1
+
+    def _state(self, ae, rho=1e-6, t=0.0):
+        # p = 2: the certified band is lam * 2 rho = 2e-6 at lam = 1.
+        return FlowState(t, np.array([0.5, 0.0]), 1.0, np.array([0.5 - (self.THETA + ae), 0.0]), rho)
+
+    def test_residual_between_the_tolerance_and_the_band(self):
+        params = FeedbackParams(self.THETA, 2)
+        s = self._state(ae=1e-7)
+        ae = abs(s.lam * s.speed - self.THETA)
+        assert FLOW_AE_TOL * self.THETA < ae < FLOW_AE_TOL * self.THETA + law_band(s.lam, s.speed, s.rho, 2)
+        assert law_margin(s.lam, s.speed, s.rho, params) >= 0.0
+        assert law_margin(s.lam, s.speed, 0.0, params) < 0.0
+        far = self._state(ae=1e-5)
+        assert law_margin(far.lam, far.speed, far.rho, params) < 0.0
+        assert math.isnan(law_margin(s.lam, float("nan"), s.rho, params))
+        assert not law_margin(s.lam, float("nan"), s.rho, params) >= 0.0
+
+    def test_summary_counts_what_the_audit_passes(self, monkeypatch):
+        from monoflow import cli, config
+
+        params = FeedbackParams(self.THETA, 2)
+        s0, s1 = self._state(ae=0.0, rho=0.0), self._state(ae=1e-7, t=0.01)
+        traj = Trajectory(states=[s0, s1], erg_num=[np.zeros(2), 0.01 * s1.y], erg_den=[0.0, 0.01])
+        assert _audit_verdicts(traj, params)["algebraic equation residual <= 1e-8 rel"]
+        monkeypatch.setattr(cli.flow, "integrate", lambda *args, **kw: traj)
+        cfg = config.ExperimentConfig.from_dict(
+            {
+                "problem": {"name": "bilinear_saddle", "params": {"d": 2}},
+                "mode": "FLOW",
+                "params": {"theta": self.THETA, "p": 2},
+                "horizon": {"T": 0.01, "h": 0.01},
+                "x0": [0.5, 0.0],
+            }
+        )
+        _, _, summary, _ = cli._run_flow(cfg, SADDLE)
+        assert summary["certificates"] == {"control_law_within_tol": 2, "total": 2}

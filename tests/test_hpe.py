@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,23 @@ class TestLemmaAudit:
         res = run(anon, ExactProxOracle(anon, cfg), cfg, np.array([1.0]))
         with pytest.raises(UnknownSolutionSet):
             check_discrete_lemmas(res.records, anon, cfg)
+
+
+class TestLemmaAuditFailsOnNaN:
+    def test_record_with_nan_step_fails_where_it_enters(self):
+        prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
+        cfg = HpeConfig(sigma=0.0, theta=0.5, p=1, max_iters=6, stop_res=0.0)
+        records = run(prob, ExactProxOracle(prob, cfg), cfg, np.array([1.0, -0.5])).records
+        assert len(records) == 6 and check_discrete_lemmas(records, prob, cfg).all_passed
+        nan = np.full(2, np.nan)
+        records[-1] = dataclasses.replace(records[-1], y=nan, v=nan, x_next=nan)
+        verdicts = {o.name: o.passed for o in check_discrete_lemmas(records, prob, cfg).outcomes}
+        assert len(verdicts) == 7
+        for name in (
+            "Lyapunov distance nonincreasing",
+            "descent sum <= E0 - Ek",
+            "sum ||x_{i-1} - y_i||^2 <= d0^2/(1-sigma^2)",
+            "per-step squared-distance drop",
+            "residual bound min sqrt(lam)||v||",
+        ):
+            assert verdicts[name] is False, name

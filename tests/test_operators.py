@@ -578,6 +578,36 @@ class TestKernelBitIdentity:
                     assert np.float64(ops._horner(c, float(t))).tobytes() == want.tobytes()
 
 
+def _ref_enlargement_check(op, x, v, eps, witness_count=64, seed=0):
+    # The check as it was, with np.linalg.norm and an if-fold.
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rng = np.random.default_rng(seed)
+    scale_hint = 1.0 + float(np.linalg.norm(v)) + float(np.linalg.norm(ops.single_value(op, ops.domain_project(op, x))))
+    worst = np.inf
+    ok = True
+    for _ in range(witness_count):
+        xt, vt = ops._sample_domain_member(op, x, rng, scale_hint)
+        inner = float((x - xt) @ (v - vt))
+        margin = inner + eps
+        if margin < worst:
+            worst = margin
+        slack = 1e-10 * (1.0 + float(np.linalg.norm(x - xt)) * float(np.linalg.norm(v - vt)))
+        if inner < -eps - slack:
+            ok = False
+    return ok, worst
+
+
+def _enlargement_instances():
+    return [
+        ("box-affine", make_box_affine(seed=3)),
+        ("affine", ops.make_affine([[2.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [0, 0, 1.0, 0], [0, 0, 0, 3.0]])),
+        ("poly-box", ops.make_poly([0.0, 1.0, 0.0, 1.0], dim=4, cone=ops.BoxCone(-np.ones(4), np.ones(4)))),
+        ("radial", ops.OperatorSpec(dim=4, radial=ops.RadialPart(1.0))),
+        ("ball", ops.make_affine(np.eye(4), cone=ops.BallCone(np.zeros(4), 1.5))),
+    ]
+
+
 class TestResidualAndEnlargement:
     def test_min_norm_residual_cases(self):
         op = make_box_affine(seed=19)
@@ -597,6 +627,40 @@ class TestResidualAndEnlargement:
         cone = ops.BoxCone(-np.ones(1), np.ones(1))
         op = ops.make_affine([[1.0]], [-2.0], cone=cone)  # F(u) = u - 2
         assert ops.min_norm_residual(op, [1.0]) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("name,op", _enlargement_instances())
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_enlargement_check_matches_reference(self, name, op, strided):
+        # Bit for bit, strided caller arrays included; the contiguous copy
+        # inside the check is what keeps ops.norm exact on them.
+        rng = np.random.default_rng(5)
+        for k in range(40):
+            scale = 10.0 ** rng.uniform(-6, 6)
+            xs, vs = rng.standard_normal(8) * scale, rng.standard_normal(8) * scale
+            x, v = (xs[::2], vs[1::2]) if strided else (xs[:4].copy(), vs[:4].copy())
+            eps = float(rng.choice([0.0, 1e-3 * scale]))
+            got = ops.enlargement_check(op, x, v, eps, witness_count=16, seed=k)
+            want = _ref_enlargement_check(op, x, v, eps, witness_count=16, seed=k)
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    def test_enlargement_check_fails_on_nan(self):
+        op = make_box_affine(seed=23)
+        v = np.array([0.1, np.nan, 0.0, 0.0])
+        ok, margin = ops.enlargement_check(op, np.zeros(4), v, eps=0.0, witness_count=8, seed=1)
+        assert not ok and np.isnan(margin)
+
+    def test_radial_closed_form_on_strided_input(self):
+        op = ops.OperatorSpec(dim=4, radial=ops.RadialPart(1.0))
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            big = rng.standard_normal(8) * 10.0 ** rng.uniform(-5, 5)
+            lam = 10.0 ** rng.uniform(-4, 4)
+            got, want = ops.resolvent(op, lam, big[::2]), ops.resolvent(op, lam, big[::2].copy())
+            assert got.y.tobytes() == want.y.tobytes() and got.v.tobytes() == want.v.tobytes()
+            s = float(np.linalg.norm(big[::2]))
+            r = ops._radial_root(1.0, lam, s)
+            assert got.y.tobytes() == ((r / s) * big[::2]).tobytes()
 
     def test_exact_pair_passes_enlargement(self):
         op = make_box_affine(seed=23)
