@@ -370,7 +370,7 @@ def metrics_suite(seed=0):
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, size=2)
         val = gap(box, x)
-        grid = gap_grid_oracle(box, x, points_per_axis=101)
+        grid = gap_grid_oracle(box, x)
         # The grid maximum under-estimates the true sup by at most the
         # first-order spread over one cell plus curvature.
         m, q = box.operator.affine.matrix, box.operator.affine.offset

@@ -35,6 +35,7 @@ from .errors import (
     UnknownSolutionSet,
     UnsupportedMetric,
 )
+from .report import running_worst
 
 RATE_TOL = 0.2
 
@@ -196,13 +197,12 @@ def _run_iterative(cfg, problem):
     rows, ks, gaps, residues = [], [], [], []
     num = np.zeros(problem.operator.dim)
     den = 0.0
-    res_min = float("inf")
     cert_ok = 0
-    for r in result.records:
+    res_mins = running_worst(metrics.residue(problem, r.y) for r in result.records)
+    for r, res_min in zip(result.records, res_mins):
         num += r.lam * r.y
         den += r.lam
         g = gap_at(num / den if den > 0 else None)
-        res_min = min(res_min, metrics.residue(problem, r.y))
         dist = _dist_or_nan(problem, r.x_next)
         if r.cert.ok:
             cert_ok += 1

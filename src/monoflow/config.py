@@ -1,11 +1,11 @@
-"""Experiment configuration: a round-trippable description of one run.
+"""Experiment configuration: a validated description of one run.
 
 A config names a problem instance, the solver mode, the mode constants,
 the horizon, the starting point, and the output path.  The on-disk
 format is JSON with nested sections.  Parsing is strict: unknown keys,
 wrong types, and violated parameter invariants raise ConfigError with a
 message naming the offending field, so a config that loads is a config
-that runs.  parse -> serialize -> parse is the identity.
+that runs.
 """
 
 from __future__ import annotations
@@ -166,19 +166,6 @@ class ExperimentConfig:
             )
         return cfg
 
-    def to_dict(self):
-        d = {
-            "problem": {"name": self.problem_name, "params": dict(self.problem_params)},
-            "mode": self.mode,
-            "params": dict(self.params),
-            "horizon": dict(self.horizon),
-            "x0": self.x0 if isinstance(self.x0, dict) else list(self.x0),
-            "seed": self.seed,
-        }
-        if self.out is not None:
-            d["out"] = self.out
-        return d
-
     def problem_instance(self):
         try:
             return problems.build_problem(self.problem_name, self.problem_params)
@@ -251,7 +238,3 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return parse_config(text)
-
-
-def serialize_config(cfg):
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"

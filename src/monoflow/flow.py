@@ -19,18 +19,15 @@ import numpy as np
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
 # solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
-from .feedback import STATIONARITY_TOL, FeedbackParams, law_band, solve_lambda, solve_law  # noqa: F401
+from .feedback import STATIONARITY_TOL, law_band, solve_lambda, solve_law  # noqa: F401
 from .report import CheckReport, worst
 
 __all__ = [
     "FLOW_AE_TOL",
     "FlowState",
     "Trajectory",
-    "vector_field",
     "integrate",
     "law_margin",
-    "ergodic_point",
-    "ergodic_from_samples",
     "check_flow_invariants",
 ]
 
@@ -103,15 +100,6 @@ def law_margin(lam, d, rho, params):
     return FLOW_AE_TOL - max(ae - law_band(lam, d, rho, params.p), 0.0) / params.theta
 
 
-def vector_field(op, x, params):
-    """Right-hand side J_{lam(x)}(x) - x; raises StationaryPoint on zer(A)."""
-    x = np.asarray(x, dtype=float)
-    lam, r = solve_law(op, x, params)
-    if r is None:
-        r = ops.resolvent(op, lam, x)
-    return r.y - x
-
-
 def integrate(problem, x0, params, T, h, sample_stride=1):
     """Integrate the flow from x0 over [0, T] with fixed step h.
 
@@ -143,7 +131,6 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
     t = 0.0
     num = np.zeros(op.dim)
     den = 0.0
-    step_idx = 0
 
     def record():
         traj.states.append(FlowState(t, x.copy(), lam, y.copy(), stage.rho))
@@ -199,26 +186,6 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
     if traj.states[-1].t < t:
         record()
     return traj
-
-
-def ergodic_point(traj, index=-1):
-    """Weighted average of y over [0, t_index]; needs one completed step."""
-    den = traj.erg_den[index]
-    if den <= 0.0:
-        raise ValueError("ergodic average undefined before the first step")
-    return traj.erg_num[index] / den
-
-
-def ergodic_from_samples(ts, lams, ys):
-    """Trapezoid accumulation over explicit samples (quadrature helper)."""
-    ts = np.asarray(ts, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    dt = np.diff(ts)
-    wy = lams[:, np.newaxis] * ys
-    num = np.sum(0.5 * dt[:, np.newaxis] * (wy[:-1] + wy[1:]), axis=0)
-    den = float(np.sum(0.5 * dt * (lams[:-1] + lams[1:])))
-    return num / den
 
 
 def check_flow_invariants(traj, problem, params):

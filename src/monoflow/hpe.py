@@ -22,7 +22,7 @@ import numpy as np
 from . import operators as ops
 from .errors import CertificateViolation, MonoflowError, OracleFailure, StationaryPoint, UnknownSolutionSet
 from .feedback import FeedbackParams, law_band, solve_lambda
-from .report import CheckReport, worst
+from .report import CheckReport, running_worst, worst
 
 __all__ = [
     "CERT_TOL",
@@ -34,7 +34,6 @@ __all__ = [
     "exact_oracle",
     "ExactProxOracle",
     "run",
-    "ergodic_iterate",
     "check_discrete_lemmas",
 ]
 
@@ -210,20 +209,6 @@ def run(problem, oracle, cfg, x0):
     return RunResult(records=records, status=status)
 
 
-def ergodic_iterate(records, k=None):
-    """Step-size weighted average of y_1..y_k."""
-    if k is None:
-        k = len(records)
-    if k < 1 or not records:
-        raise ValueError("ergodic iterate needs at least one record")
-    num = np.zeros_like(records[0].y)
-    den = 0.0
-    for r in records[:k]:
-        num += r.lam * r.y
-        den += r.lam
-    return num / den
-
-
 def check_discrete_lemmas(records, problem, cfg):
     """Audit a run against the discrete descent, error and step-size lemmas.
 
@@ -267,10 +252,6 @@ def check_discrete_lemmas(records, problem, cfg):
             for a, b, r, sq in zip(d_seq, d_seq[1:], records, step_sq)
         ),
     )
-
-    # Running minima fold by the same rule as the margins, so a NaN stays in them.
-    def running_worst(values):
-        return accumulate(values, lambda a, b: worst((a, b))[0])
 
     err_fac = math.sqrt((1.0 + sigma) / (1.0 - sigma))
     eps_fac = sigma**2 / (2.0 * (1.0 - sigma**2))

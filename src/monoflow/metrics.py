@@ -23,7 +23,6 @@ __all__ = [
     "gap",
     "gap_grid_oracle",
     "residue",
-    "lyapunov",
     "dist_to_solutions",
     "RateFit",
     "fit_rate",
@@ -31,6 +30,7 @@ __all__ = [
 
 KKT_TOL = 1e-8
 VALUE_FLOOR = 1e-14
+GRID_POINTS = 101  # per axis of gap_grid_oracle's grid
 
 
 def _affine_objective(op, x):
@@ -182,8 +182,8 @@ def _kkt_residual(cone, g, z):
     return float(np.linalg.norm(g - t * u))
 
 
-def gap_grid_oracle(problem, x, points_per_axis=101):
-    """Dense-grid evaluation of the inner objective; d = 2 boxes only.
+def gap_grid_oracle(problem, x):
+    """Evaluation of the inner objective on a GRID_POINTS^2 grid; d = 2 boxes only.
 
     Independent cross-check for gap: exact whenever the maximizer sits on
     the grid (always true for the linear, skew-part-only objective).
@@ -195,8 +195,8 @@ def gap_grid_oracle(problem, x, points_per_axis=101):
         raise UnsupportedMetric("grid oracle evaluates affine single-valued parts only")
     x = np.asarray(x, dtype=float)
     m, q, _, _, _ = _affine_objective(op, x)
-    g0 = np.linspace(op.cone.lower[0], op.cone.upper[0], points_per_axis)
-    g1 = np.linspace(op.cone.lower[1], op.cone.upper[1], points_per_axis)
+    g0 = np.linspace(op.cone.lower[0], op.cone.upper[0], GRID_POINTS)
+    g1 = np.linspace(op.cone.lower[1], op.cone.upper[1], GRID_POINTS)
     a, b = g0[:, np.newaxis], g1[np.newaxis, :]
     # <F(z), x - z> at every grid point z = (a, b), written out for d = 2.
     f0 = m[0, 0] * a + m[0, 1] * b + q[0]
@@ -211,12 +211,6 @@ def residue(problem, x):
     if not ops.domain_contains(op, x):
         raise ValueError("residue is defined on dom(A) only")
     return ops.min_norm_residual(op, x)
-
-
-def lyapunov(x, z):
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return 0.5 * float(np.linalg.norm(x - z) ** 2)
 
 
 def dist_to_solutions(problem, x):

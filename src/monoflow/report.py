@@ -4,13 +4,15 @@ Every audit reduces an invariant to one margin, oriented so that larger is
 safer, and this module alone turns margins into verdicts: an outcome
 PASSes exactly when its margin is >= 0, so a NaN margin FAILs.  worst()
 folds the margins of an audit into its worst one; NaN propagates through
-the fold, so a NaN anywhere in an audit fails it.
+the fold, so a NaN anywhere in an audit fails it; running_worst() is the
+same fold taken as a running minimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 def worst(margins):
@@ -28,6 +30,11 @@ def worst(margins):
         if out is None or m < out[0] or (math.isnan(m) and not math.isnan(out[0])):
             out = (m, detail)
     return out or (math.inf, "")
+
+
+def running_worst(values):
+    """Running worst of values, folded by worst's rule: once a NaN appears it stays."""
+    return accumulate(values, lambda a, b: worst((a, b))[0])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -83,6 +85,36 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--out", str(actual)]) == 0
         assert actual.exists()
         assert not configured.exists()
+
+    def test_nan_residue_stays_in_the_running_minimum(self, tmp_path, capsys, monkeypatch):
+        # A NaN residue at k = 3 must not be folded away by the running minimum.
+        real_residue, real_fit = cli.metrics.residue, cli.metrics.fit_rate
+        calls, fitted = [], []
+
+        def residue(problem, x):
+            calls.append(None)
+            return math.nan if len(calls) == 3 else real_residue(problem, x)
+
+        def fit_rate(values, *args, **kwargs):
+            fitted.append(list(values))
+            return real_fit(values, *args, **kwargs)
+
+        monkeypatch.setattr(cli.metrics, "residue", residue)
+        monkeypatch.setattr(cli.metrics, "fit_rate", fit_rate)
+        out = tmp_path / "n.csv"
+        cfg = write_config(tmp_path, hpe_payload(out, iters=5))
+        assert cli.main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        col = lines[0].split(",").index("residue_min_so_far")
+        column = [row.split(",")[col] for row in lines[1:]]
+        assert len(column) == 5
+        assert all(math.isfinite(float(v)) for v in column[:2])
+        assert column[2:] == ["nan"] * 3
+        summary = json.loads((tmp_path / "n.summary.json").read_text())
+        assert summary["final"]["residue_min_so_far"] is None
+        # The summary fits the gap series first, then the residue series.
+        assert all(math.isnan(v) for v in fitted[-1][2:])
 
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
         payload = flow_payload(tmp_path / "x.csv", T=1.0)
@@ -242,6 +274,18 @@ class TestHelp:
 
 
 class TestImport:
+    def test_every_export_resolves(self):
+        # A name deleted from a module but left in its __all__ fails here.
+        import monoflow
+
+        names = [monoflow.__name__] + [
+            f"{monoflow.__name__}.{m.name}" for m in pkgutil.iter_modules(monoflow.__path__)
+        ]
+        for name in names:
+            module = importlib.import_module(name)
+            missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+            assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test dependency only; a fresh interpreter importing
         # the CLI from this source tree must not load it.

@@ -12,11 +12,8 @@ from monoflow.flow import (
     FlowState,
     Trajectory,
     check_flow_invariants,
-    ergodic_from_samples,
-    ergodic_point,
     integrate,
     law_margin,
-    vector_field,
 )
 
 IDENTITY_PROBLEM = problems.make_strongly_monotone_affine(d=1, mu=1.0)
@@ -24,21 +21,19 @@ SADDLE = problems.make_bilinear_saddle(d=2)
 
 
 class TestVectorField:
+    # The field J_{lam(x)}(x) - x at the start is y - x of the first state.
     def test_identity_value(self):
-        f = vector_field(IDENTITY_PROBLEM.operator, [2.0], FeedbackParams(0.5, 1))
+        s = integrate(IDENTITY_PROBLEM, [2.0], FeedbackParams(0.5, 1), T=0.0, h=0.1).states[0]
         # J_0.5(2) - 2 = 4/3 - 2.
-        assert f[0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
-
-    def test_stationary_raises(self):
-        with pytest.raises(StationaryPoint):
-            vector_field(IDENTITY_PROBLEM.operator, [0.0], FeedbackParams(0.5, 1))
-
+        assert s.y[0] - s.x[0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
     def test_second_order_uses_the_law_pair(self):
         params = FeedbackParams(0.05, 2)
         x = np.array([0.7, -0.3])
         lam, r = solve_law(SADDLE.operator, x, params)
-        assert np.array_equal(vector_field(SADDLE.operator, x, params), r.y - x)
+        s = integrate(SADDLE, x, params, T=0.0, h=0.1).states[0]
+        assert s.lam == lam
+        assert np.array_equal(s.y, r.y)
 
 
 class TestIntegrate:
@@ -89,7 +84,8 @@ class TestIntegrate:
         assert sparse.states[0].t == 0.0
         assert sparse.states[-1].t == 2.0
         # Accumulators advance every step regardless of the stride.
-        assert np.array_equal(ergodic_point(dense), ergodic_point(sparse))
+        for a, b in zip(dense.erg_num[-1] / dense.erg_den[-1], sparse.erg_num[-1] / sparse.erg_den[-1]):
+            assert a == b
 
     def test_ergodic_point_matches_manual_quadrature(self):
         traj = integrate(SADDLE, [0.6, -0.3], FeedbackParams(0.1, 1), T=1.0, h=0.05)
@@ -99,11 +95,7 @@ class TestIntegrate:
             hs = b.t - a.t
             num += 0.5 * hs * (a.lam * a.y + b.lam * b.y)
             den += 0.5 * hs * (a.lam + b.lam)
-        assert np.allclose(ergodic_point(traj), num / den, atol=1e-12)
-        ts = [s.t for s in traj.states]
-        lams = [s.lam for s in traj.states]
-        ys = [s.y for s in traj.states]
-        assert np.allclose(ergodic_from_samples(ts, lams, ys), num / den, atol=1e-12)
+        assert np.allclose(traj.erg_num[-1] / traj.erg_den[-1], num / den, atol=1e-12)
 
     def test_second_order_run_passes_invariants(self):
         traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.05, 2), T=3.0, h=0.01)

@@ -15,7 +15,6 @@ from monoflow.hpe import (
     ExactProxOracle,
     HpeConfig,
     check_discrete_lemmas,
-    ergodic_iterate,
     exact_oracle,
     run,
     verify_step,
@@ -185,27 +184,6 @@ class TestRun:
         assert not exc.value.certificate.relative_error_ok
         assert [r.k for r in exc.value.records] == [1, 2]
         assert all(r.cert.ok for r in exc.value.records)
-
-
-class TestErgodicIterate:
-    def test_matches_manual_average(self):
-        cfg = saddle_config(iters=6)
-        res = run(SADDLE, ExactProxOracle(SADDLE, cfg), cfg, np.array([0.7, -0.2]))
-        num = sum(r.lam * r.y for r in res.records)
-        den = sum(r.lam for r in res.records)
-        assert np.allclose(ergodic_iterate(res.records), num / den, atol=1e-14)
-
-    def test_prefix_average(self):
-        cfg = saddle_config(iters=6)
-        res = run(SADDLE, ExactProxOracle(SADDLE, cfg), cfg, np.array([0.7, -0.2]))
-        head = res.records[:3]
-        num = sum(r.lam * r.y for r in head)
-        den = sum(r.lam for r in head)
-        assert np.allclose(ergodic_iterate(res.records, k=3), num / den, atol=1e-14)
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            ergodic_iterate([])
 
 
 class TestContraction:
