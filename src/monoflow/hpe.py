@@ -64,10 +64,18 @@ class HpeConfig:
 
 @dataclass(frozen=True)
 class StepCertificate:
-    relative_error_ok: bool
-    large_step_ok: bool
-    relative_error_slack: float = 0.0
-    large_step_slack: float = 0.0
+    """The two step conditions' slacks; each holds when its slack is >= 0, so NaN fails."""
+
+    relative_error_slack: float
+    large_step_slack: float
+
+    @property
+    def relative_error_ok(self):
+        return self.relative_error_slack >= 0.0
+
+    @property
+    def large_step_ok(self):
+        return self.large_step_slack >= 0.0
 
     @property
     def ok(self):
@@ -110,12 +118,7 @@ def verify_step(cfg, x_prev, lam, y, v, eps):
     rhs = cfg.sigma**2 * step**2
     rel_slack = rhs - lhs + CERT_TOL * max(1.0, step**2)
     ls_slack = lam * step ** (cfg.p - 1) - cfg.theta * (1.0 - CERT_TOL)
-    return StepCertificate(
-        relative_error_ok=rel_slack >= 0.0,
-        large_step_ok=ls_slack >= 0.0,
-        relative_error_slack=rel_slack,
-        large_step_slack=ls_slack,
-    )
+    return StepCertificate(relative_error_slack=rel_slack, large_step_slack=ls_slack)
 
 
 def exact_oracle(problem, x, cfg, hint=None):

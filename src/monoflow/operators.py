@@ -13,10 +13,13 @@ v in A(y) exactly (v is assembled from the parts plus an explicit normal
 element), so the reported residual ||lam*v + y - x|| measures the full
 solve error.
 
-What depends on the operator alone is computed once, when its parts are
-built: a PolyPart keeps its derivative chain, and a BoxCone its boundary
-tolerance edges.  Solves read them; polynomials are evaluated by _horner,
-which gives npoly.polyval's bits on floats and on arrays alike.
+What depends on the operator alone is computed once, when it is built: a
+PolyPart keeps its derivative chain, a BoxCone its boundary tolerance
+edges, and an OperatorSpec its resolvent route (projection only, affine
+solve, separable polynomial, radial, or Newton on the normal map).  Every
+route but the polynomial one raises InnerSolverDiverged when it misses the
+residual bound.  Polynomials are evaluated by _horner, which gives
+npoly.polyval's bits on floats and on arrays alike.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "domain_project",
     "domain_contains",
     "domain_sup_dist_sq",
+    "cone_residual",
     "min_norm_residual",
     "normal_map_newton",
     "resolvent",
@@ -212,18 +216,23 @@ class BallCone:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Structured description of A = F + H; cone is None when dom(A) = R^dim."""
+    """Structured description of A = F + H; cone is None when dom(A) = R^dim.
+
+    route, the resolvent solve (op, lam, x, warm) -> Resolvent, is picked here.
+    """
 
     dim: int
     affine: AffinePart | None = None
     poly: PolyPart | None = None
     radial: RadialPart | None = None
     cone: BoxCone | BallCone | None = None
+    route: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        parts = [p for p in (self.affine, self.poly, self.radial) if p is not None]
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.affine is None and self.poly is None and self.radial is None and self.cone is None:
+        if not parts and self.cone is None:
             raise ValueError("operator needs at least one part")
         if self.affine is not None and self.affine.matrix.shape[0] != self.dim:
             raise ValueError("affine part dimension mismatch")
@@ -231,6 +240,11 @@ class OperatorSpec:
             raise ValueError("box cone dimension mismatch")
         if isinstance(self.cone, BallCone) and self.cone.center.size != self.dim:
             raise ValueError("ball cone dimension mismatch")
+        route = _newton_route if parts else _projection_route
+        # A lone part has a closed form without a cone; a polynomial keeps it over a box.
+        if len(parts) == 1 and (self.cone is None or (self.poly is not None and isinstance(self.cone, BoxCone))):
+            route = {AffinePart: _affine_route, PolyPart: _poly_route, RadialPart: _radial_route}[type(parts[0])]
+        object.__setattr__(self, "route", route)
 
 
 def make_affine(matrix, offset=None, cone=None):
@@ -246,27 +260,27 @@ def make_poly(coeffs, dim=1, cone=None):
 def single_value(op, x):
     """Evaluate the single-valued part F(x); excludes the normal cone."""
     x = np.asarray(x, dtype=float)
-    terms = []
-    if op.affine is not None:
-        terms.append(op.affine.matrix @ x + op.affine.offset)
+    out = op.affine.matrix @ x + op.affine.offset if op.affine is not None else None
     if op.poly is not None:
-        terms.append(_horner(op.poly.ders[0], x))
+        t = _horner(op.poly.ders[0], x)
+        out = t if out is None else out + t
     if op.radial is not None:
-        terms.append(op.radial.weight * float(x @ x) * x)
-    return sum(terms[1:], terms[0]) if terms else np.zeros(op.dim)
+        t = op.radial.weight * float(x @ x) * x
+        out = t if out is None else out + t
+    return np.zeros(op.dim) if out is None else out
 
 
 def single_jacobian(op, x):
     """Jacobian of F at x; read-only when F is a lone affine part."""
     x = np.asarray(x, dtype=float)
-    terms = []
-    if op.affine is not None:
-        terms.append(op.affine.matrix)
+    out = op.affine.matrix if op.affine is not None else None
     if op.poly is not None:
-        terms.append(np.diag(_horner(op.poly.ders[1], x)))
+        t = np.diag(_horner(op.poly.ders[1], x))
+        out = t if out is None else out + t
     if op.radial is not None:
-        terms.append(op.radial.weight * (float(x @ x) * _eye(op.dim) + 2.0 * np.outer(x, x)))
-    return sum(terms[1:], terms[0]) if terms else np.zeros((op.dim, op.dim))
+        t = op.radial.weight * (float(x @ x) * _eye(op.dim) + 2.0 * np.outer(x, x))
+        out = t if out is None else out + t
+    return np.zeros((op.dim, op.dim)) if out is None else out
 
 
 def domain_project(op, x):
@@ -309,7 +323,7 @@ def domain_sup_dist_sq(op, x0):
     raise ValueError("domain is unbounded")
 
 
-def _cone_residual(cone, x, g):
+def cone_residual(cone, x, g):
     """min_{n in N_cone(x)} ||g + n||; x assumed in the domain."""
     if cone is None:
         return norm(g)
@@ -333,7 +347,7 @@ def min_norm_residual(op, x):
     x = np.asarray(x, dtype=float)
     if not domain_contains(op, x):
         return np.inf
-    return _cone_residual(op.cone, x, single_value(op, x))
+    return cone_residual(op.cone, x, single_value(op, x))
 
 
 @dataclass(frozen=True)
@@ -472,6 +486,68 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
     return y, fy + (w - y) / lam, w, its
 
 
+def _closed_form(lam, x, y, v, what):
+    """The Resolvent (y, v) of a closed-form route, or InnerSolverDiverged
+    when its residual misses the bound (NaN included)."""
+    res = norm(lam * v + y - x)
+    if not res <= RESOLVENT_TOL * max(1.0, norm(y - x)):
+        # Rounding at eps*||x|| can exceed the bound; refining cannot help.
+        raise InnerSolverDiverged(
+            f"resolvent {what} solve missed its bound at residual {res:.3e}", residual=res, iterations=0
+        )
+    return Resolvent(y=y, v=v, residual=res, iterations=0)
+
+
+def _projection_route(op, lam, x, warm):
+    # No single-valued part: the resolvent is the projection onto the cone.
+    y = domain_project(op, x)
+    return Resolvent(y=y, v=(x - y) / lam, residual=0.0, iterations=0)
+
+
+def _affine_route(op, lam, x, warm):
+    m, q = op.affine.matrix, op.affine.offset
+    y = np.linalg.solve(_eye(op.dim) + lam * m, x - lam * q)
+    return _closed_form(lam, x, y, m @ y + q, "affine")
+
+
+def _poly_route(op, lam, x, warm):
+    # Separable: one increasing scalar equation per coordinate, then a box clamp.
+    c, dc = op.poly.ders[:2]
+    flam = float(lam)
+    y = np.array([_scalar_poly_root(c, dc, flam, t) for t in x.tolist()])
+    box = op.cone
+    if box is not None:
+        y = np.clip(y, box.lower, box.upper)
+    py = _horner(c, y)
+    # Clamping keeps the normal element sign-correct because the scalar map
+    # y + lam*poly(y) is increasing.
+    n = np.zeros(op.dim) if box is None else np.where((y > box.lower) & (y < box.upper), 0.0, (x - y) / lam - py)
+    v = py + n
+    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=0)
+
+
+def _radial_route(op, lam, x, warm):
+    # y is parallel to x; its norm solves a scalar cubic.
+    s = norm(np.ascontiguousarray(x))  # x is the caller's, maybe strided
+    r = _radial_root(op.radial.weight, lam, s)
+    y = (r / s) * x if s > 0 else np.zeros(op.dim)
+    return _closed_form(lam, x, y, op.radial.weight * r * r * y, "radial")
+
+
+def _newton_route(op, lam, x, warm):
+    y, v, w, its = normal_map_newton(
+        op,
+        lam,
+        x,
+        lambda z: single_value(op, z),
+        lambda z: single_jacobian(op, z),
+        lambda y: RESOLVENT_TOL * max(1.0, norm(y - x)),
+        warm,
+        "resolvent",
+    )
+    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=its, w=w)
+
+
 def resolvent(op, lam, x, warm=None):
     """Solve the regularized inclusion x in y + lam*A(y).
 
@@ -485,74 +561,14 @@ def resolvent(op, lam, x, warm=None):
     Returns
     -------
     Resolvent with v in A(y) exact by construction; residual reports
-    ||lam*v + y - x|| <= RESOLVENT_TOL * max(1, ||y - x||); the Newton and
-    the closed-form affine routes raise InnerSolverDiverged when they miss it.
+    ||lam*v + y - x|| <= RESOLVENT_TOL * max(1, ||y - x||).  The solve runs
+    op.route, fixed when op was built.  Every route but the polynomial
+    closed form raises InnerSolverDiverged when it misses that bound; there
+    lam times the rounding of poly(y) can exceed it.
     """
     if not lam > 0:
         raise ValueError("resolvent needs lam > 0")
-    x = np.asarray(x, dtype=float)
-
-    single_parts = sum(p is not None for p in (op.affine, op.poly, op.radial))
-
-    if single_parts == 0:
-        y = domain_project(op, x)
-        v = (x - y) / lam
-        return Resolvent(y=y, v=v, residual=0.0, iterations=0)
-
-    if op.affine is not None and single_parts == 1 and op.cone is None:
-        m, q = op.affine.matrix, op.affine.offset
-        y = np.linalg.solve(_eye(op.dim) + lam * m, x - lam * q)
-        v = m @ y + q
-        res = norm(lam * v + y - x)
-        if res > RESOLVENT_TOL * max(1.0, norm(y - x)):
-            # Rounding at eps*||x|| can exceed the bound; refining cannot help.
-            raise InnerSolverDiverged(
-                f"resolvent affine solve missed its bound at residual {res:.3e}", residual=res, iterations=0
-            )
-        return Resolvent(y=y, v=v, residual=res, iterations=0)
-
-    if op.poly is not None and single_parts == 1 and not isinstance(op.cone, BallCone):
-        c, dc = op.poly.ders[:2]
-        flam = float(lam)
-        y = np.array([_scalar_poly_root(c, dc, flam, t) for t in x.tolist()])
-        if isinstance(op.cone, BoxCone):
-            y = np.clip(y, op.cone.lower, op.cone.upper)
-            py = _horner(c, y)
-            # Clamping keeps the normal element sign-correct because the
-            # scalar map y + lam*poly(y) is increasing.
-            n = np.where((y > op.cone.lower) & (y < op.cone.upper), 0.0, (x - y) / lam - py)
-        else:
-            py = _horner(c, y)
-            n = np.zeros(op.dim)
-        v = py + n
-        res = norm(lam * v + y - x)
-        return Resolvent(y=y, v=v, residual=res, iterations=0)
-
-    if op.radial is not None and single_parts == 1 and op.cone is None:
-        s = norm(np.ascontiguousarray(x))  # x is the caller's, maybe strided
-        r = _radial_root(op.radial.weight, lam, s)
-        y = (r / s) * x if s > 0 else np.zeros(op.dim)
-        v = op.radial.weight * r * r * y
-        res = norm(lam * v + y - x)
-        return Resolvent(y=y, v=v, residual=res, iterations=0)
-
-    if op.affine is not None and single_parts == 1:
-        m, q = op.affine.matrix, op.affine.offset
-        value, jacobian = (lambda z: m @ z + q), (lambda z: m)
-    else:
-        value, jacobian = (lambda z: single_value(op, z)), (lambda z: single_jacobian(op, z))
-    y, v, w, its = normal_map_newton(
-        op,
-        lam,
-        x,
-        value,
-        jacobian,
-        lambda y: RESOLVENT_TOL * max(1.0, norm(y - x)),
-        warm,
-        "resolvent",
-    )
-    res = norm(lam * v + y - x)
-    return Resolvent(y=y, v=v, residual=res, iterations=its, w=w)
+    return op.route(op, lam, np.asarray(x, dtype=float), warm)
 
 
 class TaylorSurrogate:

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -285,6 +286,16 @@ class TestImport:
             module = importlib.import_module(name)
             missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
             assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+    def test_benchmark_span_targets_resolve(self):
+        # The benchmark tracer wraps these names; a renamed or deleted one
+        # fails here instead of as an AttributeError inside a traced run.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+        spec = importlib.util.spec_from_file_location("monoflow_bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module, attr, *_ in spans.TARGETS + [spans.SUITE_REGISTRY]:
+            assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test dependency only; a fresh interpreter importing

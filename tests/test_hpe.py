@@ -14,6 +14,7 @@ from monoflow.errors import (
 from monoflow.hpe import (
     ExactProxOracle,
     HpeConfig,
+    StepCertificate,
     check_discrete_lemmas,
     exact_oracle,
     run,
@@ -79,6 +80,15 @@ class TestVerifyStep:
         tight = HpeConfig(sigma=0.1, theta=0.4, p=1, max_iters=5)
         assert verify_step(loose, x, 0.5, y, v, 0.0).relative_error_ok
         assert not verify_step(tight, x, 0.5, y, v, 0.0).relative_error_ok
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1e-300])
+    def test_verdicts_follow_the_slacks(self, bad):
+        # A certificate holds exactly when its slack is >= 0: NaN fails.
+        assert StepCertificate(relative_error_slack=0.0, large_step_slack=0.0).ok
+        for cert in (StepCertificate(bad, 1.0), StepCertificate(1.0, bad)):
+            assert not cert.ok
+        assert not StepCertificate(bad, 1.0).relative_error_ok
+        assert not StepCertificate(1.0, bad).large_step_ok
 
 
 class TestExactOracle:

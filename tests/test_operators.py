@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,16 @@ class TestResolvent:
         assert exc.value.residual > ops.RESOLVENT_TOL
         assert exc.value.iterations == 0
 
+    def test_radial_closed_form_raises_past_its_bound(self, monkeypatch):
+        # A root off by 1e-6 relative: the radial closed form reports the miss.
+        real = ops._radial_root
+        monkeypatch.setattr(ops, "_radial_root", lambda *args: real(*args) * (1.0 + 1e-6))
+        op = ops.OperatorSpec(dim=3, radial=ops.RadialPart(1.0))
+        with pytest.raises(InnerSolverDiverged, match="^resolvent radial solve missed its bound") as exc:
+            ops.resolvent(op, 0.5, np.array([1.0, -2.0, 0.5]))
+        assert exc.value.residual > ops.RESOLVENT_TOL
+        assert exc.value.iterations == 0
+
 
 class TestNewtonFailures:
     """Both normal-map solves surface Newton failure as InnerSolverDiverged."""
@@ -373,6 +384,77 @@ def _newton_instances():
 NEWTON_INSTANCES = _newton_instances()
 
 
+def _ref_dispatch(op, lam, x, warm):
+    """operators.resolvent as it stood when it chose its route on every call
+    (the Resolvent, or the InnerSolverDiverged raised)."""
+    x = np.asarray(x, dtype=float)
+    single_parts = sum(p is not None for p in (op.affine, op.poly, op.radial))
+    if single_parts == 0:
+        y = ops.domain_project(op, x)
+        return ops.Resolvent(y=y, v=(x - y) / lam, residual=0.0, iterations=0)
+    if op.affine is not None and single_parts == 1 and op.cone is None:
+        m, q = op.affine.matrix, op.affine.offset
+        y = np.linalg.solve(np.eye(op.dim) + lam * m, x - lam * q)
+        v = m @ y + q
+        res = ops.norm(lam * v + y - x)
+        if res > ops.RESOLVENT_TOL * max(1.0, ops.norm(y - x)):
+            return InnerSolverDiverged(
+                f"resolvent affine solve missed its bound at residual {res:.3e}", residual=res, iterations=0
+            )
+        return ops.Resolvent(y=y, v=v, residual=res, iterations=0)
+    if op.poly is not None and single_parts == 1 and not isinstance(op.cone, ops.BallCone):
+        c, dc = op.poly.ders[:2]
+        y = np.array([ops._scalar_poly_root(c, dc, float(lam), t) for t in x.tolist()])
+        if isinstance(op.cone, ops.BoxCone):
+            y = np.clip(y, op.cone.lower, op.cone.upper)
+            py = ops._horner(c, y)
+            n = np.where((y > op.cone.lower) & (y < op.cone.upper), 0.0, (x - y) / lam - py)
+        else:
+            py = ops._horner(c, y)
+            n = np.zeros(op.dim)
+        v = py + n
+        return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=0)
+    if op.radial is not None and single_parts == 1 and op.cone is None:
+        s = ops.norm(np.ascontiguousarray(x))
+        r = ops._radial_root(op.radial.weight, lam, s)
+        y = (r / s) * x if s > 0 else np.zeros(op.dim)
+        v = op.radial.weight * r * r * y
+        return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=0)
+    if op.affine is not None and single_parts == 1:
+        m, q = op.affine.matrix, op.affine.offset
+        value, jacobian = (lambda z: m @ z + q), (lambda z: m)
+    else:
+        value, jacobian = (lambda z: ops.single_value(op, z)), (lambda z: ops.single_jacobian(op, z))
+    try:
+        y, v, w, its = ops.normal_map_newton(
+            op, lam, x, value, jacobian, lambda y: ops.RESOLVENT_TOL * max(1.0, ops.norm(y - x)), warm, "resolvent"
+        )
+    except InnerSolverDiverged as exc:
+        return exc
+    return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, w=w)
+
+
+def _route_instances():
+    """(operator, the route it must pick) for every route, on each cone it takes."""
+    rng = np.random.default_rng(43)
+    box = ops.BoxCone(-np.ones(4), np.ones(4))
+    ball = ops.BallCone(0.3 * rng.standard_normal(4), 1.5)
+    out = {name: (op, ops._newton_route) for name, op in NEWTON_INSTANCES.items()}
+    out.update({
+        "box only": (ops.OperatorSpec(dim=4, cone=box), ops._projection_route),
+        "ball only": (ops.OperatorSpec(dim=4, cone=ball), ops._projection_route),
+        "affine": (problems.make_strongly_monotone_affine(d=4, mu=0.5, seed=2).operator, ops._affine_route),
+        "skew affine": (ops.make_affine([[0.0, 2.0], [-2.0, 0.0]], [0.5, -1.0]), ops._affine_route),
+        "cubic": (ops.make_poly([0.0, 0.0, 0.0, 1.0], dim=3), ops._poly_route),
+        "cubic+box": (ops.make_poly([0.0, 1.0, 0.0, 0.5], dim=4, cone=box), ops._poly_route),
+        "radial": (ops.OperatorSpec(dim=4, radial=ops.RadialPart(0.7)), ops._radial_route),
+    })
+    return out
+
+
+ROUTE_INSTANCES = _route_instances()
+
+
 # Reference copy of the polynomial routes as they stood before PolyPart
 # stored its derivative chain: npoly.polyder on every call, npoly.polyval
 # on numpy scalars in the scalar root.  The live routes, which read the
@@ -523,6 +605,66 @@ class TestKernelBitIdentity:
         assert np.array_equal(got.w, w)
         assert got.iterations == its
         assert got.residual == res
+
+    @settings(max_examples=300)
+    @given(
+        name=st.sampled_from(sorted(ROUTE_INSTANCES)),
+        log_lam=st.floats(-6.0, 6.0),
+        log_scale=st.floats(-3.0, 3.0),
+        warm_ratio=st.sampled_from([None, 0.5, 2.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_routes_match_reference_dispatch(self, name, log_lam, log_scale, warm_ratio, seed):
+        # Each route, fixed at construction, against the per-call dispatch; a
+        # radial closed form past its bound raises where the dispatch
+        # returned its pair.
+        op, route = ROUTE_INSTANCES[name]
+        assert op.route is route
+        lam = 10.0**log_lam
+        x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(op.dim)
+        warm = None
+        if warm_ratio is not None and route is ops._newton_route:
+            got = _ref_dispatch(op, lam * warm_ratio, x, None)
+            warm = None if isinstance(got, InnerSolverDiverged) else got.w
+        want = _ref_dispatch(op, lam, x, warm)
+        if route is ops._radial_route and not want.residual <= ops.RESOLVENT_TOL * max(1.0, ops.norm(want.y - x)):
+            msg = f"resolvent radial solve missed its bound at residual {want.residual:.3e}"
+            want = InnerSolverDiverged(msg, residual=want.residual, iterations=0)
+        if isinstance(want, InnerSolverDiverged):
+            with pytest.raises(InnerSolverDiverged) as exc:
+                ops.resolvent(op, lam, x, warm=warm)
+            assert str(exc.value) == str(want)
+            assert exc.value.residual == want.residual
+            assert exc.value.iterations == want.iterations
+            return
+        got = ops.resolvent(op, lam, x, warm=warm)
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+        assert (got.w is None) == (want.w is None)
+        assert got.w is None or got.w.tobytes() == want.w.tobytes()
+        assert got.iterations == want.iterations
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+    def test_replace_picks_the_route_again(self):
+        box = ops.BoxCone(-np.ones(4), np.ones(4))
+        ball = ops.BallCone(np.zeros(4), 1.5)
+        cases = [
+            ("affine", box, ops._newton_route),
+            ("cubic", None, ops._poly_route),
+            ("cubic+box", ball, ops._newton_route),
+            ("radial", box, ops._newton_route),
+            ("box only", ball, ops._projection_route),
+            ("psd affine+box", None, ops._affine_route),
+            ("radial+box", None, ops._radial_route),
+        ]
+        rng = np.random.default_rng(3)
+        for name, cone, route in cases:
+            op = ROUTE_INSTANCES[name][0]
+            moved = dataclasses.replace(op, cone=cone)
+            assert moved.route is route, name
+            x = rng.standard_normal(op.dim)
+            got, want = ops.resolvent(moved, 0.7, x), _ref_dispatch(moved, 0.7, x, None)
+            assert got.y.tobytes() == want.y.tobytes() and got.v.tobytes() == want.v.tobytes()
 
     @settings(max_examples=200)
     @given(
@@ -685,16 +827,6 @@ def _ref_box_residual(cone, x, g):
     return ops.norm(r)
 
 
-def _ref_kkt_residual(cone, g, z):
-    scale = 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper))
-    at_lo = z <= cone.lower + ops.BOUNDARY_ATOL * scale
-    at_hi = z >= cone.upper - ops.BOUNDARY_ATOL * scale
-    viol = np.abs(g.copy())
-    viol[at_hi] = np.maximum(0.0, -g[at_hi])
-    viol[at_lo & ~at_hi] = np.maximum(0.0, g[at_lo & ~at_hi])
-    return float(viol.max()) if viol.size else 0.0
-
-
 def _ref_active_set_polish(cone, sym, lin, z):
     d = z.size
     edge = ops.BOUNDARY_ATOL * (1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
@@ -761,7 +893,7 @@ class TestBoxConeBitIdentity:
         assert np.array_equal(cone.scale, 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
         for atol in (ops.BOUNDARY_ATOL, 1e-9):
             assert ops.domain_contains(op, x, atol=atol) is _ref_box_contains(cone, x, atol)
-        got = ops._cone_residual(cone, x, g)
+        got = ops.cone_residual(cone, x, g)
         assert np.float64(got).tobytes() == np.float64(_ref_box_residual(cone, x, g)).tobytes()
 
     @settings(max_examples=300)
@@ -785,8 +917,6 @@ class TestBoxConeBitIdentity:
         a = rng.standard_normal((x.size, x.size))
         sym = a @ a.T
         lin = 10.0 * g
-        want = _ref_kkt_residual(cone, g, x)
-        assert np.float64(metrics._kkt_residual(cone, g, x)).tobytes() == np.float64(want).tobytes()
         want = _ref_active_set_polish(cone, sym, lin, x)
         assert metrics._active_set_polish(cone, sym, lin, x).tobytes() == want.tobytes()
 
