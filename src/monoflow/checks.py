@@ -142,7 +142,7 @@ def flow_suite(seed=0):
     ident = make_strongly_monotone_affine(1, 1.0, seed=0)
 
     for theta in (1.0, 0.5):
-        params = FeedbackParams(theta=theta, p=1, relax_theta=True)
+        params = FeedbackParams(theta=theta, p=1)
         traj = integrate(ident, np.array([1.0]), params, T=1.0, h=1e-3)
         exact = math.exp(-theta / (1.0 + theta))
         err = abs(float(traj.states[-1].x[0]) - exact)
@@ -226,9 +226,7 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
     """Audits each sub-certificate over the records of an hpe.run of the oracle;
     a run cut short is audited up to the step that failed, whose certificate counts."""
     op = prob.operator
-    hcfg = HpeConfig(
-        sigma=tcfg.sigma, theta=tcfg.theta, p=tcfg.p, max_iters=iters, stop_res=1e-11
-    )
+    hcfg = tcfg.drive(iters, stop_res=1e-11)
     wlo, whi = tcfg.window
     m_cert, m_win, m_hat, m_taylor, m_member = [], [], [], [], []
     try:
@@ -313,7 +311,7 @@ def tensor_suite(seed=0):
     # Lemma suite over a tensor-driven run, via the shared framework loop.
     prob = make_cubic_1d()
     tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
-    hcfg = HpeConfig(sigma=tcfg.sigma, theta=tcfg.theta, p=3, max_iters=40, stop_res=1e-10)
+    hcfg = tcfg.drive(40, stop_res=1e-10)
     try:
         records = run(prob, TensorOracle(prob, tcfg), hcfg, np.array([2.0])).records
     except OracleFailure as exc:

@@ -56,9 +56,7 @@ unavailable entries are written as nan):
             running minimum of the pointwise residue at y_1..y_k; dist is
             measured at x_k after the update.
 
-Identical (config, seed) pairs produce bit-identical CSV files.  The
-environment variable MONOFLOW_THREADS caps how many check suites run in
-parallel.
+Identical (config, seed) pairs produce bit-identical CSV files.
 """
 
 
@@ -174,7 +172,8 @@ def _run_iterative(cfg, problem):
         drive = mode_params
         oracle = hpe.ExactProxOracle(problem, drive)
     else:
-        drive = cfg.drive_config(mode_params)
+        stop_res = cfg.params.get("stop_res", hpe.HpeConfig.stop_res)
+        drive = mode_params.drive(cfg.horizon["max_iters"], stop_res)
         oracle = tensor.TensorOracle(problem, mode_params)
     x0 = cfg.initial_point(problem)
     result = hpe.run(problem, oracle, drive, x0)
@@ -256,10 +255,13 @@ def _write_outputs(out, header, rows, summary):
     if out is None:
         return
     text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    with open(_summary_path(out), "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(_jsonsafe(summary), indent=2, sort_keys=True) + "\n")
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(_summary_path(out), "w", encoding="utf-8", newline="") as fh:
+            fh.write(json.dumps(_jsonsafe(summary), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 def _seed(text):
@@ -319,16 +321,7 @@ def cmd_rates(args):
 
 def cmd_check(args):
     names = list(checks.SUITE_NAMES) if args.suite == "ALL" else [args.suite]
-    max_workers = None
-    env = os.environ.get("MONOFLOW_THREADS")
-    if env:
-        try:
-            max_workers = int(env)
-        except ValueError:
-            raise ConfigError("MONOFLOW_THREADS must be an integer") from None
-        if max_workers < 1:
-            raise ConfigError("MONOFLOW_THREADS must be >= 1")
-    reports = checks.run_suites(names, seed=args.seed, max_workers=max_workers)
+    reports = checks.run_suites(names, seed=args.seed)
     ok = True
     for name in names:
         rep = reports[name]

@@ -189,7 +189,7 @@ class ExperimentConfig:
                     theta=p.pop("theta"),
                     p=p.pop("p"),
                     max_iters=self.horizon["max_iters"],
-                    stop_res=p.pop("stop_res", 1e-9),
+                    stop_res=p.pop("stop_res", HpeConfig.stop_res),
                 )
             p.pop("stop_res", None)
             return TensorConfig(
@@ -203,16 +203,6 @@ class ExperimentConfig:
             raise ConfigError(f"params is missing required key {exc.args[0]!r} for mode {self.mode}") from None
         except ValueError as exc:
             raise ConfigError(f"params invalid: {exc}") from None
-
-    def drive_config(self, tensor_cfg):
-        """HpeConfig under which TENSOR-mode steps are driven and verified."""
-        return HpeConfig(
-            sigma=tensor_cfg.sigma,
-            theta=tensor_cfg.theta,
-            p=tensor_cfg.p,
-            max_iters=self.horizon["max_iters"],
-            stop_res=self.params.get("stop_res", 1e-9),
-        )
 
     def initial_point(self, problem):
         """Resolve x0 to coordinates; random starts are seeded and projected."""

@@ -37,21 +37,14 @@ MAX_DOUBLINGS = 200
 
 @dataclass(frozen=True)
 class FeedbackParams:
-    """theta in (0, 1) and integer order p >= 1.
-
-    relax_theta lifts the upper bound to theta > 0 for large-step uses
-    where only lam * ||y - x||^(p-1) >= theta is needed.
-    """
+    """theta > 0 and integer order p >= 1: the law has one root for every theta > 0."""
 
     theta: float
     p: int
-    relax_theta: bool = False
 
     def __post_init__(self):
         if not self.theta > 0:
             raise ValueError("theta must be positive")
-        if not self.relax_theta and not self.theta < 1:
-            raise ValueError("theta must lie in (0, 1); set relax_theta to lift")
         if int(self.p) != self.p or self.p < 1:
             raise ValueError("order p must be an integer >= 1")
         object.__setattr__(self, "p", int(self.p))

@@ -14,7 +14,7 @@ and large-step equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -42,24 +42,26 @@ CERT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class HpeConfig:
+    """Step-verification constants and budget; theta and p are checked once,
+    by building the FeedbackParams that the exact oracle solves the law with."""
+
     sigma: float
     theta: float
     p: int
     max_iters: int
     stop_res: float = 1e-9
+    law: FeedbackParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
-        if int(self.p) != self.p or self.p < 1:
-            raise ValueError("order p must be an integer >= 1")
+        law = FeedbackParams(self.theta, self.p)
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not self.stop_res >= 0:
             raise ValueError("stop_res must be >= 0")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", law.p)
+        object.__setattr__(self, "law", law)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def exact_oracle(problem, x, cfg, hint=None):
         lam = cfg.theta
         r = ops.resolvent(op, lam, x)
         return lam, r.y, r.v, 0.0
-    lam = solve_lambda(op, x, FeedbackParams(cfg.theta, cfg.p, relax_theta=True), hint=hint)
+    lam = solve_lambda(op, x, cfg.law, hint=hint)
     r = ops.resolvent(op, lam, x)
     for _ in range(60):
         d = ops.norm(r.y - x)

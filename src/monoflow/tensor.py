@@ -35,6 +35,7 @@ from .errors import (
     WindowUnreachable,
 )
 from .feedback import STATIONARITY_TOL
+from .hpe import HpeConfig
 
 __all__ = [
     "TensorConfig",
@@ -96,6 +97,10 @@ class TensorConfig:
     def window(self):
         f = math.factorial(self.p) / self.L
         return self.sigma_l * f, self.sigma_u * f
+
+    def drive(self, max_iters, stop_res=HpeConfig.stop_res):
+        """The HpeConfig under which this config's steps are driven and verified."""
+        return HpeConfig(self.sigma, self.theta, self.p, max_iters, stop_res)
 
 
 def _check_surrogate_order(op, p):

@@ -87,6 +87,24 @@ class TestRun:
         assert actual.exists()
         assert not configured.exists()
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, where):
+        configured = tmp_path / "ignored.csv"
+        bad = tmp_path / "absent" / "x.csv" if where == "missing directory" else tmp_path
+        cfg = write_config(tmp_path, flow_payload(configured))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot write output: "), err
+        assert not configured.exists()
+
+    def test_flow_theta_above_one_runs(self, tmp_path, capsys):
+        # The law needs only theta > 0; theta = 1.5 holds it at every state.
+        payload = dict(flow_payload(tmp_path / "t.csv", T=1.0), params={"theta": 1.5, "p": 2})
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        assert certs["total"] == 101
+        assert certs["control_law_within_tol"] == certs["total"]
+
     def test_nan_residue_stays_in_the_running_minimum(self, tmp_path, capsys, monkeypatch):
         # A NaN residue at k = 3 must not be folded away by the running minimum.
         real_residue, real_fit = cli.metrics.residue, cli.metrics.fit_rate
@@ -132,6 +150,13 @@ class TestConfigRejection:
         cfg = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1])
+    def test_nonpositive_theta_exits_two(self, tmp_path, capsys, theta):
+        payload = dict(flow_payload(tmp_path / "x.csv", T=1.0), params={"theta": theta, "p": 2})
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert "theta must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_empty_tensor_window_exits_two(self, tmp_path, capsys):
         payload = {
@@ -241,18 +266,6 @@ class TestCheck:
             assert not math.isnan(margin), line
             assert (m.group(1) == "PASS") == (margin >= 0.0), line
 
-    def test_thread_cap_env_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONOFLOW_THREADS", "zero")
-        assert cli.main(["check", "--suite", "FEEDBACK"]) == 2
-        monkeypatch.setenv("MONOFLOW_THREADS", "0")
-        assert cli.main(["check", "--suite", "FEEDBACK"]) == 2
-        capsys.readouterr()
-
-    def test_thread_cap_env_is_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONOFLOW_THREADS", "1")
-        assert cli.main(["check", "--suite", "METRICS"]) == 0
-        capsys.readouterr()
-
 
 class TestRates:
     def test_saddle_run_passes_both_targets(self, tmp_path, capsys):
@@ -271,7 +284,6 @@ class TestHelp:
         text = cli.build_parser().format_help()
         assert "gap_ergodic" in text
         assert "17 significant digits" in text
-        assert "MONOFLOW_THREADS" in text
 
 
 class TestImport:

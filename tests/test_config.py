@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,11 +209,10 @@ class TestDerivedObjects:
     def test_drive_config_inherits_derived_constants(self):
         cfg = ExperimentConfig.from_dict(tensor_dict())
         tc = cfg.mode_params()
-        drive = cfg.drive_config(tc)
-        assert drive.sigma == pytest.approx(tc.sigma)
-        assert drive.theta == pytest.approx(tc.theta)
-        assert drive.p == tc.p
-        assert drive.max_iters == 40
+        drive = tc.drive(cfg.horizon["max_iters"])
+        assert drive == HpeConfig(sigma=tc.sigma, theta=tc.theta, p=tc.p, max_iters=40, stop_res=1e-9)
+        assert drive.law == FeedbackParams(tc.theta, tc.p)
+        assert tc.drive(40, stop_res=1e-6).stop_res == 1e-6
 
     def test_explicit_x0(self):
         cfg = ExperimentConfig.from_dict(flow_dict())
@@ -228,3 +230,50 @@ class TestDerivedObjects:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(np.abs(a) <= 1.0)  # projected into the box
+
+
+class TestBenchmarkConfigs:
+    def test_reference_warmup_and_setup_configs(self, monkeypatch):
+        # Every config the benchmark runs or parses goes through the config
+        # layer and derives the constants it was calibrated with; a slip here
+        # would otherwise show only as a refused benchmark run.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("monoflow_bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+
+        two = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
+        three = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
+
+        def tensor_p2(n):
+            return two, (0.6, 1.4), HpeConfig(0.75, 0.6, 2, n, stop_res=1e-9)
+
+        def tensor_p3(n):
+            return three, (0.2, 0.8), HpeConfig(0.9, 0.20000000000000004, 3, n, stop_res=1e-9)
+
+        expected = {
+            ("FLOW", "bilinear_saddle"): lambda n: FeedbackParams(theta=0.012, p=2),
+            ("HPE_EXACT", "bilinear_saddle"): lambda n: HpeConfig(0.0, 1.5e-3, 2, n, stop_res=1e-9),
+            ("TENSOR", "bilinear_saddle"): tensor_p2,
+            ("TENSOR", "strongly_monotone_affine"): tensor_p2,
+            ("TENSOR", "cubic_1d"): tensor_p3,
+            ("TENSOR", "convex_gradient"): tensor_p3,
+        }
+        budgets = []
+        for w in workloads.WORKLOADS.values():
+            calls = [c.config for c in w.reference() + w.warmup() if c.config is not None]
+            for raw in calls + [w.setup_config()]:
+                cfg = parse_config(json.dumps(raw))
+                cfg.problem_instance()
+                n = cfg.horizon.get("max_iters")
+                derived = cfg.mode_params()
+                if cfg.mode == "TENSOR":
+                    derived = derived, derived.window, derived.drive(n)
+                assert derived == expected[cfg.mode, cfg.problem_name](n), raw
+                budgets.append((cfg.mode, n))
+        assert sorted(budgets, key=repr) == sorted(
+            [("FLOW", None)] * 4 + [("HPE_EXACT", 3000)] * 2 + [("HPE_EXACT", 5)]
+            + [("TENSOR", 60)] * 5 + [("TENSOR", 2)] * 4,
+            key=repr,
+        )

@@ -32,15 +32,7 @@ class TestParams:
         with pytest.raises(ValueError):
             FeedbackParams(0.0, 2)
         with pytest.raises(ValueError):
-            FeedbackParams(1.0, 2)
-        with pytest.raises(ValueError):
             FeedbackParams(-0.1, 1)
-
-    def test_relax_lifts_upper_bound(self):
-        with pytest.raises(ValueError):
-            FeedbackParams(1.5, 2)
-        p = FeedbackParams(1.5, 2, relax_theta=True)
-        assert p.theta == 1.5
 
     def test_order_must_be_positive_integer(self):
         with pytest.raises(ValueError):
@@ -124,7 +116,7 @@ class TestSolveLambda:
         assert solve_law(IDENTITY, [2.0], FeedbackParams(0.3, 1)) == (0.3, None)
 
     def test_relaxed_theta_above_one(self):
-        params = FeedbackParams(1.5, 2, relax_theta=True)
+        params = FeedbackParams(1.5, 2)
         lam = solve_lambda(IDENTITY, [2.0], params)
         assert scaled_displacement(IDENTITY, lam, [2.0], 2) == pytest.approx(1.5, rel=1e-9)
 

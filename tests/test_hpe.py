@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from monoflow import hpe, problems
 from monoflow import operators as ops
-from monoflow import problems
 from monoflow.errors import (
     CertificateViolation,
     InnerSolverDiverged,
     OracleFailure,
     UnknownSolutionSet,
 )
+from monoflow.feedback import FeedbackParams, solve_lambda
 from monoflow.hpe import (
     ExactProxOracle,
     HpeConfig,
@@ -36,8 +37,16 @@ class TestConfig:
             HpeConfig(sigma=-0.1, theta=0.1, p=1, max_iters=10)
 
     def test_theta_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta must be positive"):
             HpeConfig(sigma=0.0, theta=0.0, p=1, max_iters=10)
+
+    def test_law_built_once_and_again_on_replace(self):
+        cfg = HpeConfig(sigma=0.0, theta=1.5, p=2.0, max_iters=10)
+        assert cfg.p == 2
+        assert cfg.law == FeedbackParams(1.5, 2)
+        assert dataclasses.replace(cfg, theta=0.3).law == FeedbackParams(0.3, 2)
+        with pytest.raises(ValueError, match="order p must be an integer >= 1"):
+            dataclasses.replace(cfg, p=1.5)
 
     def test_order_and_budget(self):
         with pytest.raises(ValueError):
@@ -106,6 +115,19 @@ class TestExactOracle:
         val = lam * float(np.linalg.norm(y - x))
         assert val >= 0.05 * (1.0 - 1e-8)
         assert val == pytest.approx(0.05, rel=1e-6)
+
+    def test_law_solved_with_the_config_law(self, monkeypatch):
+        cfg = saddle_config(p=2, theta=0.05)
+        seen = []
+
+        def spy(op, x, params, hint=None):
+            seen.append(params)
+            return solve_lambda(op, x, params, hint=hint)
+
+        monkeypatch.setattr(hpe, "solve_lambda", spy)
+        monkeypatch.setattr(hpe, "FeedbackParams", None)  # building one per call would fail
+        exact_oracle(SADDLE, np.array([0.7, 0.7]), cfg)
+        assert len(seen) == 1 and seen[0] is cfg.law
 
     def test_tiny_theta_respects_floor(self):
         # Regression: the fresh resolvent pair must never land below the

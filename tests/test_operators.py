@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from monoflow import metrics, problems, tensor
 from monoflow import operators as ops
 from monoflow.errors import InnerSolverDiverged, SurrogateNonmonotone
-from monoflow.hpe import HpeConfig, run
+from monoflow.hpe import run
 from monoflow.tensor import TensorConfig, TensorOracle, surrogate_resolvent
 
 
@@ -1313,7 +1313,7 @@ class TestStoredDerivatives:
             for p in (1, 2, 3, 4):
                 ops.TaylorSurrogate(op, x, p)
         tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
-        hcfg = HpeConfig(sigma=tcfg.sigma, theta=tcfg.theta, p=3, max_iters=8, stop_res=1e-9)
+        hcfg = tcfg.drive(8)
         result = run(cubic, TensorOracle(cubic, tcfg), hcfg, np.array([0.7]))
         assert len(result.records) == 8
         assert calls == []

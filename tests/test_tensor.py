@@ -4,7 +4,7 @@ import pytest
 from monoflow import operators as ops
 from monoflow import problems, tensor
 from monoflow.errors import ConfigError, InnerSolverDiverged, StationaryPoint
-from monoflow.hpe import HpeConfig, run, verify_step
+from monoflow.hpe import run, verify_step
 from monoflow.tensor import (
     TensorConfig,
     TensorOracle,
@@ -18,10 +18,6 @@ CUBIC = problems.make_cubic_1d()
 
 def cubic_config():
     return TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
-
-
-def drive_for(tc, iters=50, stop=1e-9):
-    return HpeConfig(sigma=tc.sigma, theta=tc.theta, p=tc.p, max_iters=iters, stop_res=stop)
 
 
 class TestConfig:
@@ -127,7 +123,7 @@ class TestWindowSearch:
 class TestOracle:
     def test_step_verifies_under_derived_constants(self):
         tc = cubic_config()
-        drive = drive_for(tc)
+        drive = tc.drive(50)
         x = np.array([2.0])
         lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
         assert eps == 0.0
@@ -138,7 +134,7 @@ class TestOracle:
         # Regression: warm-started full runs used to die once the iterates
         # crossed the solvability knee of the anchored surrogate.
         tc = cubic_config()
-        drive = drive_for(tc, iters=40)
+        drive = tc.drive(40)
         res = run(CUBIC, TensorOracle(CUBIC, tc), drive, np.array([2.0]))
         assert res.status == "SOLVED"
         assert all(r.cert.ok for r in res.records)
@@ -147,7 +143,7 @@ class TestOracle:
 
     def test_full_run_on_saddle(self):
         tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
-        drive = drive_for(tc, iters=60)
+        drive = tc.drive(60)
         res = run(SADDLE, TensorOracle(SADDLE, tc), drive, np.full(2, 0.7))
         assert all(r.cert.ok for r in res.records)
         wlo, whi = tc.window
@@ -181,7 +177,7 @@ class TestUnsolvableSolves:
 
         monkeypatch.setattr(tensor, "surrogate_resolvent", spy)
         tc = cubic_config()
-        res = run(problem, TensorOracle(problem, tc), drive_for(tc, iters=60), np.full(problem.dim, 0.7))
+        res = run(problem, TensorOracle(problem, tc), tc.drive(60), np.full(problem.dim, 0.7))
         assert all(r.cert.ok for r in res.records)
         assert len(failures) >= 2
         for exc in failures:
