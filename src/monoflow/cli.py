@@ -84,19 +84,20 @@ def _fit_or_none(values, positions):
 
 
 class _GapProbe:
-    """Evaluate the gap where supported, nan everywhere once it is not."""
+    """Evaluate the gap where supported, nan everywhere once it is not;
+    off holds the reason the gap was turned off, else None."""
 
     def __init__(self, problem):
         self.problem = problem
-        self.supported = True
+        self.off = None
 
     def __call__(self, x):
-        if not self.supported or x is None:
+        if self.off is not None or x is None:
             return float("nan")
         try:
             return metrics.gap(self.problem, x)
-        except (UnsupportedMetric, DomainUnbounded):
-            self.supported = False
+        except (UnsupportedMetric, DomainUnbounded) as exc:
+            self.off = str(exc)
             return float("nan")
 
 
@@ -162,8 +163,8 @@ def _run_flow(cfg, problem):
         },
         "certificates": {"control_law_within_tol": ae_ok, "total": len(traj.states)},
     }
-    series = {"p": params.p, "positions": ts, "gap": gaps, "residue": residues}
-    return header, rows, summary, series
+    rates = {"p": params.p, "residue": "residue_pointwise", "gap_off": gap_at.off}
+    return header, rows, summary, rates
 
 
 def _run_iterative(cfg, problem):
@@ -205,9 +206,9 @@ def _run_iterative(cfg, problem):
             [
                 str(r.k),
                 _fmt(r.lam),
-                _fmt(float(np.linalg.norm(r.v))),
+                _fmt(ops.norm(r.v)),
                 _fmt(r.eps),
-                _fmt(float(np.linalg.norm(r.y - r.x_prev))),
+                _fmt(ops.norm(r.y - r.x_prev)),
                 _fmt(g),
                 _fmt(res_min),
                 _fmt(dist),
@@ -235,8 +236,8 @@ def _run_iterative(cfg, problem):
         },
         "certificates": {"passed": cert_ok, "total": len(result.records)},
     }
-    series = {"p": drive.p, "positions": ks, "gap": gaps, "residue": residues}
-    return header, rows, summary, series
+    rates = {"p": drive.p, "residue": "residue_min_so_far", "gap_off": gap_at.off}
+    return header, rows, summary, rates
 
 
 def _execute(cfg):
@@ -283,6 +284,13 @@ def _load_with_overrides(args):
         from dataclasses import replace
 
         cfg = replace(cfg, **updates)
+    if cfg.out is not None:
+        # Refuse an out that cannot be opened before any step runs, not after.
+        folder = os.path.dirname(cfg.out) or "."
+        if os.path.isdir(cfg.out):
+            raise ConfigError(f"cannot write output: {cfg.out!r} is a directory")
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write output: no directory {folder!r}")
     return cfg
 
 
@@ -296,18 +304,21 @@ def cmd_run(args):
 
 def cmd_rates(args):
     cfg = _load_with_overrides(args)
-    header, rows, summary, series = _execute(cfg)
+    header, rows, summary, rates = _execute(cfg)
     _write_outputs(cfg.out, header, rows, summary)
-    p = series["p"]
+    p = rates["p"]
+    slopes = summary["slopes"]
     targets = [
-        ("gap_ergodic", series["gap"], -(p + 1) / 2.0 + RATE_TOL),
-        ("residue", series["residue"], -p / 2.0 + RATE_TOL),
+        ("gap_ergodic", slopes["gap_ergodic"], -(p + 1) / 2.0 + RATE_TOL),
+        ("residue", slopes[rates["residue"]], -p / 2.0 + RATE_TOL),
     ]
     ok = True
-    for name, values, target in targets:
-        fit = _fit_or_none(values, series["positions"])
+    for name, fit, target in targets:
         if fit is None:
-            print(f"{name}: no usable series (need >= 10 positive tail points) target <= {target:g} FAIL")
+            why = "no usable series (need >= 10 positive tail points)"
+            if name == "gap_ergodic" and rates["gap_off"] is not None:
+                why = f"undefined on this problem ({rates['gap_off']})"
+            print(f"{name}: {why} target <= {target:g} FAIL")
             ok = False
             continue
         passed = fit["slope"] <= target

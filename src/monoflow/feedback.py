@@ -77,7 +77,8 @@ class _LawCurve:
     carries a certified band lam * ((d+rho)^(p-1) - (d-rho)^(p-1)) outside
     of which the true g cannot lie.  memo maps each lam evaluated (the
     exact float) to (value, band, Resolvent); a repeated lam returns its
-    entry and leaves the warm start alone.
+    entry and leaves the warm start alone.  Every solve starts from the
+    exit state of the last one: x and the operator are fixed here.
     """
 
     def __init__(self, op, x, p):
@@ -91,8 +92,8 @@ class _LawCurve:
         hit = self.memo.get(lam)
         if hit is None:
             r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
-            if r.w is not None:
-                self.warm = r.w
+            if r.state is not None:
+                self.warm = r.state
             d = ops.norm(self.x - r.y)
             band = law_band(lam, d, r.residual, self.p)
             hit = self.memo[lam] = (lam * d ** (self.p - 1), band, r)
@@ -151,7 +152,7 @@ def _brent(f, xa, xb, xtol, rtol, maxiter):
     return xcur
 
 
-def solve_law(op, x, params, hint=None):
+def solve_law(op, x, params, hint=None, residual=None):
     """Root of the control law at x and the resolvent it was accepted on.
 
     Parameters are those of solve_lambda.  Returns (lam, r): lam is the
@@ -161,7 +162,7 @@ def solve_law(op, x, params, hint=None):
     it returns (theta, None).  Raises StationaryPoint on solutions.
     """
     theta, p = params.theta, params.p
-    res = ops.min_norm_residual(op, x)
+    res = ops.min_norm_residual(op, x) if residual is None else residual
     if res <= STATIONARITY_TOL:
         raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=res)
     if p == 1:
@@ -221,7 +222,7 @@ def solve_law(op, x, params, hint=None):
     )
 
 
-def solve_lambda(op, x, params, hint=None):
+def solve_lambda(op, x, params, hint=None, residual=None):
     """Root of the control law at x; raises StationaryPoint on solutions.
 
     Parameters
@@ -230,12 +231,14 @@ def solve_lambda(op, x, params, hint=None):
     x : array
     params : FeedbackParams
     hint : float or None, warm start for the geometric bracket.
+    residual : float or None, ops.min_norm_residual(op, x) when the caller
+        has already evaluated it; the stationarity test then reads it.
 
     Returns the unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta
     (for p = 1 this is theta itself), to AE_TOL relative plus the certified
     band.  solve_law also returns the accepted resolvent.
     """
-    return solve_law(op, x, params, hint=hint)[0]
+    return solve_law(op, x, params, hint=hint, residual=residual)[0]
 
 
 def stationarity_gauge(op, x, params):

@@ -63,7 +63,8 @@ class _Stage:
 
     For p >= 2 each stage solves the law with the previous stage's lam as
     the bracket hint and returns the resolvent the law accepted; for p = 1
-    lam = theta and the resolvent is warm-started from the previous stage.
+    lam = theta and the resolvent starts from the previous stage's exit
+    state, valid across stages because lam and the operator are fixed.
     rho is the certified residual of the last stage's resolvent.
     """
 
@@ -78,8 +79,8 @@ class _Stage:
         if self.params.p == 1:
             lam = self.params.theta
             r = ops.resolvent(self.op, lam, x, warm=self.warm)
-            if r.w is not None:
-                self.warm = r.w
+            if r.state is not None:
+                self.warm = r.state
         else:
             lam, r = solve_law(self.op, x, self.params, hint=self.lam_hint)
             self.lam_hint = lam

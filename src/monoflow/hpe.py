@@ -123,7 +123,7 @@ def verify_step(cfg, x_prev, lam, y, v, eps):
     return StepCertificate(relative_error_slack=rel_slack, large_step_slack=ls_slack)
 
 
-def exact_oracle(problem, x, cfg, hint=None):
+def exact_oracle(problem, x, cfg, hint=None, residual=None):
     """Resolvent oracle: lam solves the control law, then (y, v) = prox pair.
 
     Satisfies the step conditions with sigma = 0 and eps = 0.  The large-
@@ -132,14 +132,16 @@ def exact_oracle(problem, x, cfg, hint=None):
     theta, so lam is nudged up until lam * ||y - x||^(p-1) >= theta holds
     for the exact pair handed back.  Scaling lam by f >= 1 scales the law
     value by at least f, so the loop terminates in a step or two and the
-    overshoot stays within the solver's acceptance band.
+    overshoot stays within the solver's acceptance band.  residual, when
+    given, is ops.min_norm_residual(op, x), and the law's stationarity test
+    reads it instead of evaluating it again.
     """
     op = problem.operator
     if cfg.p == 1:
         lam = cfg.theta
         r = ops.resolvent(op, lam, x)
         return lam, r.y, r.v, 0.0
-    lam = solve_lambda(op, x, cfg.law, hint=hint)
+    lam = solve_lambda(op, x, cfg.law, hint=hint, residual=residual)
     r = ops.resolvent(op, lam, x)
     for _ in range(60):
         d = ops.norm(r.y - x)
@@ -160,8 +162,8 @@ class ExactProxOracle:
         self.cfg = cfg
         self.hint = None
 
-    def __call__(self, x):
-        lam, y, v, eps = exact_oracle(self.problem, x, self.cfg, hint=self.hint)
+    def __call__(self, x, residual=None):
+        lam, y, v, eps = exact_oracle(self.problem, x, self.cfg, hint=self.hint, residual=residual)
         self.hint = lam
         return lam, y, v, eps
 
@@ -172,7 +174,9 @@ def run(problem, oracle, cfg, x0):
     Parameters
     ----------
     problem : ProblemInstance
-    oracle : callable x -> (lam, y, v, eps)
+    oracle : callable (x, residual) -> (lam, y, v, eps); residual is
+        ops.min_norm_residual at x, which run has just tested, for an
+        oracle that tests stationarity there too
     cfg : HpeConfig (verification constants sigma, theta, p)
     x0 : array
 
@@ -184,11 +188,12 @@ def run(problem, oracle, cfg, x0):
     records = []
     status = "MAX_ITERS"
     for k in range(1, cfg.max_iters + 1):
-        if ops.min_norm_residual(op, x) <= cfg.stop_res:
+        res = ops.min_norm_residual(op, x)
+        if res <= cfg.stop_res:
             status = "SOLVED"
             break
         try:
-            lam, y, v, eps = oracle(x)
+            lam, y, v, eps = oracle(x, res)
         except StationaryPoint:
             status = "SOLVED"
             break

@@ -352,13 +352,19 @@ def min_norm_residual(op, x):
 
 @dataclass(frozen=True)
 class Resolvent:
-    """Output of a resolvent solve: v in A(y) and lam*v + y ~= x."""
+    """Output of a resolvent solve: v in A(y) and lam*v + y ~= x.
+
+    Only the Newton route sets w, its last normal-map point, and state =
+    (w, y, F(y)), its exit state: either one warm-starts another solve of
+    the same operator (see resolvent).
+    """
 
     y: np.ndarray
     v: np.ndarray
     residual: float
     iterations: int
     w: np.ndarray | None = None
+    state: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _scalar_poly_root(c, dc, lam, target):
@@ -425,17 +431,21 @@ def _proj_jacobian(cone, w):
     return (cone.radius / nr) * (_eye(w.size) - np.outer(u, u))
 
 
-def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
+def _newton(op, lam, x, value, jacobian, stop, start, what):
     """Damped semismooth Newton on the normal map w + lam*value(P(w)) - x = 0.
 
     value and jacobian evaluate a monotone single-valued map and its
-    Jacobian; stop(y) is the residual accepted at y = P(w), and w0 the start
-    (None: x).  Returns (y, v, w, iterations) with v = value(y) + (w - y)/lam
-    in (value + N_dom)(y) exactly, so ||lam*v + y - x|| is the normal-map
-    residual.  Raises InnerSolverDiverged, its message prefixed by what, when
-    the line search stalls or NEWTON_MAX_ITERS steps fall short of stop.
+    Jacobian; stop(y) is the residual accepted at y = P(w).  start is None
+    (w = x), a bare w, or the exit state (w, P(w), value(P(w))) of an
+    earlier solve: a state skips projecting w and evaluating value there,
+    with the same bits, and so is valid only for the same value map and
+    domain (lam and x may differ).  Returns (y, v, iterations, state) with
+    v = value(y) + (w - y)/lam in (value + N_dom)(y) exactly, so
+    ||lam*v + y - x|| is the normal-map residual, and state = (w, y,
+    value(y)) at exit.  Raises InnerSolverDiverged, its message prefixed
+    by what, when the line search stalls or NEWTON_MAX_ITERS steps fall
+    short of stop.
     """
-    w = x.copy() if w0 is None else np.asarray(w0, dtype=float).copy()
     eye = _eye(op.dim)
 
     def trial(wv):
@@ -445,7 +455,13 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
         fv = wv + lam * vv - x
         return yv, vv, fv, norm(fv)
 
-    y, fy, f, nf = trial(w)
+    if isinstance(start, tuple):
+        w, y, fy = start
+        f = w + lam * fy - x
+        nf = norm(f)
+    else:
+        w = x.copy() if start is None else np.asarray(start, dtype=float).copy()
+        y, fy, f, nf = trial(w)
     its = 0
     while its < NEWTON_MAX_ITERS:
         target = stop(y)
@@ -464,12 +480,13 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         t = 1.0
+        wn = w + step  # the bits of w + 1.0 * step
         for _ in range(60):
-            wn = w + t * step
             yn, fyn, fn, nfn = trial(wn)
             if nfn < nf * (1.0 - 1e-4 * t) or nfn <= target:
                 break
             t *= 0.5
+            wn = w + t * step
         else:
             raise InnerSolverDiverged(
                 f"{what} newton stalled at residual {nf:.3e}", residual=nf, iterations=its
@@ -483,7 +500,13 @@ def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
                 residual=nf,
                 iterations=its,
             )
-    return y, fy + (w - y) / lam, w, its
+    return y, fy + (w - y) / lam, its, (w, y, fy)
+
+
+def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
+    """_newton from w0 returning (y, v, w, iterations), w the exit point."""
+    y, v, its, state = _newton(op, lam, x, value, jacobian, stop, w0, what)
+    return y, v, state[0], its
 
 
 def _closed_form(lam, x, y, v, what):
@@ -535,7 +558,7 @@ def _radial_route(op, lam, x, warm):
 
 
 def _newton_route(op, lam, x, warm):
-    y, v, w, its = normal_map_newton(
+    y, v, its, state = _newton(
         op,
         lam,
         x,
@@ -545,7 +568,7 @@ def _newton_route(op, lam, x, warm):
         warm,
         "resolvent",
     )
-    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=its, w=w)
+    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=its, w=state[0], state=state)
 
 
 def resolvent(op, lam, x, warm=None):
@@ -556,7 +579,10 @@ def resolvent(op, lam, x, warm=None):
     op : OperatorSpec
     lam : float, positive proximal coefficient.
     x : array, query point (need not lie in dom(A)).
-    warm : array or None, start for the iterative routes (a previous w).
+    warm : None, or the w or the state of an earlier Resolvent of op; only
+        the Newton route reads it, as its start.  A state (w, y, F(y)) also
+        skips projecting w and evaluating F there, with the same bits, so
+        it is valid only for the same operator (lam and x may differ).
 
     Returns
     -------

@@ -308,13 +308,15 @@ class TensorOracle:
         self.hint = None
         self.warm = None
 
-    def __call__(self, x):
+    def __call__(self, x, residual=None):
         """One accelerated step: anchored surrogate solve plus window search.
 
         Returns (lam, y, v, 0.0) with v in A(y) exactly: the surrogate error
         F(y) - F_anchor(y) is folded into v, and the Taylor remainder bound
         together with the window upper edge gives
-        ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.
+        ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.  residual,
+        which hpe.run passes, is not read: the window search keeps its own
+        stationarity test.
         """
         op = self.problem.operator
         x = np.asarray(x, dtype=float)

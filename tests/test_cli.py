@@ -97,6 +97,24 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("config error: cannot write output: "), err
         assert not configured.exists()
 
+    @pytest.mark.parametrize("cmd", ["run", "rates"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("given", ["config", "flag"])
+    def test_unwritable_out_refused_before_any_step(self, tmp_path, capsys, monkeypatch, cmd, where, given):
+        def integrate(*args, **kwargs):
+            raise AssertionError("the flow ran before out was checked")
+
+        monkeypatch.setattr(cli.flow, "integrate", integrate)
+        bad = tmp_path / "absent" / "x.csv" if where == "missing directory" else tmp_path
+        argv = [cmd, "--config"]
+        if given == "config":
+            argv.append(str(write_config(tmp_path, flow_payload(bad, T=1.0))))
+        else:
+            argv += [str(write_config(tmp_path, flow_payload(tmp_path / "ok.csv", T=1.0))), "--out", str(bad)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot write output: "), err
+
     def test_flow_theta_above_one_runs(self, tmp_path, capsys):
         # The law needs only theta > 0; theta = 1.5 holds it at every state.
         payload = dict(flow_payload(tmp_path / "t.csv", T=1.0), params={"theta": 1.5, "p": 2})
@@ -277,6 +295,33 @@ class TestRates:
         assert text.count("PASS") == 2
         assert "gap_ergodic: slope" in text
         assert "residue: slope" in text
+
+    def test_slopes_fitted_once(self, tmp_path, capsys, monkeypatch):
+        # rates prints the slopes the summary holds; it does not fit again.
+        real, fitted = cli.metrics.fit_rate, []
+        monkeypatch.setattr(cli.metrics, "fit_rate", lambda *a, **k: fitted.append(1) or real(*a, **k))
+        out = tmp_path / "r.csv"
+        cli.main(["rates", "--config", str(write_config(tmp_path, hpe_payload(out, iters=60)))])
+        slopes = json.loads((tmp_path / "r.summary.json").read_text())["slopes"]
+        text = capsys.readouterr().out
+        assert len(fitted) == 2
+        assert f"gap_ergodic: slope {slopes['gap_ergodic']['slope']:.4f} " in text
+        assert f"residue: slope {slopes['residue_min_so_far']['slope']:.4f} " in text
+
+    def test_undefined_gap_is_named(self, tmp_path, capsys):
+        # The gap needs a bounded domain; convex_gradient has none, so the
+        # gap line names that, not the run length, and fails.
+        payload = {
+            "problem": {"name": "convex_gradient", "params": {"d": 2}},
+            "mode": "HPE_EXACT",
+            "params": {"sigma": 0.0, "theta": 0.2, "p": 2},
+            "horizon": {"max_iters": 300},
+            "x0": [1.0, 0.8],
+        }
+        assert cli.main(["rates", "--config", str(write_config(tmp_path, payload))]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "gap_ergodic: undefined on this problem (gap needs a bounded domain) target <= -1.3 FAIL"
+        assert lines[1].startswith("residue: slope ") and lines[1].endswith(" PASS")
 
 
 class TestHelp:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monoflow import cli
 from monoflow.config import (
     MAX_FLOW_STEPS,
     ExperimentConfig,
@@ -232,17 +234,24 @@ class TestDerivedObjects:
         assert np.all(np.abs(a) <= 1.0)  # projected into the box
 
 
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """benchmarks/workloads.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("monoflow_bench_workloads", BENCHMARKS / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkConfigs:
-    def test_reference_warmup_and_setup_configs(self, monkeypatch):
+    def test_reference_warmup_and_setup_configs(self, workloads):
         # Every config the benchmark runs or parses goes through the config
         # layer and derives the constants it was calibrated with; a slip here
         # would otherwise show only as a refused benchmark run.
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("monoflow_bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
-
         two = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
         three = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
 
@@ -277,3 +286,29 @@ class TestBenchmarkConfigs:
             + [("TENSOR", 60)] * 5 + [("TENSOR", 2)] * 4,
             key=repr,
         )
+
+
+class TestBenchmarkReferences:
+    @pytest.mark.parametrize("name", ["flow_saddle_p2", "hpe_saddle_p2", "tensor_batch"])
+    def test_reference_calls_match_the_record(self, workloads, tmp_path, capsys, name):
+        # The canonical calls reproduce benchmarks/references.json at the
+        # benchmark's own REF_RTOL, read as benchmarks/run.py reads them, so
+        # a change that moves a reference fails here before a benchmark run.
+        rtol = float(re.search(r"^REF_RTOL = (\S+)$", (BENCHMARKS / "run.py").read_text(), re.M).group(1))
+        refs = json.loads((BENCHMARKS / "references.json").read_text())[name]
+        calls = workloads.WORKLOADS[name].reference()
+        assert [c.label for c in calls] == [r["label"] for r in refs]
+        cfg, out = tmp_path / "call.json", tmp_path / "call.csv"
+        for call, ref in zip(calls, refs):
+            cfg.write_text(json.dumps(call.config))
+            assert cli.main([call.cmd, "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr()
+            summary = json.loads((tmp_path / "call.summary.json").read_text())
+            rows = out.read_text().splitlines()
+            lam = float(rows[-1].split(",")[rows[0].split(",").index("lambda")])
+            if summary["mode"] == "FLOW":
+                steps = math.ceil(summary["final"]["t"] / call.config["horizon"]["h"] - 1e-9)
+            else:
+                steps = summary["iterations"]
+            for key, got in (("dist", summary["final"]["dist"]), ("lambda", lam), ("steps", steps)):
+                want = ref[key]
+                assert abs(got - want) <= rtol * max(abs(want), abs(got)), (call.label, key, got, want)

@@ -120,9 +120,9 @@ class TestExactOracle:
         cfg = saddle_config(p=2, theta=0.05)
         seen = []
 
-        def spy(op, x, params, hint=None):
+        def spy(op, x, params, hint=None, residual=None):
             seen.append(params)
-            return solve_lambda(op, x, params, hint=hint)
+            return solve_lambda(op, x, params, hint=hint, residual=residual)
 
         monkeypatch.setattr(hpe, "solve_lambda", spy)
         monkeypatch.setattr(hpe, "FeedbackParams", None)  # building one per call would fail
@@ -170,16 +170,29 @@ class TestRun:
         assert res.status == "SOLVED"
         assert res.records == []
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stationarity_tested_once_per_iteration(self, monkeypatch, p):
+        # run tests each iterate and hands the value to the oracle, whose
+        # law solve (p >= 2) reads it: one test per iteration, plus the
+        # final iterate's after the budget runs out.
+        calls = []
+        real = ops.min_norm_residual
+        monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
+        cfg = saddle_config(p=p, theta=0.05, iters=20)
+        res = run(SADDLE, ExactProxOracle(SADDLE, cfg), cfg, np.array([0.7, -0.4]))
+        assert res.status == "MAX_ITERS" and len(res.records) == 20
+        assert len(calls) == 20 + 1
+
     def test_oracle_exception_is_wrapped(self):
         cfg = saddle_config(iters=10)
         good = ExactProxOracle(SADDLE, cfg)
         calls = {"n": 0}
 
-        def flaky(x):
+        def flaky(x, residual):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise InnerSolverDiverged("stalled")
-            return good(x)
+            return good(x, residual)
 
         with pytest.raises(OracleFailure) as exc:
             run(SADDLE, flaky, cfg, np.array([0.7, 0.7]))
@@ -189,7 +202,7 @@ class TestRun:
     def test_bad_oracle_triggers_certificate_violation(self):
         cfg = saddle_config(p=1, theta=0.5, iters=10)
 
-        def undershoot(x):
+        def undershoot(x, residual):
             r = ops.resolvent(SADDLE.operator, 0.2, x)
             return 0.2, r.y, r.v, 0.0  # violates the large-step floor
 
@@ -203,9 +216,9 @@ class TestRun:
         good = ExactProxOracle(SADDLE, cfg)
         calls = {"n": 0}
 
-        def corrupt(x):
+        def corrupt(x, residual):
             calls["n"] += 1
-            lam, y, v, eps = good(x)
+            lam, y, v, eps = good(x, residual)
             if calls["n"] == 3:
                 v = v + 1.0  # breaks the relative-error condition
             return lam, y, v, eps

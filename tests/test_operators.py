@@ -606,6 +606,72 @@ class TestKernelBitIdentity:
         assert got.iterations == its
         assert got.residual == res
 
+    @settings(max_examples=150)
+    @given(
+        name=st.sampled_from(sorted(NEWTON_INSTANCES)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-1.0, 1.0),
+        warm_ratio=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+        move=st.sampled_from([0.0, 1e-3, 0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_exit_state_start_matches_reference_kernel(self, name, log_lam, log_scale, warm_ratio, move, seed):
+        # A warm start given as the exit state of a solve at a nearby lam
+        # (the law solve) or a moved x (a p = 1 flow stage) gives what the
+        # reference kernel gives from the bare w of that state.
+        op = NEWTON_INSTANCES[name]
+        lam = 10.0**log_lam
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * rng.standard_normal(op.dim)
+        try:
+            state = ops.resolvent(op, lam * warm_ratio, x + move * rng.standard_normal(op.dim)).state
+        except InnerSolverDiverged:
+            return
+        w0, y0, fy0 = state
+        assert y0.tobytes() == ops.domain_project(op, w0).tobytes()
+        assert fy0.tobytes() == ops.single_value(op, y0).tobytes()
+        want = _ref_resolvent(op, lam, x, w0)
+        if isinstance(want, InnerSolverDiverged):
+            with pytest.raises(InnerSolverDiverged) as exc:
+                ops.resolvent(op, lam, x, warm=state)
+            assert str(exc.value) == str(want)
+            assert exc.value.residual == want.residual
+            assert exc.value.iterations == want.iterations
+            return
+        got = ops.resolvent(op, lam, x, warm=state)
+        y, v, w, its, res = want
+        assert got.y.tobytes() == y.tobytes()
+        assert got.v.tobytes() == v.tobytes()
+        assert got.w.tobytes() == w.tobytes()
+        assert got.iterations == its
+        assert got.residual == res
+        assert got.state[0] is got.w and got.state[1] is got.y
+
+    def test_exit_state_start_skips_projection_and_F(self, monkeypatch):
+        # The exit state of a solve at (lam, x) already meets the stop rule
+        # there: a second solve projects nothing and evaluates F nowhere.
+        # From a state that misses it, a solve projects and evaluates F once
+        # less than from the bare w.
+        op = NEWTON_INSTANCES["affine+box"]
+        x = np.array([1.5, -0.3, 0.9, -2.0])
+        first = ops.resolvent(op, 0.8, x)
+        calls = []
+        project, value = ops.domain_project, ops.single_value
+        monkeypatch.setattr(ops, "domain_project", lambda op, z: calls.append("P") or project(op, z))
+        monkeypatch.setattr(ops, "single_value", lambda op, z: calls.append("F") or value(op, z))
+        again = ops.resolvent(op, 0.8, x, warm=first.state)
+        assert calls == []
+        assert again.iterations == 0
+        assert again.y.tobytes() == first.y.tobytes() and again.v.tobytes() == first.v.tobytes()
+
+        counts = []
+        for warm in (first.w, first.state):
+            calls.clear()
+            r = ops.resolvent(op, 3.0, x, warm=warm)
+            assert r.iterations > 0
+            counts.append((calls.count("P"), calls.count("F")))
+        assert counts[1] == (counts[0][0] - 1, counts[0][1] - 1)
+
     @settings(max_examples=300)
     @given(
         name=st.sampled_from(sorted(ROUTE_INSTANCES)),
