@@ -33,9 +33,14 @@ VALUE_FLOOR = 1e-14
 GRID_POINTS = 101  # per axis of gap_grid_oracle's grid
 
 
+def _affine_terms(op):
+    if op.affine is None:
+        return np.zeros((op.dim, op.dim)), np.zeros(op.dim)
+    return op.affine.matrix, op.affine.offset
+
+
 def _affine_objective(op, x):
-    m = op.affine.matrix if op.affine is not None else np.zeros((op.dim, op.dim))
-    q = op.affine.offset if op.affine is not None else np.zeros(op.dim)
+    m, q = _affine_terms(op)
     sym = m + m.T
 
     def value(z):
@@ -69,16 +74,16 @@ def gap(problem, x, route="auto"):
     if not ops.domain_contains(op, x, atol=1e-9):
         raise ValueError("gap is evaluated at points of dom(A)")
 
-    m, q, sym, value, grad = _affine_objective(op, x)
     cone = op.cone
-    curv = float(np.abs(sym).max()) if sym.size else 0.0
-    linear = curv <= 1e-14 * max(1.0, float(np.abs(m).max()))
+    # Decided once per operator, when its AffinePart was built.
+    linear = op.affine is None or op.affine.skew
     if route == "support" and not linear:
         raise UnsupportedMetric("support route is exact only when the quadratic term vanishes")
 
     if linear and route != "ascent":
         # Skew part only: the objective is linear, sup attained at a
         # support point of the domain.
+        m, q = _affine_terms(op)
         c = m.T @ x - q
         if isinstance(cone, ops.BoxCone):
             val = float(np.sum(np.maximum(c * cone.lower, c * cone.upper)))
@@ -86,6 +91,8 @@ def gap(problem, x, route="auto"):
             val = cone.radius * ops.norm(c) + float(c @ cone.center)
         return val + float(q @ x)
 
+    m, q, sym, value, grad = _affine_objective(op, x)
+    curv = float(np.abs(sym).max())
     lip = float(np.linalg.eigvalsh(sym)[-1])
     # Zero curvature (linear objective) still converges with any positive
     # step; the floor only keeps the displacement finite before clipping.
@@ -155,7 +162,7 @@ def _active_set_polish(cone, sym, lin, z):
         a = sym[np.ix_(idx, idx)]
         b = lin[idx] - sym[np.ix_(idx, np.where(~free)[0])] @ z[~free]
         try:
-            sol = np.linalg.solve(a, b)
+            sol = ops._solve(a, b)
         except np.linalg.LinAlgError:
             return z
         zf[idx] = sol
@@ -192,9 +199,11 @@ def residue(problem, x):
     """min-norm element of A(x); errors when x is outside dom(A)."""
     op = problem.operator
     x = np.asarray(x, dtype=float)
-    if not ops.domain_contains(op, x):
+    res = ops.min_norm_residual(op, x)
+    # inf also comes from a point of dom(A) whose residual overflows.
+    if res == np.inf and not ops.domain_contains(op, x):
         raise ValueError("residue is defined on dom(A) only")
-    return ops.min_norm_residual(op, x)
+    return res
 
 
 def dist_to_solutions(problem, x):

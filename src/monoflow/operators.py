@@ -20,6 +20,13 @@ solve, separable polynomial, radial, or Newton on the normal map).  Every
 route but the polynomial one raises InnerSolverDiverged when it misses the
 residual bound.  Polynomials are evaluated by _horner, which gives
 npoly.polyval's bits on floats and on arrays alike.
+
+Every dense linear solve (the Newton step, the affine closed form, and the
+active-set polish of metrics.gap) goes through _solve.  It calls the LAPACK
+gufunc behind np.linalg.solve under the same floating-point error state,
+so it returns the same bits and raises the same LinAlgError on a singular
+matrix, without np.linalg.solve's Python-side dispatch, which costs several
+times the LAPACK solve at the dimensions used here.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InnerSolverDiverged
 from .report import worst
@@ -87,6 +95,20 @@ def _horner(c, x):
     return y
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(a, b):
+    """np.linalg.solve(a, b) bit for bit, minus its dispatch cost.
+
+    a is a float64 (d, d) matrix and b a float64 (d,) vector.  The error
+    state is np.linalg.solve's own, so a singular a raises LinAlgError.
+    """
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 @functools.cache
 def _eye(d):
     return _readonly(np.eye(d))
@@ -94,10 +116,16 @@ def _eye(d):
 
 @dataclass(frozen=True)
 class AffinePart:
-    """F(x) = matrix @ x + offset with monotone (PSD symmetric part) matrix."""
+    """F(x) = matrix @ x + offset with monotone (PSD symmetric part) matrix.
+
+    skew is True when matrix + matrix.T vanishes to 1e-14 relative to
+    matrix: then <F(z), x - z> is linear in z, and metrics.gap maximizes it
+    in closed form.
+    """
 
     matrix: np.ndarray
     offset: np.ndarray
+    skew: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _readonly(self.matrix)
@@ -106,12 +134,14 @@ class AffinePart:
             raise ValueError("affine matrix must be square")
         if q.shape != (m.shape[0],):
             raise ValueError("affine offset shape mismatch")
-        sym = 0.5 * (m + m.T)
-        lo = float(np.linalg.eigvalsh(sym)[0])
+        twice_sym = m + m.T
+        lo = float(np.linalg.eigvalsh(0.5 * twice_sym)[0])
         if lo < AFFINE_EIG_TOL:
             raise ValueError(f"affine part not monotone: min symmetric eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", q)
+        skew = float(np.abs(twice_sym).max()) <= 1e-14 * max(1.0, float(np.abs(m).max()))
+        object.__setattr__(self, "skew", skew)
 
 
 @dataclass(frozen=True)
@@ -419,10 +449,10 @@ def _radial_root(weight, lam, s):
 
 
 def _proj_jacobian(cone, w):
+    # Jacobian of the projection onto a ball, None for the identity; _newton
+    # masks a box itself.
     if cone is None:
-        return None  # identity
-    if isinstance(cone, BoxCone):
-        return ((w > cone.lower) & (w < cone.upper)).astype(float)
+        return None
     r = w - cone.center
     nr = norm(r)
     if nr <= cone.radius:
@@ -431,58 +461,58 @@ def _proj_jacobian(cone, w):
     return (cone.radius / nr) * (_eye(w.size) - np.outer(u, u))
 
 
-def _newton(op, lam, x, value, jacobian, stop, start, what):
+def _newton(op, lam, x, value, jacobian, rel, floor, start, what):
     """Damped semismooth Newton on the normal map w + lam*value(P(w)) - x = 0.
 
     value and jacobian evaluate a monotone single-valued map and its
-    Jacobian; stop(y) is the residual accepted at y = P(w).  start is None
-    (w = x), a bare w, or the exit state (w, P(w), value(P(w))) of an
-    earlier solve: a state skips projecting w and evaluating value there,
-    with the same bits, and so is valid only for the same value map and
-    domain (lam and x may differ).  Returns (y, v, iterations, state) with
-    v = value(y) + (w - y)/lam in (value + N_dom)(y) exactly, so
-    ||lam*v + y - x|| is the normal-map residual, and state = (w, y,
-    value(y)) at exit.  Raises InnerSolverDiverged, its message prefixed
-    by what, when the line search stalls or NEWTON_MAX_ITERS steps fall
-    short of stop.
+    Jacobian; the residual accepted at y = P(w) is max(rel*||y - x||,
+    floor).  start is None (w = x), a bare w, or the exit state (w, P(w),
+    value(P(w))) of an earlier solve: a state skips projecting w and
+    evaluating value there, with the same bits, and so is valid only for
+    the same value map and domain (lam and x may differ).  Returns (y, v,
+    iterations, state) with v = value(y) + (w - y)/lam in (value +
+    N_dom)(y) exactly, so ||lam*v + y - x|| is the normal-map residual, and
+    state = (w, y, value(y)) at exit.  Raises InnerSolverDiverged, its
+    message prefixed by what, when the line search stalls or
+    NEWTON_MAX_ITERS steps fall short of the accepted residual.
     """
     eye = _eye(op.dim)
-
-    def trial(wv):
-        # (P(wv), value there, normal map at wv, its norm)
-        yv = domain_project(op, wv)
-        vv = value(yv)
-        fv = wv + lam * vv - x
-        return yv, vv, fv, norm(fv)
-
+    cone = op.cone
+    # A box, the zoo's usual domain, is projected and masked inline, without
+    # the isinstance dispatch of domain_project and _proj_jacobian.
+    box = isinstance(cone, BoxCone)
+    if box:
+        lo, hi = cone.lower, cone.upper
     if isinstance(start, tuple):
         w, y, fy = start
-        f = w + lam * fy - x
-        nf = norm(f)
     else:
         w = x.copy() if start is None else np.asarray(start, dtype=float).copy()
-        y, fy, f, nf = trial(w)
+        y = np.minimum(np.maximum(w, lo), hi) if box else domain_project(op, w)
+        fy = value(y)
+    f = w + lam * fy - x
+    nf = norm(f)
     its = 0
     while its < NEWTON_MAX_ITERS:
-        target = stop(y)
+        target = max(rel * norm(y - x), floor)
         if nf <= target:
             break
         jf = jacobian(y)
-        dp = _proj_jacobian(op.cone, w)
-        if dp is None:
-            jac = eye + lam * jf
-        elif dp.ndim == 1:
-            jac = eye + lam * (jf * dp[np.newaxis, :])
+        if box:
+            jac = eye + lam * (jf * ((w > lo) & (w < hi)).astype(float))
         else:
-            jac = eye + lam * (jf @ dp)
+            dp = _proj_jacobian(cone, w)
+            jac = eye + lam * (jf if dp is None else jf @ dp)
         try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
+            step = _solve(jac, -f)
+        except LinAlgError:
             step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         t = 1.0
         wn = w + step  # the bits of w + 1.0 * step
         for _ in range(60):
-            yn, fyn, fn, nfn = trial(wn)
+            yn = np.minimum(np.maximum(wn, lo), hi) if box else domain_project(op, wn)
+            fyn = value(yn)
+            fn = wn + lam * fyn - x
+            nfn = norm(fn)
             if nfn < nf * (1.0 - 1e-4 * t) or nfn <= target:
                 break
             t *= 0.5
@@ -494,7 +524,7 @@ def _newton(op, lam, x, value, jacobian, stop, start, what):
         w, y, fy, f, nf = wn, yn, fyn, fn, nfn
         its += 1
     else:
-        if nf > stop(y):
+        if nf > max(rel * norm(y - x), floor):
             raise InnerSolverDiverged(
                 f"{what} newton hit iteration cap at residual {nf:.3e}",
                 residual=nf,
@@ -503,9 +533,9 @@ def _newton(op, lam, x, value, jacobian, stop, start, what):
     return y, fy + (w - y) / lam, its, (w, y, fy)
 
 
-def normal_map_newton(op, lam, x, value, jacobian, stop, w0, what):
+def normal_map_newton(op, lam, x, value, jacobian, rel, floor, w0, what):
     """_newton from w0 returning (y, v, w, iterations), w the exit point."""
-    y, v, its, state = _newton(op, lam, x, value, jacobian, stop, w0, what)
+    y, v, its, state = _newton(op, lam, x, value, jacobian, rel, floor, w0, what)
     return y, v, state[0], its
 
 
@@ -529,7 +559,7 @@ def _projection_route(op, lam, x, warm):
 
 def _affine_route(op, lam, x, warm):
     m, q = op.affine.matrix, op.affine.offset
-    y = np.linalg.solve(_eye(op.dim) + lam * m, x - lam * q)
+    y = _solve(_eye(op.dim) + lam * m, x - lam * q)
     return _closed_form(lam, x, y, m @ y + q, "affine")
 
 
@@ -564,7 +594,8 @@ def _newton_route(op, lam, x, warm):
         x,
         lambda z: single_value(op, z),
         lambda z: single_jacobian(op, z),
-        lambda y: RESOLVENT_TOL * max(1.0, norm(y - x)),
+        RESOLVENT_TOL,  # rel and floor: RESOLVENT_TOL * max(1, ||y - x||), to the bit
+        RESOLVENT_TOL,
         warm,
         "resolvent",
     )

@@ -199,7 +199,8 @@ def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         x,
         sur.value,
         sur.jacobian,
-        lambda y: max(cfg.sigma_hat * ops.norm(y - x), floor),
+        cfg.sigma_hat,
+        floor,
         warm,
         "surrogate",
     )

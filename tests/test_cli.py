@@ -344,6 +344,30 @@ class TestImport:
             missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
             assert not missing, f"{name}.__all__ names missing attributes {missing}"
 
+    def test_dense_solves_go_through_one_helper(self):
+        # Every dense solve is operators._solve, which tier-1 pins to
+        # np.linalg.solve bit for bit; the LAPACK gufunc appears nowhere else.
+        import ast
+
+        import monoflow
+
+        for path in sorted(Path(monoflow.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside = []
+
+            def visit(node, where):
+                if isinstance(node, ast.FunctionDef):
+                    where = node.name
+                field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+                name = getattr(node, field) if field else None
+                if name in ("solve", "solve1") and not (where == "_solve" and path.name == "operators.py"):
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+                for child in ast.iter_child_nodes(node):
+                    visit(child, where)
+
+            visit(tree, None)
+            assert not outside, f"dense solve outside operators._solve: {outside}"
+
     def test_benchmark_span_targets_resolve(self):
         # The benchmark tracer wraps these names; a renamed or deleted one
         # fails here instead of as an AttributeError inside a traced run.

@@ -64,6 +64,20 @@ class TestGap:
             gap(prob, [0.3, 0.1], route="support")
         assert gap(prob, [0.3, 0.1], route="ascent") >= 0.0
 
+    def test_stored_skew_flag_is_the_per_call_decision(self):
+        # AffinePart.skew against the test gap ran on every call: the
+        # largest entry of m + m.T within 1e-14 of the largest of m.
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((4, 4))
+        cases = [SADDLE.operator.affine.matrix, MONOTONE.operator.affine.matrix, np.zeros((3, 3))]
+        for eps in (0.0, 1e-16, 1e-14, 1e-13, 1e-3):
+            cases.append(g - g.T + eps * np.eye(4))
+        for m in cases:
+            sym = m + m.T
+            want = float(np.abs(sym).max()) <= 1e-14 * max(1.0, float(np.abs(m).max()))
+            assert ops.AffinePart(m, np.zeros(len(m))).skew is want
+        assert {ops.AffinePart(m, np.zeros(len(m))).skew for m in cases} == {True, False}
+
     def test_unbounded_domain_rejected(self):
         with pytest.raises(DomainUnbounded):
             gap(MONOTONE, [0.5, 0.5])
@@ -144,6 +158,18 @@ class TestResidue:
     def test_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             residue(SADDLE, [2.0, 0.0])
+        with pytest.raises(ValueError):
+            residue(SADDLE, [np.nan, 0.0])
+
+    def test_one_residual_per_call(self, monkeypatch):
+        # residue reads dom(A) off min_norm_residual's inf; inside the box
+        # it returns that residual, evaluated once.
+        calls = []
+        real = ops.min_norm_residual
+        monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
+        for x in ([0.2, -0.1], [1.0, -1.0], [1.0 + 1e-13, 0.0]):
+            assert residue(SADDLE, x) == real(SADDLE.operator, np.array(x))
+        assert len(calls) == 3
 
 
 class TestDistance:

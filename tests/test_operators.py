@@ -303,8 +303,9 @@ def _ref_proj_jacobian(cone, w):
     return (cone.radius / nr) * (np.eye(w.size) - np.outer(u, u))
 
 
-def _ref_resolvent(op, lam, x, warm, tol=ops.RESOLVENT_TOL):
-    """(y, v, w, iterations, residual), or the InnerSolverDiverged raised."""
+def _ref_resolvent(op, lam, x, warm, tol=ops.RESOLVENT_TOL, solve=np.linalg.solve):
+    """(y, v, w, iterations, residual), or the InnerSolverDiverged raised;
+    solve is the dense solve of the Newton step."""
     w = x.copy() if warm is None else np.asarray(warm, dtype=float).copy()
     eye = np.eye(op.dim)
 
@@ -331,7 +332,7 @@ def _ref_resolvent(op, lam, x, warm, tol=ops.RESOLVENT_TOL):
         else:
             jac = eye + lam * (jf @ dp)
         try:
-            step = np.linalg.solve(jac, -f)
+            step = solve(jac, -f)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         t = 1.0
@@ -427,7 +428,7 @@ def _ref_dispatch(op, lam, x, warm):
         value, jacobian = (lambda z: ops.single_value(op, z)), (lambda z: ops.single_jacobian(op, z))
     try:
         y, v, w, its = ops.normal_map_newton(
-            op, lam, x, value, jacobian, lambda y: ops.RESOLVENT_TOL * max(1.0, ops.norm(y - x)), warm, "resolvent"
+            op, lam, x, value, jacobian, ops.RESOLVENT_TOL, ops.RESOLVENT_TOL, warm, "resolvent"
         )
     except InnerSolverDiverged as exc:
         return exc
@@ -568,6 +569,70 @@ def _poly_points(draw):
     return name, lam, x
 
 
+class TestDenseSolve:
+    """operators._solve gives np.linalg.solve's bits and errors.  pytest turns
+    a RuntimeWarning into an error, so a solve that leaks one fails here."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10, 17])
+    def test_matches_numpy(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(40):
+            s = 10.0 ** rng.uniform(-3.0, 6.0)  # log-uniform in [1e-3, 1e6]
+            a = np.eye(d) + s * rng.standard_normal((d, d))
+            b = rng.standard_normal(d)
+            for m in (a, a.T):  # C and Fortran order
+                assert ops._solve(m, b).tobytes() == np.linalg.solve(m, b).tobytes()
+
+    @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))])
+    def test_singular_raises(self, a):
+        a = np.array(a)
+        b = np.ones(a.shape[0])
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            np.linalg.solve(a, b)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            ops._solve(a, b)
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+    def test_nan_entry_matches_numpy(self, where):
+        a = np.eye(3) + 0.5 * np.random.default_rng(5).standard_normal((3, 3))
+        a[where] = np.nan
+        b = np.array([1.0, -2.0, 0.5])
+        try:
+            want = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{exc}$"):
+                ops._solve(a, b)
+        else:
+            assert ops._solve(a, b).tobytes() == want.tobytes()
+
+    def test_newton_lstsq_fallback_matches_reference(self, monkeypatch):
+        # No Newton matrix of these instances is singular, so the kernel's
+        # lstsq branch runs only when every dense solve is made to fail.
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(ops, "_solve", singular)
+        rng = np.random.default_rng(17)
+        steps = 0
+        for name, op in NEWTON_INSTANCES.items():
+            for lam in (0.1, 1.0, 10.0):
+                x = rng.standard_normal(op.dim)
+                want = _ref_resolvent(op, lam, x, None, solve=singular)
+                if isinstance(want, InnerSolverDiverged):
+                    with pytest.raises(InnerSolverDiverged) as exc:
+                        ops.resolvent(op, lam, x)
+                    assert str(exc.value) == str(want)
+                    continue
+                got = ops.resolvent(op, lam, x)
+                y, v, w, its, res = want
+                assert got.y.tobytes() == y.tobytes(), name
+                assert got.v.tobytes() == v.tobytes(), name
+                assert got.w.tobytes() == w.tobytes(), name
+                assert got.iterations == its and got.residual == res, name
+                steps += its
+        assert steps > 0
+
+
 class TestKernelBitIdentity:
     """The live kernel reproduces the reference copy above exactly."""
 
@@ -651,26 +716,29 @@ class TestKernelBitIdentity:
         # The exit state of a solve at (lam, x) already meets the stop rule
         # there: a second solve projects nothing and evaluates F nowhere.
         # From a state that misses it, a solve projects and evaluates F once
-        # less than from the bare w.
-        op = NEWTON_INSTANCES["affine+box"]
+        # less than from the bare w.  The kernel projects onto a box inline,
+        # so domain_project counts projections onto the ball only.
         x = np.array([1.5, -0.3, 0.9, -2.0])
-        first = ops.resolvent(op, 0.8, x)
-        calls = []
         project, value = ops.domain_project, ops.single_value
+        calls = []
         monkeypatch.setattr(ops, "domain_project", lambda op, z: calls.append("P") or project(op, z))
         monkeypatch.setattr(ops, "single_value", lambda op, z: calls.append("F") or value(op, z))
-        again = ops.resolvent(op, 0.8, x, warm=first.state)
-        assert calls == []
-        assert again.iterations == 0
-        assert again.y.tobytes() == first.y.tobytes() and again.v.tobytes() == first.v.tobytes()
-
-        counts = []
-        for warm in (first.w, first.state):
+        for name, projections_saved in (("affine+box", 0), ("affine+ball", 1)):
+            op = NEWTON_INSTANCES[name]
+            first = ops.resolvent(op, 0.8, x)
             calls.clear()
-            r = ops.resolvent(op, 3.0, x, warm=warm)
-            assert r.iterations > 0
-            counts.append((calls.count("P"), calls.count("F")))
-        assert counts[1] == (counts[0][0] - 1, counts[0][1] - 1)
+            again = ops.resolvent(op, 0.8, x, warm=first.state)
+            assert calls == []
+            assert again.iterations == 0
+            assert again.y.tobytes() == first.y.tobytes() and again.v.tobytes() == first.v.tobytes()
+
+            counts = []
+            for warm in (first.w, first.state):
+                calls.clear()
+                r = ops.resolvent(op, 3.0, x, warm=warm)
+                assert r.iterations > 0
+                counts.append((calls.count("P"), calls.count("F")))
+            assert counts[1] == (counts[0][0] - projections_saved, counts[0][1] - 1)
 
     @settings(max_examples=300)
     @given(
@@ -1114,7 +1182,8 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
             x,
             lambda z: _ref_taylor_value(op, anchor, p, z),
             lambda z: _ref_taylor_jacobian(op, anchor, p, z),
-            lambda y: max(cfg.sigma_hat * ops.norm(y - x), floor),
+            cfg.sigma_hat,
+            floor,
             warm,
             "surrogate",
         )
