@@ -168,14 +168,11 @@ def _run_flow(cfg, problem):
 
 
 def _run_iterative(cfg, problem):
-    mode_params = cfg.mode_params()
+    drive = cfg.drive()
     if cfg.mode == "HPE_EXACT":
-        drive = mode_params
         oracle = hpe.ExactProxOracle(problem, drive)
     else:
-        stop_res = cfg.params.get("stop_res", hpe.HpeConfig.stop_res)
-        drive = mode_params.drive(cfg.horizon["max_iters"], stop_res)
-        oracle = tensor.TensorOracle(problem, mode_params)
+        oracle = tensor.TensorOracle(problem, cfg.mode_params())
     x0 = cfg.initial_point(problem)
     result = hpe.run(problem, oracle, drive, x0)
 

@@ -155,6 +155,7 @@ class ExperimentConfig:
         problem = cfg.problem_instance()
         mode_params = cfg.mode_params()
         if mode == "TENSOR":
+            cfg.drive()
             try:
                 _check_surrogate_order(problem.operator, mode_params.p)
             except ConfigError as exc:
@@ -191,7 +192,6 @@ class ExperimentConfig:
                     max_iters=self.horizon["max_iters"],
                     stop_res=p.pop("stop_res", HpeConfig.stop_res),
                 )
-            p.pop("stop_res", None)
             return TensorConfig(
                 sigma_hat=p.pop("sigma_hat"),
                 sigma_l=p.pop("sigma_l"),
@@ -201,6 +201,16 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"params is missing required key {exc.args[0]!r} for mode {self.mode}") from None
+        except ValueError as exc:
+            raise ConfigError(f"params invalid: {exc}") from None
+
+    def drive(self):
+        """The HpeConfig that drives an HPE_EXACT or TENSOR run and verifies its steps."""
+        mode_params = self.mode_params()
+        if self.mode == "HPE_EXACT":
+            return mode_params
+        try:
+            return mode_params.drive(self.horizon["max_iters"], self.params.get("stop_res", HpeConfig.stop_res))
         except ValueError as exc:
             raise ConfigError(f"params invalid: {exc}") from None
 

@@ -175,8 +175,8 @@ def run(problem, oracle, cfg, x0):
     ----------
     problem : ProblemInstance
     oracle : callable (x, residual) -> (lam, y, v, eps); residual is
-        ops.min_norm_residual at x, which run has just tested, for an
-        oracle that tests stationarity there too
+        ops.min_norm_residual at x, which run has just tested; ExactProxOracle
+        and tensor.TensorOracle read it for their stationarity tests
     cfg : HpeConfig (verification constants sigma, theta, p)
     x0 : array
 

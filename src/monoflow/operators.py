@@ -11,7 +11,8 @@ closed form or by a damped semismooth Newton method on the normal map
 where P projects onto dom(A).  The returned pair (y, v) always satisfies
 v in A(y) exactly (v is assembled from the parts plus an explicit normal
 element), so the reported residual ||lam*v + y - x|| measures the full
-solve error.
+solve error.  normal_map_newton is the one Newton kernel: the resolvent's
+Newton route runs it on F, and the tensor oracle on a TaylorSurrogate of F.
 
 What depends on the operator alone is computed once, when it is built: a
 PolyPart keeps its derivative chain, a BoxCone its boundary tolerance
@@ -384,16 +385,15 @@ def min_norm_residual(op, x):
 class Resolvent:
     """Output of a resolvent solve: v in A(y) and lam*v + y ~= x.
 
-    Only the Newton route sets w, its last normal-map point, and state =
-    (w, y, F(y)), its exit state: either one warm-starts another solve of
-    the same operator (see resolvent).
+    Only the Newton route sets state = (w, y, F(y)), its exit state with w
+    its last normal-map point: the state, or w alone, warm-starts another
+    solve of the same operator (see resolvent).
     """
 
     y: np.ndarray
     v: np.ndarray
     residual: float
     iterations: int
-    w: np.ndarray | None = None
     state: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -449,8 +449,8 @@ def _radial_root(weight, lam, s):
 
 
 def _proj_jacobian(cone, w):
-    # Jacobian of the projection onto a ball, None for the identity; _newton
-    # masks a box itself.
+    # Jacobian of the projection onto a ball, None for the identity;
+    # normal_map_newton masks a box itself.
     if cone is None:
         return None
     r = w - cone.center
@@ -461,7 +461,7 @@ def _proj_jacobian(cone, w):
     return (cone.radius / nr) * (_eye(w.size) - np.outer(u, u))
 
 
-def _newton(op, lam, x, value, jacobian, rel, floor, start, what):
+def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     """Damped semismooth Newton on the normal map w + lam*value(P(w)) - x = 0.
 
     value and jacobian evaluate a monotone single-valued map and its
@@ -533,12 +533,6 @@ def _newton(op, lam, x, value, jacobian, rel, floor, start, what):
     return y, fy + (w - y) / lam, its, (w, y, fy)
 
 
-def normal_map_newton(op, lam, x, value, jacobian, rel, floor, w0, what):
-    """_newton from w0 returning (y, v, w, iterations), w the exit point."""
-    y, v, its, state = _newton(op, lam, x, value, jacobian, rel, floor, w0, what)
-    return y, v, state[0], its
-
-
 def _closed_form(lam, x, y, v, what):
     """The Resolvent (y, v) of a closed-form route, or InnerSolverDiverged
     when its residual misses the bound (NaN included)."""
@@ -588,7 +582,7 @@ def _radial_route(op, lam, x, warm):
 
 
 def _newton_route(op, lam, x, warm):
-    y, v, its, state = _newton(
+    y, v, its, state = normal_map_newton(
         op,
         lam,
         x,
@@ -599,7 +593,7 @@ def _newton_route(op, lam, x, warm):
         warm,
         "resolvent",
     )
-    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=its, w=state[0], state=state)
+    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=its, state=state)
 
 
 def resolvent(op, lam, x, warm=None):
@@ -610,10 +604,10 @@ def resolvent(op, lam, x, warm=None):
     op : OperatorSpec
     lam : float, positive proximal coefficient.
     x : array, query point (need not lie in dom(A)).
-    warm : None, or the w or the state of an earlier Resolvent of op; only
-        the Newton route reads it, as its start.  A state (w, y, F(y)) also
-        skips projecting w and evaluating F there, with the same bits, so
-        it is valid only for the same operator (lam and x may differ).
+    warm : None, or the state (w, y, F(y)) of an earlier Resolvent of op or
+        its w alone; only the Newton route reads it, as its start.  A state
+        also skips projecting w and evaluating F there, with the same bits,
+        so it is valid only for the same operator (lam and x may differ).
 
     Returns
     -------

@@ -1,15 +1,16 @@
 """Higher-order oracle built from inexact Taylor-surrogate resolvents.
 
-One oracle call anchors an order-(p-1) Taylor surrogate of the smooth part
-at the domain projection of the current point, solves the surrogate
-resolvent inexactly within a relative inexactness sigma_hat, and searches
-for a step size whose large-step product lands in the window
+One oracle call builds one order-(p-1) Taylor surrogate of the smooth part,
+anchored at the domain projection of the current point, solves its
+resolvent inexactly within a relative inexactness sigma_hat at each trial
+step size, and searches for one whose large-step product lands in the window
 
     sigma_l * p!/L  <=  lam * ||y - x||^(p-1)  <=  sigma_u * p!/L.
 
-The returned (lam, y, v, 0) satisfies the large-step and relative-error
-conditions with theta = sigma_l * p!/L and sigma = sigma_hat + sigma_u, so
-every step is verifiable by the discrete framework's certificate.
+The returned (lam, y, v, 0), the surrogate error folded into v, satisfies
+the large-step and relative-error conditions with theta = sigma_l * p!/L
+and sigma = sigma_hat + sigma_u, so every step is verifiable by the
+discrete framework's certificate.
 
 At p = 3 the anchored surrogate is quadratic in the step, and past a finite
 lam its subproblem has no point within the inexactness rule.  For a lone
@@ -163,93 +164,91 @@ def _unsolvable_bound(sur, x, lam, sigma_hat):
     return None
 
 
-def surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
-    """Inexact resolvent of the anchored surrogate plus the normal cone.
+def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
+    """Inexact resolvent of the anchored surrogate sur plus the normal cone.
 
-    Runs operators.normal_map_newton on w + lam*F_anchor(P(w)) - x and stops as soon as the residual is within
-    sigma_hat * ||P(w) - x||.  Returns (y, u, w) with u an exact element of
-    (F_anchor + H)(y), so the inexactness lives entirely in the residual
-    ||lam*u + y - x|| <= sigma_hat * ||y - x||.
+    Runs operators.normal_map_newton on w + lam*sur(P(w)) - x and stops as
+    soon as the residual is within sigma_hat * ||P(w) - x||.  Returns
+    (y, u, w) with u an exact element of (sur + H)(y), so the inexactness
+    lives entirely in the residual ||lam*u + y - x|| <= sigma_hat *
+    ||y - x||, and w the exit point, a warm start for the next solve.
 
     At p = 3 an anchored surrogate can have no point that meets this stop
     rule.  Where a closed form (_unsolvable_bound) shows that, the solve
     raises InnerSolverDiverged before Newton runs, with iterations 0 and
     residual the certified lower bound; Newton would only run to a stall.
     """
-    op = problem.operator
-    p = cfg.p
-    _check_surrogate_order(op, p)
-    x = np.asarray(x, dtype=float)
-    sur = ops.TaylorSurrogate(op, anchor, p)
-    if p >= 3:
-        jac = sur.jacobian(sur.anchor)
-        lo = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[0])
-        if lo < -1e-10 * max(1.0, float(np.abs(jac).max())):
-            raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {lo:.3e}")
-
     floor = 1e-14 * (1.0 + ops.norm(x))
-    bound = _unsolvable_bound(sur, x, lam, cfg.sigma_hat)
+    bound = _unsolvable_bound(sur, x, lam, sigma_hat)
     if bound is not None and bound > floor:
         raise InnerSolverDiverged(
             f"{UNSOLVABLE} at residual >= {bound:.3e}", residual=bound, iterations=0
         )
-    y, u, w, _ = ops.normal_map_newton(
-        op,
-        lam,
-        x,
-        sur.value,
-        sur.jacobian,
-        cfg.sigma_hat,
-        floor,
-        warm,
-        "surrogate",
+    y, u, _, state = ops.normal_map_newton(
+        sur.op, lam, x, sur.value, sur.jacobian, sigma_hat, floor, warm, "surrogate"
     )
-    return y, u, w
+    return y, u, state[0]
 
 
-def lambda_window_search(problem, x, cfg, hint=None, warm=None):
+def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     """Find lam whose large-step product falls inside the window.
 
-    For p = 1 the window constrains lam itself and the arithmetic midpoint
-    is returned directly.  For p >= 2 the product is nondecreasing in lam
-    wherever the surrogate subproblem is solvable, so geometric
+    The surrogate is anchored at the domain projection of x, checked once
+    (order; at p >= 3 monotonicity at the anchor) and built once for every
+    trial lam.  For p = 1 the window constrains lam itself and the
+    arithmetic midpoint is taken directly.  For p >= 2 x must not be
+    stationary (residual, when given, is ops.min_norm_residual(op, x) and
+    is read instead of evaluated again), and the product is nondecreasing
+    in lam wherever the surrogate subproblem is solvable, so geometric
     doubling/halving from the hint brackets the window and log-scale
     bisection lands in it.  An anchored surrogate of degree >= 2 is only
     locally monotone, so the subproblem can lose solvability past a finite
     lam; an inner-solver failure is therefore treated as product = +inf
     and only shrinks the bracket from above.
 
-    Returns (lam, y, u, w); raises WindowUnreachable with the last bracket
-    if the budget runs out.
+    Returns (lam, y, v, w): v = F(y) + u - sur(y) in A(y) exactly, the
+    surrogate error folded into the accepted solve's u, and w its exit
+    point.  Raises WindowUnreachable with the last bracket if the budget
+    runs out.
     """
     op = problem.operator
+    p = cfg.p
     x = np.asarray(x, dtype=float)
-    wlo, whi = cfg.window
     anchor = ops.domain_project(op, x)
-    if cfg.p == 1:
+    if p >= 2:
+        res = ops.min_norm_residual(op, x) if residual is None else residual
+        if res <= STATIONARITY_TOL:
+            raise StationaryPoint("window search undefined on the solution set", x=x)
+    _check_surrogate_order(op, p)
+    sur = ops.TaylorSurrogate(op, anchor, p)
+    if p >= 3:
+        jac = sur.jacobian(anchor)
+        eig = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[0])
+        if eig < -1e-10 * max(1.0, float(np.abs(jac).max())):
+            raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {eig:.3e}")
+
+    def fold(lam, y, u, w):
+        return lam, y, ops.single_value(op, y) + u - sur.value(y), w
+
+    wlo, whi = cfg.window
+    if p == 1:
         lam = 0.5 * (wlo + whi)
-        y, u, w = surrogate_resolvent(problem, anchor, x, lam, cfg, warm=warm)
-        return lam, y, u, w
-
-    if ops.min_norm_residual(op, x) <= STATIONARITY_TOL:
-        raise StationaryPoint("window search undefined on the solution set", x=x)
-
-    cache = {"warm": warm}
+        return fold(lam, *surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm))
 
     def product(lam):
+        nonlocal warm
         try:
-            y, u, w = surrogate_resolvent(problem, anchor, x, lam, cfg, warm=cache["warm"])
+            y, u, warm = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
         except InnerSolverDiverged:
             return None
-        cache["warm"] = w
-        return lam * ops.norm(y - x) ** (cfg.p - 1), y, u, w
+        return lam * ops.norm(y - x) ** (p - 1), y, u, warm
 
     lam = float(hint) if hint is not None and hint > 0 else math.sqrt(wlo * whi)
     out = product(lam)
     if out is not None:
         s, y, u, w = out
         if wlo <= s <= whi:
-            return lam, y, u, w
+            return fold(lam, y, u, w)
     else:
         s = math.inf
 
@@ -264,7 +263,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None):
             shi, y, u, w = out
             if shi >= wlo:
                 if shi <= whi:
-                    return hi, y, u, w
+                    return fold(hi, y, u, w)
                 break
         else:
             raise WindowUnreachable("no upper bracket for the step window", bracket=(lo, hi))
@@ -279,7 +278,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None):
             slo, y, u, w = out
             if slo <= whi:
                 if slo >= wlo:
-                    return lo, y, u, w
+                    return fold(lo, y, u, w)
                 break
         else:
             raise WindowUnreachable("no lower bracket for the step window", bracket=(lo, hi))
@@ -292,7 +291,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None):
             continue
         s, y, u, w = out
         if wlo <= s <= whi:
-            return lam, y, u, w
+            return fold(lam, y, u, w)
         if s < wlo:
             lo = lam
         else:
@@ -310,22 +309,16 @@ class TensorOracle:
         self.warm = None
 
     def __call__(self, x, residual=None):
-        """One accelerated step: anchored surrogate solve plus window search.
+        """One accelerated step: lambda_window_search from the last step's
+        lam and exit point, with hpe.run's residual for its stationarity test.
 
         Returns (lam, y, v, 0.0) with v in A(y) exactly: the surrogate error
         F(y) - F_anchor(y) is folded into v, and the Taylor remainder bound
         together with the window upper edge gives
-        ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.  residual,
-        which hpe.run passes, is not read: the window search keeps its own
-        stationarity test.
+        ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.
         """
-        op = self.problem.operator
-        x = np.asarray(x, dtype=float)
-        lam, y, u, w = lambda_window_search(
-            self.problem, x, self.cfg, hint=self.hint, warm=self.warm
+        lam, y, v, self.warm = lambda_window_search(
+            self.problem, x, self.cfg, hint=self.hint, warm=self.warm, residual=residual
         )
         self.hint = lam
-        self.warm = w
-        sur = ops.TaylorSurrogate(op, ops.domain_project(op, x), self.cfg.p)
-        v = ops.single_value(op, y) + u - sur.value(y)
         return lam, y, v, 0.0

@@ -188,6 +188,24 @@ class TestConfigRejection:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [("params", "stop_res"), ("horizon", "max_iters")])
+    def test_negative_tensor_drive_constant_exits_two(self, tmp_path, capsys, section, key):
+        # Both feed the HpeConfig that drives a TENSOR run; they used to pass
+        # parsing and end the run in a ValueError traceback.
+        payload = {
+            "problem": {"name": "cubic_1d"},
+            "mode": "TENSOR",
+            "params": {"sigma_hat": 0.1, "sigma_l": 0.2, "sigma_u": 0.8, "L": 6.0, "p": 3},
+            "horizon": {"max_iters": 10},
+            "x0": [2.0],
+            "out": str(tmp_path / "t.csv"),
+        }
+        payload[section][key] = -1
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be >= 0" in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_unsupported_surrogate_order_exits_two(self, tmp_path, capsys):
         # p = 3 surrogate solves need d <= 4; the d = 10 saddle used to fail
         # at its first oracle call with exit 1.

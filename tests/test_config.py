@@ -215,6 +215,12 @@ class TestDerivedObjects:
         assert drive == HpeConfig(sigma=tc.sigma, theta=tc.theta, p=tc.p, max_iters=40, stop_res=1e-9)
         assert drive.law == FeedbackParams(tc.theta, tc.p)
         assert tc.drive(40, stop_res=1e-6).stop_res == 1e-6
+        # ExperimentConfig.drive is what cli drives a run with.
+        assert cfg.drive() == drive
+        params = dict(tensor_dict()["params"], stop_res=1e-6)
+        assert ExperimentConfig.from_dict(tensor_dict(params=params)).drive() == tc.drive(40, stop_res=1e-6)
+        hpe = ExperimentConfig.from_dict(hpe_dict())
+        assert hpe.drive() == hpe.mode_params()
 
     def test_explicit_x0(self):
         cfg = ExperimentConfig.from_dict(flow_dict())

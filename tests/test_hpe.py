@@ -21,6 +21,7 @@ from monoflow.hpe import (
     run,
     verify_step,
 )
+from monoflow.tensor import TensorConfig, TensorOracle
 
 SADDLE = problems.make_bilinear_saddle(d=2)
 
@@ -170,16 +171,21 @@ class TestRun:
         assert res.status == "SOLVED"
         assert res.records == []
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_stationarity_tested_once_per_iteration(self, monkeypatch, p):
+    @pytest.mark.parametrize("p, mode", [(1, "exact"), (2, "exact"), (2, "tensor")], ids=["1", "2", "tensor-2"])
+    def test_stationarity_tested_once_per_iteration(self, monkeypatch, p, mode):
         # run tests each iterate and hands the value to the oracle, whose
-        # law solve (p >= 2) reads it: one test per iteration, plus the
-        # final iterate's after the budget runs out.
+        # law solve or window search (p >= 2) reads it: one test per
+        # iteration, plus the final iterate's after the budget runs out.
         calls = []
         real = ops.min_norm_residual
         monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
-        cfg = saddle_config(p=p, theta=0.05, iters=20)
-        res = run(SADDLE, ExactProxOracle(SADDLE, cfg), cfg, np.array([0.7, -0.4]))
+        if mode == "exact":
+            cfg = saddle_config(p=p, theta=0.05, iters=20)
+            oracle = ExactProxOracle(SADDLE, cfg)
+        else:
+            tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=100.0, p=p)
+            cfg, oracle = tc.drive(20, stop_res=0.0), TensorOracle(SADDLE, tc)
+        res = run(SADDLE, oracle, cfg, np.array([0.7, -0.4]))
         assert res.status == "MAX_ITERS" and len(res.records) == 20
         assert len(calls) == 20 + 1
 

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from monoflow import metrics, problems, tensor
 from monoflow import operators as ops
-from monoflow.errors import InnerSolverDiverged, SurrogateNonmonotone
+from monoflow.errors import InnerSolverDiverged
 from monoflow.hpe import run
 from monoflow.tensor import TensorConfig, TensorOracle, surrogate_resolvent
 
@@ -178,7 +178,7 @@ class TestResolvent:
         op = make_box_affine(seed=17)
         x = np.array([1.5, -0.3, 0.9, -2.0])
         r1 = ops.resolvent(op, 0.8, x)
-        r2 = ops.resolvent(op, 0.8, x, warm=r1.w)
+        r2 = ops.resolvent(op, 0.8, x, warm=r1.state[0])
         assert np.allclose(r1.y, r2.y, atol=1e-9)
 
     def test_rejects_bad_lambda(self):
@@ -211,18 +211,14 @@ class TestNewtonFailures:
     """Both normal-map solves surface Newton failure as InnerSolverDiverged."""
 
     RADIAL_BALL = ops.OperatorSpec(dim=2, radial=ops.RadialPart(1.0), cone=ops.BallCone(np.zeros(2), 1.0))
-    CUBIC = problems.make_cubic_1d()
-    CUBIC_P3 = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
+    CUBIC_SURROGATE = ops.TaylorSurrogate(problems.make_cubic_1d().operator, [2.0], 3)
 
     def solves(self, x):
         # (message prefix, solve) for the exact resolvent (radial field over
         # a ball: no closed form, so Newton runs) and the surrogate resolvent.
         return [
             ("resolvent", lambda: ops.resolvent(self.RADIAL_BALL, 5.0, np.array([x, 1.0]))),
-            (
-                "surrogate",
-                lambda: surrogate_resolvent(self.CUBIC, np.array([2.0]), np.array([x]), 0.5, self.CUBIC_P3),
-            ),
+            ("surrogate", lambda: surrogate_resolvent(self.CUBIC_SURROGATE, np.array([x]), 0.5, 0.1)),
         ]
 
     def test_iteration_cap(self, monkeypatch):
@@ -427,12 +423,12 @@ def _ref_dispatch(op, lam, x, warm):
     else:
         value, jacobian = (lambda z: ops.single_value(op, z)), (lambda z: ops.single_jacobian(op, z))
     try:
-        y, v, w, its = ops.normal_map_newton(
+        y, v, its, state = ops.normal_map_newton(
             op, lam, x, value, jacobian, ops.RESOLVENT_TOL, ops.RESOLVENT_TOL, warm, "resolvent"
         )
     except InnerSolverDiverged as exc:
         return exc
-    return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, w=w)
+    return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, state=state)
 
 
 def _route_instances():
@@ -627,7 +623,7 @@ class TestDenseSolve:
                 y, v, w, its, res = want
                 assert got.y.tobytes() == y.tobytes(), name
                 assert got.v.tobytes() == v.tobytes(), name
-                assert got.w.tobytes() == w.tobytes(), name
+                assert got.state[0].tobytes() == w.tobytes(), name
                 assert got.iterations == its and got.residual == res, name
                 steps += its
         assert steps > 0
@@ -652,7 +648,7 @@ class TestKernelBitIdentity:
         if warm_ratio is not None:
             # A warm start as the law solve passes it: w of a nearby lam.
             try:
-                warm = ops.resolvent(op, lam * warm_ratio, x).w
+                warm = ops.resolvent(op, lam * warm_ratio, x).state[0]
             except InnerSolverDiverged:
                 pass
         want = _ref_resolvent(op, lam, x, warm)
@@ -667,7 +663,7 @@ class TestKernelBitIdentity:
         y, v, w, its, res = want
         assert np.array_equal(got.y, y)
         assert np.array_equal(got.v, v)
-        assert np.array_equal(got.w, w)
+        assert np.array_equal(got.state[0], w)
         assert got.iterations == its
         assert got.residual == res
 
@@ -707,10 +703,10 @@ class TestKernelBitIdentity:
         y, v, w, its, res = want
         assert got.y.tobytes() == y.tobytes()
         assert got.v.tobytes() == v.tobytes()
-        assert got.w.tobytes() == w.tobytes()
+        assert got.state[0].tobytes() == w.tobytes()
         assert got.iterations == its
         assert got.residual == res
-        assert got.state[0] is got.w and got.state[1] is got.y
+        assert got.state[1] is got.y
 
     def test_exit_state_start_skips_projection_and_F(self, monkeypatch):
         # The exit state of a solve at (lam, x) already meets the stop rule
@@ -733,7 +729,7 @@ class TestKernelBitIdentity:
             assert again.y.tobytes() == first.y.tobytes() and again.v.tobytes() == first.v.tobytes()
 
             counts = []
-            for warm in (first.w, first.state):
+            for warm in (first.state[0], first.state):
                 calls.clear()
                 r = ops.resolvent(op, 3.0, x, warm=warm)
                 assert r.iterations > 0
@@ -759,7 +755,7 @@ class TestKernelBitIdentity:
         warm = None
         if warm_ratio is not None and route is ops._newton_route:
             got = _ref_dispatch(op, lam * warm_ratio, x, None)
-            warm = None if isinstance(got, InnerSolverDiverged) else got.w
+            warm = None if isinstance(got, InnerSolverDiverged) else got.state[0]
         want = _ref_dispatch(op, lam, x, warm)
         if route is ops._radial_route and not want.residual <= ops.RESOLVENT_TOL * max(1.0, ops.norm(want.y - x)):
             msg = f"resolvent radial solve missed its bound at residual {want.residual:.3e}"
@@ -774,8 +770,8 @@ class TestKernelBitIdentity:
         got = ops.resolvent(op, lam, x, warm=warm)
         assert got.y.tobytes() == want.y.tobytes()
         assert got.v.tobytes() == want.v.tobytes()
-        assert (got.w is None) == (want.w is None)
-        assert got.w is None or got.w.tobytes() == want.w.tobytes()
+        assert (got.state is None) == (want.state is None)
+        assert got.state is None or got.state[0].tobytes() == want.state[0].tobytes()
         assert got.iterations == want.iterations
         assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
 
@@ -1169,14 +1165,9 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     p = cfg.p
     x = np.asarray(x, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
-    if p >= 3:
-        jac = _ref_taylor_jacobian(op, anchor, p, anchor)
-        lo = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[0])
-        if lo < -1e-10 * max(1.0, float(np.abs(jac).max())):
-            return SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {lo:.3e}")
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
     try:
-        y, u, w, _ = ops.normal_map_newton(
+        y, u, _, state = ops.normal_map_newton(
             op,
             lam,
             x,
@@ -1189,7 +1180,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         )
     except InnerSolverDiverged as exc:
         return exc
-    return y, u, w
+    return y, u, state[0]
 
 
 def _surrogate_instances():
@@ -1243,9 +1234,10 @@ class TestSurrogateBitIdentity:
 
     def check_resolvent(self, problem, anchor, x, lam, cfg, warm=None):
         want = _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm)
+        sur = ops.TaylorSurrogate(problem.operator, anchor, cfg.p)
         if isinstance(want, Exception):
             with pytest.raises(type(want)) as exc:
-                surrogate_resolvent(problem, anchor, x, lam, cfg, warm=warm)
+                surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
             if str(exc.value).startswith(tensor.UNSOLVABLE):
                 # Certified before Newton ran; the reference Newton failed too.
                 assert isinstance(want, InnerSolverDiverged)
@@ -1253,7 +1245,7 @@ class TestSurrogateBitIdentity:
             else:
                 assert str(exc.value) == str(want)
             return
-        got = surrogate_resolvent(problem, anchor, x, lam, cfg, warm=warm)
+        got = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -1275,7 +1267,8 @@ class TestSurrogateBitIdentity:
         if warm_ratio is not None:
             # A warm start as the window search passes it: w of a nearby lam.
             try:
-                warm = surrogate_resolvent(problem, x, x, lam * warm_ratio, cfg)[2]
+                sur = ops.TaylorSurrogate(problem.operator, x, p)
+                warm = surrogate_resolvent(sur, x, lam * warm_ratio, cfg.sigma_hat)[2]
             except InnerSolverDiverged:
                 pass
         self.check_resolvent(problem, x, x, lam, cfg, warm)
@@ -1410,7 +1403,7 @@ class TestUnsolvableCertificate:
                 want = _ref_surrogate_resolvent(problem, anchor, x, lam, cfg)
                 assert isinstance(want, InnerSolverDiverged)
                 with pytest.raises(InnerSolverDiverged) as exc:
-                    surrogate_resolvent(problem, anchor, x, lam, cfg)
+                    surrogate_resolvent(sur, x, lam, sigma_hat)
                 assert exc.value.iterations == 0
                 assert exc.value.residual == bound
         assert min(fired.values()) >= 20, fired

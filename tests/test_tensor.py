@@ -3,7 +3,7 @@ import pytest
 
 from monoflow import operators as ops
 from monoflow import problems, tensor
-from monoflow.errors import ConfigError, InnerSolverDiverged, StationaryPoint
+from monoflow.errors import ConfigError, InnerSolverDiverged, StationaryPoint, SurrogateNonmonotone
 from monoflow.hpe import run, verify_step
 from monoflow.tensor import (
     TensorConfig,
@@ -58,27 +58,26 @@ class TestSurrogateResolvent:
     def test_residual_within_budget(self):
         tc = cubic_config()
         x = np.array([2.0])
-        y, u, w = surrogate_resolvent(CUBIC, x, x, 0.5, tc)
+        y, u, w = surrogate_resolvent(ops.TaylorSurrogate(CUBIC.operator, x, 3), x, 0.5, tc.sigma_hat)
         res = float(np.linalg.norm(0.5 * u + y - x))
         assert res <= tc.sigma_hat * float(np.linalg.norm(y - x)) + 1e-12
 
     def test_membership_without_cone_is_surrogate_value(self):
         tc = cubic_config()
         x = np.array([2.0])
-        y, u, w = surrogate_resolvent(CUBIC, x, x, 0.5, tc)
-        want = ops.TaylorSurrogate(CUBIC.operator, x, 3).value(y)
-        assert np.allclose(u, want, atol=1e-12)
+        sur = ops.TaylorSurrogate(CUBIC.operator, x, 3)
+        y, u, w = surrogate_resolvent(sur, x, 0.5, tc.sigma_hat)
+        assert np.allclose(u, sur.value(y), atol=1e-12)
 
+    # The window search checks the order once, before it builds the surrogate.
     def test_high_order_needs_small_dimension(self):
         big = problems.make_convex_gradient(d=5)
-        tc = cubic_config()
         with pytest.raises(ConfigError):
-            surrogate_resolvent(big, np.ones(5), np.ones(5), 0.5, tc)
+            lambda_window_search(big, np.ones(5), cubic_config())
 
     def test_high_order_rejects_affine_part(self):
-        tc = cubic_config()
         with pytest.raises(ConfigError):
-            surrogate_resolvent(SADDLE, np.full(2, 0.5), np.full(2, 0.5), 0.5, tc)
+            lambda_window_search(SADDLE, np.full(2, 0.5), cubic_config())
 
 
 class TestWindowSearch:
@@ -108,6 +107,19 @@ class TestWindowSearch:
         tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
         with pytest.raises(StationaryPoint):
             lambda_window_search(SADDLE, np.zeros(2), tc)
+
+    def test_anchor_monotonicity_tested_once(self, monkeypatch):
+        # At p = 3 the surrogate Jacobian at the anchor is tested once per
+        # search, before any trial solve; a negative eigenvalue stops it.
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        lambda_window_search(CUBIC, np.array([2.0]), cubic_config())
+        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([-1.0]))
+        monkeypatch.setattr(tensor, "surrogate_resolvent", None)
+        with pytest.raises(SurrogateNonmonotone, match="eigenvalue -1.000e"):
+            lambda_window_search(CUBIC, np.array([2.0]), cubic_config())
 
     def test_survives_loss_of_solvability_above_window(self):
         # Anchored odd-degree surrogates stop being solvable past a finite
@@ -158,6 +170,25 @@ class TestOracle:
         x = np.array([1.3])
         lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
         assert np.allclose(v, ops.single_value(CUBIC.operator, y), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "problem, tc",
+        [(SADDLE, TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)), (CUBIC, cubic_config())],
+        ids=["saddle p=2", "cubic p=3"],
+    )
+    def test_one_surrogate_built_per_call(self, monkeypatch, problem, tc):
+        # The anchor is fixed for the whole step: every trial solve and the
+        # fold of v share one TaylorSurrogate.
+        builds, solves = [], []
+        real_sur, real_solve = ops.TaylorSurrogate, tensor.surrogate_resolvent
+        monkeypatch.setattr(ops, "TaylorSurrogate", lambda *a: builds.append(1) or real_sur(*a))
+        monkeypatch.setattr(tensor, "surrogate_resolvent", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+        oracle = TensorOracle(problem, tc)
+        calls = []
+        res = run(problem, lambda x, r: calls.append(1) or oracle(x, r), tc.drive(30), np.full(problem.dim, 0.7))
+        assert res.records and len(calls) >= len(res.records)
+        assert len(builds) == len(calls)
+        assert len(solves) > len(calls)
 
 
 class TestUnsolvableSolves:
