@@ -127,6 +127,8 @@ class ExperimentConfig:
             if "max_iters" not in horizon:
                 raise ConfigError(f"{mode} horizon needs max_iters")
             horizon["max_iters"] = _number("horizon.max_iters", horizon["max_iters"], integer=True)
+            if horizon["max_iters"] < 0:
+                raise ConfigError("horizon.max_iters must be >= 0")
 
         for key in list(params):
             params[key] = _number(f"params.{key}", params[key], integer=(key == "p"))

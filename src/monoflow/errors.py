@@ -56,7 +56,7 @@ class OracleFailure(MonoflowError):
 
 
 class WindowUnreachable(MonoflowError):
-    """Step-size window search exhausted its bisection budget."""
+    """Step-size window search exhausted its trial budget."""
 
     def __init__(self, message, bracket=None):
         super().__init__(message)

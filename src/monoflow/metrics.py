@@ -218,7 +218,6 @@ def dist_to_solutions(problem, x):
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    intercept: float
     r_squared: float
     window: tuple[int, int]
     dropped: int
@@ -264,7 +263,6 @@ def fit_rate(values, tail_fraction=0.3, positions=None):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
     return RateFit(
         slope=float(coef[0]),
-        intercept=float(coef[1]),
         r_squared=r2,
         window=(int(start), int(n)),
         dropped=dropped,

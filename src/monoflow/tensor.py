@@ -45,8 +45,7 @@ __all__ = [
     "TensorOracle",
 ]
 
-MAX_DOUBLINGS = 200
-MAX_BISECTIONS = 200
+MAX_TRIALS = 400
 # Relative margin of each closed-form unsolvability inequality; their
 # rounding is a few ulps of the magnitudes involved.
 CERT_TOL = 1e-9
@@ -199,17 +198,18 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     arithmetic midpoint is taken directly.  For p >= 2 x must not be
     stationary (residual, when given, is ops.min_norm_residual(op, x) and
     is read instead of evaluated again), and the product is nondecreasing
-    in lam wherever the surrogate subproblem is solvable, so geometric
-    doubling/halving from the hint brackets the window and log-scale
-    bisection lands in it.  An anchored surrogate of degree >= 2 is only
-    locally monotone, so the subproblem can lose solvability past a finite
-    lam; an inner-solver failure is therefore treated as product = +inf
-    and only shrinks the bracket from above.
+    in lam wherever the surrogate subproblem is solvable.  One loop keeps
+    a bracket (lo, hi), from (0, inf) and the hint as first trial: a trial
+    below the window sets lo, one above it sets hi, and the next trial is
+    2*lo while hi is inf, hi/2 while lo is 0, else sqrt(lo*hi).  An
+    anchored surrogate of degree >= 2 is only locally monotone, so the
+    subproblem can lose solvability past a finite lam; a failed solve, like
+    a NaN product, therefore counts as above the window.
 
     Returns (lam, y, v, w): v = F(y) + u - sur(y) in A(y) exactly, the
     surrogate error folded into the accepted solve's u, and w its exit
-    point.  Raises WindowUnreachable with the last bracket if the budget
-    runs out.
+    point.  After MAX_TRIALS trials raises WindowUnreachable with bracket
+    (lo, hi), naming the side never bracketed (lo = 0 or hi = inf).
     """
     op = problem.operator
     p = cfg.p
@@ -235,68 +235,30 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
         lam = 0.5 * (wlo + whi)
         return fold(lam, *surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm))
 
-    def product(lam):
-        nonlocal warm
+    lo, hi = 0.0, math.inf
+    lam = float(hint) if hint is not None and hint > 0 else math.sqrt(wlo * whi)
+    for _ in range(MAX_TRIALS):
         try:
             y, u, warm = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
         except InnerSolverDiverged:
-            return None
-        return lam * ops.norm(y - x) ** (p - 1), y, u, warm
-
-    lam = float(hint) if hint is not None and hint > 0 else math.sqrt(wlo * whi)
-    out = product(lam)
-    if out is not None:
-        s, y, u, w = out
-        if wlo <= s <= whi:
-            return fold(lam, y, u, w)
-    else:
-        s = math.inf
-
-    if s < wlo:
-        lo = hi = lam
-        for _ in range(MAX_DOUBLINGS):
-            lo = hi
-            hi *= 2.0
-            out = product(hi)
-            if out is None:
-                break
-            shi, y, u, w = out
-            if shi >= wlo:
-                if shi <= whi:
-                    return fold(hi, y, u, w)
-                break
+            s = math.inf
         else:
-            raise WindowUnreachable("no upper bracket for the step window", bracket=(lo, hi))
-    else:
-        hi = lo = lam
-        for _ in range(MAX_DOUBLINGS):
-            hi = lo
-            lo *= 0.5
-            out = product(lo)
-            if out is None:
-                continue
-            slo, y, u, w = out
-            if slo <= whi:
-                if slo >= wlo:
-                    return fold(lo, y, u, w)
-                break
-        else:
-            raise WindowUnreachable("no lower bracket for the step window", bracket=(lo, hi))
-
-    for _ in range(MAX_BISECTIONS):
-        lam = math.sqrt(lo * hi)
-        out = product(lam)
-        if out is None:
-            hi = lam
-            continue
-        s, y, u, w = out
+            s = lam * ops.norm(y - x) ** (p - 1)
         if wlo <= s <= whi:
-            return fold(lam, y, u, w)
+            return fold(lam, y, u, warm)
         if s < wlo:
             lo = lam
         else:
             hi = lam
-    raise WindowUnreachable("bisection budget exhausted", bracket=(lo, hi))
+        if hi == math.inf:
+            lam = 2.0 * lo
+        elif lo == 0.0:
+            lam = 0.5 * hi
+        else:
+            lam = math.sqrt(lo * hi)
+    side = "lower" if lo == 0.0 else "upper" if hi == math.inf else None
+    why = f"no {side} bracket" if side else "no trial inside the bracket"
+    raise WindowUnreachable(f"step window: {why} after {MAX_TRIALS} trials", bracket=(lo, hi))
 
 
 class TensorOracle:

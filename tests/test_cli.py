@@ -204,6 +204,7 @@ class TestConfigRejection:
         assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{key} must be >= 0" in err
+        assert section != "horizon" or "horizon.max_iters" in err
         assert not (tmp_path / "t.csv").exists()
 
     def test_unsupported_surrogate_order_exits_two(self, tmp_path, capsys):

@@ -121,6 +121,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(hpe_dict(horizon={"max_iters": -5}))
 
+    @pytest.mark.parametrize("make", [hpe_dict, tensor_dict])
+    def test_negative_max_iters_names_the_horizon_field(self, make):
+        with pytest.raises(ConfigError, match=r"^horizon\.max_iters must be >= 0$"):
+            ExperimentConfig.from_dict(make(horizon={"max_iters": -1}))
+
     def test_x0_dimension_checked(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(flow_dict(x0=[0.5, 0.5, 0.5]))

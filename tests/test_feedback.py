@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from monoflow import feedback
+from monoflow import feedback, hpe
 from monoflow import operators as ops
 from monoflow import problems
-from monoflow.errors import StationaryPoint
+from monoflow.errors import BracketOverflow, OracleFailure, StationaryPoint
 from monoflow.feedback import (
     AE_TOL,
     FeedbackParams,
@@ -126,6 +126,50 @@ class TestSolveLambda:
         op = box_saddle_op()
         with pytest.raises(StationaryPoint):
             solve_lambda(op, [0.0, 0.0], FeedbackParams(0.5, 2))
+
+
+class TestBracketOverflow:
+    """A law value that never crosses theta: the bracket search gives up
+    after MAX_DOUBLINGS steps in the direction it started."""
+
+    @staticmethod
+    def _fake(monkeypatch, offset, active=lambda: True):
+        # While active() holds the resolvent returns y = x + offset(lam),
+        # certified exactly, so the law value is lam * ||offset(lam)||.
+        real, calls = ops.resolvent, []
+
+        def resolvent(op, lam, x, warm=None):
+            if not active():
+                return real(op, lam, x, warm=warm)
+            calls.append(lam)
+            y = np.asarray(x, dtype=float) + offset(lam)
+            return ops.Resolvent(y, (x - y) / lam, 0.0, 0)
+
+        monkeypatch.setattr(feedback.ops, "resolvent", resolvent)
+        return calls
+
+    @pytest.mark.parametrize(
+        "offset, side",
+        [(lambda lam: np.zeros(2), "upper"), (lambda lam: np.full(2, 1.0 / lam), "lower")],
+        ids=["below theta", "above theta"],
+    )
+    def test_law_never_crossing_theta_raises(self, monkeypatch, offset, side):
+        calls = self._fake(monkeypatch, offset)
+        with pytest.raises(BracketOverflow, match=f"no {side} bracket after {feedback.MAX_DOUBLINGS}"):
+            solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2))
+        assert len(calls) == 1 + feedback.MAX_DOUBLINGS
+
+    def test_run_reports_overflow_as_oracle_failure(self, monkeypatch):
+        # The real resolvent serves the first two HPE steps; from the third
+        # on every law value is 0.
+        problem = problems.make_bilinear_saddle(d=2)
+        cfg = hpe.HpeConfig(sigma=0.0, theta=0.1, p=2, max_iters=30, stop_res=0.0)
+        oracle, steps = hpe.ExactProxOracle(problem, cfg), []
+        self._fake(monkeypatch, lambda lam: np.zeros(2), active=lambda: len(steps) >= 3)
+        with pytest.raises(OracleFailure) as info:
+            hpe.run(problem, lambda x, r: steps.append(1) or oracle(x, r), cfg, np.array([0.6, -0.4]))
+        assert info.value.k == 3 and [r.k for r in info.value.records] == [1, 2]
+        assert isinstance(info.value.__cause__, BracketOverflow)
 
 
 class TestDisplacementMap:

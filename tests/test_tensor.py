@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from monoflow import operators as ops
 from monoflow import problems, tensor
-from monoflow.errors import ConfigError, InnerSolverDiverged, StationaryPoint, SurrogateNonmonotone
+from monoflow.errors import (
+    ConfigError,
+    InnerSolverDiverged,
+    OracleFailure,
+    StationaryPoint,
+    SurrogateNonmonotone,
+    WindowUnreachable,
+)
 from monoflow.hpe import run, verify_step
 from monoflow.tensor import (
     TensorConfig,
@@ -18,6 +27,76 @@ CUBIC = problems.make_cubic_1d()
 
 def cubic_config():
     return TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
+
+
+def saddle_config():
+    return TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
+
+
+def _ref_window_search(problem, x, cfg, hint=None, warm=None):
+    """Doubling or halving from the hint, then log-scale bisection: the
+    search as three loops, 200 steps each, with a failed solve as +inf.
+    Trial solves go through tensor.surrogate_resolvent."""
+    op, p = problem.operator, cfg.p
+    x = np.asarray(x, dtype=float)
+    sur = ops.TaylorSurrogate(op, ops.domain_project(op, x), p)
+    wlo, whi = cfg.window
+
+    def fold(lam, y, u, w):
+        return lam, y, ops.single_value(op, y) + u - sur.value(y), w
+
+    def product(lam):
+        nonlocal warm
+        try:
+            y, u, warm = tensor.surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
+        except InnerSolverDiverged:
+            return None
+        return lam * ops.norm(y - x) ** (p - 1), y, u, warm
+
+    lam = float(hint) if hint is not None and hint > 0 else math.sqrt(wlo * whi)
+    out = product(lam)
+    s = math.inf if out is None else out[0]
+    if wlo <= s <= whi:
+        return fold(lam, *out[1:])
+    if s < wlo:
+        lo = hi = lam
+        for _ in range(200):
+            lo, hi = hi, 2.0 * hi
+            out = product(hi)
+            if out is None:
+                break
+            if out[0] >= wlo:
+                if out[0] <= whi:
+                    return fold(hi, *out[1:])
+                break
+        else:
+            raise WindowUnreachable("no upper bracket", bracket=(lo, hi))
+    else:
+        hi = lo = lam
+        for _ in range(200):
+            hi, lo = lo, 0.5 * lo
+            out = product(lo)
+            if out is None:
+                continue
+            if out[0] <= whi:
+                if out[0] >= wlo:
+                    return fold(lo, *out[1:])
+                break
+        else:
+            raise WindowUnreachable("no lower bracket", bracket=(lo, hi))
+    for _ in range(200):
+        lam = math.sqrt(lo * hi)
+        out = product(lam)
+        if out is None:
+            hi = lam
+            continue
+        if wlo <= out[0] <= whi:
+            return fold(lam, *out[1:])
+        if out[0] < wlo:
+            lo = lam
+        else:
+            hi = lam
+    raise WindowUnreachable("bisection budget exhausted", bracket=(lo, hi))
 
 
 class TestConfig:
@@ -130,6 +209,98 @@ class TestWindowSearch:
         s = lam * float(np.linalg.norm(y - np.array([2.0]))) ** 2
         wlo, whi = tc.window
         assert wlo - 1e-12 <= s <= whi + 1e-12
+
+
+class TestWindowFailures:
+    """Each way the search can run out of trials, forced by a fake solve."""
+
+    def _search(self, monkeypatch, solve):
+        trials = []
+
+        def fake(sur, x, lam, sigma_hat, warm=None):
+            trials.append(lam)
+            return solve(x, lam), np.zeros_like(x), None
+
+        monkeypatch.setattr(tensor, "surrogate_resolvent", fake)
+        with pytest.raises(WindowUnreachable) as info:
+            lambda_window_search(SADDLE, np.full(2, 0.7), saddle_config())
+        assert len(trials) == tensor.MAX_TRIALS
+        return info.value, trials
+
+    def test_product_below_window_finds_no_upper_bracket(self, monkeypatch):
+        exc, trials = self._search(monkeypatch, lambda x, lam: x)
+        lo, hi = exc.bracket
+        assert hi == math.inf and lo == trials[-1] > 0.0
+        assert "no upper bracket" in str(exc)
+
+    def test_failed_solves_find_no_lower_bracket(self, monkeypatch):
+        def diverge(x, lam):
+            raise InnerSolverDiverged("forced", residual=1.0, iterations=0)
+
+        exc, trials = self._search(monkeypatch, diverge)
+        lo, hi = exc.bracket
+        assert lo == 0.0 and hi == trials[-1] > 0.0
+        assert "no lower bracket" in str(exc)
+
+    def test_product_jumping_over_window_exhausts_budget(self, monkeypatch):
+        # lam * ||y - x|| is 0 below lam = 1 and 10 from there on, so the
+        # window [0.3, 0.7] is bracketed but never hit.
+        exc, trials = self._search(monkeypatch, lambda x, lam: x + (10.0 / lam if lam >= 1.0 else 0.0))
+        lo, hi = exc.bracket
+        assert 0.0 < lo < 1.0 <= hi < math.inf
+        assert math.nextafter(lo, math.inf) == hi
+        assert "no trial inside the bracket" in str(exc)
+
+    def test_run_reports_unreachable_window_as_oracle_failure(self, monkeypatch):
+        real, steps = tensor.surrogate_resolvent, []
+
+        def solve(*args, **kwargs):
+            if len(steps) >= 3:
+                raise InnerSolverDiverged("forced", residual=1.0, iterations=0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "surrogate_resolvent", solve)
+        tc = saddle_config()
+        oracle = TensorOracle(SADDLE, tc)
+        with pytest.raises(OracleFailure) as info:
+            run(SADDLE, lambda x, r: steps.append(1) or oracle(x, r), tc.drive(30), np.full(2, 0.7))
+        exc = info.value
+        assert exc.k == 3 and [r.k for r in exc.records] == [1, 2]
+        assert isinstance(exc.__cause__, WindowUnreachable)
+        assert exc.__cause__.bracket[0] == 0.0
+
+
+ZOO = [
+    ("bilinear_saddle", {"d": 10}, saddle_config()),
+    ("strongly_monotone_affine", {"d": 10}, saddle_config()),
+    ("cubic_1d", {}, cubic_config()),
+    ("convex_gradient", {"d": 4}, cubic_config()),
+]
+
+
+class TestWindowSearchDifferential:
+    @pytest.mark.parametrize("name, params, tc", ZOO, ids=[z[0] for z in ZOO])
+    def test_same_trials_and_step_as_reference(self, monkeypatch, name, params, tc):
+        # The one-loop bracket search visits the reference's trial lams in
+        # the same order and returns the same step, bit for bit.
+        problem = problems.build_problem(name, params)
+        real, trials = tensor.surrogate_resolvent, []
+        monkeypatch.setattr(
+            tensor, "surrogate_resolvent", lambda sur, x, lam, *a, **k: trials.append(lam) or real(sur, x, lam, *a, **k)
+        )
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            x = rng.uniform(-0.9, 0.9, problem.dim)
+            for hint in (None, 10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(0.0, 8.0)):
+                trials.clear()
+                got = lambda_window_search(problem, x, tc, hint=hint)
+                got_trials = list(trials)
+                trials.clear()
+                want = _ref_window_search(problem, x, tc, hint=hint)
+                assert got_trials == trials and len(trials) >= 1
+                assert got[0] == want[0]
+                for a, b in zip(got[1:3], want[1:3]):
+                    assert np.array_equal(a, b)
 
 
 class TestOracle:
