@@ -1,8 +1,9 @@
 """Randomized property suites behind the command-line check harness.
 
 Every suite takes one integer seed, draws its own generator, and returns a
-CheckReport with one outcome per invariant.  Suites share no state, so ALL
-may run them in parallel; each is internally deterministic given its seed.
+CheckReport with one outcome per invariant.  Suites share no state and each
+is deterministic given its seed.  They run one after another: they are
+Python-bound, so a thread pool only makes them wait for the GIL.
 Margins are oriented so that larger is safer; report.worst folds each
 invariant's margins, and an outcome passes exactly when its margin is >= 0.
 """
@@ -425,24 +426,22 @@ SUITES = {
 SUITE_NAMES = list(SUITES)
 
 
-def run_suites(names, seed=0, max_workers=None):
+def run_suites(names, seed=0, max_workers=1):
     """Run the named suites, each with the same seed; returns name -> report.
 
-    max_workers caps the thread pool; suites are independent and each is
-    deterministic, so the result does not depend on scheduling.
+    By default the suites run one after another on the calling thread.
+    max_workers > 1 runs them on a pool of up to that many threads;
+    suites are independent and each is deterministic, so the result does
+    not depend on scheduling, but the GIL keeps a pool from being faster.
     """
     names = list(names)
     for n in names:
         if n not in SUITES:
             raise KeyError(f"unknown suite {n!r}; known: {', '.join(SUITE_NAMES)}")
-    if max_workers is None:
-        max_workers = len(names) or 1
     max_workers = max(1, min(int(max_workers), len(names) or 1))
+    if max_workers == 1:
+        return {n: SUITES[n](seed) for n in names}
     out = {}
-    if max_workers == 1 or len(names) <= 1:
-        for n in names:
-            out[n] = SUITES[n](seed)
-        return out
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futs = {n: pool.submit(SUITES[n], seed) for n in names}
         for n in names:

@@ -8,6 +8,12 @@ a warm hint followed by a guarded bracketed root-find; the post-condition
 the band (law_band) the inner resolvent certifies for its own result.  Each
 lam is evaluated at most once per solve, and solve_law hands back the
 resolvent the accepted root was tested on.
+
+A solve rules out stationarity with the resolvent at its first lam where it
+can (rules_out_stationarity): ||x - J_lam(x)|| / lam <= ||A°(x)||, so a
+displacement well above STATIONARITY_TOL * lam spares min_norm_residual.
+law_gradient differentiates the law at a solved pair by the implicit-
+function theorem; the flow predicts the next stage's lam from it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ __all__ = [
     "STATIONARITY_TOL",
     "AE_TOL",
     "law_band",
+    "law_gradient",
+    "rules_out_stationarity",
     "scaled_displacement",
     "solve_law",
     "solve_lambda",
@@ -33,6 +41,8 @@ __all__ = [
 STATIONARITY_TOL = 1e-12
 AE_TOL = 1e-10
 MAX_DOUBLINGS = 200
+# Covers the rounding of ||x - y||, in units of ||x|| + ||y||: 8 float64 epsilons.
+_ROUNDING = 8.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,42 @@ def law_band(lam, d, rho, p):
     return lam * ((d + rho) ** (p - 1) - max(d - rho, 0.0) ** (p - 1))
 
 
+def rules_out_stationarity(op, lam, x, y, rho):
+    """True when y, a resolvent of x at lam with certified residual rho, shows
+    min_norm_residual(op, x) > STATIONARITY_TOL; False proves nothing.
+
+    The Yosida bound ||x - J_lam(x)|| / lam <= ||A°(x)|| and ||y - J_lam(x)||
+    <= rho make (||x - y|| - rho) / lam, less the rounding of ||x - y||, a
+    lower bound on ||A°(x)||.  It is used only where min_norm_residual is
+    ||F(x)|| (ops.in_interior): nearer the boundary that test lets a normal
+    vector cancel part of F(x), and past it returns inf.
+    """
+    if not ops.in_interior(op, x):
+        return False
+    slack = rho + _ROUNDING * (ops.norm(x) + ops.norm(y))
+    return (ops.norm(x - y) - slack) / lam > STATIONARITY_TOL
+
+
+def law_gradient(op, lam, x, y, p):
+    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at y = J_lam(x) != x.
+
+    y = P(w) with w = x - lam*F(y) the root of the normal map, whose Jacobian
+    in w is N = I + lam*JF(y)*DP(w) (ops._normal_map_jacobian, the Newton
+    kernel's).  The implicit-function theorem gives dy/dlam = -DP N^-1 F(y)
+    and (dy/dx)^T e = N^-T DP e, two dense solves; DP is symmetric.  At a
+    kink of P it is the one-sided gradient on the branch N takes there.
+    """
+    x = np.asarray(x, dtype=float)
+    fy = ops.single_value(op, y)
+    n, dp = ops._normal_map_jacobian(op.cone, lam, ops.single_jacobian(op, y), x - lam * fy)
+    u = x - y
+    d = ops.norm(u)
+    pu = u if dp is None else dp * u if dp.ndim == 1 else dp @ u  # DP u
+    c = lam * (p - 1) * d ** (p - 3)  # d/dd of lam * d^(p-1), over d
+    g_lam = d ** (p - 1) + c * float(pu @ ops._solve(n, fy))
+    return g_lam, c * (u - ops._solve(n.T, pu))
+
+
 class _LawCurve:
     """Memoised evaluations of g(lam) = lam * ||x - J_lam(x)||^(p-1).
 
@@ -101,6 +147,13 @@ class _LawCurve:
 
     def __call__(self, lam):
         return self.entry(lam)[0]
+
+    def proves_nonstationary(self, lam):
+        try:
+            r = self.entry(lam)[2]
+        except InnerSolverDiverged:
+            return False  # the solve meets the failure again once x is known not stationary
+        return rules_out_stationarity(self.op, lam, self.x, r.y, r.residual)
 
 
 def _brent(f, xa, xb, xtol, rtol, maxiter):
@@ -159,16 +212,20 @@ def solve_law(op, x, params, hint=None, residual=None):
     unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta and r the
     Resolvent at lam whose value passed the acceptance test
     |lam * ||x - r.y||^(p-1) - theta| <= AE_TOL * theta + band.  For p = 1
-    it returns (theta, None).  Raises StationaryPoint on solutions.
+    it returns (theta, None).  Raises StationaryPoint when residual, or
+    else min_norm_residual(op, x), is <= STATIONARITY_TOL.  For p >= 2
+    with no residual it first evaluates the law at its first lam and skips
+    min_norm_residual when that resolvent rules out stationarity.
     """
     theta, p = params.theta, params.p
-    res = ops.min_norm_residual(op, x) if residual is None else residual
-    if res <= STATIONARITY_TOL:
-        raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=res)
+    g = _LawCurve(op, x, p)
+    lam = float(hint) if hint is not None and hint > 0 else 1.0
+    if residual is None and (p == 1 or not g.proves_nonstationary(lam)):
+        residual = ops.min_norm_residual(op, x)
+    if residual is not None and residual <= STATIONARITY_TOL:
+        raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=residual)
     if p == 1:
         return theta, None
-
-    g = _LawCurve(op, x, p)
 
     def accepted(lam):
         val, band, _ = g.entry(lam)
@@ -177,7 +234,6 @@ def solve_law(op, x, params, hint=None, residual=None):
     def found(lam):
         return lam, g.memo[lam][2]
 
-    lam = float(hint) if hint is not None and hint > 0 else 1.0
     if accepted(lam):
         return found(lam)
 
@@ -233,6 +289,8 @@ def solve_lambda(op, x, params, hint=None, residual=None):
     hint : float or None, warm start for the geometric bracket.
     residual : float or None, ops.min_norm_residual(op, x) when the caller
         has already evaluated it; the stationarity test then reads it.
+        Without it, the resolvent at the first lam may rule stationarity
+        out (rules_out_stationarity) before min_norm_residual is called.
 
     Returns the unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta
     (for p = 1 this is theta itself), to AE_TOL relative plus the certified

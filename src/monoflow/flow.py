@@ -2,11 +2,13 @@
 
 The trajectory solves dx/dt = J_{lam(x)}(x) - x where lam(x) is the root
 of the control law at the current point (lam = theta identically when
-p = 1).  Integration is classical RK4 with the law solved at every stage,
-its bracket started from the previous stage's lam; the stage takes y from
-the resolvent the law accepted lam on, so each state carries the pair the
-law was certified on.  Ergodic averages of (lam, y) are accumulated with
-the trapezoid rule at step resolution.
+p = 1).  Integration is classical RK4 with the law solved at every stage.
+Its bracket starts from a first-order prediction of lam, taken from the
+previous stage's solved pair and the law's gradient there (law_gradient);
+the solve certifies the root as before, so the prediction only saves
+resolvents.  The stage takes y from the resolvent the law accepted lam on,
+so each state carries the pair the law was certified on.  Ergodic averages
+of (lam, y) are accumulated with the trapezoid rule at step resolution.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
+from .feedback import STATIONARITY_TOL, law_band, law_gradient, rules_out_stationarity, solve_law
 # solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
-from .feedback import STATIONARITY_TOL, law_band, solve_lambda, solve_law  # noqa: F401
+from .feedback import solve_lambda  # noqa: F401
 from .report import CheckReport, worst
 
 __all__ = [
@@ -61,29 +65,46 @@ class Trajectory:
 class _Stage:
     """Per-trajectory stage evaluator.
 
-    For p >= 2 each stage solves the law with the previous stage's lam as
-    the bracket hint and returns the resolvent the law accepted; for p = 1
-    lam = theta and the resolvent starts from the previous stage's exit
-    state, valid across stages because lam and the operator are fixed.
-    rho is the certified residual of the last stage's resolvent.
+    For p >= 2 each stage solves the law at its point x' and returns the
+    resolvent the law accepted.  The bracket hint is lam - g_x . (x' - x) /
+    g_lam, from the last stage's solved pair (x, lam) and the law's
+    gradient (g_lam, g_x) there; it is lam itself when g_lam <= 0 or the
+    predicted change exceeds lam / 2.  The Newton exit state is not handed
+    across stages: a warm exit with no iteration keeps a residual up to the
+    resolvent's absolute floor, which near the solution set is a visible
+    share of the speed.  For p = 1, lam = theta and the resolvent starts
+    from the previous stage's exit state, valid across stages because lam
+    and the operator are fixed.  rho is the certified residual of the last
+    stage's resolvent.
     """
 
     def __init__(self, op, params):
         self.op = op
         self.params = params
-        self.lam_hint = None
+        self.last = None  # (x, lam, g_lam, g_x) of the last law solve
         self.warm = None
         self.rho = 0.0
 
     def eval(self, x):
-        if self.params.p == 1:
+        p = self.params.p
+        if p == 1:
             lam = self.params.theta
             r = ops.resolvent(self.op, lam, x, warm=self.warm)
             if r.state is not None:
                 self.warm = r.state
         else:
-            lam, r = solve_law(self.op, x, self.params, hint=self.lam_hint)
-            self.lam_hint = lam
+            hint = None
+            if self.last is not None:
+                x_prev, hint, g_lam, g_x = self.last
+                if g_lam > 0:
+                    change = float(g_x @ (x - x_prev)) / g_lam
+                    if abs(change) <= 0.5 * hint:
+                        hint -= change
+            lam, r = solve_law(self.op, x, self.params, hint=hint)
+            try:
+                self.last = (x, lam, *law_gradient(self.op, lam, x, r.y, p))
+            except LinAlgError:
+                self.last = (x, lam, 0.0, None)
         self.rho = r.residual
         return r.y - x, lam, r.y
 
@@ -180,8 +201,13 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         den = den + 0.5 * hs * (prev_lam + lam)
         if step_idx % sample_stride == 0 or t >= T - 1e-12 * max(1.0, T):
             record()
-        # For p >= 2, stage.eval(x_new) already ran this test in solve_law.
-        if params.p == 1 and ops.min_norm_residual(op, x) <= STATIONARITY_TOL:
+        # For p >= 2, stage.eval(x_new) already ran this test in solve_law;
+        # for p = 1 its resolvent may rule stationarity out in the same way.
+        if (
+            params.p == 1
+            and not rules_out_stationarity(op, lam, x, y, stage.rho)
+            and ops.min_norm_residual(op, x) <= STATIONARITY_TOL
+        ):
             traj.status = "STATIONARY"
             break
     if traj.states[-1].t < t:

@@ -60,6 +60,7 @@ __all__ = [
     "domain_contains",
     "domain_sup_dist_sq",
     "cone_residual",
+    "in_interior",
     "min_norm_residual",
     "normal_map_newton",
     "resolvent",
@@ -373,6 +374,17 @@ def cone_residual(cone, x, g):
     return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
 
 
+def in_interior(op, x):
+    """x lies in dom(A) past the boundary tolerance, where cone_residual
+    lets no normal vector act and min_norm_residual is ||F(x)||."""
+    c = op.cone
+    if c is None:
+        return True
+    if isinstance(c, BoxCone):
+        return bool((x > c.lower_in).all() and (x < c.upper_in).all())
+    return norm(x - c.center) < c.radius * (1.0 - BOUNDARY_ATOL)
+
+
 def min_norm_residual(op, x):
     """inf{||v|| : v in A(x)}; +inf when x lies outside dom(A)."""
     x = np.asarray(x, dtype=float)
@@ -448,17 +460,25 @@ def _radial_root(weight, lam, s):
     return r
 
 
-def _proj_jacobian(cone, w):
-    # Jacobian of the projection onto a ball, None for the identity;
-    # normal_map_newton masks a box itself.
-    if cone is None:
-        return None
-    r = w - cone.center
-    nr = norm(r)
-    if nr <= cone.radius:
-        return None
-    u = r / nr
-    return (cone.radius / nr) * (_eye(w.size) - np.outer(u, u))
+def _normal_map_jacobian(cone, lam, jf, w):
+    """(N, DP): N = I + lam * jf @ DP the Jacobian of the normal map at w,
+    where jf is the single-valued map's Jacobian at P(w), and DP the
+    projection's Jacobian at w.  DP is None for the identity, the 0/1
+    diagonal (a vector) for a box and a symmetric matrix for a ball.  At a
+    kink a box bound counts as active and the ball's sphere as inactive.
+    """
+    eye = _eye(w.size)
+    if isinstance(cone, BoxCone):
+        mask = ((w > cone.lower) & (w < cone.upper)).astype(float)
+        return eye + lam * (jf * mask), mask
+    dp = None
+    if cone is not None:
+        r = w - cone.center
+        nr = norm(r)
+        if nr > cone.radius:
+            u = r / nr
+            dp = (cone.radius / nr) * (eye - np.outer(u, u))
+    return eye + lam * (jf if dp is None else jf @ dp), dp
 
 
 def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
@@ -476,10 +496,9 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     message prefixed by what, when the line search stalls or
     NEWTON_MAX_ITERS steps fall short of the accepted residual.
     """
-    eye = _eye(op.dim)
     cone = op.cone
-    # A box, the zoo's usual domain, is projected and masked inline, without
-    # the isinstance dispatch of domain_project and _proj_jacobian.
+    # A box, the zoo's usual domain, is projected inline, without the
+    # isinstance dispatch of domain_project.
     box = isinstance(cone, BoxCone)
     if box:
         lo, hi = cone.lower, cone.upper
@@ -496,12 +515,7 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
         target = max(rel * norm(y - x), floor)
         if nf <= target:
             break
-        jf = jacobian(y)
-        if box:
-            jac = eye + lam * (jf * ((w > lo) & (w < hi)).astype(float))
-        else:
-            dp = _proj_jacobian(cone, w)
-            jac = eye + lam * (jf if dp is None else jf @ dp)
+        jac = _normal_map_jacobian(cone, lam, jacobian(y), w)[0]
         try:
             step = _solve(jac, -f)
         except LinAlgError:

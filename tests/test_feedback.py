@@ -9,10 +9,13 @@ from scipy.optimize import brentq
 from monoflow import feedback, hpe
 from monoflow import operators as ops
 from monoflow import problems
-from monoflow.errors import BracketOverflow, OracleFailure, StationaryPoint
+from monoflow.errors import BracketOverflow, InnerSolverDiverged, OracleFailure, StationaryPoint
 from monoflow.feedback import (
     AE_TOL,
+    STATIONARITY_TOL,
     FeedbackParams,
+    law_gradient,
+    rules_out_stationarity,
     scaled_displacement,
     solve_lambda,
     solve_law,
@@ -126,6 +129,164 @@ class TestSolveLambda:
         op = box_saddle_op()
         with pytest.raises(StationaryPoint):
             solve_lambda(op, [0.0, 0.0], FeedbackParams(0.5, 2))
+
+
+def _count_min_norm_residual(monkeypatch):
+    calls, real = [], ops.min_norm_residual
+    monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
+    return calls
+
+
+class TestStationarityCertificate:
+    """solve_law skips min_norm_residual only when the resolvent at its
+    first lam proves the point is not stationary."""
+
+    def test_far_point_skips_the_residual_test(self, monkeypatch):
+        calls = _count_min_norm_residual(monkeypatch)
+        lam, _ = solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2))
+        assert calls == [] and lam > 0
+
+    def test_point_within_the_slack_still_raises(self, monkeypatch):
+        # ||A_lam x|| = 5e-13 / sqrt(1 + lam^2) sits below the tolerance at
+        # every lam, so the certificate cannot fire and the test decides.
+        calls = _count_min_norm_residual(monkeypatch)
+        x = np.array([5e-13, 0.0])
+        assert 0.0 < ops.min_norm_residual(box_saddle_op(), x) <= STATIONARITY_TOL
+        calls.clear()
+        for hint in (None, 1e-3, 10.0):
+            with pytest.raises(StationaryPoint):
+                solve_law(box_saddle_op(), x, FeedbackParams(0.1, 2), hint=hint)
+        assert len(calls) == 3
+
+    def test_point_within_the_slack_above_the_tolerance_solves(self, monkeypatch):
+        # At lam = 10, ||A_lam x|| = 3e-12 / sqrt(101) lies below the
+        # tolerance though ||A°x|| = 3e-12 lies above it: the test runs and
+        # passes the point on to the law.
+        calls = _count_min_norm_residual(monkeypatch)
+        x = np.array([3e-12, 0.0])
+        lam, r = solve_law(box_saddle_op(), x, FeedbackParams(0.1, 2), hint=10.0)
+        assert len(calls) == 1
+        assert abs(lam * ops.norm(x - r.y) - 0.1) <= AE_TOL * 0.1 + 2 * lam * r.residual
+
+    def test_failed_first_resolvent_defers_to_the_residual_test(self, monkeypatch):
+        # A stationary point whose first resolvent fails still raises
+        # StationaryPoint; elsewhere the law solve meets the failure itself.
+        def stall(op, lam, x, warm=None):
+            raise InnerSolverDiverged("resolvent newton stalled", residual=1.0, iterations=0)
+
+        monkeypatch.setattr(ops, "resolvent", stall)
+        with pytest.raises(StationaryPoint):
+            solve_law(box_saddle_op(), np.zeros(2), FeedbackParams(0.1, 2))
+        with pytest.raises(InnerSolverDiverged):
+            solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2))
+
+    def test_residual_given_is_read_as_before(self, monkeypatch):
+        calls = _count_min_norm_residual(monkeypatch)
+        with pytest.raises(StationaryPoint):
+            solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2), residual=0.0)
+        assert calls == []
+
+    @staticmethod
+    def _zoo():
+        box = ops.BoxCone(-np.ones(3), np.ones(3))
+        ball = ops.BallCone(np.array([0.2, 0.0, -0.1]), 1.0)
+        yield "identity", IDENTITY, np.zeros(1)
+        yield "box saddle", box_saddle_op(), np.zeros(2)
+        # F(x) = x - c with c outside the box: the solution sits on a face.
+        yield "box face", ops.make_affine(np.eye(3), -np.array([2.0, 0.5, -3.0]), cone=box), np.array([1.0, 0.5, -1.0])
+        c = np.array([3.0, 0.0, 0.0])
+        face = ball.center + (c - ball.center) / ops.norm(c - ball.center)  # radius 1
+        yield "ball face", ops.make_affine(np.eye(3), -c, cone=ball), face
+        for name, prob in (
+            ("monotone-3d", problems.make_strongly_monotone_affine(3, 0.5, seed=1)),
+            ("saddle-4d", problems.make_bilinear_saddle(4, 1.0)),
+            ("cubic-1d", problems.make_cubic_1d()),
+            ("radial-2d", problems.make_convex_gradient(2)),
+        ):
+            yield name, prob.operator, np.zeros(prob.dim)
+
+    def test_never_disagrees_with_the_residual_test(self):
+        # Points at distances from 1e-15 to 1 of a solution, on and around
+        # the boundary, at lam from 1e-4 to 1e4: whenever the certificate
+        # fires, min_norm_residual clears the tolerance too.
+        rng = np.random.default_rng(7)
+        fired = missed = 0
+        for name, op, sol in self._zoo():
+            for _ in range(300):
+                x = sol + 10.0 ** rng.uniform(-15, 0) * rng.standard_normal(op.dim)
+                if op.cone is not None and rng.random() < 0.3:
+                    x = ops.domain_project(op, x)  # onto the boundary where it left the domain
+                lam = float(10.0 ** rng.uniform(-4, 4))
+                r = ops.resolvent(op, lam, x)
+                certified = rules_out_stationarity(op, lam, x, r.y, r.residual)
+                res = ops.min_norm_residual(op, x)
+                assert not (certified and res <= STATIONARITY_TOL), (name, x.tolist(), lam, res)
+                fired += certified
+                missed += res > STATIONARITY_TOL and not certified
+        # Not vacuous: it fires on most nonstationary draws and not on all.
+        assert fired > missed > 0
+
+
+class TestLawGradient:
+    """law_gradient against central differences of the law and the
+    sandwich 1 <= lam * g_lam / g <= p, on every resolvent route."""
+
+    BOX = ops.BoxCone(-np.ones(3), np.ones(3))
+    ROUTES = {
+        "affine": problems.make_strongly_monotone_affine(3, 0.5, seed=1).operator,
+        "affine + box": ops.make_affine([[0.3, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, -0.5, 0.1]], cone=BOX),
+        "poly": ops.make_poly([0.0, 1.0, 0.0, 0.5], dim=3),
+        "poly + box": ops.make_poly([0.0, 1.0, 0.0, 0.5], dim=3, cone=BOX),
+        "radial": ops.OperatorSpec(dim=3, radial=ops.RadialPart(0.7)),
+        "ball cone": ops.OperatorSpec(
+            dim=3, poly=ops.PolyPart([0.0, 0.5, 0.0, 1.0]), cone=ops.BallCone(np.array([0.1, -0.2, 0.0]), 0.8)
+        ),
+    }
+
+    @staticmethod
+    def _law(op, lam, x, p):
+        return lam * ops.norm(x - ops.resolvent(op, lam, x).y) ** (p - 1)
+
+    @staticmethod
+    def _kink_distance(op, lam, x, y):
+        w = x - lam * ops.single_value(op, y)
+        c = op.cone
+        if c is None:
+            return np.inf
+        if isinstance(c, ops.BoxCone):
+            return float(np.minimum(np.abs(w - c.lower), np.abs(w - c.upper)).min())
+        return abs(ops.norm(w - c.center) - c.radius)
+
+    @pytest.mark.parametrize("seed, route", enumerate(ROUTES))
+    def test_matches_central_differences(self, seed, route):
+        op = self.ROUTES[route]
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(40):
+            p = int(rng.integers(2, 5))
+            x = 1.5 * rng.standard_normal(op.dim)
+            lam = float(10.0 ** rng.uniform(-1.5, 1.0))
+            y = ops.resolvent(op, lam, x).y
+            g = lam * ops.norm(x - y) ** (p - 1)
+            g_lam, g_x = law_gradient(op, lam, x, y, p)
+            assert 1.0 - 1e-9 <= lam * g_lam / g <= p * (1.0 + 1e-9), (route, p, lam * g_lam / g)
+            if self._kink_distance(op, lam, x, y) < 1e-2:
+                continue
+            h = 1e-5
+            fd_lam = (self._law(op, lam * (1 + h), x, p) - self._law(op, lam * (1 - h), x, p)) / (2 * h * lam)
+            assert abs(fd_lam - g_lam) <= 1e-7 * g / lam, (route, p, fd_lam, g_lam)
+            # ||g_x|| <= lam (p - 1) d^(p-2), as I - J_lam is nonexpansive.
+            scale = lam * (p - 1) * ops.norm(x - y) ** (p - 2)
+            fd_x = np.array(
+                [
+                    (self._law(op, lam, x + h * e, p) - self._law(op, lam, x - h * e, p)) / (2 * h)
+                    for e in np.eye(op.dim)
+                ]
+            )
+            assert ops.norm(g_x) <= scale * (1.0 + 1e-9)
+            assert ops.norm(fd_x - g_x) <= 1e-7 * scale, (route, p, fd_x.tolist(), g_x.tolist())
+            checked += 1
+        assert checked >= 10
 
 
 class TestBracketOverflow:

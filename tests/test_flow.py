@@ -5,8 +5,9 @@ import pytest
 
 from monoflow import operators as ops
 from monoflow import problems
+from monoflow import flow
 from monoflow.errors import StationaryPoint
-from monoflow.feedback import AE_TOL, FeedbackParams, law_band, solve_law
+from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, solve_law
 from monoflow.flow import (
     FLOW_AE_TOL,
     FlowState,
@@ -129,15 +130,88 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_stationarity_tested_once_per_state(self, monkeypatch, p):
-        # For p >= 2 each stage's law solve tests its own point, the step's
-        # end state included, so the flow adds only the x0 test; p = 1 has
-        # no law solve and tests each end state itself.
+        # integrate tests x0 with min_norm_residual.  Every later point is
+        # tested by a resolvent already computed there (the law solve's
+        # first for p >= 2, the stage's own at the step's end for p = 1),
+        # which far from the solution set rules stationarity out alone.
         calls = []
         real = ops.min_norm_residual
         monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
         traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.05, p), T=0.1, h=0.01)
         assert traj.status == "OK" and len(traj) == 11
-        assert len(calls) == (1 + 10 if p == 1 else 1 + 1 + 4 * 10)
+        assert len(calls) == 1
+
+    def test_first_order_stops_at_the_first_stationary_state(self):
+        # The certificate only spares tests: the p = 1 flow still stops at
+        # the first state that min_norm_residual judges stationary.
+        prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
+        traj = integrate(prob, [1.0, 1.0], FeedbackParams(0.5, 1), T=120.0, h=0.05)
+        assert traj.status == "STATIONARY"
+        res = [ops.min_norm_residual(prob.operator, s.x) for s in traj.states]
+        assert res[-1] <= STATIONARITY_TOL < min(res[:-1])
+
+
+class _PreviousLamStage(flow._Stage):
+    """The stage loop with the previous stage's lam as the bracket hint."""
+
+    def __init__(self, op, params):
+        super().__init__(op, params)
+        self.lam_hint = None
+
+    def eval(self, x):
+        if self.params.p == 1:
+            return super().eval(x)
+        lam, r = solve_law(self.op, x, self.params, hint=self.lam_hint)
+        self.lam_hint = lam
+        self.rho = r.residual
+        return r.y - x, lam, r.y
+
+
+GATE = (SADDLE, FeedbackParams(0.012, 2), [0.7, 0.7])
+FLOW_SUITE_RUNS = {
+    "saddle p=1": (SADDLE, FeedbackParams(0.5, 1), [0.7, 0.4]),
+    "saddle p=2": (SADDLE, FeedbackParams(0.1, 2), [0.7, 0.4]),
+    "monotone p=2": (problems.make_strongly_monotone_affine(2, 1.0, seed=2), FeedbackParams(0.25, 2), [1.0, -0.5]),
+    "cubic p=2": (problems.make_cubic_1d(), FeedbackParams(0.2, 2), [1.5]),
+    "radial p=3": (problems.make_convex_gradient(2), FeedbackParams(0.2, 3), [1.0, 0.8]),
+}
+
+
+class TestPredictedLaw:
+    """Stages started from the law's first-order prediction against stages
+    started from the previous lam: the same certified trajectory, cheaper."""
+
+    @pytest.mark.parametrize("run", ["gate"] + list(FLOW_SUITE_RUNS))
+    def test_matches_previous_lam_hints(self, monkeypatch, run):
+        prob, params, x0 = GATE if run == "gate" else FLOW_SUITE_RUNS[run]
+        calls, real = [], ops.resolvent
+        monkeypatch.setattr(ops, "resolvent", lambda *a, **k: calls.append(1) or real(*a, **k))
+        new = integrate(prob, x0, params, T=1.0, h=0.01)
+        per_step = len(calls) / (len(new) - 1)
+        monkeypatch.setattr(flow, "_Stage", _PreviousLamStage)
+        ref = integrate(prob, x0, params, T=1.0, h=0.01)
+        assert new.status == ref.status == "OK" and len(new) == len(ref) == 101
+        a, b = new.states[-1], ref.states[-1]
+        assert ops.norm(a.x - b.x) <= 1e-9 * ops.norm(b.x)
+        assert abs(a.lam - b.lam) <= 1e-9 * b.lam
+        assert all(law_margin(s.lam, s.speed, s.rho, params) >= 0.0 for s in new.states)
+        if run == "gate":
+            assert per_step <= 13
+
+    def test_far_step_falls_back_to_the_previous_lam(self, monkeypatch):
+        hints = []
+        real = flow.solve_law
+        monkeypatch.setattr(
+            flow, "solve_law", lambda op, x, params, hint: hints.append(hint) or real(op, x, params, hint=hint)
+        )
+        stage = flow._Stage(SADDLE.operator, FeedbackParams(0.05, 2))
+        lam0 = stage.eval(np.array([0.7, 0.4]))[1]
+        lam1 = stage.eval(np.array([0.7, 0.401]))[1]
+        stage.eval(np.array([0.01, 0.01]))
+        assert hints[0] is None and hints[1] != lam0
+        # The prediction beats the previous lam by orders of magnitude.
+        assert abs(hints[1] - lam1) < 1e-3 * abs(lam0 - lam1)
+        assert hints[2] == lam1
 
 
 def _audit_verdicts(traj, params):
