@@ -11,7 +11,6 @@ invariant's margins, and an outcome passes exactly when its margin is >= 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -441,6 +440,8 @@ def run_suites(names, seed=0, max_workers=1):
     max_workers = max(1, min(int(max_workers), len(names) or 1))
     if max_workers == 1:
         return {n: SUITES[n](seed) for n in names}
+    from concurrent.futures import ThreadPoolExecutor  # only here: a module-level import costs every process
+
     out = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futs = {n: pool.submit(SUITES[n], seed) for n in names}

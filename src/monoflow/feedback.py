@@ -12,12 +12,13 @@ resolvent the accepted root was tested on.
 A solve rules out stationarity with the resolvent at its first lam where it
 can (rules_out_stationarity): ||x - J_lam(x)|| / lam <= ||A°(x)||, so a
 displacement well above STATIONARITY_TOL * lam spares min_norm_residual.
-law_gradient differentiates the law at a solved pair by the implicit-
-function theorem; the flow predicts the next stage's lam from it.
+law_gradient differentiates the law by the implicit-function theorem; the
+flow integrates lam' = -g_x . x' / g_lam from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,19 +97,23 @@ def rules_out_stationarity(op, lam, x, y, rho):
 
 
 def law_gradient(op, lam, x, y, p):
-    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at y = J_lam(x) != x.
+    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at y = J_lam(x).
 
     y = P(w) with w = x - lam*F(y) the root of the normal map, whose Jacobian
     in w is N = I + lam*JF(y)*DP(w) (ops._normal_map_jacobian, the Newton
     kernel's).  The implicit-function theorem gives dy/dlam = -DP N^-1 F(y)
     and (dy/dx)^T e = N^-T DP e, two dense solves; DP is symmetric.  At a
     kink of P it is the one-sided gradient on the branch N takes there.
+    At y = x, where d^(p-3) has no value for p = 2, both parts come back
+    NaN; for p >= 3 they are 0 there.
     """
     x = np.asarray(x, dtype=float)
-    fy = ops.single_value(op, y)
-    n, dp = ops._normal_map_jacobian(op.cone, lam, ops.single_jacobian(op, y), x - lam * fy)
     u = x - y
     d = ops.norm(u)
+    if d == 0.0 and p < 3:
+        return math.nan, np.full(x.shape, math.nan)
+    fy = ops.single_value(op, y)
+    n, dp = ops._normal_map_jacobian(op.cone, lam, ops.single_jacobian(op, y), x - lam * fy)
     pu = u if dp is None else dp * u if dp.ndim == 1 else dp @ u  # DP u
     c = lam * (p - 1) * d ** (p - 3)  # d/dd of lam * d^(p-1), over d
     g_lam = d ** (p - 1) + c * float(pu @ ops._solve(n, fy))

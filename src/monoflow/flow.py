@@ -2,13 +2,16 @@
 
 The trajectory solves dx/dt = J_{lam(x)}(x) - x where lam(x) is the root
 of the control law at the current point (lam = theta identically when
-p = 1).  Integration is classical RK4 with the law solved at every stage.
-Its bracket starts from a first-order prediction of lam, taken from the
-previous stage's solved pair and the law's gradient there (law_gradient);
-the solve certifies the root as before, so the prediction only saves
-resolvents.  The stage takes y from the resolvent the law accepted lam on,
-so each state carries the pair the law was certified on.  Ergodic averages
-of (lam, y) are accumulated with the trapezoid rule at step resolution.
+p = 1).  Integration is classical RK4.  For p >= 2 it runs in (x, lam):
+differentiating the law g(lam, x) = theta along the trajectory gives
+lam' = -g_x . x' / g_lam, with the gradient from law_gradient, so each
+stage makes one resolvent at its RK4-advanced (x, lam).  Each committed
+step is projected back onto the law (Hairer, Lubich & Wanner, Geometric
+Numerical Integration, IV.4): solve_law at the new x, from the RK4 lam as
+its hint, certifies the root, tests stationarity and gives the next
+step's first stage.  Each state carries the resolvent its lam was accepted
+on.  Ergodic averages of (lam, y) are accumulated with the trapezoid rule
+at step resolution.
 """
 
 from __future__ import annotations
@@ -62,51 +65,20 @@ class Trajectory:
         return len(self.states)
 
 
-class _Stage:
-    """Per-trajectory stage evaluator.
+def _lam_rate(op, lam, x, y, p):
+    """lam' = -g_x . (y - x) / g_lam at (lam, x) with y = J_lam(x), from law_gradient.
 
-    For p >= 2 each stage solves the law at its point x' and returns the
-    resolvent the law accepted.  The bracket hint is lam - g_x . (x' - x) /
-    g_lam, from the last stage's solved pair (x, lam) and the law's
-    gradient (g_lam, g_x) there; it is lam itself when g_lam <= 0 or the
-    predicted change exceeds lam / 2.  The Newton exit state is not handed
-    across stages: a warm exit with no iteration keeps a residual up to the
-    resolvent's absolute floor, which near the solution set is a visible
-    share of the speed.  For p = 1, lam = theta and the resolvent starts
-    from the previous stage's exit state, valid across stages because lam
-    and the operator are fixed.  rho is the certified residual of the last
-    stage's resolvent.
+    0 where the gradient fails (a singular Newton matrix) or g_lam is not
+    positive and finite, as at y = x (NaN for p = 2, 0 above): the stage then
+    holds lam, and the committed step's law solve still certifies it.
     """
-
-    def __init__(self, op, params):
-        self.op = op
-        self.params = params
-        self.last = None  # (x, lam, g_lam, g_x) of the last law solve
-        self.warm = None
-        self.rho = 0.0
-
-    def eval(self, x):
-        p = self.params.p
-        if p == 1:
-            lam = self.params.theta
-            r = ops.resolvent(self.op, lam, x, warm=self.warm)
-            if r.state is not None:
-                self.warm = r.state
-        else:
-            hint = None
-            if self.last is not None:
-                x_prev, hint, g_lam, g_x = self.last
-                if g_lam > 0:
-                    change = float(g_x @ (x - x_prev)) / g_lam
-                    if abs(change) <= 0.5 * hint:
-                        hint -= change
-            lam, r = solve_law(self.op, x, self.params, hint=hint)
-            try:
-                self.last = (x, lam, *law_gradient(self.op, lam, x, r.y, p))
-            except LinAlgError:
-                self.last = (x, lam, 0.0, None)
-        self.rho = r.residual
-        return r.y - x, lam, r.y
+    try:
+        g_lam, g_x = law_gradient(op, lam, x, y, p)
+    except LinAlgError:
+        return 0.0
+    if not 0.0 < g_lam < math.inf:
+        return 0.0
+    return -float(g_x @ (y - x)) / g_lam
 
 
 def law_margin(lam, d, rho, params):
@@ -136,26 +108,56 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         regardless of the stride.
 
     Returns a Trajectory; status is STATIONARY when the flow reached the
-    solution set early (benign).  A completed step that fails law_margin
-    raises StepRejected; the stage solves are two orders tighter, so this
-    guards integrator misuse only.
+    solution set early (benign).  For p >= 2 each step ends with one law
+    solve at the new x (the projection), which accepts lam only within
+    AE_TOL plus the certified band; a committed step that still fails
+    law_margin raises StepRejected, so this guards integrator misuse only.
     """
+    if not (T >= 0 and h > 0):
+        raise ValueError("need T >= 0 and h > 0")
     op = problem.operator
+    theta, p = params.theta, params.p
     x = np.asarray(x0, dtype=float).copy()
     if ops.min_norm_residual(op, x) <= STATIONARITY_TOL:
         raise StationaryPoint("x0 already solves the inclusion", x=x)
-    if not (T >= 0 and h > 0):
-        raise ValueError("need T >= 0 and h > 0")
 
-    stage = _Stage(op, params)
+    warm = None
+
+    def resolve(x_s, lam_s):
+        # For p = 1, lam = theta and the operator are fixed, so each solve
+        # starts from the last one's exit state.  For p >= 2 the stages
+        # start cold: a warm exit with no iteration keeps a residual up to
+        # the resolvent's absolute floor, near the solution set a visible
+        # share of the speed.
+        nonlocal warm
+        if p >= 2:
+            return ops.resolvent(op, lam_s, x_s)
+        r = ops.resolvent(op, theta, x_s, warm=warm)
+        if r.state is not None:
+            warm = r.state
+        return r
+
+    def rates(x_s, lam_s, y_s):
+        return y_s - x_s, (_lam_rate(op, lam_s, x_s, y_s, p) if p >= 2 else 0.0)
+
+    def stage(x_s, lam_s):
+        return rates(x_s, lam_s, resolve(x_s, lam_s).y)
+
+    def project(x_s, lam_s):
+        # The committed point's lam and the resolvent it is certified on.
+        if p >= 2:
+            return solve_law(op, x_s, params, hint=lam_s)
+        return theta, resolve(x_s, theta)
+
     traj = Trajectory()
-    f1, lam, y = stage.eval(x)
+    lam, r = project(x, None)
+    y, rho = r.y, r.residual
     t = 0.0
     num = np.zeros(op.dim)
     den = 0.0
 
     def record():
-        traj.states.append(FlowState(t, x.copy(), lam, y.copy(), stage.rho))
+        traj.states.append(FlowState(t, x.copy(), lam, y.copy(), rho))
         traj.erg_num.append(num.copy())
         traj.erg_den.append(den)
 
@@ -166,12 +168,13 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # exactly on T.
         t_next = T if step_idx == nsteps else step_idx * h
         hs = t_next - t
+        f1, l1 = rates(x, lam, y)
         try:
-            k2 = stage.eval(x + 0.5 * hs * f1)[0]
-            k3 = stage.eval(x + 0.5 * hs * k2)[0]
-            k4 = stage.eval(x + hs * k3)[0]
-            x_new = x + (hs / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
-            f1_new, lam_new, y_new = stage.eval(x_new)
+            f2, l2 = stage(x + 0.5 * hs * f1, lam + 0.5 * hs * l1)
+            f3, l3 = stage(x + 0.5 * hs * f2, lam + 0.5 * hs * l2)
+            f4, l4 = stage(x + hs * f3, lam + hs * l3)
+            x_new = x + (hs / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            lam_new, r = project(x_new, lam + (hs / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
         except StationaryPoint:
             # The step landed on (numerically) the solution set; keep the
             # last consistent state as the endpoint.
@@ -181,31 +184,32 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # Once that band swamps theta the state is within resolvent noise
         # of the solution set: stop with the last clean state rather than
         # commit steps whose control value cannot be certified.
+        y_new, rho_new = r.y, r.residual
         d_new = ops.norm(x_new - y_new)
-        band = law_band(lam_new, d_new, stage.rho, params.p)
-        if band > 0.1 * params.theta:
+        band = law_band(lam_new, d_new, rho_new, p)
+        if band > 0.1 * theta:
             traj.status = "STATIONARY"
             break
-        margin = law_margin(lam_new, d_new, stage.rho, params)
+        margin = law_margin(lam_new, d_new, rho_new, params)
         if not margin >= 0.0:
             excess = FLOW_AE_TOL - margin
             raise StepRejected(
                 f"control law residual {excess:.3e} rel beyond its certified band at t={t_next:.6g}",
                 t=t_next,
-                residual=excess * params.theta,
+                residual=excess * theta,
             )
         x, t = x_new, t_next
         prev_lam, prev_y = lam, y
-        f1, lam, y = f1_new, lam_new, y_new
+        lam, y, rho = lam_new, y_new, rho_new
         num = num + 0.5 * hs * (prev_lam * prev_y + lam * y)
         den = den + 0.5 * hs * (prev_lam + lam)
         if step_idx % sample_stride == 0 or t >= T - 1e-12 * max(1.0, T):
             record()
-        # For p >= 2, stage.eval(x_new) already ran this test in solve_law;
-        # for p = 1 its resolvent may rule stationarity out in the same way.
+        # For p >= 2, the projection's solve_law already ran this test; for
+        # p = 1 its resolvent may rule stationarity out in the same way.
         if (
-            params.p == 1
-            and not rules_out_stationarity(op, lam, x, y, stage.rho)
+            p == 1
+            and not rules_out_stationarity(op, lam, x, y, rho)
             and ops.min_norm_residual(op, x) <= STATIONARITY_TOL
         ):
             traj.status = "STATIONARY"

@@ -19,8 +19,9 @@ PolyPart keeps its derivative chain, a BoxCone its boundary tolerance
 edges, and an OperatorSpec its resolvent route (projection only, affine
 solve, separable polynomial, radial, or Newton on the normal map).  Every
 route but the polynomial one raises InnerSolverDiverged when it misses the
-residual bound.  Polynomials are evaluated by _horner, which gives
-npoly.polyval's bits on floats and on arrays alike.
+residual bound.  Polynomials are evaluated by _horner and differentiated
+by _polyder, which give the bits of numpy.polynomial.polynomial's polyval
+(on floats and on arrays alike) and polyder without importing it.
 
 Every dense linear solve (the Newton step, the affine closed form, and the
 active-set polish of metrics.gap) goes through _solve.  It calls the LAPACK
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InnerSolverDiverged
@@ -86,8 +86,21 @@ def norm(v):
     return math.sqrt(v @ v)  # np.linalg.norm also takes the square root of v.dot(v)
 
 
+def _polyder(c):
+    """numpy.polynomial.polynomial.polyder(c) bit for bit, signs of zero included.
+
+    c is a 1-D float array in increasing degree; the derivative's j-th
+    coefficient is (j + 1) * c[j + 1], and a constant maps to c[:1] * 0.
+    Importing numpy.polynomial for this alone would cost every process
+    about a megabyte.
+    """
+    if c.size == 1:
+        return c[:1] * 0
+    return np.arange(1, c.size) * c[1:]
+
+
 def _horner(c, x):
-    """npoly.polyval(x, c) bit for bit, by its own recurrence, without its dispatch.
+    """numpy's polyval(x, c) bit for bit, by its own recurrence, without its dispatch.
 
     c lists coefficients in increasing degree; x is a float or an array.
     """
@@ -155,7 +168,7 @@ class PolyPart:
     values at all of its real critical points.
 
     ders is the derivative chain as coefficient tuples of floats: ders[j]
-    is npoly.polyder applied j times to coeffs, for j up to deg + 1, where
+    is _polyder applied j times to coeffs, for j up to deg + 1, where
     it reaches the zero polynomial (0.0,) that polyder maps to itself.
     """
 
@@ -171,7 +184,7 @@ class PolyPart:
             raise ValueError("monotone polynomial on R must have odd degree")
         chain = [c]
         for _ in range(deg + 1):
-            chain.append(npoly.polyder(chain[-1]))
+            chain.append(_polyder(chain[-1]))
         d = chain[1]
         if d[-1] <= 0:
             raise ValueError("polynomial derivative has nonpositive leading coefficient")

@@ -406,3 +406,17 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_import_leaves_numpy_polynomial_and_thread_pools_out(self):
+        # Neither is needed to run: numpy.polynomial (operators has its own
+        # polyder) and concurrent.futures (imported only for a suite pool)
+        # would add about 1.3 MiB to every process's resident set.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, monoflow; from monoflow import cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('numpy.polynomial', 'concurrent.futures'))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

@@ -288,6 +288,21 @@ class TestLawGradient:
             checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_at_a_solution(self, p):
+        # At y = x, p = 2 gives NaN parts, not a ZeroDivisionError from
+        # d^(p-3); p >= 3 gives the zero gradient.
+        op = problems.make_bilinear_saddle(d=2).operator
+        x = np.zeros(2)
+        y = ops.resolvent(op, 0.5, x).y
+        assert np.array_equal(y, x)
+        g_lam, g_x = law_gradient(op, 0.5, x, y, p)
+        assert g_x.shape == x.shape
+        if p == 2:
+            assert math.isnan(g_lam) and np.isnan(g_x).all()
+        else:
+            assert g_lam == 0.0 and not g_x.any()
+
 
 class TestBracketOverflow:
     """A law value that never crosses theta: the bracket search gives up

@@ -1412,9 +1412,11 @@ class TestUnsolvableCertificate:
 class TestStoredDerivatives:
     """PolyPart builds its derivative chain once; solves only read it."""
 
-    @pytest.mark.parametrize("name", sorted(POLY_INSTANCES))
+    CHAINS = {**POLY_INSTANCES, "zoo cubic_1d": problems.make_cubic_1d().operator}
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
     def test_chain_matches_polyder(self, name):
-        poly = POLY_INSTANCES[name].poly
+        poly = self.CHAINS[name].poly
         want = poly.coeffs
         for j in range(len(poly.ders) + 2):
             got = np.array(poly.ders[min(j, len(poly.ders) - 1)])
@@ -1423,14 +1425,31 @@ class TestStoredDerivatives:
         assert poly.ders[-1] == (0.0,)
         assert len(poly.ders) == poly.coeffs.size + 1
 
+    def test_polyder_matches_numpy_bit_for_bit(self):
+        # Seeded coefficients with negative entries, signed zeros and
+        # trailing zeros, differentiated down to a constant and past it.
+        rng = np.random.default_rng(23)
+        cases = [np.array([-0.0]), np.array([0.0]), np.array([-2.5]), np.array([1.0, -3.0, -0.0, 0.0])]
+        for _ in range(300):
+            c = rng.standard_normal(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-3, 3)
+            zeros = rng.random(c.size) < 0.3
+            c[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+            tail = np.copysign(0.0, rng.standard_normal(int(rng.integers(0, 3))))
+            cases.append(np.concatenate([c, tail]))
+        for c in cases:
+            for _ in range(c.size + 1):
+                want = npoly.polyder(c)
+                assert ops._polyder(c).tobytes() == want.tobytes(), c.tolist()
+                c = want
+
     def test_no_polyder_at_solve_time(self, monkeypatch):
         ball = ops.BallCone(np.zeros(3), 0.5)
         operators = list(POLY_INSTANCES.values())
         operators.append(ops.make_poly([0.1, 1.0, 0.0, 0.5], dim=3, cone=ball))  # Newton route
         cubic = problems.make_cubic_1d()
         calls = []
-        real = ops.npoly.polyder
-        monkeypatch.setattr(ops.npoly, "polyder", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = ops._polyder
+        monkeypatch.setattr(ops, "_polyder", lambda *a, **k: calls.append(1) or real(*a, **k))
 
         rng = np.random.default_rng(7)
         for op in operators:
