@@ -1,9 +1,11 @@
 """Closed-loop step-size law lam * ||x - J_lam(x)||^(p-1) = theta.
 
-The scaled displacement lam^{1/(p-1)} ||x - J_lam(x)|| is zero at lam = 0,
-strictly increasing and unbounded in lam off the solution set, so the law
-has exactly one root there.  The root is found by geometric bracketing from
-a warm hint followed by a guarded bracketed root-find; the post-condition
+For p >= 2 the scaled displacement lam^{1/(p-1)} ||x - J_lam(x)|| is zero
+at lam = 0, strictly increasing and unbounded in lam off the solution set,
+so the law has exactly one root there; for p = 1 the law reads lam = theta.
+Every order goes through the same solve: geometric bracketing from a warm
+hint followed by a guarded bracketed root-find, which at p = 1 accepts its
+first trial, theta.  The post-condition
 |lam * ||x - y||^(p-1) - theta| <= AE_TOL * theta is verified on exit, up to
 the band (law_band) the inner resolvent certifies for its own result.  Each
 lam is evaluated at most once per solve, and solve_law hands back the
@@ -105,9 +107,11 @@ def law_gradient(op, lam, x, y, p):
     and (dy/dx)^T e = N^-T DP e, two dense solves; DP is symmetric.  At a
     kink of P it is the one-sided gradient on the branch N takes there.
     At y = x, where d^(p-3) has no value for p = 2, both parts come back
-    NaN; for p >= 3 they are 0 there.
+    NaN; for p >= 3 they are 0 there.  For p = 1, g = lam: (1, 0).
     """
     x = np.asarray(x, dtype=float)
+    if p == 1:
+        return 1.0, np.zeros(x.shape)
     u = x - y
     d = ops.norm(u)
     if d == 0.0 and p < 3:
@@ -213,24 +217,37 @@ def _brent(f, xa, xb, xtol, rtol, maxiter):
 def solve_law(op, x, params, hint=None, residual=None):
     """Root of the control law at x and the resolvent it was accepted on.
 
-    Parameters are those of solve_lambda.  Returns (lam, r): lam is the
-    unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta and r the
-    Resolvent at lam whose value passed the acceptance test
-    |lam * ||x - r.y||^(p-1) - theta| <= AE_TOL * theta + band.  For p = 1
-    it returns (theta, None).  Raises StationaryPoint when residual, or
-    else min_norm_residual(op, x), is <= STATIONARITY_TOL.  For p >= 2
-    with no residual it first evaluates the law at its first lam and skips
-    min_norm_residual when that resolvent rules out stationarity.
+    Parameters
+    ----------
+    op : OperatorSpec
+    x : array
+    params : FeedbackParams
+    hint : float or None, the first trial lam for p >= 2 (1.0 without one).
+        For p = 1 the law reads lam = theta, and theta is the first trial.
+    residual : float or None, ops.min_norm_residual(op, x) when the caller
+        has already evaluated it; the stationarity test then reads it.
+        Without it, the resolvent at the first lam may rule stationarity
+        out (rules_out_stationarity) before min_norm_residual is called.
+
+    Returns (lam, r): lam is the unique lam > 0 with
+    lam * ||x - J_lam(x)||^(p-1) = theta and r the Resolvent at lam whose
+    value passed the acceptance test
+    |lam * ||x - r.y||^(p-1) - theta| <= AE_TOL * theta + band; for p = 1
+    that is (theta, the resolvent at theta).  Raises StationaryPoint when
+    residual, or else min_norm_residual(op, x), is <= STATIONARITY_TOL.
+    One loop tests each trial for acceptance and keeps a bracket (lo, hi)
+    from (0, inf): a trial below theta sets lo, one at or above it hi, and
+    the next trial is 2*lo while hi is inf and hi/2 while lo is 0; Brent's
+    method then runs on (lo, hi).
     """
     theta, p = params.theta, params.p
     g = _LawCurve(op, x, p)
-    lam = float(hint) if hint is not None and hint > 0 else 1.0
-    if residual is None and (p == 1 or not g.proves_nonstationary(lam)):
+    # At p = 1 the law value is lam itself, so theta is accepted at once.
+    lam = theta if p == 1 else float(hint) if hint is not None and hint > 0 else 1.0
+    if residual is None and not g.proves_nonstationary(lam):
         residual = ops.min_norm_residual(op, x)
     if residual is not None and residual <= STATIONARITY_TOL:
         raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=residual)
-    if p == 1:
-        return theta, None
 
     def accepted(lam):
         val, band, _ = g.entry(lam)
@@ -239,28 +256,24 @@ def solve_law(op, x, params, hint=None, residual=None):
     def found(lam):
         return lam, g.memo[lam][2]
 
-    if accepted(lam):
-        return found(lam)
-
-    lo = hi = lam
-    if g(lam) < theta:
-        for _ in range(MAX_DOUBLINGS):
-            lo, hi = hi, hi * 2.0
-            if g(hi) >= theta:
-                break
+    lo, hi = 0.0, math.inf
+    for _ in range(MAX_DOUBLINGS + 1):
+        if accepted(lam):
+            return found(lam)
+        if g(lam) < theta:
+            lo = lam
         else:
-            raise BracketOverflow(f"no upper bracket after {MAX_DOUBLINGS} doublings")
+            hi = lam
+        if hi == math.inf:
+            lam = 2.0 * lo
+        elif lo == 0.0:
+            lam = 0.5 * hi
+        else:
+            break
     else:
-        for _ in range(MAX_DOUBLINGS):
-            lo, hi = lo * 0.5, lo
-            if g(lo) <= theta:
-                break
-        else:
-            raise BracketOverflow(f"no lower bracket after {MAX_DOUBLINGS} halvings")
+        side, steps = ("upper", "doublings") if hi == math.inf else ("lower", "halvings")
+        raise BracketOverflow(f"no {side} bracket after {MAX_DOUBLINGS} {steps}")
 
-    for end in (lo, hi):
-        if accepted(end):
-            return found(end)
     lam = _brent(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
     if accepted(lam):
         return found(lam)
@@ -284,23 +297,7 @@ def solve_law(op, x, params, hint=None, residual=None):
 
 
 def solve_lambda(op, x, params, hint=None, residual=None):
-    """Root of the control law at x; raises StationaryPoint on solutions.
-
-    Parameters
-    ----------
-    op : OperatorSpec
-    x : array
-    params : FeedbackParams
-    hint : float or None, warm start for the geometric bracket.
-    residual : float or None, ops.min_norm_residual(op, x) when the caller
-        has already evaluated it; the stationarity test then reads it.
-        Without it, the resolvent at the first lam may rule stationarity
-        out (rules_out_stationarity) before min_norm_residual is called.
-
-    Returns the unique lam > 0 with lam * ||x - J_lam(x)||^(p-1) = theta
-    (for p = 1 this is theta itself), to AE_TOL relative plus the certified
-    band.  solve_law also returns the accepted resolvent.
-    """
+    """The lam of solve_law(op, x, params, hint, residual), without its resolvent."""
     return solve_law(op, x, params, hint=hint, residual=residual)[0]
 
 

@@ -2,11 +2,11 @@
 
 The trajectory solves dx/dt = J_{lam(x)}(x) - x where lam(x) is the root
 of the control law at the current point (lam = theta identically when
-p = 1).  Integration is classical RK4.  For p >= 2 it runs in (x, lam):
-differentiating the law g(lam, x) = theta along the trajectory gives
-lam' = -g_x . x' / g_lam, with the gradient from law_gradient, so each
-stage makes one resolvent at its RK4-advanced (x, lam).  Each committed
-step is projected back onto the law (Hairer, Lubich & Wanner, Geometric
+p = 1).  Integration is classical RK4 in (x, lam): differentiating the law
+g(lam, x) = theta along the trajectory gives lam' = -g_x . x' / g_lam,
+with the gradient from law_gradient (0 for p = 1), so each stage makes one
+resolvent at its RK4-advanced (x, lam).  For every p, each committed step
+is projected back onto the law (Hairer, Lubich & Wanner, Geometric
 Numerical Integration, IV.4): solve_law at the new x, from the RK4 lam as
 its hint, certifies the root, tests stationarity and gives the next
 step's first stage.  Each state carries the resolvent its lam was accepted
@@ -24,7 +24,7 @@ from numpy.linalg import LinAlgError
 
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
-from .feedback import STATIONARITY_TOL, law_band, law_gradient, rules_out_stationarity, solve_law
+from .feedback import law_band, law_gradient, solve_law
 # solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
 from .feedback import solve_lambda  # noqa: F401
 from .report import CheckReport, worst
@@ -68,10 +68,13 @@ class Trajectory:
 def _lam_rate(op, lam, x, y, p):
     """lam' = -g_x . (y - x) / g_lam at (lam, x) with y = J_lam(x), from law_gradient.
 
-    0 where the gradient fails (a singular Newton matrix) or g_lam is not
-    positive and finite, as at y = x (NaN for p = 2, 0 above): the stage then
-    holds lam, and the committed step's law solve still certifies it.
+    0 for p = 1, where g = lam has g_x = 0, without the gradient's work.
+    0 also where the gradient fails (a singular Newton matrix) or g_lam is
+    not positive and finite, as at y = x (NaN for p = 2, 0 above): the stage
+    then holds lam, and the committed step's law solve still certifies it.
     """
+    if p == 1:
+        return 0.0
     try:
         g_lam, g_x = law_gradient(op, lam, x, y, p)
     except LinAlgError:
@@ -100,57 +103,44 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
     Parameters
     ----------
     problem : ProblemInstance
-    x0 : array, must not already solve the inclusion.
+    x0 : array, must not already solve the inclusion (StationaryPoint).
     params : FeedbackParams
     T, h : horizon and step; the last partial step is shortened to hit T.
-    sample_stride : keep every n-th step in the trajectory (first and last
-        states are always kept).  Ergodic accumulators advance every step
-        regardless of the stride.
+    sample_stride : integer >= 1, keep every n-th step in the trajectory
+        (first and last states are always kept).  Ergodic accumulators
+        advance every step regardless of the stride.
 
     Returns a Trajectory; status is STATIONARY when the flow reached the
-    solution set early (benign).  For p >= 2 each step ends with one law
-    solve at the new x (the projection), which accepts lam only within
-    AE_TOL plus the certified band; a committed step that still fails
-    law_margin raises StepRejected, so this guards integrator misuse only.
+    solution set early (benign): the law solve at a step's end point found
+    it stationary, or its certified band swamps theta, and the step is not
+    committed.  Each step ends with one law solve at the new x (the
+    projection), which accepts lam only within AE_TOL plus the certified
+    band; a committed step that still fails law_margin raises
+    StepRejected, so this guards integrator misuse only.
     """
     if not (T >= 0 and h > 0):
         raise ValueError("need T >= 0 and h > 0")
+    if not (isinstance(sample_stride, (int, np.integer)) and sample_stride >= 1):
+        raise ValueError(f"sample_stride must be an integer >= 1, got {sample_stride!r}")
     op = problem.operator
     theta, p = params.theta, params.p
     x = np.asarray(x0, dtype=float).copy()
-    if ops.min_norm_residual(op, x) <= STATIONARITY_TOL:
-        raise StationaryPoint("x0 already solves the inclusion", x=x)
-
     warm = None
 
-    def resolve(x_s, lam_s):
-        # For p = 1, lam = theta and the operator are fixed, so each solve
+    def stage(x_s, lam_s):
+        # For p = 1, lam = theta and the operator are fixed, so each stage
         # starts from the last one's exit state.  For p >= 2 the stages
         # start cold: a warm exit with no iteration keeps a residual up to
         # the resolvent's absolute floor, near the solution set a visible
         # share of the speed.
         nonlocal warm
-        if p >= 2:
-            return ops.resolvent(op, lam_s, x_s)
-        r = ops.resolvent(op, theta, x_s, warm=warm)
-        if r.state is not None:
+        r = ops.resolvent(op, lam_s, x_s, warm=warm)
+        if p == 1 and r.state is not None:
             warm = r.state
-        return r
-
-    def rates(x_s, lam_s, y_s):
-        return y_s - x_s, (_lam_rate(op, lam_s, x_s, y_s, p) if p >= 2 else 0.0)
-
-    def stage(x_s, lam_s):
-        return rates(x_s, lam_s, resolve(x_s, lam_s).y)
-
-    def project(x_s, lam_s):
-        # The committed point's lam and the resolvent it is certified on.
-        if p >= 2:
-            return solve_law(op, x_s, params, hint=lam_s)
-        return theta, resolve(x_s, theta)
+        return r.y - x_s, _lam_rate(op, lam_s, x_s, r.y, p)
 
     traj = Trajectory()
-    lam, r = project(x, None)
+    lam, r = solve_law(op, x, params)
     y, rho = r.y, r.residual
     t = 0.0
     num = np.zeros(op.dim)
@@ -168,13 +158,14 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # exactly on T.
         t_next = T if step_idx == nsteps else step_idx * h
         hs = t_next - t
-        f1, l1 = rates(x, lam, y)
+        f1, l1 = y - x, _lam_rate(op, lam, x, y, p)
         try:
             f2, l2 = stage(x + 0.5 * hs * f1, lam + 0.5 * hs * l1)
             f3, l3 = stage(x + 0.5 * hs * f2, lam + 0.5 * hs * l2)
             f4, l4 = stage(x + hs * f3, lam + hs * l3)
             x_new = x + (hs / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            lam_new, r = project(x_new, lam + (hs / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4))
+            lam_rk = lam + (hs / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+            lam_new, r = solve_law(op, x_new, params, hint=lam_rk)
         except StationaryPoint:
             # The step landed on (numerically) the solution set; keep the
             # last consistent state as the endpoint.
@@ -186,8 +177,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # commit steps whose control value cannot be certified.
         y_new, rho_new = r.y, r.residual
         d_new = ops.norm(x_new - y_new)
-        band = law_band(lam_new, d_new, rho_new, p)
-        if band > 0.1 * theta:
+        if law_band(lam_new, d_new, rho_new, p) > 0.1 * theta:
             traj.status = "STATIONARY"
             break
         margin = law_margin(lam_new, d_new, rho_new, params)
@@ -198,22 +188,11 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
                 t=t_next,
                 residual=excess * theta,
             )
-        x, t = x_new, t_next
-        prev_lam, prev_y = lam, y
-        lam, y, rho = lam_new, y_new, rho_new
-        num = num + 0.5 * hs * (prev_lam * prev_y + lam * y)
-        den = den + 0.5 * hs * (prev_lam + lam)
+        num = num + 0.5 * hs * (lam * y + lam_new * y_new)
+        den = den + 0.5 * hs * (lam + lam_new)
+        x, t, lam, y, rho = x_new, t_next, lam_new, y_new, rho_new
         if step_idx % sample_stride == 0 or t >= T - 1e-12 * max(1.0, T):
             record()
-        # For p >= 2, the projection's solve_law already ran this test; for
-        # p = 1 its resolvent may rule stationarity out in the same way.
-        if (
-            p == 1
-            and not rules_out_stationarity(op, lam, x, y, rho)
-            and ops.min_norm_residual(op, x) <= STATIONARITY_TOL
-        ):
-            traj.status = "STATIONARY"
-            break
     if traj.states[-1].t < t:
         record()
     return traj

@@ -115,8 +115,84 @@ class TestSolveLambda:
         assert lam2 == lam
         assert r is dict(calls)[lam]
 
-    def test_solve_law_first_order_has_no_resolvent(self):
-        assert solve_law(IDENTITY, [2.0], FeedbackParams(0.3, 1)) == (0.3, None)
+    def test_solve_law_first_order_returns_the_resolvent_at_theta(self, monkeypatch):
+        # The law reads lam = theta: its first trial is accepted, and its
+        # resolvent rules stationarity out, as for every order.
+        calls = _count_min_norm_residual(monkeypatch)
+        lam, r = solve_law(IDENTITY, [2.0], FeedbackParams(0.3, 1), hint=5.0)
+        want = ops.resolvent(IDENTITY, 0.3, np.array([2.0]))
+        assert lam == 0.3 and calls == []
+        assert np.array_equal(r.y, want.y) and r.residual == want.residual
+
+    @staticmethod
+    def _two_loop_solve(op, x, params, hint):
+        """The bracket search as two loops, doubling up or halving down
+        from the hint, then Brent and the bisection finish: the trial
+        order one bracket loop must keep (p >= 2, x not stationary)."""
+        theta = params.theta
+        g = feedback._LawCurve(op, x, params.p)
+
+        def accepted(lam):
+            val, band, _ = g.entry(lam)
+            return abs(val - theta) <= AE_TOL * theta + band
+
+        lam = hint
+        if accepted(lam):
+            return lam
+        lo = hi = lam
+        if g(lam) < theta:
+            while True:
+                lo, hi = hi, hi * 2.0
+                if g(hi) >= theta:
+                    break
+        else:
+            while True:
+                lo, hi = lo * 0.5, lo
+                if g(lo) <= theta:
+                    break
+        for end in (lo, hi):
+            if accepted(end):
+                return end
+        lam = feedback._brent(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        if accepted(lam):
+            return lam
+        lo, hi = (lam, hi) if g(lam) < theta else (lo, lam)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if accepted(mid):
+                return mid
+            lo, hi = (mid, hi) if g(mid) < theta else (lo, mid)
+
+    @staticmethod
+    def _law_cases():
+        ball = ops.BallCone(np.zeros(3), 1.0)
+        yield "box_saddle", box_saddle_op(), np.array([0.6, -0.4])
+        yield "poly_ball", ops.make_poly([0.0, 1.0, 0.0, 1.0], dim=3, cone=ball), np.array([0.9, -0.7, 0.4])
+        rng = np.random.default_rng(5)
+        for name in ("strongly_monotone_affine", "bilinear_saddle", "cubic_1d", "convex_gradient"):
+            prob = problems.build_problem(name, {})
+            for _ in range(3):
+                yield name, prob.operator, rng.uniform(-0.9, 0.9, prob.dim)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("hint", [1e-6, 1e6])
+    def test_one_bracket_loop_keeps_the_trial_order(self, monkeypatch, hint, p):
+        resolvent, calls = ops.resolvent, []
+
+        def recorder(op_, lam, x_, **kw):
+            calls.append(lam)
+            return resolvent(op_, lam, x_, **kw)
+
+        monkeypatch.setattr(feedback.ops, "resolvent", recorder)
+        params = FeedbackParams(0.1, p)
+        for name, op, x in self._law_cases():
+            calls.clear()
+            want = self._two_loop_solve(op, x, params, hint)
+            want_calls = list(calls)
+            calls.clear()
+            lam, _ = solve_law(op, x, params, hint=hint)
+            assert (lam, calls) == (want, want_calls), name
+            assert len(calls) > 2, name
 
     def test_relaxed_theta_above_one(self):
         params = FeedbackParams(1.5, 2)
@@ -257,13 +333,18 @@ class TestLawGradient:
             return float(np.minimum(np.abs(w - c.lower), np.abs(w - c.upper)).min())
         return abs(ops.norm(w - c.center) - c.radius)
 
-    @pytest.mark.parametrize("seed, route", enumerate(ROUTES))
-    def test_matches_central_differences(self, seed, route):
+    @pytest.mark.parametrize(
+        "seed, route, orders",
+        [pytest.param(seed, route, (2, 5), id=f"{seed}-{route}") for seed, route in enumerate(ROUTES)]
+        + [pytest.param(6, "affine + box", (1, 2), id="6-affine + box-p=1")],
+    )
+    def test_matches_central_differences(self, seed, route, orders):
+        # orders: the range p is drawn from.  At p = 1, g = lam: (1, 0).
         op = self.ROUTES[route]
         rng = np.random.default_rng(seed)
         checked = 0
         for _ in range(40):
-            p = int(rng.integers(2, 5))
+            p = int(rng.integers(*orders))
             x = 1.5 * rng.standard_normal(op.dim)
             lam = float(10.0 ** rng.uniform(-1.5, 1.0))
             y = ops.resolvent(op, lam, x).y
@@ -346,6 +427,35 @@ class TestBracketOverflow:
             hpe.run(problem, lambda x, r: steps.append(1) or oracle(x, r), cfg, np.array([0.6, -0.4]))
         assert info.value.k == 3 and [r.k for r in info.value.records] == [1, 2]
         assert isinstance(info.value.__cause__, BracketOverflow)
+
+
+class TestBisectionFinish:
+    """A law value that jumps across theta at lam = 1: the bracket closes
+    on the jump, but neither Brent nor the bisection after it ever finds
+    an accepted lam."""
+
+    @staticmethod
+    def _jump(lam):
+        # y = x + offset: law value lam * ||offset|| = theta/2 below 1, 2*theta from 1 on.
+        return np.array([(0.05 if lam < 1.0 else 0.2) / lam, 0.0])
+
+    def test_raises_the_typed_residual_failure(self, monkeypatch):
+        calls = TestBracketOverflow._fake(monkeypatch, self._jump)
+        with pytest.raises(InnerSolverDiverged, match=r"control-law residual \S+ above 1.0e-10") as info:
+            solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2))
+        assert info.value.residual >= 0.05 * (1.0 - 1e-12)  # the law never comes nearer theta
+        assert min(lam for lam in calls if lam >= 1.0) == 1.0
+        assert len(calls) == len(set(calls))
+
+    def test_run_reports_it_as_oracle_failure(self, monkeypatch):
+        problem = problems.make_bilinear_saddle(d=2)
+        cfg = hpe.HpeConfig(sigma=0.0, theta=0.1, p=2, max_iters=30, stop_res=0.0)
+        oracle, steps = hpe.ExactProxOracle(problem, cfg), []
+        TestBracketOverflow._fake(monkeypatch, self._jump, active=lambda: len(steps) >= 3)
+        with pytest.raises(OracleFailure, match="control-law residual") as info:
+            hpe.run(problem, lambda x, r: steps.append(1) or oracle(x, r), cfg, np.array([0.6, -0.4]))
+        assert info.value.k == 3 and [r.k for r in info.value.records] == [1, 2]
+        assert isinstance(info.value.__cause__, InnerSolverDiverged)
 
 
 class TestDisplacementMap:

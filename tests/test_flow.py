@@ -136,25 +136,37 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_stationarity_tested_once_per_state(self, monkeypatch, p):
-        # integrate tests x0 with min_norm_residual.  Every later point is
-        # tested by a resolvent already computed there (the law solve's
-        # first for p >= 2, the stage's own at the step's end for p = 1),
-        # which far from the solution set rules stationarity out alone.
+        # Every state, x0 included, is tested by the first resolvent of its
+        # law solve, which far from the solution set rules stationarity out
+        # alone: min_norm_residual never runs.
         calls = []
         real = ops.min_norm_residual
         monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
         traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.05, p), T=0.1, h=0.01)
         assert traj.status == "OK" and len(traj) == 11
-        assert len(calls) == 1
+        assert calls == []
 
-    def test_first_order_stops_at_the_first_stationary_state(self):
-        # The certificate only spares tests: the p = 1 flow still stops at
-        # the first state that min_norm_residual judges stationary.
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stops_before_the_first_stationary_state(self, monkeypatch, p):
+        # One rule for every order: the step whose end point the law solve
+        # finds stationary is not committed, and every committed state lies
+        # off the solution set.
+        ends, real = [], flow.solve_law
+        monkeypatch.setattr(flow, "solve_law", lambda op, x, params, **kw: ends.append(x) or real(op, x, params, **kw))
         prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
-        traj = integrate(prob, [1.0, 1.0], FeedbackParams(0.5, 1), T=120.0, h=0.05)
+        traj = integrate(prob, [1.0, 1.0], FeedbackParams(0.5, p), T=120.0, h=0.05)
         assert traj.status == "STATIONARY"
         res = [ops.min_norm_residual(prob.operator, s.x) for s in traj.states]
-        assert res[-1] <= STATIONARITY_TOL < min(res[:-1])
+        assert min(res) > STATIONARITY_TOL
+        assert ops.min_norm_residual(prob.operator, ends[-1]) <= STATIONARITY_TOL
+        assert np.array_equal(ends[-2], traj.states[-1].x)
+
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, "2", None])
+    def test_rejects_bad_sample_stride(self, stride):
+        # Checked with the horizon, before any work: 0 would divide by zero
+        # after the first law solve, 2.5 keep every 5th step, -3 every 3rd.
+        with pytest.raises(ValueError, match="sample_stride"):
+            integrate(SADDLE, [0.0, 0.0], FeedbackParams(0.1, 2), T=1.0, h=0.1, sample_stride=stride)
 
 
 def _stage_solve_rk4(prob, x0, params, T, h):
