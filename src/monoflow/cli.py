@@ -134,7 +134,7 @@ def _run_flow(cfg, problem):
         res = metrics.residue(problem, s.y)
         dist = _dist_or_nan(problem, s.x)
         energy = 0.5 * dist**2  # NaN without a declared solution point
-        if flow.law_margin(s.lam, s.speed, s.rho, params) >= 0.0:
+        if flow.law_margin(s.lam, s.speed, s.band, params) >= 0.0:
             ae_ok += 1
         rows.append(
             [_fmt(s.t)]

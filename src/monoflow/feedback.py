@@ -9,7 +9,8 @@ first trial, theta.  The post-condition
 |lam * ||x - y||^(p-1) - theta| <= AE_TOL * theta is verified on exit, up to
 the band (law_band) the inner resolvent certifies for its own result.  Each
 lam is evaluated at most once per solve, and solve_law hands back the
-resolvent the accepted root was tested on.
+resolvent the accepted root was tested on with its band.  Brent's trials
+read the law value alone, so their resolvent residuals are never formed.
 
 A solve rules out stationarity with the resolvent at its first lam where it
 can (rules_out_stationarity): ||x - J_lam(x)|| / lam <= ||A°(x)||, so a
@@ -82,20 +83,21 @@ def law_band(lam, d, rho, p):
     return lam * ((d + rho) ** (p - 1) - max(d - rho, 0.0) ** (p - 1))
 
 
-def rules_out_stationarity(op, lam, x, y, rho):
-    """True when y, a resolvent of x at lam with certified residual rho, shows
-    min_norm_residual(op, x) > STATIONARITY_TOL; False proves nothing.
+def rules_out_stationarity(op, lam, x, r):
+    """True when r, the Resolvent of x at lam, shows min_norm_residual(op, x)
+    > STATIONARITY_TOL; False proves nothing.
 
-    The Yosida bound ||x - J_lam(x)|| / lam <= ||A°(x)|| and ||y - J_lam(x)||
-    <= rho make (||x - y|| - rho) / lam, less the rounding of ||x - y||, a
-    lower bound on ||A°(x)||.  It is used only where min_norm_residual is
-    ||F(x)|| (ops.in_interior): nearer the boundary that test lets a normal
-    vector cancel part of F(x), and past it returns inf.
+    The Yosida bound ||x - J_lam(x)|| / lam <= ||A°(x)|| and ||r.y -
+    J_lam(x)|| <= r.residual make (r.step - r.residual) / lam, less the
+    rounding of r.step = ||r.y - x||, a lower bound on ||A°(x)||.  It is
+    used only where min_norm_residual is ||F(x)|| (ops.in_interior): nearer
+    the boundary that test lets a normal vector cancel part of F(x), and
+    past it returns inf.
     """
     if not ops.in_interior(op, x):
         return False
-    slack = rho + _ROUNDING * (ops.norm(x) + ops.norm(y))
-    return (ops.norm(x - y) - slack) / lam > STATIONARITY_TOL
+    slack = r.residual + _ROUNDING * (ops.norm(x) + ops.norm(r.y))
+    return (r.step - slack) / lam > STATIONARITY_TOL
 
 
 def law_gradient(op, lam, x, y, p):
@@ -130,17 +132,19 @@ class _LawCurve:
     The resolvent residual rho bounds ||y - J_lam(x)|| (the resolvent is
     nonexpansive and the returned v lies in A(y) exactly), so each value
     carries a certified band lam * ((d+rho)^(p-1) - (d-rho)^(p-1)) outside
-    of which the true g cannot lie.  memo maps each lam evaluated (the
-    exact float) to (value, band, Resolvent); a repeated lam returns its
+    of which the true g cannot lie; solve_law forms it, and with it rho,
+    only for a lam whose acceptance it tests.  memo maps each lam evaluated
+    (the exact float) to (value, Resolvent); a repeated lam returns its
     entry and leaves the warm start alone.  Every solve starts from the
-    exit state of the last one: x and the operator are fixed here.
+    exit state of the last one, the first from warm: x and the operator
+    are fixed here.
     """
 
-    def __init__(self, op, x, p):
+    def __init__(self, op, x, p, warm=None):
         self.op = op
         self.x = np.asarray(x, dtype=float)
         self.p = p
-        self.warm = None
+        self.warm = warm
         self.memo = {}
 
     def entry(self, lam):
@@ -149,9 +153,7 @@ class _LawCurve:
             r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
             if r.state is not None:
                 self.warm = r.state
-            d = ops.norm(self.x - r.y)
-            band = law_band(lam, d, r.residual, self.p)
-            hit = self.memo[lam] = (lam * d ** (self.p - 1), band, r)
+            hit = self.memo[lam] = (lam * r.step ** (self.p - 1), r)
         return hit
 
     def __call__(self, lam):
@@ -159,10 +161,10 @@ class _LawCurve:
 
     def proves_nonstationary(self, lam):
         try:
-            r = self.entry(lam)[2]
+            r = self.entry(lam)[1]
         except InnerSolverDiverged:
             return False  # the solve meets the failure again once x is known not stationary
-        return rules_out_stationarity(self.op, lam, self.x, r.y, r.residual)
+        return rules_out_stationarity(self.op, lam, self.x, r)
 
 
 def _brent(f, xa, xb, xtol, rtol, maxiter):
@@ -214,8 +216,8 @@ def _brent(f, xa, xb, xtol, rtol, maxiter):
     return xcur
 
 
-def solve_law(op, x, params, hint=None, residual=None):
-    """Root of the control law at x and the resolvent it was accepted on.
+def solve_law(op, x, params, hint=None, residual=None, warm=None):
+    """Root of the control law at x, the resolvent it was accepted on and its band.
 
     Parameters
     ----------
@@ -228,20 +230,23 @@ def solve_law(op, x, params, hint=None, residual=None):
         has already evaluated it; the stationarity test then reads it.
         Without it, the resolvent at the first lam may rule stationarity
         out (rules_out_stationarity) before min_norm_residual is called.
+    warm : None, or a Newton state (ops.resolvent's warm) for the first
+        trial's resolvent; each later trial starts from the one before.
 
-    Returns (lam, r): lam is the unique lam > 0 with
+    Returns (lam, r, band): lam is the unique lam > 0 with
     lam * ||x - J_lam(x)||^(p-1) = theta and r the Resolvent at lam whose
     value passed the acceptance test
-    |lam * ||x - r.y||^(p-1) - theta| <= AE_TOL * theta + band; for p = 1
-    that is (theta, the resolvent at theta).  Raises StationaryPoint when
-    residual, or else min_norm_residual(op, x), is <= STATIONARITY_TOL.
+    |lam * r.step^(p-1) - theta| <= AE_TOL * theta + band, with band =
+    law_band(lam, r.step, r.residual, p); for p = 1 that is (theta, the
+    resolvent at theta, 0.0).  Raises StationaryPoint when residual, or
+    else min_norm_residual(op, x), is <= STATIONARITY_TOL.
     One loop tests each trial for acceptance and keeps a bracket (lo, hi)
     from (0, inf): a trial below theta sets lo, one at or above it hi, and
     the next trial is 2*lo while hi is inf and hi/2 while lo is 0; Brent's
-    method then runs on (lo, hi).
+    method then runs on (lo, hi), reading law values only.
     """
     theta, p = params.theta, params.p
-    g = _LawCurve(op, x, p)
+    g = _LawCurve(op, x, p, warm)
     # At p = 1 the law value is lam itself, so theta is accepted at once.
     lam = theta if p == 1 else float(hint) if hint is not None and hint > 0 else 1.0
     if residual is None and not g.proves_nonstationary(lam):
@@ -250,16 +255,15 @@ def solve_law(op, x, params, hint=None, residual=None):
         raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=residual)
 
     def accepted(lam):
-        val, band, _ = g.entry(lam)
-        return abs(val - theta) <= AE_TOL * theta + band
-
-    def found(lam):
-        return lam, g.memo[lam][2]
+        # (lam, r, band) when lam passes the acceptance test, else None.
+        val, r = g.entry(lam)
+        band = law_band(lam, r.step, r.residual, p)
+        return (lam, r, band) if abs(val - theta) <= AE_TOL * theta + band else None
 
     lo, hi = 0.0, math.inf
     for _ in range(MAX_DOUBLINGS + 1):
-        if accepted(lam):
-            return found(lam)
+        if found := accepted(lam):
+            return found
         if g(lam) < theta:
             lo = lam
         else:
@@ -275,15 +279,15 @@ def solve_law(op, x, params, hint=None, residual=None):
         raise BracketOverflow(f"no {side} bracket after {MAX_DOUBLINGS} {steps}")
 
     lam = _brent(lambda s: g(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-    if accepted(lam):
-        return found(lam)
+    if found := accepted(lam):
+        return found
     # Brent met its own lam tolerance (or its step cap) without the
     # residual one; finish by plain bisection on the remaining interval.
     lo, hi = (lam, hi) if g(lam) < theta else (lo, lam)
     for _ in range(256):
         mid = 0.5 * (lo + hi)
-        if accepted(mid):
-            return found(mid)
+        if found := accepted(mid):
+            return found
         if g(mid) < theta:
             lo = mid
         else:
@@ -297,7 +301,7 @@ def solve_law(op, x, params, hint=None, residual=None):
 
 
 def solve_lambda(op, x, params, hint=None, residual=None):
-    """The lam of solve_law(op, x, params, hint, residual), without its resolvent."""
+    """The lam of solve_law(op, x, params, hint, residual), without its resolvent and band."""
     return solve_law(op, x, params, hint=hint, residual=residual)[0]
 
 

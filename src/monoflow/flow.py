@@ -9,9 +9,11 @@ resolvent at its RK4-advanced (x, lam).  For every p, each committed step
 is projected back onto the law (Hairer, Lubich & Wanner, Geometric
 Numerical Integration, IV.4): solve_law at the new x, from the RK4 lam as
 its hint, certifies the root, tests stationarity and gives the next
-step's first stage.  Each state carries the resolvent its lam was accepted
-on.  Ergodic averages of (lam, y) are accumulated with the trapezoid rule
-at step resolution.
+step's first stage.  Each state carries the resolvent point its lam was
+accepted on, with the speed ||x - y|| and the certified band that solve
+formed, so the band stop, law_margin, the audit and the run summary read
+them and form neither again.  Ergodic averages of (lam, y) are
+accumulated with the trapezoid rule at step resolution.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from numpy.linalg import LinAlgError
 
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
-from .feedback import law_band, law_gradient, solve_law
+from .feedback import law_gradient, solve_law
 # solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
 from .feedback import solve_lambda  # noqa: F401
 from .report import CheckReport, worst
@@ -43,15 +45,17 @@ FLOW_AE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FlowState:
+    """A committed point x at time t, its law root lam, y = J_lam(x), the
+    certified residual rho of the solve behind y, the speed ||x - y|| and
+    the band feedback.law_band(lam, speed, rho, p) around the law value."""
+
     t: float
     x: np.ndarray
     lam: float
     y: np.ndarray
-    rho: float = 0.0  # certified residual of the resolvent solve behind y
-
-    @property
-    def speed(self):
-        return ops.norm(self.x - self.y)
+    rho: float
+    speed: float
+    band: float
 
 
 @dataclass
@@ -84,17 +88,17 @@ def _lam_rate(op, lam, x, y, p):
     return -float(g_x @ (y - x)) / g_lam
 
 
-def law_margin(lam, d, rho, params):
+def law_margin(lam, d, band, params):
     """Slack of the control law at a state with speed d = ||x - y||, relative to theta.
 
     FLOW_AE_TOL less the part of |lam d^(p-1) - theta| that lies outside the
-    band law_band(lam, d, rho, p) certified by the resolvent residual rho.
+    band, feedback.law_band(lam, d, rho, p) for the resolvent residual rho.
     A state satisfies the law exactly when this is >= 0 (NaN never does):
     integrate commits a step, the audit passes a state and the run summary
     counts one by this rule.
     """
     ae = abs(lam * d ** (params.p - 1) - params.theta)
-    return FLOW_AE_TOL - max(ae - law_band(lam, d, rho, params.p), 0.0) / params.theta
+    return FLOW_AE_TOL - max(ae - band, 0.0) / params.theta
 
 
 def integrate(problem, x0, params, T, h, sample_stride=1):
@@ -129,25 +133,33 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
 
     def stage(x_s, lam_s):
         # For p = 1, lam = theta and the operator are fixed, so each stage
-        # starts from the last one's exit state.  For p >= 2 the stages
-        # start cold: a warm exit with no iteration keeps a residual up to
-        # the resolvent's absolute floor, near the solution set a visible
-        # share of the speed.
+        # and each law solve starts from the last one's exit state.  For
+        # p >= 2 they start cold: a warm exit with no iteration keeps a
+        # residual up to the resolvent's absolute floor, near the solution
+        # set a visible share of the speed.
         nonlocal warm
         r = ops.resolvent(op, lam_s, x_s, warm=warm)
         if p == 1 and r.state is not None:
             warm = r.state
         return r.y - x_s, _lam_rate(op, lam_s, x_s, r.y, p)
 
+    def project(x_s, hint):
+        # The law root at x_s, its resolvent and band; warm is None for p >= 2.
+        nonlocal warm
+        lam_s, r, band_s = solve_law(op, x_s, params, hint=hint, warm=warm)
+        if p == 1 and r.state is not None:
+            warm = r.state
+        return lam_s, r, band_s
+
     traj = Trajectory()
-    lam, r = solve_law(op, x, params)
-    y, rho = r.y, r.residual
+    lam, r, band = project(x, None)
+    y, rho, speed = r.y, r.residual, r.step
     t = 0.0
     num = np.zeros(op.dim)
     den = 0.0
 
     def record():
-        traj.states.append(FlowState(t, x.copy(), lam, y.copy(), rho))
+        traj.states.append(FlowState(t, x.copy(), lam, y.copy(), rho, speed, band))
         traj.erg_num.append(num.copy())
         traj.erg_den.append(den)
 
@@ -165,7 +177,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
             f4, l4 = stage(x + hs * f3, lam + hs * l3)
             x_new = x + (hs / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             lam_rk = lam + (hs / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-            lam_new, r = solve_law(op, x_new, params, hint=lam_rk)
+            lam_new, r, band_new = project(x_new, lam_rk)
         except StationaryPoint:
             # The step landed on (numerically) the solution set; keep the
             # last consistent state as the endpoint.
@@ -175,12 +187,11 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # Once that band swamps theta the state is within resolvent noise
         # of the solution set: stop with the last clean state rather than
         # commit steps whose control value cannot be certified.
-        y_new, rho_new = r.y, r.residual
-        d_new = ops.norm(x_new - y_new)
-        if law_band(lam_new, d_new, rho_new, p) > 0.1 * theta:
+        y_new, rho_new, speed_new = r.y, r.residual, r.step
+        if band_new > 0.1 * theta:
             traj.status = "STATIONARY"
             break
-        margin = law_margin(lam_new, d_new, rho_new, params)
+        margin = law_margin(lam_new, speed_new, band_new, params)
         if not margin >= 0.0:
             excess = FLOW_AE_TOL - margin
             raise StepRejected(
@@ -190,7 +201,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
             )
         num = num + 0.5 * hs * (lam * y + lam_new * y_new)
         den = den + 0.5 * hs * (lam + lam_new)
-        x, t, lam, y, rho = x_new, t_next, lam_new, y_new, rho_new
+        x, t, lam, y, rho, speed, band = x_new, t_next, lam_new, y_new, rho_new, speed_new, band_new
         if step_idx % sample_stride == 0 or t >= T - 1e-12 * max(1.0, T):
             record()
     if traj.states[-1].t < t:
@@ -220,7 +231,7 @@ def check_flow_invariants(traj, problem, params):
 
     rep.add(
         "algebraic equation residual <= 1e-8 rel",
-        *worst(law_margin(s.lam, v, s.rho, params) for s, v in zip(states, speed)),
+        *worst(law_margin(s.lam, v, s.band, params) for s, v in zip(states, speed)),
     )
     rep.add("lam nondecreasing", *worst((b.lam - a.lam) / a.lam + 1e-9 for a, b in pairs))
     rep.add(

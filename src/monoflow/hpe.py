@@ -144,11 +144,10 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None):
     lam = solve_lambda(op, x, cfg.law, hint=hint, residual=residual)
     r = ops.resolvent(op, lam, x)
     for _ in range(60):
-        d = ops.norm(r.y - x)
-        val = lam * d ** (cfg.p - 1)
+        val = lam * r.step ** (cfg.p - 1)
         if val >= cfg.theta:
             break
-        band = law_band(lam, d, r.residual, cfg.p)
+        band = law_band(lam, r.step, r.residual, cfg.p)
         lam *= max((cfg.theta + band) / max(val, 1e-300), 1.0 + 1e-12)
         r = ops.resolvent(op, lam, x)
     return lam, r.y, r.v, 0.0

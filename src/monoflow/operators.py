@@ -406,20 +406,40 @@ def min_norm_residual(op, x):
     return cone_residual(op.cone, x, single_value(op, x))
 
 
-@dataclass(frozen=True)
 class Resolvent:
-    """Output of a resolvent solve: v in A(y) and lam*v + y ~= x.
+    """Output of a resolvent solve of x at lam: v in A(y) and lam*v + y ~= x.
+
+    step = ||y - x|| and residual = ||lam*v + y - x|| are computed when
+    first read, unless the route formed them for a test of its own: the
+    Newton kernel forms the step for its stop rule, the affine and radial
+    closed forms form both for their bound, and the projection route,
+    exact by construction, reports residual 0.0.  A late read evaluates
+    the same expression on the same floats, x copied at the solve, so its
+    bits do not depend on when it happens or on what the caller does to x.
 
     Only the Newton route sets state = (w, y, F(y)), its exit state with w
     its last normal-map point: the state, or w alone, warm-starts another
     solve of the same operator (see resolvent).
     """
 
-    y: np.ndarray
-    v: np.ndarray
-    residual: float
-    iterations: int
-    state: tuple | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("y", "v", "iterations", "state", "_lam", "_x", "_step", "_residual")
+
+    def __init__(self, y, v, lam, x, iterations=0, step=None, residual=None, state=None):
+        self.y, self.v, self.iterations, self.state = y, v, iterations, state
+        self._lam, self._step, self._residual = lam, step, residual
+        self._x = None if step is not None and residual is not None else np.array(x, dtype=float)
+
+    @property
+    def step(self):
+        if self._step is None:
+            self._step = norm(self.y - self._x)
+        return self._step
+
+    @property
+    def residual(self):
+        if self._residual is None:
+            self._residual = norm(self._lam * self.v + self.y - self._x)
+        return self._residual
 
 
 def _scalar_poly_root(c, dc, lam, target):
@@ -503,9 +523,10 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     value(P(w))) of an earlier solve: a state skips projecting w and
     evaluating value there, with the same bits, and so is valid only for
     the same value map and domain (lam and x may differ).  Returns (y, v,
-    iterations, state) with v = value(y) + (w - y)/lam in (value +
-    N_dom)(y) exactly, so ||lam*v + y - x|| is the normal-map residual, and
-    state = (w, y, value(y)) at exit.  Raises InnerSolverDiverged, its
+    step, iterations, state) with v = value(y) + (w - y)/lam in (value +
+    N_dom)(y) exactly, so ||lam*v + y - x|| is the normal-map residual,
+    step = ||y - x|| as the stop rule formed it, and state = (w, y,
+    value(y)) at exit.  Raises InnerSolverDiverged, its
     message prefixed by what, when the line search stalls or
     NEWTON_MAX_ITERS steps fall short of the accepted residual.
     """
@@ -525,16 +546,17 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     nf = norm(f)
     its = 0
     while its < NEWTON_MAX_ITERS:
-        target = max(rel * norm(y - x), floor)
+        step = norm(y - x)
+        target = max(rel * step, floor)
         if nf <= target:
             break
         jac = _normal_map_jacobian(cone, lam, jacobian(y), w)[0]
         try:
-            step = _solve(jac, -f)
+            dw = _solve(jac, -f)
         except LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+            dw = np.linalg.lstsq(jac, -f, rcond=None)[0]
         t = 1.0
-        wn = w + step  # the bits of w + 1.0 * step
+        wn = w + dw  # the bits of w + 1.0 * dw
         for _ in range(60):
             yn = np.minimum(np.maximum(wn, lo), hi) if box else domain_project(op, wn)
             fyn = value(yn)
@@ -543,7 +565,7 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
             if nfn < nf * (1.0 - 1e-4 * t) or nfn <= target:
                 break
             t *= 0.5
-            wn = w + t * step
+            wn = w + t * dw
         else:
             raise InnerSolverDiverged(
                 f"{what} newton stalled at residual {nf:.3e}", residual=nf, iterations=its
@@ -551,31 +573,33 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
         w, y, fy, f, nf = wn, yn, fyn, fn, nfn
         its += 1
     else:
-        if nf > max(rel * norm(y - x), floor):
+        step = norm(y - x)
+        if nf > max(rel * step, floor):
             raise InnerSolverDiverged(
                 f"{what} newton hit iteration cap at residual {nf:.3e}",
                 residual=nf,
                 iterations=its,
             )
-    return y, fy + (w - y) / lam, its, (w, y, fy)
+    return y, fy + (w - y) / lam, step, its, (w, y, fy)
 
 
 def _closed_form(lam, x, y, v, what):
     """The Resolvent (y, v) of a closed-form route, or InnerSolverDiverged
     when its residual misses the bound (NaN included)."""
     res = norm(lam * v + y - x)
-    if not res <= RESOLVENT_TOL * max(1.0, norm(y - x)):
+    step = norm(y - x)
+    if not res <= RESOLVENT_TOL * max(1.0, step):
         # Rounding at eps*||x|| can exceed the bound; refining cannot help.
         raise InnerSolverDiverged(
             f"resolvent {what} solve missed its bound at residual {res:.3e}", residual=res, iterations=0
         )
-    return Resolvent(y=y, v=v, residual=res, iterations=0)
+    return Resolvent(y, v, lam, x, step=step, residual=res)
 
 
 def _projection_route(op, lam, x, warm):
     # No single-valued part: the resolvent is the projection onto the cone.
     y = domain_project(op, x)
-    return Resolvent(y=y, v=(x - y) / lam, residual=0.0, iterations=0)
+    return Resolvent(y, (x - y) / lam, lam, x, residual=0.0)
 
 
 def _affine_route(op, lam, x, warm):
@@ -596,8 +620,7 @@ def _poly_route(op, lam, x, warm):
     # Clamping keeps the normal element sign-correct because the scalar map
     # y + lam*poly(y) is increasing.
     n = np.zeros(op.dim) if box is None else np.where((y > box.lower) & (y < box.upper), 0.0, (x - y) / lam - py)
-    v = py + n
-    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=0)
+    return Resolvent(y, py + n, lam, x)
 
 
 def _radial_route(op, lam, x, warm):
@@ -609,7 +632,7 @@ def _radial_route(op, lam, x, warm):
 
 
 def _newton_route(op, lam, x, warm):
-    y, v, its, state = normal_map_newton(
+    y, v, step, its, state = normal_map_newton(
         op,
         lam,
         x,
@@ -620,7 +643,7 @@ def _newton_route(op, lam, x, warm):
         warm,
         "resolvent",
     )
-    return Resolvent(y=y, v=v, residual=norm(lam * v + y - x), iterations=its, state=state)
+    return Resolvent(y, v, lam, x, iterations=its, step=step, state=state)
 
 
 def resolvent(op, lam, x, warm=None):
@@ -639,10 +662,11 @@ def resolvent(op, lam, x, warm=None):
     Returns
     -------
     Resolvent with v in A(y) exact by construction; residual reports
-    ||lam*v + y - x|| <= RESOLVENT_TOL * max(1, ||y - x||).  The solve runs
-    op.route, fixed when op was built.  Every route but the polynomial
-    closed form raises InnerSolverDiverged when it misses that bound; there
-    lam times the rounding of poly(y) can exceed it.
+    ||lam*v + y - x|| <= RESOLVENT_TOL * max(1, ||y - x||) and step
+    ||y - x||, each computed when first read unless the route formed it.
+    The solve runs op.route, fixed when op was built.  Every route but the
+    polynomial closed form raises InnerSolverDiverged when it misses that
+    bound; there lam times the rounding of poly(y) can exceed it.
     """
     if not lam > 0:
         raise ValueError("resolvent needs lam > 0")

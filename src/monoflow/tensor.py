@@ -183,7 +183,7 @@ def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
         raise InnerSolverDiverged(
             f"{UNSOLVABLE} at residual >= {bound:.3e}", residual=bound, iterations=0
         )
-    y, u, _, state = ops.normal_map_newton(
+    y, u, _, _, state = ops.normal_map_newton(
         sur.op, lam, x, sur.value, sur.jacobian, sigma_hat, floor, warm, "surrogate"
     )
     return y, u, state[0]

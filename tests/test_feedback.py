@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from monoflow import feedback, hpe
+from monoflow.checks import _operator_pool
 from monoflow import operators as ops
 from monoflow import problems
 from monoflow.errors import BracketOverflow, InnerSolverDiverged, OracleFailure, StationaryPoint
@@ -14,6 +15,7 @@ from monoflow.feedback import (
     AE_TOL,
     STATIONARITY_TOL,
     FeedbackParams,
+    law_band,
     law_gradient,
     rules_out_stationarity,
     scaled_displacement,
@@ -111,7 +113,7 @@ class TestSolveLambda:
         assert any(not math.log2(s / hint).is_integer() for s in lams)
 
         calls.clear()
-        lam2, r = solve_law(op, x, params, hint=hint)
+        lam2, r, _ = solve_law(op, x, params, hint=hint)
         assert lam2 == lam
         assert r is dict(calls)[lam]
 
@@ -119,9 +121,9 @@ class TestSolveLambda:
         # The law reads lam = theta: its first trial is accepted, and its
         # resolvent rules stationarity out, as for every order.
         calls = _count_min_norm_residual(monkeypatch)
-        lam, r = solve_law(IDENTITY, [2.0], FeedbackParams(0.3, 1), hint=5.0)
+        lam, r, band = solve_law(IDENTITY, [2.0], FeedbackParams(0.3, 1), hint=5.0)
         want = ops.resolvent(IDENTITY, 0.3, np.array([2.0]))
-        assert lam == 0.3 and calls == []
+        assert lam == 0.3 and band == 0.0 and calls == []
         assert np.array_equal(r.y, want.y) and r.residual == want.residual
 
     @staticmethod
@@ -133,8 +135,8 @@ class TestSolveLambda:
         g = feedback._LawCurve(op, x, params.p)
 
         def accepted(lam):
-            val, band, _ = g.entry(lam)
-            return abs(val - theta) <= AE_TOL * theta + band
+            val, r = g.entry(lam)
+            return abs(val - theta) <= AE_TOL * theta + law_band(lam, r.step, r.residual, params.p)
 
         lam = hint
         if accepted(lam):
@@ -190,7 +192,7 @@ class TestSolveLambda:
             want = self._two_loop_solve(op, x, params, hint)
             want_calls = list(calls)
             calls.clear()
-            lam, _ = solve_law(op, x, params, hint=hint)
+            lam = solve_law(op, x, params, hint=hint)[0]
             assert (lam, calls) == (want, want_calls), name
             assert len(calls) > 2, name
 
@@ -219,7 +221,7 @@ class TestStationarityCertificate:
 
     def test_far_point_skips_the_residual_test(self, monkeypatch):
         calls = _count_min_norm_residual(monkeypatch)
-        lam, _ = solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2))
+        lam = solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2))[0]
         assert calls == [] and lam > 0
 
     def test_point_within_the_slack_still_raises(self, monkeypatch):
@@ -240,7 +242,7 @@ class TestStationarityCertificate:
         # passes the point on to the law.
         calls = _count_min_norm_residual(monkeypatch)
         x = np.array([3e-12, 0.0])
-        lam, r = solve_law(box_saddle_op(), x, FeedbackParams(0.1, 2), hint=10.0)
+        lam, r, _ = solve_law(box_saddle_op(), x, FeedbackParams(0.1, 2), hint=10.0)
         assert len(calls) == 1
         assert abs(lam * ops.norm(x - r.y) - 0.1) <= AE_TOL * 0.1 + 2 * lam * r.residual
 
@@ -294,7 +296,7 @@ class TestStationarityCertificate:
                     x = ops.domain_project(op, x)  # onto the boundary where it left the domain
                 lam = float(10.0 ** rng.uniform(-4, 4))
                 r = ops.resolvent(op, lam, x)
-                certified = rules_out_stationarity(op, lam, x, r.y, r.residual)
+                certified = rules_out_stationarity(op, lam, x, r)
                 res = ops.min_norm_residual(op, x)
                 assert not (certified and res <= STATIONARITY_TOL), (name, x.tolist(), lam, res)
                 fired += certified
@@ -400,7 +402,7 @@ class TestBracketOverflow:
                 return real(op, lam, x, warm=warm)
             calls.append(lam)
             y = np.asarray(x, dtype=float) + offset(lam)
-            return ops.Resolvent(y, (x - y) / lam, 0.0, 0)
+            return ops.Resolvent(y, (x - y) / lam, lam, x, residual=0.0)
 
         monkeypatch.setattr(feedback.ops, "resolvent", resolvent)
         return calls
@@ -591,3 +593,131 @@ class TestBrent:
         got = feedback._brent(g2, lo, hi, 1e-300, 1e-14, 200)
         assert got == want
         assert seen2 == seen1
+
+
+# Reference copy of the law solve as it stood when each evaluation formed
+# ||x - y|| and the certified band at once, and the stationarity test formed
+# ||x - y|| again.  The live solve forms the band only for the trials it
+# tests and reads the step its resolvent carries; it must give the same bits.
+
+
+class _EagerLawCurve:
+    def __init__(self, op, x, p):
+        self.op, self.x, self.p, self.warm, self.memo = op, np.asarray(x, dtype=float), p, None, {}
+
+    def entry(self, lam):
+        hit = self.memo.get(lam)
+        if hit is None:
+            r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
+            if r.state is not None:
+                self.warm = r.state
+            d = ops.norm(self.x - r.y)
+            hit = self.memo[lam] = (lam * d ** (self.p - 1), law_band(lam, d, r.residual, self.p), r)
+        return hit
+
+    def proves_nonstationary(self, lam):
+        try:
+            r = self.entry(lam)[2]
+        except InnerSolverDiverged:
+            return False
+        if not ops.in_interior(self.op, self.x):
+            return False
+        slack = r.residual + feedback._ROUNDING * (ops.norm(self.x) + ops.norm(r.y))
+        return (ops.norm(self.x - r.y) - slack) / lam > STATIONARITY_TOL
+
+
+def _eager_solve_law(op, x, params, hint=None, residual=None):
+    """(lam, band, r), or the MonoflowError raised."""
+    theta, p = params.theta, params.p
+    g = _EagerLawCurve(op, x, p)
+    lam = theta if p == 1 else float(hint) if hint is not None and hint > 0 else 1.0
+    try:
+        if residual is None and not g.proves_nonstationary(lam):
+            residual = ops.min_norm_residual(op, x)
+        if residual is not None and residual <= STATIONARITY_TOL:
+            raise StationaryPoint("x solves the inclusion to tolerance", x=x, residual=residual)
+
+        def value(s):
+            return g.entry(s)[0]
+
+        def accepted(s):
+            val, band, r = g.entry(s)
+            return (s, band, r) if abs(val - theta) <= AE_TOL * theta + band else None
+
+        lo, hi = 0.0, math.inf
+        for _ in range(feedback.MAX_DOUBLINGS + 1):
+            if found := accepted(lam):
+                return found
+            lo, hi = (lam, hi) if value(lam) < theta else (lo, lam)
+            if hi == math.inf:
+                lam = 2.0 * lo
+            elif lo == 0.0:
+                lam = 0.5 * hi
+            else:
+                break
+        else:
+            raise BracketOverflow("no bracket")
+        lam = feedback._brent(lambda s: value(s) - theta, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        if found := accepted(lam):
+            return found
+        lo, hi = (lam, hi) if value(lam) < theta else (lo, lam)
+        for _ in range(256):
+            mid = 0.5 * (lo + hi)
+            if found := accepted(mid):
+                return found
+            lo, hi = (mid, hi) if value(mid) < theta else (lo, mid)
+        raise InnerSolverDiverged("control-law residual")
+    except (StationaryPoint, BracketOverflow, InnerSolverDiverged) as exc:
+        return exc
+
+
+class TestLazyLawEvaluations:
+    """solve_law reads each resolvent's carried step and forms a residual
+    and a band only for the trials whose acceptance it tests."""
+
+    @staticmethod
+    def _cases():
+        names = ("bilinear_saddle", "strongly_monotone_affine", "cubic_1d", "convex_gradient")
+        zoo = [(name, problems.build_problem(name)) for name in names]
+        rng = np.random.default_rng(2111)
+        for name, prob in zoo + _operator_pool():
+            for p in (1, 2, 3, 4):
+                for hint in (None, float(10.0 ** rng.uniform(-3.0, 3.0))):
+                    x = rng.uniform(-0.9, 0.9, prob.dim) * 10.0 ** rng.uniform(-2.0, 0.5)
+                    yield name, prob.operator, x, FeedbackParams(float(10.0 ** rng.uniform(-3.0, 0.0)), p), hint
+
+    def test_same_bits_as_the_eager_solve(self):
+        solved = 0
+        for name, op, x, params, hint in self._cases():
+            for residual in (None, ops.min_norm_residual(op, x)):
+                want = _eager_solve_law(op, x, params, hint=hint, residual=residual)
+                if isinstance(want, Exception):
+                    with pytest.raises(type(want)):
+                        solve_law(op, x, params, hint=hint, residual=residual)
+                    continue
+                lam, r, band = solve_law(op, x, params, hint=hint, residual=residual)
+                want_lam, want_band, want_r = want
+                case = (name, params, hint, residual)
+                assert np.float64(lam).tobytes() == np.float64(want_lam).tobytes(), case
+                assert np.float64(band).tobytes() == np.float64(want_band).tobytes(), case
+                assert r.y.tobytes() == want_r.y.tobytes() and r.v.tobytes() == want_r.v.tobytes(), case
+                assert np.float64(r.residual).tobytes() == np.float64(want_r.residual).tobytes(), case
+                solved += 1
+        assert solved >= 120
+
+    def test_brent_trials_form_no_residual_and_no_band(self, monkeypatch):
+        made, read, banded = [], [], []
+        resolvent, residual, band = ops.resolvent, ops.Resolvent.residual, feedback.law_band
+
+        def recorder(op_, lam, x_, **kw):
+            made.append((lam, resolvent(op_, lam, x_, **kw)))
+            return made[-1][1]
+
+        monkeypatch.setattr(feedback.ops, "resolvent", recorder)
+        monkeypatch.setattr(ops.Resolvent, "residual", property(lambda r: read.append(r) or residual.fget(r)))
+        monkeypatch.setattr(feedback, "law_band", lambda lam, d, rho, p: banded.append(lam) or band(lam, d, rho, p))
+        lam, r, got_band = solve_law(box_saddle_op(), np.array([0.6, -0.4]), FeedbackParams(0.1, 2), hint=1e-6)
+        assert {s for s, q in made if any(q is t for t in read)} == set(banded)
+        assert len(banded) == len(set(banded))
+        assert len([s for s, _ in made if s not in banded]) >= 3  # Brent's own trials
+        assert banded[-1] == lam and got_band == band(lam, r.step, r.residual, 2)

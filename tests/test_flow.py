@@ -5,7 +5,7 @@ import pytest
 
 from monoflow import operators as ops
 from monoflow import problems
-from monoflow import flow
+from monoflow import feedback, flow
 from monoflow.errors import StationaryPoint
 from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, solve_law
 from monoflow.flow import (
@@ -31,7 +31,7 @@ class TestVectorField:
     def test_second_order_uses_the_law_pair(self):
         params = FeedbackParams(0.05, 2)
         x = np.array([0.7, -0.3])
-        lam, r = solve_law(SADDLE.operator, x, params)
+        lam, r, _ = solve_law(SADDLE.operator, x, params)
         s = integrate(SADDLE, x, params, T=0.0, h=0.1).states[0]
         assert s.lam == lam
         assert np.array_equal(s.y, r.y)
@@ -133,6 +133,7 @@ class TestIntegrate:
         for s in traj.states:
             band = s.lam * ((s.speed + s.rho) - max(s.speed - s.rho, 0.0))
             assert abs(s.lam * s.speed - theta) <= AE_TOL * theta + band
+            assert s.band == band
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_stationarity_tested_once_per_state(self, monkeypatch, p):
@@ -180,7 +181,7 @@ def _stage_solve_rk4(prob, x0, params, T, h):
         nonlocal hint
         if p == 1:
             return ops.resolvent(op, theta, x).y - x, theta
-        lam, r = solve_law(op, x, params, hint=hint)
+        lam, r, _ = solve_law(op, x, params, hint=hint)
         hint = lam
         return r.y - x, lam
 
@@ -227,7 +228,7 @@ class TestPredictedLaw:
         end = new.states[-1]
         assert ops.norm(end.x - x_ref) <= 1e-8 * ops.norm(x_ref)
         assert abs(end.lam - lam_ref) <= 1e-8 * lam_ref
-        assert all(law_margin(s.lam, s.speed, s.rho, params) >= 0.0 for s in new.states)
+        assert all(law_margin(s.lam, s.speed, s.band, params) >= 0.0 for s in new.states)
         if run == "gate":
             assert per_step <= 4.5
 
@@ -248,10 +249,63 @@ class TestPredictedLaw:
         monkeypatch.setattr(flow, "law_gradient", broken)
         traj = integrate(SADDLE, [0.7, 0.4], params, T=0.1, h=0.01)
         assert traj.status == "OK" and len(traj) == 11
-        assert all(law_margin(s.lam, s.speed, s.rho, params) >= 0.0 for s in traj.states)
+        assert all(law_margin(s.lam, s.speed, s.band, params) >= 0.0 for s in traj.states)
         lams = [s.lam for s in traj.states]
         assert seen == [lam for lam in lams[:-1] for _ in range(4)]
         assert lams[-1] > lams[0]
+
+
+class TestLawReadOnce:
+    """Each state carries the speed and band its law solve formed; the band
+    stop, law_margin, the audit and the run summary read them."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_one_band_per_step_for_the_accepted_lam(self, monkeypatch, p):
+        bands, real = [], feedback.law_band
+        monkeypatch.setattr(feedback, "law_band", lambda lam, d, rho, p_: bands.append(lam) or real(lam, d, rho, p_))
+        params = FeedbackParams(0.05, p)
+        traj = integrate(SADDLE, [0.7, 0.7], params, T=0.5, h=0.01)
+        assert traj.status == "OK" and len(traj) == 51
+        if p == 1:
+            assert bands == [0.05] * len(traj)  # one trial per law solve, theta
+        else:
+            assert all(bands.count(s.lam) == 1 for s in traj.states)
+        for s in traj.states:
+            assert s.speed == ops.norm(s.x - s.y)
+        bands.clear()
+        assert check_flow_invariants(traj, SADDLE, params).all_passed
+        assert bands == []
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_law_solve_starts_warm_only_at_first_order(self, monkeypatch, p):
+        # p = 1 chains one Newton state through stages and law solves; for
+        # p >= 2 every law solve starts cold.
+        warms, real = [], flow.solve_law
+
+        def spy(op, x, params, **kw):
+            warms.append(kw["warm"])
+            return real(op, x, params, **kw)
+
+        monkeypatch.setattr(flow, "solve_law", spy)
+        integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.05, p), T=0.1, h=0.01)
+        assert len(warms) == 11 and warms[0] is None
+        assert all((w is not None) == (p == 1) for w in warms[1:])
+
+    def test_first_order_gate_newton_iterations(self, monkeypatch):
+        # The p = 1 gate of tests/test_acceptance.py: 4 resolvents a step,
+        # each starting from the exit state of the one before.
+        its, real = [], ops.resolvent
+
+        def counting(*args, **kwargs):
+            r = real(*args, **kwargs)
+            its.append(r.iterations)
+            return r
+
+        monkeypatch.setattr(ops, "resolvent", counting)
+        params = FeedbackParams(0.25, 1)
+        traj = integrate(SADDLE, [0.7, 0.7], params, T=200.0, h=0.01)
+        assert (len(its), sum(its)) == (80001, 60490)
+        assert check_flow_invariants(traj, SADDLE, params).all_passed
 
 
 def _audit_verdicts(traj, params):
@@ -264,7 +318,7 @@ class TestAuditFailsOnNaN:
         traj = integrate(SADDLE, [0.7, 0.4], params, T=0.05, h=0.01)
         assert len(traj) == 6 and all(_audit_verdicts(traj, params).values())
         last = traj.states[-1]
-        traj.states.append(FlowState(last.t + 0.01, last.x.copy(), last.lam, np.full(2, np.nan), last.rho))
+        traj.states.append(FlowState(last.t + 0.01, last.x.copy(), last.lam, np.full(2, np.nan), last.rho, math.nan, last.band))
         verdicts = _audit_verdicts(traj, params)
         assert len(verdicts) == 8
         for name in (
@@ -283,19 +337,21 @@ class TestOneLawRule:
 
     def _state(self, ae, rho=1e-6, t=0.0):
         # p = 2: the certified band is lam * 2 rho = 2e-6 at lam = 1.
-        return FlowState(t, np.array([0.5, 0.0]), 1.0, np.array([0.5 - (self.THETA + ae), 0.0]), rho)
+        x, y = np.array([0.5, 0.0]), np.array([0.5 - (self.THETA + ae), 0.0])
+        speed = ops.norm(x - y)
+        return FlowState(t, x, 1.0, y, rho, speed, law_band(1.0, speed, rho, 2))
 
     def test_residual_between_the_tolerance_and_the_band(self):
         params = FeedbackParams(self.THETA, 2)
         s = self._state(ae=1e-7)
         ae = abs(s.lam * s.speed - self.THETA)
         assert FLOW_AE_TOL * self.THETA < ae < FLOW_AE_TOL * self.THETA + law_band(s.lam, s.speed, s.rho, 2)
-        assert law_margin(s.lam, s.speed, s.rho, params) >= 0.0
+        assert law_margin(s.lam, s.speed, s.band, params) >= 0.0
         assert law_margin(s.lam, s.speed, 0.0, params) < 0.0
         far = self._state(ae=1e-5)
-        assert law_margin(far.lam, far.speed, far.rho, params) < 0.0
-        assert math.isnan(law_margin(s.lam, float("nan"), s.rho, params))
-        assert not law_margin(s.lam, float("nan"), s.rho, params) >= 0.0
+        assert law_margin(far.lam, far.speed, far.band, params) < 0.0
+        assert math.isnan(law_margin(s.lam, float("nan"), s.band, params))
+        assert not law_margin(s.lam, float("nan"), s.band, params) >= 0.0
 
     def test_summary_counts_what_the_audit_passes(self, monkeypatch):
         from monoflow import cli, config

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 from fractions import Fraction
 
@@ -381,14 +382,18 @@ def _newton_instances():
 NEWTON_INSTANCES = _newton_instances()
 
 
+# A Resolvent as _ref_dispatch returns it: every field formed at the solve.
+_RefResolvent = collections.namedtuple("_RefResolvent", "y v residual iterations state", defaults=(None,))
+
+
 def _ref_dispatch(op, lam, x, warm):
     """operators.resolvent as it stood when it chose its route on every call
-    (the Resolvent, or the InnerSolverDiverged raised)."""
+    (a _RefResolvent, or the InnerSolverDiverged raised)."""
     x = np.asarray(x, dtype=float)
     single_parts = sum(p is not None for p in (op.affine, op.poly, op.radial))
     if single_parts == 0:
         y = ops.domain_project(op, x)
-        return ops.Resolvent(y=y, v=(x - y) / lam, residual=0.0, iterations=0)
+        return _RefResolvent(y=y, v=(x - y) / lam, residual=0.0, iterations=0)
     if op.affine is not None and single_parts == 1 and op.cone is None:
         m, q = op.affine.matrix, op.affine.offset
         y = np.linalg.solve(np.eye(op.dim) + lam * m, x - lam * q)
@@ -398,7 +403,7 @@ def _ref_dispatch(op, lam, x, warm):
             return InnerSolverDiverged(
                 f"resolvent affine solve missed its bound at residual {res:.3e}", residual=res, iterations=0
             )
-        return ops.Resolvent(y=y, v=v, residual=res, iterations=0)
+        return _RefResolvent(y=y, v=v, residual=res, iterations=0)
     if op.poly is not None and single_parts == 1 and not isinstance(op.cone, ops.BallCone):
         c, dc = op.poly.ders[:2]
         y = np.array([ops._scalar_poly_root(c, dc, float(lam), t) for t in x.tolist()])
@@ -410,25 +415,25 @@ def _ref_dispatch(op, lam, x, warm):
             py = ops._horner(c, y)
             n = np.zeros(op.dim)
         v = py + n
-        return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=0)
+        return _RefResolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=0)
     if op.radial is not None and single_parts == 1 and op.cone is None:
         s = ops.norm(np.ascontiguousarray(x))
         r = ops._radial_root(op.radial.weight, lam, s)
         y = (r / s) * x if s > 0 else np.zeros(op.dim)
         v = op.radial.weight * r * r * y
-        return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=0)
+        return _RefResolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=0)
     if op.affine is not None and single_parts == 1:
         m, q = op.affine.matrix, op.affine.offset
         value, jacobian = (lambda z: m @ z + q), (lambda z: m)
     else:
         value, jacobian = (lambda z: ops.single_value(op, z)), (lambda z: ops.single_jacobian(op, z))
     try:
-        y, v, its, state = ops.normal_map_newton(
+        y, v, _, its, state = ops.normal_map_newton(
             op, lam, x, value, jacobian, ops.RESOLVENT_TOL, ops.RESOLVENT_TOL, warm, "resolvent"
         )
     except InnerSolverDiverged as exc:
         return exc
-    return ops.Resolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, state=state)
+    return _RefResolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, state=state)
 
 
 def _route_instances():
@@ -850,6 +855,82 @@ class TestKernelBitIdentity:
                     assert np.float64(ops._horner(c, float(t))).tobytes() == want.tobytes()
 
 
+class TestCertificateReadLate:
+    """A Resolvent's step ||y - x|| and residual ||lam*v + y - x||, carried
+    from the solve or formed on first read, are those expressions on the
+    solve's own floats, bit for bit."""
+
+    @staticmethod
+    def _check(r, lam, x, route=None):
+        assert np.float64(r.step).tobytes() == np.float64(ops.norm(r.y - x)).tobytes()
+        # The projection route is exact by construction and reports 0.0.
+        want = 0.0 if route is ops._projection_route else ops.norm(lam * r.v + r.y - x)
+        assert np.float64(r.residual).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=200)
+    @given(
+        name=st.sampled_from(sorted(ROUTE_INSTANCES)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-1.0, 1.0),
+        start=st.sampled_from(["cold", "w", "state"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_route_and_start(self, name, log_lam, log_scale, start, seed):
+        # Newton from x, from a bare w and from an exit state; each closed
+        # form and the projection ignore the start.
+        op, route = ROUTE_INSTANCES[name]
+        lam = 10.0**log_lam
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * rng.standard_normal(op.dim)
+        warm = None
+        if start != "cold":
+            try:
+                state = ops.resolvent(op, 2.0 * lam, x + 0.1 * rng.standard_normal(op.dim)).state
+            except InnerSolverDiverged:
+                return
+            assert (state is None) == (route is not ops._newton_route)
+            warm = state if start == "state" or state is None else state[0]
+        try:
+            r = ops.resolvent(op, lam, x, warm=warm)
+        except InnerSolverDiverged:
+            return
+        self._check(r, lam, x, route)
+
+    def test_newton_exit_at_the_iteration_cap(self, monkeypatch):
+        # With the cap at the iteration count a solve needs, the loop ends
+        # on the cap and the exit test passes; one iteration fewer raises.
+        rng, cap = np.random.default_rng(23), ops.NEWTON_MAX_ITERS
+        for name, op in NEWTON_INSTANCES.items():
+            x = 2.0 * rng.standard_normal(op.dim)
+            monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", cap)
+            its = ops.resolvent(op, 2.0, x).iterations
+            assert its >= 1, name
+            monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", its - 1)
+            with pytest.raises(InnerSolverDiverged, match="hit iteration cap"):
+                ops.resolvent(op, 2.0, x)
+            monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", its)
+            r = ops.resolvent(op, 2.0, x)
+            assert r.iterations == its, name
+            self._check(r, 2.0, x)
+
+    def test_newton_residual_formed_once_on_first_read(self, monkeypatch):
+        op = NEWTON_INSTANCES["affine+box"]
+        r = ops.resolvent(op, 0.7, np.array([1.5, -0.3, 0.9, -2.0]))
+        calls, real = [], ops.norm
+        monkeypatch.setattr(ops, "norm", lambda v: calls.append(1) or real(v))
+        first = (r.step, r.residual)
+        assert (r.step, r.residual) == first
+        assert len(calls) == 1
+
+    def test_caller_mutating_x_changes_no_late_read(self):
+        for name, (op, route) in sorted(ROUTE_INSTANCES.items()):
+            x = np.linspace(-1.5, 1.2, op.dim)
+            kept = x.copy()
+            r = ops.resolvent(op, 0.7, x)
+            x[:] = 1e3
+            self._check(r, 0.7, kept, route)
+
+
 def _ref_enlargement_check(op, x, v, eps, witness_count=64, seed=0):
     # The check as it was, with np.linalg.norm and an if-fold.
     x = np.asarray(x, dtype=float)
@@ -1167,7 +1248,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     anchor = np.asarray(anchor, dtype=float)
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
     try:
-        y, u, _, state = ops.normal_map_newton(
+        y, u, _, _, state = ops.normal_map_newton(
             op,
             lam,
             x,
