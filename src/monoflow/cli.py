@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -83,29 +84,39 @@ def _fit_or_none(values, positions):
     return {"slope": fit.slope, "r_squared": fit.r_squared, "dropped": fit.dropped}
 
 
-class _GapProbe:
-    """Evaluate the gap where supported, nan everywhere once it is not;
-    off holds the reason the gap was turned off, else None."""
+def _ergodic_gaps(problem, num, den):
+    """(gaps, off): metrics.gap at num[i] / den[i] for each row with
+    den[i] > 0, NaN at the others, as a list of floats.
 
-    def __init__(self, problem):
-        self.problem = problem
-        self.off = None
-
-    def __call__(self, x):
-        if self.off is not None or x is None:
-            return float("nan")
-        try:
-            return metrics.gap(self.problem, x)
-        except (UnsupportedMetric, DomainUnbounded) as exc:
-            self.off = str(exc)
-            return float("nan")
-
-
-def _dist_or_nan(problem, x):
+    The gap turns off at the first row where it raises UnsupportedMetric or
+    DomainUnbounded: that row and every later one read NaN, and off holds
+    the reason; it is None while the gap stays on.  A point outside dom(A)
+    raises ValueError.
+    """
+    gaps = np.full(len(den), np.nan)
+    rows = np.flatnonzero(den > 0)
+    points = num[rows] / den[rows, np.newaxis]
     try:
-        return metrics.dist_to_solutions(problem, x)
+        if rows.size:
+            gaps[rows] = metrics.gap(problem, points)
+    except (UnsupportedMetric, DomainUnbounded):
+        # One row's gap does not depend on another's: redo the rows one at
+        # a time to keep the values before the first that raises.
+        for i, x in zip(rows, points):
+            try:
+                gaps[i] = metrics.gap(problem, x)
+            except (UnsupportedMetric, DomainUnbounded) as exc:
+                return gaps.tolist(), str(exc)
+    return gaps.tolist(), None
+
+
+def _dists_or_nan(problem, points):
+    """metrics.dist_to_solutions at each row of points, as a list of
+    floats; all NaN when the problem declares no solution set."""
+    try:
+        return metrics.dist_to_solutions(problem, points).tolist()
     except UnknownSolutionSet:
-        return float("nan")
+        return [math.nan] * len(points)
 
 
 def _run_flow(cfg, problem):
@@ -125,14 +136,13 @@ def _run_flow(cfg, problem):
         + [f"x{i}" for i in range(d)]
         + ["lambda", "speed", "gap_ergodic", "residue_pointwise", "dist", "E"]
     )
-    gap_at = _GapProbe(problem)
+    gaps, gap_off = _ergodic_gaps(problem, np.array(traj.erg_num), np.array(traj.erg_den))
+    residues = metrics.residue(problem, np.array([s.y for s in traj.states])).tolist()
+    dists = _dists_or_nan(problem, np.array([s.x for s in traj.states]))
 
-    rows, ts, gaps, residues = [], [], [], []
+    rows = []
     ae_ok = 0
-    for s, num, den in zip(traj.states, traj.erg_num, traj.erg_den):
-        g = gap_at(num / den if den > 0 else None)
-        res = metrics.residue(problem, s.y)
-        dist = _dist_or_nan(problem, s.x)
+    for s, g, res, dist in zip(traj.states, gaps, residues, dists):
         energy = 0.5 * dist**2  # NaN without a declared solution point
         if flow.law_margin(s.lam, s.speed, s.band, params) >= 0.0:
             ae_ok += 1
@@ -141,9 +151,7 @@ def _run_flow(cfg, problem):
             + [_fmt(c) for c in s.x]
             + [_fmt(s.lam), _fmt(s.speed), _fmt(g), _fmt(res), _fmt(dist), _fmt(energy)]
         )
-        ts.append(s.t)
-        gaps.append(g)
-        residues.append(res)
+    ts = [s.t for s in traj.states]
 
     last = traj.states[-1]
     summary = {
@@ -155,7 +163,7 @@ def _run_flow(cfg, problem):
             "t": last.t,
             "gap_ergodic": gaps[-1],
             "residue_pointwise": residues[-1],
-            "dist": _dist_or_nan(problem, last.x),
+            "dist": dists[-1],
         },
         "slopes": {
             "gap_ergodic": _fit_or_none(gaps, ts),
@@ -163,8 +171,30 @@ def _run_flow(cfg, problem):
         },
         "certificates": {"control_law_within_tol": ae_ok, "total": len(traj.states)},
     }
-    rates = {"p": params.p, "residue": "residue_pointwise", "gap_off": gap_at.off}
+    rates = {"p": params.p, "residue": "residue_pointwise", "gap_off": gap_off}
     return header, rows, summary, rates
+
+
+def _record_columns(problem, records, x0):
+    """(gaps, gap_off, res_mins, dists): an iterative run's metric columns
+    as lists, in one pass over the stacked records.
+
+    gaps is the gap at the lam-weighted average of y_1..y_k (gap_off as in
+    _ergodic_gaps), res_mins the running worst residue at y_1..y_k and
+    dists the distance at x0, then at each x_k.  The stacks live only here,
+    so they are freed before the CSV rows are built.
+    """
+    d = problem.operator.dim
+    lam = np.array([r.lam for r in records], dtype=float)
+    ys = np.array([r.y for r in records], dtype=float).reshape(len(records), d)
+    # Running sums num_k = num_{k-1} + lam_k y_k and den_k = den_{k-1} + lam_k
+    # from 0: a cumulative sum from a zero row makes the same additions.
+    num = np.cumsum(np.concatenate([np.zeros((1, d)), lam[:, np.newaxis] * ys]), axis=0)[1:]
+    den = np.cumsum(np.concatenate([[0.0], lam]))[1:]
+    gaps, gap_off = _ergodic_gaps(problem, num, den)
+    res_mins = list(running_worst(metrics.residue(problem, ys).tolist()))
+    dists = _dists_or_nan(problem, np.array([x0] + [r.x_next for r in records], dtype=float))
+    return gaps, gap_off, res_mins, dists
 
 
 def _run_iterative(cfg, problem):
@@ -186,19 +216,11 @@ def _run_iterative(cfg, problem):
         "residue_min_so_far",
         "dist",
     ]
-    gap_at = _GapProbe(problem)
-    rows, ks, gaps, residues = [], [], [], []
-    num = np.zeros(problem.operator.dim)
-    den = 0.0
-    cert_ok = 0
-    res_mins = running_worst(metrics.residue(problem, r.y) for r in result.records)
-    for r, res_min in zip(result.records, res_mins):
-        num += r.lam * r.y
-        den += r.lam
-        g = gap_at(num / den if den > 0 else None)
-        dist = _dist_or_nan(problem, r.x_next)
-        if r.cert.ok:
-            cert_ok += 1
+    records = result.records
+    gaps, gap_off, res_mins, dists = _record_columns(problem, records, x0)
+
+    rows = []
+    for r, g, res_min, dist in zip(records, gaps, res_mins, dists[1:]):
         rows.append(
             [
                 str(r.k),
@@ -211,29 +233,27 @@ def _run_iterative(cfg, problem):
                 _fmt(dist),
             ]
         )
-        ks.append(float(r.k))
-        gaps.append(g)
-        residues.append(res_min)
+    ks = [float(r.k) for r in records]
 
-    final_x = result.records[-1].x_next if result.records else x0
+    final_x = records[-1].x_next if records else x0
     summary = {
         "mode": cfg.mode,
         "problem": cfg.problem_name,
         "status": result.status,
-        "iterations": len(result.records),
+        "iterations": len(records),
         "final": {
             "gap_ergodic": gaps[-1] if gaps else float("nan"),
-            "residue_min_so_far": residues[-1] if residues else float("nan"),
-            "dist": _dist_or_nan(problem, final_x),
+            "residue_min_so_far": res_mins[-1] if res_mins else float("nan"),
+            "dist": dists[-1],
             "residual": ops.min_norm_residual(problem.operator, final_x),
         },
         "slopes": {
             "gap_ergodic": _fit_or_none(gaps, ks),
-            "residue_min_so_far": _fit_or_none(residues, ks),
+            "residue_min_so_far": _fit_or_none(res_mins, ks),
         },
-        "certificates": {"passed": cert_ok, "total": len(result.records)},
+        "certificates": {"passed": sum(r.cert.ok for r in records), "total": len(records)},
     }
-    rates = {"p": drive.p, "residue": "residue_min_so_far", "gap_off": gap_at.off}
+    rates = {"p": drive.p, "residue": "residue_min_so_far", "gap_off": gap_off}
     return header, rows, summary, rates
 
 

@@ -10,7 +10,8 @@ first trial, theta.  The post-condition
 the band (law_band) the inner resolvent certifies for its own result.  Each
 lam is evaluated at most once per solve, and solve_law hands back the
 resolvent the accepted root was tested on with its band.  Brent's trials
-read the law value alone, so their resolvent residuals are never formed.
+read the law value alone, so neither their resolvent residuals nor their
+v are formed.
 
 A solve rules out stationarity with the resolvent at its first lam where it
 can (rules_out_stationarity): ||x - J_lam(x)|| / lam <= ||A°(x)||, so a
@@ -100,25 +101,28 @@ def rules_out_stationarity(op, lam, x, r):
     return (r.step - slack) / lam > STATIONARITY_TOL
 
 
-def law_gradient(op, lam, x, y, p):
-    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at y = J_lam(x).
+def law_gradient(op, lam, x, r, p):
+    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at r, the Resolvent of x at lam.
 
-    y = P(w) with w = x - lam*F(y) the root of the normal map, whose Jacobian
-    in w is N = I + lam*JF(y)*DP(w) (ops._normal_map_jacobian, the Newton
-    kernel's).  The implicit-function theorem gives dy/dlam = -DP N^-1 F(y)
-    and (dy/dx)^T e = N^-T DP e, two dense solves; DP is symmetric.  At a
-    kink of P it is the one-sided gradient on the branch N takes there.
-    At y = x, where d^(p-3) has no value for p = 2, both parts come back
-    NaN; for p >= 3 they are 0 there.  For p = 1, g = lam: (1, 0).
+    y = r.y = P(w) with w = x - lam*F(y) the root of the normal map, whose
+    Jacobian in w is N = I + lam*JF(y)*DP(w) (ops._normal_map_jacobian,
+    the Newton kernel's).  The implicit-function theorem gives dy/dlam =
+    -DP N^-1 F(y) and (dy/dx)^T e = N^-T DP e, two dense solves; DP is
+    symmetric.  At a kink of P it is the one-sided gradient on the branch
+    N takes there.  d = ||x - y|| is r.step, and F(y) is read from r.state
+    when the Newton route left one, so neither is formed again.  At y = x,
+    where d^(p-3) has no value for p = 2, both parts come back NaN; for
+    p >= 3 they are 0 there.  For p = 1, g = lam: (1, 0).
     """
     x = np.asarray(x, dtype=float)
     if p == 1:
         return 1.0, np.zeros(x.shape)
+    y = r.y
     u = x - y
-    d = ops.norm(u)
+    d = r.step  # ||y - x||, the bits of ||x - y||
     if d == 0.0 and p < 3:
         return math.nan, np.full(x.shape, math.nan)
-    fy = ops.single_value(op, y)
+    fy = ops.single_value(op, y) if r.state is None else r.state[2]
     n, dp = ops._normal_map_jacobian(op.cone, lam, ops.single_jacobian(op, y), x - lam * fy)
     pu = u if dp is None else dp * u if dp.ndim == 1 else dp @ u  # DP u
     c = lam * (p - 1) * d ** (p - 3)  # d/dd of lam * d^(p-1), over d

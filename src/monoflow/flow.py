@@ -69,8 +69,9 @@ class Trajectory:
         return len(self.states)
 
 
-def _lam_rate(op, lam, x, y, p):
-    """lam' = -g_x . (y - x) / g_lam at (lam, x) with y = J_lam(x), from law_gradient.
+def _lam_rate(op, lam, x, r, p):
+    """lam' = -g_x . (y - x) / g_lam at (lam, x), with r the Resolvent of x
+    at lam and y = r.y, from law_gradient.
 
     0 for p = 1, where g = lam has g_x = 0, without the gradient's work.
     0 also where the gradient fails (a singular Newton matrix) or g_lam is
@@ -80,12 +81,12 @@ def _lam_rate(op, lam, x, y, p):
     if p == 1:
         return 0.0
     try:
-        g_lam, g_x = law_gradient(op, lam, x, y, p)
+        g_lam, g_x = law_gradient(op, lam, x, r, p)
     except LinAlgError:
         return 0.0
     if not 0.0 < g_lam < math.inf:
         return 0.0
-    return -float(g_x @ (y - x)) / g_lam
+    return -float(g_x @ (r.y - x)) / g_lam
 
 
 def law_margin(lam, d, band, params):
@@ -141,7 +142,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         r = ops.resolvent(op, lam_s, x_s, warm=warm)
         if p == 1 and r.state is not None:
             warm = r.state
-        return r.y - x_s, _lam_rate(op, lam_s, x_s, r.y, p)
+        return r.y - x_s, _lam_rate(op, lam_s, x_s, r, p)
 
     def project(x_s, hint):
         # The law root at x_s, its resolvent and band; warm is None for p >= 2.
@@ -170,14 +171,14 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # exactly on T.
         t_next = T if step_idx == nsteps else step_idx * h
         hs = t_next - t
-        f1, l1 = y - x, _lam_rate(op, lam, x, y, p)
+        f1, l1 = y - x, _lam_rate(op, lam, x, r, p)
         try:
             f2, l2 = stage(x + 0.5 * hs * f1, lam + 0.5 * hs * l1)
             f3, l3 = stage(x + 0.5 * hs * f2, lam + 0.5 * hs * l2)
             f4, l4 = stage(x + hs * f3, lam + hs * l3)
             x_new = x + (hs / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             lam_rk = lam + (hs / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-            lam_new, r, band_new = project(x_new, lam_rk)
+            lam_new, r_new, band_new = project(x_new, lam_rk)
         except StationaryPoint:
             # The step landed on (numerically) the solution set; keep the
             # last consistent state as the endpoint.
@@ -187,7 +188,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # Once that band swamps theta the state is within resolvent noise
         # of the solution set: stop with the last clean state rather than
         # commit steps whose control value cannot be certified.
-        y_new, rho_new, speed_new = r.y, r.residual, r.step
+        y_new, rho_new, speed_new = r_new.y, r_new.residual, r_new.step
         if band_new > 0.1 * theta:
             traj.status = "STATIONARY"
             break
@@ -201,7 +202,8 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
             )
         num = num + 0.5 * hs * (lam * y + lam_new * y_new)
         den = den + 0.5 * hs * (lam + lam_new)
-        x, t, lam, y, rho, speed, band = x_new, t_next, lam_new, y_new, rho_new, speed_new, band_new
+        x, t, lam, r, band = x_new, t_next, lam_new, r_new, band_new
+        y, rho, speed = y_new, rho_new, speed_new
         if step_idx % sample_stride == 0 or t >= T - 1e-12 * max(1.0, T):
             record()
     if traj.states[-1].t < t:

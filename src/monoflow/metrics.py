@@ -7,6 +7,11 @@ concave quadratic over a box or ball: a skew part alone makes it linear
 (closed-form corner/support evaluation); otherwise projected gradient
 ascent from seeded starts is polished on the active set and certified by a
 KKT residual.
+
+gap, residue and dist_to_solutions take one point or an (n, d) stack of
+points, one per row, through the same code: a point is a stack of one.
+Matrix-vector and dot products stay per row, since a batched product can
+round differently, so every row gets the bits of the one-point call.
 """
 
 from __future__ import annotations
@@ -39,29 +44,26 @@ def _affine_terms(op):
     return op.affine.matrix, op.affine.offset
 
 
-def _affine_objective(op, x):
-    m, q = _affine_terms(op)
-    sym = m + m.T
-
-    def value(z):
-        return float((m @ z + q) @ (x - z))
-
-    def grad(z):
-        return m.T @ x - q - sym @ z
-
-    return m, q, sym, value, grad
+def _stack(x):
+    """(points, one): x as a 2-D stack of points, and whether x was one point."""
+    xs = np.asarray(x, dtype=float)
+    one = xs.ndim < 2
+    return (xs.reshape(1, -1) if one else xs), one
 
 
 def gap(problem, x, route="auto"):
     """Restricted merit value at x; exact for the affine-over-cone zoo.
 
-    route selects the maximization path: "auto" uses the closed support
-    form when the quadratic term vanishes and certified ascent otherwise;
-    "support" and "ascent" force one path (cross-validation hook).
+    x is one point, or an (n, d) stack of points for an (n,) array of
+    values.  route selects the maximization path: "auto" uses the closed
+    support form when the quadratic term vanishes and certified ascent
+    otherwise; "support" and "ascent" force one path (cross-validation
+    hook).
 
     Raises DomainUnbounded without a bounded domain, UnsupportedMetric for
     non-affine single-valued parts (no certified maximization route), and
-    ValueError when x lies outside dom(A).
+    ValueError when a point lies outside dom(A).  A stack is taken in row
+    order and raises what the first failing one-point call would.
     """
     op = problem.operator
     if not problem.domain_bounded:
@@ -70,59 +72,72 @@ def gap(problem, x, route="auto"):
         raise UnsupportedMetric("gap is certified only for affine single-valued parts")
     if route not in ("auto", "support", "ascent"):
         raise ValueError("route must be one of auto, support, ascent")
-    x = np.asarray(x, dtype=float)
-    if not ops.domain_contains(op, x, atol=1e-9):
-        raise ValueError("gap is evaluated at points of dom(A)")
+    pts, one = _stack(x)
+    inside = ops._rows_in_domain(op, pts, atol=1e-9)
+    k = len(pts) if inside.all() else int(np.flatnonzero(~inside)[0])  # rows before the first outside
+    rows = pts[:k]
 
     cone = op.cone
+    m, q = _affine_terms(op)
     # Decided once per operator, when its AffinePart was built.
     linear = op.affine is None or op.affine.skew
-    if route == "support" and not linear:
+    if k and route == "support" and not linear:
         raise UnsupportedMetric("support route is exact only when the quadratic term vanishes")
 
     if linear and route != "ascent":
         # Skew part only: the objective is linear, sup attained at a
         # support point of the domain.
-        m, q = _affine_terms(op)
-        c = m.T @ x - q
+        c = ops._rows_matvec(m.T, rows) - q
         if isinstance(cone, ops.BoxCone):
-            val = float(np.sum(np.maximum(c * cone.lower, c * cone.upper)))
+            vals = np.maximum(c * cone.lower, c * cone.upper).sum(axis=1)
         else:
-            val = cone.radius * ops.norm(c) + float(c @ cone.center)
-        return val + float(q @ x)
+            vals = cone.radius * ops._row_norms(c) + np.fromiter((ci @ cone.center for ci in c), float, k)
+        vals = vals + np.fromiter((q @ xi for xi in rows), float, k)
+    else:
+        vals = _ascent_gaps(op, m, q, rows)
+    if k < len(pts):
+        raise ValueError("gap is evaluated at points of dom(A)")
+    return float(vals[0]) if one else vals
 
-    m, q, sym, value, grad = _affine_objective(op, x)
+
+def _ascent_gaps(op, m, q, rows):
+    """The certified ascent's gap at each row, in row order.  The step and
+    the seeded starts do not depend on the point and are formed once."""
+    cone = op.cone
+    sym = m + m.T
     curv = float(np.abs(sym).max())
     lip = float(np.linalg.eigvalsh(sym)[-1])
     # Zero curvature (linear objective) still converges with any positive
     # step; the floor only keeps the displacement finite before clipping.
     step = 1.0 / max(lip, 1e-12)
     rng = np.random.default_rng(0)
-    starts = [ops.domain_project(op, x), _domain_center(cone)]
-    for _ in range(14):
-        starts.append(_domain_random(cone, rng))
+    seeded = [_domain_center(cone)] + [_domain_random(cone, rng) for _ in range(14)]
 
-    best_val, best_z = -np.inf, None
-    for z0 in starts:
-        z = z0.copy()
-        for _ in range(500):
-            z_new = ops.domain_project(op, z + step * grad(z))
-            if ops.norm(z_new - z) <= 1e-13 * (1.0 + ops.norm(z)):
+    out = np.empty(len(rows))
+    for i, x in enumerate(rows):
+        lin = m.T @ x - q  # the objective <F(z), x - z> has gradient lin - sym @ z
+        best_val, best_z = -np.inf, None
+        for z0 in [ops.domain_project(op, x)] + seeded:
+            z = z0.copy()
+            for _ in range(500):
+                z_new = ops.domain_project(op, z + step * (lin - sym @ z))
+                if ops.norm(z_new - z) <= 1e-13 * (1.0 + ops.norm(z)):
+                    z = z_new
+                    break
                 z = z_new
-                break
-            z = z_new
-        z = _active_set_polish(cone, sym, m.T @ x - q, z)
-        val = value(z)
-        if val > best_val:
-            best_val, best_z = val, z
+            z = _active_set_polish(cone, sym, lin, z)
+            val = float((m @ z + q) @ (x - z))
+            if val > best_val:
+                best_val, best_z = val, z
 
-    # Stationary for the max: grad(best_z) lies in the normal cone there.
-    g = grad(best_z)
-    kkt = ops.cone_residual(cone, best_z, -g)
-    scale = 1.0 + float(np.abs(g).max()) + curv
-    if kkt > KKT_TOL * scale:
-        raise UnsupportedMetric(f"gap maximization uncertified: KKT residual {kkt:.3e}")
-    return best_val
+        # Stationary for the max: the gradient at best_z lies in the normal cone there.
+        g = lin - sym @ best_z
+        kkt = ops.cone_residual(cone, best_z, -g)
+        scale = 1.0 + float(np.abs(g).max()) + curv
+        if kkt > KKT_TOL * scale:
+            raise UnsupportedMetric(f"gap maximization uncertified: KKT residual {kkt:.3e}")
+        out[i] = best_val
+    return out
 
 
 def _domain_center(cone):
@@ -185,7 +200,7 @@ def gap_grid_oracle(problem, x):
     if op.poly is not None or op.radial is not None:
         raise UnsupportedMetric("grid oracle evaluates affine single-valued parts only")
     x = np.asarray(x, dtype=float)
-    m, q, _, _, _ = _affine_objective(op, x)
+    m, q = _affine_terms(op)
     g0 = np.linspace(op.cone.lower[0], op.cone.upper[0], GRID_POINTS)
     g1 = np.linspace(op.cone.lower[1], op.cone.upper[1], GRID_POINTS)
     a, b = g0[:, np.newaxis], g1[np.newaxis, :]
@@ -196,23 +211,29 @@ def gap_grid_oracle(problem, x):
 
 
 def residue(problem, x):
-    """min-norm element of A(x); errors when x is outside dom(A)."""
+    """inf{||v|| : v in A(x)}, the norm of the min-norm element of A(x).
+
+    x is one point, or an (n, d) stack of points for an (n,) array; each
+    value has the bits of ops.min_norm_residual at that point.  Raises
+    ValueError when a point lies outside dom(A).
+    """
     op = problem.operator
-    x = np.asarray(x, dtype=float)
-    res = ops.min_norm_residual(op, x)
-    # inf also comes from a point of dom(A) whose residual overflows.
-    if res == np.inf and not ops.domain_contains(op, x):
+    pts, one = _stack(x)
+    if not ops._rows_in_domain(op, pts).all():
         raise ValueError("residue is defined on dom(A) only")
-    return res
+    res = ops._rows_cone_residual(op.cone, pts, ops._rows_single_value(op, pts))
+    return float(res[0]) if one else res
 
 
 def dist_to_solutions(problem, x):
-    """Distance to the declared solution set."""
+    """Distance to the declared solution set from x, one point or each row
+    of an (n, d) stack (an (n,) array)."""
     sol = problem.solution_set
-    x = np.asarray(x, dtype=float)
-    if sol.kind == "SINGLETON":
-        return ops.norm(x - sol.point)
-    raise UnknownSolutionSet(f"problem {problem.name!r} declares no solution set")
+    if sol.kind != "SINGLETON":
+        raise UnknownSolutionSet(f"problem {problem.name!r} declares no solution set")
+    pts, one = _stack(x)
+    out = ops._row_norms(pts - sol.point)
+    return float(out[0]) if one else out
 
 
 @dataclass(frozen=True)

@@ -342,16 +342,20 @@ def domain_project(op, x):
     return c.center + (c.radius / nr) * r
 
 
+def _box_edges(c, atol):
+    """The edges of box c widened by atol * c.scale; stored for BOUNDARY_ATOL."""
+    if atol == BOUNDARY_ATOL:
+        return c.lower_out, c.upper_out
+    return c.lower - atol * c.scale, c.upper + atol * c.scale
+
+
 def domain_contains(op, x, atol=BOUNDARY_ATOL):
     x = np.asarray(x, dtype=float)
     c = op.cone
     if c is None:
         return True
     if isinstance(c, BoxCone):
-        if atol == BOUNDARY_ATOL:
-            lo, hi = c.lower_out, c.upper_out
-        else:
-            lo, hi = c.lower - atol * c.scale, c.upper + atol * c.scale
+        lo, hi = _box_edges(c, atol)
         return bool((x >= lo).all() and (x <= hi).all())
     return norm(x - c.center) <= c.radius * (1.0 + atol)
 
@@ -406,28 +410,92 @@ def min_norm_residual(op, x):
     return cone_residual(op.cone, x, single_value(op, x))
 
 
+# Row by row twins of domain_contains, single_value and cone_residual for
+# an (n, d) stack of points, as metrics evaluates a run's records.  Each
+# keeps the one-point expression per row wherever a matrix-vector or dot
+# product enters (a batched product can round differently) and batches the
+# elementwise rest, so every row has the bits of the one-point call.
+
+
+def _row_norms(a):
+    """norm of each row of the 2-D array a."""
+    return np.fromiter((norm(r) for r in np.ascontiguousarray(a)), float, len(a))
+
+
+def _rows_matvec(m, xs):
+    """m @ x for each row x of xs, stacked, each written in place."""
+    out = np.empty(xs.shape)
+    for x, o in zip(xs, out):
+        np.matmul(m, x, out=o)
+    return out
+
+
+def _rows_in_domain(op, xs, atol=BOUNDARY_ATOL):
+    """domain_contains(op, x, atol) for each row x of xs, as a bool array."""
+    c = op.cone
+    if c is None:
+        return np.ones(len(xs), dtype=bool)
+    if isinstance(c, BoxCone):
+        lo, hi = _box_edges(c, atol)
+        return ((xs >= lo) & (xs <= hi)).all(axis=1)
+    return np.array([domain_contains(op, x, atol) for x in xs], dtype=bool)
+
+
+def _rows_single_value(op, xs):
+    """single_value(op, x) for each row x of xs, stacked."""
+    out = None
+    if op.affine is not None:
+        out = _rows_matvec(op.affine.matrix, xs) + op.affine.offset
+    if op.poly is not None:
+        t = _horner(op.poly.ders[0], xs)
+        out = t if out is None else out + t
+    if op.radial is not None:
+        t = (op.radial.weight * np.array([float(x @ x) for x in xs]))[:, np.newaxis] * xs
+        out = t if out is None else out + t
+    return np.zeros(xs.shape) if out is None else out
+
+
+def _rows_cone_residual(cone, xs, gs):
+    """cone_residual(cone, x, g) for each row x of xs and g of gs."""
+    if cone is None:
+        return _row_norms(gs)
+    if isinstance(cone, BoxCone):
+        cancel = ((xs >= cone.upper_in) & (gs < 0)) | ((xs <= cone.lower_in) & (gs > 0))
+        return _row_norms(np.where(cancel, 0.0, gs))
+    return np.array([cone_residual(cone, x, g) for x, g in zip(xs, gs)])
+
+
 class Resolvent:
     """Output of a resolvent solve of x at lam: v in A(y) and lam*v + y ~= x.
 
-    step = ||y - x|| and residual = ||lam*v + y - x|| are computed when
-    first read, unless the route formed them for a test of its own: the
-    Newton kernel forms the step for its stop rule, the affine and radial
-    closed forms form both for their bound, and the projection route,
-    exact by construction, reports residual 0.0.  A late read evaluates
-    the same expression on the same floats, x copied at the solve, so its
-    bits do not depend on when it happens or on what the caller does to x.
+    v, step = ||y - x|| and residual = ||lam*v + y - x|| are computed when
+    first read, unless the route formed them for a test of its own: every
+    closed form and the projection form v, the Newton kernel forms the step
+    for its stop rule, the affine and radial closed forms form step and
+    residual for their bound, and the projection route, exact by
+    construction, reports residual 0.0.  A late read evaluates the same
+    expression on the same floats, x copied at the solve, so its bits do
+    not depend on when it happens or on what the caller does to x.
 
     Only the Newton route sets state = (w, y, F(y)), its exit state with w
-    its last normal-map point: the state, or w alone, warm-starts another
-    solve of the same operator (see resolvent).
+    its last normal-map point, and forms v = F(y) + (w - y)/lam from it on
+    first read.  The state, or w alone, warm-starts another solve of the
+    same operator (see resolvent).
     """
 
-    __slots__ = ("y", "v", "iterations", "state", "_lam", "_x", "_step", "_residual")
+    __slots__ = ("y", "iterations", "state", "_v", "_lam", "_x", "_step", "_residual")
 
     def __init__(self, y, v, lam, x, iterations=0, step=None, residual=None, state=None):
-        self.y, self.v, self.iterations, self.state = y, v, iterations, state
+        self.y, self._v, self.iterations, self.state = y, v, iterations, state
         self._lam, self._step, self._residual = lam, step, residual
         self._x = None if step is not None and residual is not None else np.array(x, dtype=float)
+
+    @property
+    def v(self):
+        if self._v is None:
+            w, y, fy = self.state
+            self._v = fy + (w - y) / self._lam
+        return self._v
 
     @property
     def step(self):
@@ -493,6 +561,13 @@ def _radial_root(weight, lam, s):
     return r
 
 
+def _box_jacobian(eye, lo, hi, lam, jf, w):
+    """_normal_map_jacobian on the box [lo, hi], with eye the identity: DP
+    is the 0/1 mask of the coordinates of w strictly inside."""
+    mask = ((w > lo) & (w < hi)).astype(float)
+    return eye + lam * (jf * mask), mask
+
+
 def _normal_map_jacobian(cone, lam, jf, w):
     """(N, DP): N = I + lam * jf @ DP the Jacobian of the normal map at w,
     where jf is the single-valued map's Jacobian at P(w), and DP the
@@ -502,8 +577,7 @@ def _normal_map_jacobian(cone, lam, jf, w):
     """
     eye = _eye(w.size)
     if isinstance(cone, BoxCone):
-        mask = ((w > cone.lower) & (w < cone.upper)).astype(float)
-        return eye + lam * (jf * mask), mask
+        return _box_jacobian(eye, cone.lower, cone.upper, lam, jf, w)
     dp = None
     if cone is not None:
         r = w - cone.center
@@ -522,20 +596,22 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     floor).  start is None (w = x), a bare w, or the exit state (w, P(w),
     value(P(w))) of an earlier solve: a state skips projecting w and
     evaluating value there, with the same bits, and so is valid only for
-    the same value map and domain (lam and x may differ).  Returns (y, v,
-    step, iterations, state) with v = value(y) + (w - y)/lam in (value +
-    N_dom)(y) exactly, so ||lam*v + y - x|| is the normal-map residual,
-    step = ||y - x|| as the stop rule formed it, and state = (w, y,
-    value(y)) at exit.  Raises InnerSolverDiverged, its
-    message prefixed by what, when the line search stalls or
-    NEWTON_MAX_ITERS steps fall short of the accepted residual.
+    the same value map and domain (lam and x may differ).  Returns (y,
+    step, iterations, state) with step = ||y - x|| as the stop rule formed
+    it and state = (w, y, value(y)) at exit.  The kernel does not form
+    v = value(y) + (w - y)/lam, the element of (value + N_dom)(y) whose
+    ||lam*v + y - x|| is the normal-map residual; a caller that reads v
+    forms it from the state.  Raises InnerSolverDiverged, its message
+    prefixed by what, when the line search stalls or NEWTON_MAX_ITERS
+    steps fall short of the accepted residual.
     """
     cone = op.cone
-    # A box, the zoo's usual domain, is projected inline, without the
-    # isinstance dispatch of domain_project.
+    # A box, the zoo's usual domain, is projected and differentiated
+    # inline, without the isinstance dispatch of domain_project and
+    # _normal_map_jacobian.
     box = isinstance(cone, BoxCone)
     if box:
-        lo, hi = cone.lower, cone.upper
+        lo, hi, eye = cone.lower, cone.upper, _eye(op.dim)
     if isinstance(start, tuple):
         w, y, fy = start
     else:
@@ -550,7 +626,8 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
         target = max(rel * step, floor)
         if nf <= target:
             break
-        jac = _normal_map_jacobian(cone, lam, jacobian(y), w)[0]
+        jf = jacobian(y)
+        jac = _box_jacobian(eye, lo, hi, lam, jf, w)[0] if box else _normal_map_jacobian(cone, lam, jf, w)[0]
         try:
             dw = _solve(jac, -f)
         except LinAlgError:
@@ -580,7 +657,7 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
                 residual=nf,
                 iterations=its,
             )
-    return y, fy + (w - y) / lam, step, its, (w, y, fy)
+    return y, step, its, (w, y, fy)
 
 
 def _closed_form(lam, x, y, v, what):
@@ -632,7 +709,7 @@ def _radial_route(op, lam, x, warm):
 
 
 def _newton_route(op, lam, x, warm):
-    y, v, step, its, state = normal_map_newton(
+    y, step, its, state = normal_map_newton(
         op,
         lam,
         x,
@@ -643,7 +720,7 @@ def _newton_route(op, lam, x, warm):
         warm,
         "resolvent",
     )
-    return Resolvent(y, v, lam, x, iterations=its, step=step, state=state)
+    return Resolvent(y, None, lam, x, iterations=its, step=step, state=state)
 
 
 def resolvent(op, lam, x, warm=None):

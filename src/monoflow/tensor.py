@@ -183,10 +183,10 @@ def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
         raise InnerSolverDiverged(
             f"{UNSOLVABLE} at residual >= {bound:.3e}", residual=bound, iterations=0
         )
-    y, u, _, _, state = ops.normal_map_newton(
+    y, _, _, (w, _, fy) = ops.normal_map_newton(
         sur.op, lam, x, sur.value, sur.jacobian, sigma_hat, floor, warm, "surrogate"
     )
-    return y, u, state[0]
+    return y, fy + (w - y) / lam, w
 
 
 def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monoflow import cli
@@ -129,8 +130,11 @@ class TestRun:
         calls, fitted = [], []
 
         def residue(problem, x):
+            # One call takes the run's stacked y_1..y_5; its k = 3 entry is NaN.
             calls.append(None)
-            return math.nan if len(calls) == 3 else real_residue(problem, x)
+            out = real_residue(problem, x)
+            out[2] = math.nan
+            return out
 
         def fit_rate(values, *args, **kwargs):
             fitted.append(list(values))
@@ -145,7 +149,7 @@ class TestRun:
         lines = out.read_text().splitlines()
         col = lines[0].split(",").index("residue_min_so_far")
         column = [row.split(",")[col] for row in lines[1:]]
-        assert len(column) == 5
+        assert len(column) == 5 and len(calls) == 1
         assert all(math.isfinite(float(v)) for v in column[:2])
         assert column[2:] == ["nan"] * 3
         summary = json.loads((tmp_path / "n.summary.json").read_text())
@@ -420,3 +424,212 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+# Reference copy of the CSV and summary pass over the records as it stood
+# before the pass was batched: one metrics call per record, the ergodic
+# sums accumulated with +=.  cli's batched pass must give the same bytes.
+
+
+class _RefGapProbe:
+    def __init__(self, problem):
+        self.problem = problem
+        self.off = None
+
+    def __call__(self, x):
+        if self.off is not None or x is None:
+            return float("nan")
+        try:
+            return cli.metrics.gap(self.problem, x)
+        except (cli.UnsupportedMetric, cli.DomainUnbounded) as exc:
+            self.off = str(exc)
+            return float("nan")
+
+
+def _ref_dist_or_nan(problem, x):
+    try:
+        return cli.metrics.dist_to_solutions(problem, x)
+    except cli.UnknownSolutionSet:
+        return float("nan")
+
+
+def _ref_run_flow(cfg, problem):
+    params = cfg.mode_params()
+    x0 = cfg.initial_point(problem)
+    traj = cli.flow.integrate(
+        problem, x0, params, cfg.horizon["T"], cfg.horizon["h"], cfg.horizon.get("sample_stride", 1)
+    )
+    d = problem.operator.dim
+    header = ["t"] + [f"x{i}" for i in range(d)] + ["lambda", "speed", "gap_ergodic", "residue_pointwise", "dist", "E"]
+    gap_at = _RefGapProbe(problem)
+    rows, ts, gaps, residues = [], [], [], []
+    ae_ok = 0
+    for s, num, den in zip(traj.states, traj.erg_num, traj.erg_den):
+        g = gap_at(num / den if den > 0 else None)
+        res = cli.metrics.residue(problem, s.y)
+        dist = _ref_dist_or_nan(problem, s.x)
+        energy = 0.5 * dist**2
+        if cli.flow.law_margin(s.lam, s.speed, s.band, params) >= 0.0:
+            ae_ok += 1
+        rows.append(
+            [cli._fmt(s.t)]
+            + [cli._fmt(c) for c in s.x]
+            + [cli._fmt(v) for v in (s.lam, s.speed, g, res, dist, energy)]
+        )
+        ts.append(s.t)
+        gaps.append(g)
+        residues.append(res)
+    last = traj.states[-1]
+    summary = {
+        "mode": cfg.mode,
+        "problem": cfg.problem_name,
+        "status": traj.status,
+        "samples": len(traj.states),
+        "final": {
+            "t": last.t,
+            "gap_ergodic": gaps[-1],
+            "residue_pointwise": residues[-1],
+            "dist": _ref_dist_or_nan(problem, last.x),
+        },
+        "slopes": {
+            "gap_ergodic": cli._fit_or_none(gaps, ts),
+            "residue_pointwise": cli._fit_or_none(residues, ts),
+        },
+        "certificates": {"control_law_within_tol": ae_ok, "total": len(traj.states)},
+    }
+    return header, rows, summary, {"p": params.p, "residue": "residue_pointwise", "gap_off": gap_at.off}
+
+
+def _ref_run_iterative(cfg, problem):
+    drive = cfg.drive()
+    if cfg.mode == "HPE_EXACT":
+        oracle = cli.hpe.ExactProxOracle(problem, drive)
+    else:
+        oracle = cli.tensor.TensorOracle(problem, cfg.mode_params())
+    x0 = cfg.initial_point(problem)
+    result = cli.hpe.run(problem, oracle, drive, x0)
+    header = ["k", "lambda", "v_norm", "eps", "step_norm", "gap_ergodic", "residue_min_so_far", "dist"]
+    gap_at = _RefGapProbe(problem)
+    rows, ks, gaps, residues = [], [], [], []
+    num = np.zeros(problem.operator.dim)
+    den = 0.0
+    cert_ok = 0
+    res_mins = cli.running_worst(cli.metrics.residue(problem, r.y) for r in result.records)
+    for r, res_min in zip(result.records, res_mins):
+        num += r.lam * r.y
+        den += r.lam
+        g = gap_at(num / den if den > 0 else None)
+        dist = _ref_dist_or_nan(problem, r.x_next)
+        if r.cert.ok:
+            cert_ok += 1
+        rows.append(
+            [str(r.k)]
+            + [cli._fmt(v) for v in (r.lam, ops.norm(r.v), r.eps, ops.norm(r.y - r.x_prev), g, res_min, dist)]
+        )
+        ks.append(float(r.k))
+        gaps.append(g)
+        residues.append(res_min)
+    final_x = result.records[-1].x_next if result.records else x0
+    summary = {
+        "mode": cfg.mode,
+        "problem": cfg.problem_name,
+        "status": result.status,
+        "iterations": len(result.records),
+        "final": {
+            "gap_ergodic": gaps[-1] if gaps else float("nan"),
+            "residue_min_so_far": residues[-1] if residues else float("nan"),
+            "dist": _ref_dist_or_nan(problem, final_x),
+            "residual": ops.min_norm_residual(problem.operator, final_x),
+        },
+        "slopes": {
+            "gap_ergodic": cli._fit_or_none(gaps, ks),
+            "residue_min_so_far": cli._fit_or_none(residues, ks),
+        },
+        "certificates": {"passed": cert_ok, "total": len(result.records)},
+    }
+    return header, rows, summary, {"p": drive.p, "residue": "residue_min_so_far", "gap_off": gap_at.off}
+
+
+_TWO_P2 = {"sigma_hat": 0.05, "sigma_l": 0.3, "sigma_u": 0.7, "L": 1.0, "p": 2}
+_THREE_P3 = {"sigma_hat": 0.1, "sigma_l": 0.2, "sigma_u": 0.8, "L": 6.0, "p": 3}
+_START = [0.7, -0.3, 0.5, 0.9, -0.6, 0.2, -0.8, 0.4, 0.1, -0.5]
+_RECORD_PASS_RUNS = {
+    "hpe saddle p=2": {
+        "problem": {"name": "bilinear_saddle", "params": {"d": 10}},
+        "mode": "HPE_EXACT",
+        "params": {"sigma": 0.0, "theta": 1.5e-3, "p": 2},
+        "horizon": {"max_iters": 150},
+        "x0": _START,
+    },
+    "hpe gap undefined": {
+        "problem": {"name": "convex_gradient", "params": {"d": 2}},
+        "mode": "HPE_EXACT",
+        "params": {"sigma": 0.0, "theta": 0.2, "p": 2},
+        "horizon": {"max_iters": 40},
+        "x0": [1.0, 0.8],
+    },
+    "hpe solved at x0": dict(hpe_payload(None, iters=5), x0=[0.0, 0.0]),
+    **{
+        f"tensor {name}": {
+            "problem": {"name": name, "params": params},
+            "mode": "TENSOR",
+            "params": tparams,
+            "horizon": {"max_iters": 60},
+            "x0": _START[:d],
+        }
+        for name, params, tparams, d in [
+            ("bilinear_saddle", {"d": 10}, _TWO_P2, 10),
+            ("strongly_monotone_affine", {"d": 10}, _TWO_P2, 10),
+            ("cubic_1d", {}, _THREE_P3, 1),
+            ("convex_gradient", {"d": 4}, _THREE_P3, 4),
+        ]
+    },
+    "flow saddle p=2": dict(flow_payload(None, T=1.0), params={"theta": 0.012, "p": 2}, x0=[0.7, 0.7]),
+    "flow monotone p=1": dict(
+        flow_payload(None, T=0.5), problem={"name": "strongly_monotone_affine", "params": {"d": 3}}, x0=[0.5, -1.0, 2.0]
+    ),
+}
+
+
+class TestRecordPassBitIdentity:
+    """run and rates write the CSV, summary and stdout bytes of the
+    reference per-record pass above."""
+
+    @staticmethod
+    def _outputs(tmp_path, capsys, cmd, payload, tag):
+        out = tmp_path / f"{tag}.csv"
+        payload = {k: v for k, v in payload.items() if k != "out"}
+        rc = cli.main([cmd, "--config", str(write_config(tmp_path, payload, f"{tag}.json")), "--out", str(out)])
+        return rc, out.read_bytes(), (tmp_path / f"{tag}.summary.json").read_bytes(), capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", ["run", "rates"])
+    @pytest.mark.parametrize("name", sorted(_RECORD_PASS_RUNS))
+    def test_matches_reference_pass(self, tmp_path, capsys, monkeypatch, cmd, name):
+        payload = _RECORD_PASS_RUNS[name]
+        got = self._outputs(tmp_path, capsys, cmd, payload, "got")
+        monkeypatch.setattr(cli, "_run_flow", _ref_run_flow)
+        monkeypatch.setattr(cli, "_run_iterative", _ref_run_iterative)
+        want = self._outputs(tmp_path, capsys, cmd, payload, "want")
+        assert got == want
+
+    def test_gap_turned_off_midway(self, tmp_path, capsys, monkeypatch):
+        # The gap turns off at the first ergodic point where it raises:
+        # the rows before keep their values, that row and all later read
+        # NaN, and rates names the reason.
+        real = cli.metrics.gap
+
+        def gap(problem, x, route="auto"):
+            if (np.atleast_1d(real(problem, x)) < 0.9).any():
+                raise cli.UnsupportedMetric("gap below 0.9")
+            return real(problem, x)
+
+        monkeypatch.setattr(cli.metrics, "gap", gap)
+        payload = hpe_payload(None, iters=60)
+        got = self._outputs(tmp_path, capsys, "rates", payload, "got")
+        monkeypatch.setattr(cli, "_run_iterative", _ref_run_iterative)
+        assert got == self._outputs(tmp_path, capsys, "rates", payload, "want")
+        rows = [line.split(",") for line in got[1].decode().splitlines()[1:]]
+        col = [float(r[5]) for r in rows]
+        first_off = next(i for i, g in enumerate(col) if math.isnan(g))
+        assert first_off > 1 and all(math.isnan(g) for g in col[first_off:])
+        assert "undefined on this problem (gap below 0.9)" in got[3]

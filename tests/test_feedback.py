@@ -349,9 +349,10 @@ class TestLawGradient:
             p = int(rng.integers(*orders))
             x = 1.5 * rng.standard_normal(op.dim)
             lam = float(10.0 ** rng.uniform(-1.5, 1.0))
-            y = ops.resolvent(op, lam, x).y
+            r = ops.resolvent(op, lam, x)
+            y = r.y
             g = lam * ops.norm(x - y) ** (p - 1)
-            g_lam, g_x = law_gradient(op, lam, x, y, p)
+            g_lam, g_x = law_gradient(op, lam, x, r, p)
             assert 1.0 - 1e-9 <= lam * g_lam / g <= p * (1.0 + 1e-9), (route, p, lam * g_lam / g)
             if self._kink_distance(op, lam, x, y) < 1e-2:
                 continue
@@ -377,9 +378,9 @@ class TestLawGradient:
         # d^(p-3); p >= 3 gives the zero gradient.
         op = problems.make_bilinear_saddle(d=2).operator
         x = np.zeros(2)
-        y = ops.resolvent(op, 0.5, x).y
-        assert np.array_equal(y, x)
-        g_lam, g_x = law_gradient(op, 0.5, x, y, p)
+        r = ops.resolvent(op, 0.5, x)
+        assert np.array_equal(r.y, x)
+        g_lam, g_x = law_gradient(op, 0.5, x, r, p)
         assert g_x.shape == x.shape
         if p == 2:
             assert math.isnan(g_lam) and np.isnan(g_x).all()

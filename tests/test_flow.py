@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -253,6 +254,32 @@ class TestPredictedLaw:
         lams = [s.lam for s in traj.states]
         assert seen == [lam for lam in lams[:-1] for _ in range(4)]
         assert lams[-1] > lams[0]
+
+
+class TestLawGradientReadsTheStage:
+    def test_four_fewer_evaluations_of_f_per_step(self, monkeypatch):
+        # Each p = 2 RK4 step takes four law gradients, at its start and at
+        # three stages.  Each reads F(y) from its resolvent's Newton exit
+        # state: handed the same resolvent without a state, law_gradient
+        # evaluates F(y) itself, four more single_value calls per step, on
+        # the same floats.
+        real_value, real_gradient = ops.single_value, flow.law_gradient
+
+        def stateless(op, lam, x, r, p):
+            assert r.state is not None
+            return real_gradient(op, lam, x, types.SimpleNamespace(y=r.y, step=r.step, state=None), p)
+
+        counts, states = [], []
+        for gradient in (real_gradient, stateless):
+            calls = []
+            monkeypatch.setattr(ops, "single_value", lambda op, z: calls.append(1) or real_value(op, z))
+            monkeypatch.setattr(flow, "law_gradient", gradient)
+            traj = integrate(SADDLE, [0.7, 0.4], FeedbackParams(0.1, 2), T=0.1, h=0.01)
+            assert traj.status == "OK" and len(traj) == 11
+            counts.append(len(calls))
+            states.append([(s.x.tobytes(), s.lam, s.y.tobytes(), s.speed, s.band) for s in traj.states])
+        assert counts[1] - counts[0] == 4 * 10
+        assert states[0] == states[1]
 
 
 class TestLawReadOnce:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from monoflow import checks, metrics, problems
 from monoflow import operators as ops
-from monoflow import problems
 from monoflow.errors import (
     DomainUnbounded,
     InsufficientPoints,
@@ -162,13 +162,14 @@ class TestResidue:
             residue(SADDLE, [np.nan, 0.0])
 
     def test_one_residual_per_call(self, monkeypatch):
-        # residue reads dom(A) off min_norm_residual's inf; inside the box
-        # it returns that residual, evaluated once.
+        # Inside the box (its tolerance included) residue returns the bits
+        # of min_norm_residual, with F evaluated once per call.
         calls = []
-        real = ops.min_norm_residual
-        monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: calls.append(1) or real(op, x))
+        real = ops._rows_single_value
+        monkeypatch.setattr(ops, "_rows_single_value", lambda op, xs: calls.append(1) or real(op, xs))
         for x in ([0.2, -0.1], [1.0, -1.0], [1.0 + 1e-13, 0.0]):
-            assert residue(SADDLE, x) == real(SADDLE.operator, np.array(x))
+            want = ops.min_norm_residual(SADDLE.operator, np.array(x))
+            assert np.float64(residue(SADDLE, x)).tobytes() == np.float64(want).tobytes()
         assert len(calls) == 3
 
 
@@ -232,3 +233,176 @@ class TestRateFit:
             fit_rate(np.ones(30), tail_fraction=0.0)
         with pytest.raises(ValueError):
             fit_rate(np.ones(30), tail_fraction=1.5)
+
+
+# Reference copy of gap as it stood before it took stacks: one point per
+# call, the ascent's seeded starts and its gradient m.T @ x - q - sym @ z
+# formed afresh on every call.
+
+
+def _ref_gap(problem, x, route="auto"):
+    op = problem.operator
+    if not problem.domain_bounded:
+        raise DomainUnbounded("gap needs a bounded domain")
+    if op.poly is not None or op.radial is not None:
+        raise UnsupportedMetric("gap is certified only for affine single-valued parts")
+    x = np.asarray(x, dtype=float)
+    if not ops.domain_contains(op, x, atol=1e-9):
+        raise ValueError("gap is evaluated at points of dom(A)")
+    cone = op.cone
+    linear = op.affine is None or op.affine.skew
+    if route == "support" and not linear:
+        raise UnsupportedMetric("support route is exact only when the quadratic term vanishes")
+    m, q = metrics._affine_terms(op)
+    if linear and route != "ascent":
+        c = m.T @ x - q
+        if isinstance(cone, ops.BoxCone):
+            val = float(np.sum(np.maximum(c * cone.lower, c * cone.upper)))
+        else:
+            val = cone.radius * ops.norm(c) + float(c @ cone.center)
+        return val + float(q @ x)
+    sym = m + m.T
+
+    def grad(z):
+        return m.T @ x - q - sym @ z
+
+    curv = float(np.abs(sym).max())
+    step = 1.0 / max(float(np.linalg.eigvalsh(sym)[-1]), 1e-12)
+    rng = np.random.default_rng(0)
+    starts = [ops.domain_project(op, x), metrics._domain_center(cone)]
+    starts += [metrics._domain_random(cone, rng) for _ in range(14)]
+    best_val, best_z = -np.inf, None
+    for z0 in starts:
+        z = z0.copy()
+        for _ in range(500):
+            z_new = ops.domain_project(op, z + step * grad(z))
+            if ops.norm(z_new - z) <= 1e-13 * (1.0 + ops.norm(z)):
+                z = z_new
+                break
+            z = z_new
+        z = metrics._active_set_polish(cone, sym, m.T @ x - q, z)
+        val = float((m @ z + q) @ (x - z))
+        if val > best_val:
+            best_val, best_z = val, z
+    g = grad(best_z)
+    kkt = ops.cone_residual(cone, best_z, -g)
+    if kkt > metrics.KKT_TOL * (1.0 + float(np.abs(g).max()) + curv):
+        raise UnsupportedMetric(f"gap maximization uncertified: KKT residual {kkt:.3e}")
+    return best_val
+
+
+def _stack_problems():
+    """Every zoo problem, the check suites' operator pool, and dense d = 10
+    operators over a box and a ball: a skew one (the support route, where a
+    batched gemm would round unlike the per-row gemv) and a monotone one
+    (the ascent route), plus nonaffine parts on each cone."""
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((10, 10))
+    skew, mono = g - g.T, g @ g.T / 10.0 + (g - g.T)
+    box = ops.BoxCone(-np.ones(10), 0.5 + rng.random(10))
+    ball = ops.BallCone(0.2 * rng.standard_normal(10), 1.5)
+    point = 0.1 * rng.standard_normal(10)
+
+    def inst(name, op):
+        return problems.ProblemInstance(name, op, problems.SolutionSet("SINGLETON", point), None)
+
+    out = {f"zoo {n} {p}": problems.build_problem(n, p) for n, p in [
+        ("bilinear_saddle", {"d": 2}),
+        ("bilinear_saddle", {"d": 10}),
+        ("strongly_monotone_affine", {"d": 10}),
+        ("cubic_1d", {}),
+        ("convex_gradient", {"d": 4}),
+    ]}
+    out.update({f"pool {n}": prob for n, prob in checks._operator_pool()})
+    out.update({
+        "dense skew + box": inst("skew box", ops.make_affine(skew, rng.standard_normal(10), cone=box)),
+        "dense skew + ball": inst("skew ball", ops.make_affine(skew, rng.standard_normal(10), cone=ball)),
+        "dense monotone + box": inst("mono box", ops.make_affine(mono, rng.standard_normal(10), cone=box)),
+        "dense monotone + ball": inst("mono ball", ops.make_affine(mono, rng.standard_normal(10), cone=ball)),
+        "poly + box": inst("poly box", ops.make_poly([0.1, 1.0, 0.0, 0.5], dim=10, cone=box)),
+        "radial + ball": inst("radial ball", ops.OperatorSpec(dim=10, radial=ops.RadialPart(0.7), cone=ball)),
+        "unknown solutions": problems.ProblemInstance(
+            "anon", SADDLE.operator, problems.SolutionSet("UNKNOWN"), None
+        ),
+    })
+    return out
+
+
+STACK_PROBLEMS = _stack_problems()
+
+
+def _stack_points(problem, n, rng):
+    """n points of dom(A), a few on its boundary, as a C-contiguous stack."""
+    op = problem.operator
+    c = op.cone
+    if c is None:
+        return 2.0 * rng.standard_normal((n, op.dim))
+    if isinstance(c, ops.BoxCone):
+        pts = c.lower + (c.upper - c.lower) * rng.random((n, op.dim))
+        pts = np.where(rng.random((n, op.dim)) < 0.2, c.lower, pts)
+        return np.where(rng.random((n, op.dim)) < 0.2, c.upper, pts)
+    u = rng.standard_normal((n, op.dim))
+    u /= np.linalg.norm(u, axis=1)[:, np.newaxis]
+    radii = c.radius * np.where(rng.random(n) < 0.3, 1.0, rng.random(n))
+    return c.center + radii[:, np.newaxis] * u
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value as bytes, or the type and message of what it raised."""
+    try:
+        return np.asarray(f(*args, **kwargs), dtype=float).tobytes()
+    except (ValueError, DomainUnbounded, UnsupportedMetric, UnknownSolutionSet) as exc:
+        return type(exc), str(exc)
+
+
+class TestStacks:
+    """gap, residue and dist_to_solutions on an (n, d) stack give, row for
+    row, the bits of their one-point calls, and those give the bits of the
+    one-point code as it stood (_ref_gap, min_norm_residual, norm)."""
+
+    @pytest.mark.parametrize("name", sorted(STACK_PROBLEMS))
+    def test_rows_match_one_point_calls(self, name):
+        problem = STACK_PROBLEMS[name]
+        op = problem.operator
+        rng = np.random.default_rng(sorted(STACK_PROBLEMS).index(name))
+        pts = _stack_points(problem, 8, rng)
+        singles = [p.copy() for p in pts]
+        routes = ["auto", "ascent"] + (["support"] if op.affine is not None and op.affine.skew else [])
+        for route in routes:
+            want = [_outcome(_ref_gap, problem, x, route) for x in singles]
+            assert [_outcome(gap, problem, x, route) for x in singles] == want, route
+            failed = [w for w in want if not isinstance(w, bytes)]
+            # A stack raises what its first failing row raises.
+            assert _outcome(gap, problem, pts, route) == (failed[0] if failed else b"".join(want)), route
+        want = [np.float64(ops.min_norm_residual(op, x)).tobytes() for x in singles]
+        assert [_outcome(residue, problem, x) for x in singles] == want
+        assert _outcome(residue, problem, pts) == b"".join(want)
+        if problem.solution_set.kind == "SINGLETON":
+            want = [np.float64(ops.norm(x - problem.solution_set.point)).tobytes() for x in singles]
+        else:
+            want = [(UnknownSolutionSet, "problem 'anon' declares no solution set")] * len(singles)
+        assert [_outcome(dist_to_solutions, problem, x) for x in singles] == want
+        assert _outcome(dist_to_solutions, problem, pts) == (b"".join(want) if isinstance(want[0], bytes) else want[0])
+        assert type(residue(problem, singles[0])) is float
+
+    @pytest.mark.parametrize("name", ["dense skew + box", "dense monotone + ball"])
+    def test_a_point_outside_raises_after_the_rows_before_it(self, name, monkeypatch):
+        problem = STACK_PROBLEMS[name]
+        pts = _stack_points(problem, 5, np.random.default_rng(5))
+        pts[3] = 10.0
+        with pytest.raises(ValueError, match="residue is defined on dom"):
+            residue(problem, pts)
+        evaluated = []
+        real = metrics.ops.domain_project
+        monkeypatch.setattr(metrics.ops, "domain_project", lambda op, z: evaluated.append(1) or real(op, z))
+        with pytest.raises(ValueError, match="gap is evaluated at points of dom"):
+            gap(problem, pts, route="ascent")
+        assert evaluated  # rows 0-2 ran their ascent first
+        assert _outcome(gap, problem, pts[:3], route="ascent") == b"".join(
+            _outcome(_ref_gap, problem, x.copy(), "ascent") for x in pts[:3]
+        )
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 2))
+        for f in (gap, residue, dist_to_solutions):
+            assert f(SADDLE, empty).shape == (0,)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monoflow import metrics, problems, tensor
+from monoflow import feedback, metrics, problems, tensor
 from monoflow import operators as ops
 from monoflow.errors import InnerSolverDiverged
 from monoflow.hpe import run
@@ -428,11 +428,12 @@ def _ref_dispatch(op, lam, x, warm):
     else:
         value, jacobian = (lambda z: ops.single_value(op, z)), (lambda z: ops.single_jacobian(op, z))
     try:
-        y, v, _, its, state = ops.normal_map_newton(
+        y, _, its, state = ops.normal_map_newton(
             op, lam, x, value, jacobian, ops.RESOLVENT_TOL, ops.RESOLVENT_TOL, warm, "resolvent"
         )
     except InnerSolverDiverged as exc:
         return exc
+    v = value(y) + (state[0] - y) / lam
     return _RefResolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, state=state)
 
 
@@ -856,12 +857,18 @@ class TestKernelBitIdentity:
 
 
 class TestCertificateReadLate:
-    """A Resolvent's step ||y - x|| and residual ||lam*v + y - x||, carried
-    from the solve or formed on first read, are those expressions on the
-    solve's own floats, bit for bit."""
+    """A Resolvent's v, step ||y - x|| and residual ||lam*v + y - x||,
+    carried from the solve or formed on first read, are those expressions
+    on the solve's own floats, bit for bit."""
 
     @staticmethod
     def _check(r, lam, x, route=None):
+        if r.state is None:
+            assert r._v is not None  # every closed form returns its own v
+        else:
+            w, y, fy = r.state
+            assert r.v.tobytes() == (fy + (w - y) / lam).tobytes()
+            assert r.v is r.v
         assert np.float64(r.step).tobytes() == np.float64(ops.norm(r.y - x)).tobytes()
         # The projection route is exact by construction and reports 0.0.
         want = 0.0 if route is ops._projection_route else ops.norm(lam * r.v + r.y - x)
@@ -894,6 +901,7 @@ class TestCertificateReadLate:
             r = ops.resolvent(op, lam, x, warm=warm)
         except InnerSolverDiverged:
             return
+        assert (r._v is None) == (route is ops._newton_route)  # Newton forms v on first read
         self._check(r, lam, x, route)
 
     def test_newton_exit_at_the_iteration_cap(self, monkeypatch):
@@ -910,7 +918,7 @@ class TestCertificateReadLate:
                 ops.resolvent(op, 2.0, x)
             monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", its)
             r = ops.resolvent(op, 2.0, x)
-            assert r.iterations == its, name
+            assert r.iterations == its and r._v is None, name
             self._check(r, 2.0, x)
 
     def test_newton_residual_formed_once_on_first_read(self, monkeypatch):
@@ -921,6 +929,20 @@ class TestCertificateReadLate:
         first = (r.step, r.residual)
         assert (r.step, r.residual) == first
         assert len(calls) == 1
+
+    def test_brent_trials_form_no_v(self, monkeypatch):
+        # solve_law reads the residual, and with it v, only at trials it
+        # tests for acceptance; the trials Brent evaluates read the law
+        # value alone and leave v unformed.
+        made, real = [], ops.resolvent
+        monkeypatch.setattr(feedback.ops, "resolvent", lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+        op = NEWTON_INSTANCES["affine+box"]
+        x = np.array([1.5, -0.3, 0.9, -2.0])
+        lam, r, _ = feedback.solve_law(op, x, feedback.FeedbackParams(0.05, 2))
+        assert r in made and all(t.state is not None for t in made)
+        assert all((t._v is None) == (t._residual is None) for t in made)
+        assert sum(t._v is None for t in made) >= 3
+        self._check(r, lam, x)
 
     def test_caller_mutating_x_changes_no_late_read(self):
         for name, (op, route) in sorted(ROUTE_INSTANCES.items()):
@@ -1248,7 +1270,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     anchor = np.asarray(anchor, dtype=float)
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
     try:
-        y, u, _, _, state = ops.normal_map_newton(
+        y, _, _, (w, _, _) = ops.normal_map_newton(
             op,
             lam,
             x,
@@ -1261,7 +1283,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         )
     except InnerSolverDiverged as exc:
         return exc
-    return y, u, state[0]
+    return y, _ref_taylor_value(op, anchor, p, y) + (w - y) / lam, w
 
 
 def _surrogate_instances():
