@@ -107,12 +107,14 @@ def law_gradient(op, lam, x, r, p):
     y = r.y = P(w) with w = x - lam*F(y) the root of the normal map, whose
     Jacobian in w is N = I + lam*JF(y)*DP(w) (ops._normal_map_jacobian,
     the Newton kernel's).  The implicit-function theorem gives dy/dlam =
-    -DP N^-1 F(y) and (dy/dx)^T e = N^-T DP e, two dense solves; DP is
-    symmetric.  At a kink of P it is the one-sided gradient on the branch
-    N takes there.  d = ||x - y|| is r.step, and F(y) is read from r.state
-    when the Newton route left one, so neither is formed again.  At y = x,
-    where d^(p-3) has no value for p = 2, both parts come back NaN; for
-    p >= 3 they are 0 there.  For p = 1, g = lam: (1, 0).
+    -DP N^-1 F(y) and (dy/dx)^T e = N^-T DP e; DP is symmetric.  Both
+    parts read the one adjoint solve z = N^-T DP u, u = x - y: g_x is
+    c (u - z) and g_lam is d^(p-1) + c (z . F(y)), since DP u . N^-1 F(y)
+    equals z . F(y).  At a kink of P it is the one-sided gradient on the
+    branch N takes there.  d = ||x - y|| is r.step, and F(y) is read from
+    r.state when the Newton route left one, so neither is formed again.
+    At y = x, where d^(p-3) has no value for p = 2, both parts come back
+    NaN; for p >= 3 they are 0 there.  For p = 1, g = lam: (1, 0).
     """
     x = np.asarray(x, dtype=float)
     if p == 1:
@@ -126,8 +128,8 @@ def law_gradient(op, lam, x, r, p):
     n, dp = ops._normal_map_jacobian(op.cone, lam, ops.single_jacobian(op, y), x - lam * fy)
     pu = u if dp is None else dp * u if dp.ndim == 1 else dp @ u  # DP u
     c = lam * (p - 1) * d ** (p - 3)  # d/dd of lam * d^(p-1), over d
-    g_lam = d ** (p - 1) + c * float(pu @ ops._solve(n, fy))
-    return g_lam, c * (u - ops._solve(n.T, pu))
+    z = ops._solve(n.T, pu)
+    return d ** (p - 1) + c * float(z @ fy), c * (u - z)
 
 
 class _LawCurve:
@@ -304,9 +306,9 @@ def solve_law(op, x, params, hint=None, residual=None, warm=None):
     )
 
 
-def solve_lambda(op, x, params, hint=None, residual=None):
-    """The lam of solve_law(op, x, params, hint, residual), without its resolvent and band."""
-    return solve_law(op, x, params, hint=hint, residual=residual)[0]
+def solve_lambda(op, x, params, hint=None, residual=None, warm=None):
+    """The lam of solve_law(op, x, params, hint, residual, warm), without its resolvent and band."""
+    return solve_law(op, x, params, hint=hint, residual=residual, warm=warm)[0]
 
 
 def stationarity_gauge(op, x, params):

@@ -134,22 +134,25 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None):
     value by at least f, so the loop terminates in a step or two and the
     overshoot stays within the solver's acceptance band.  residual, when
     given, is ops.min_norm_residual(op, x), and the law's stationarity test
-    reads it instead of evaluating it again.
+    reads it instead of evaluating it again.  The law solve's first trial
+    and every re-solve of x start cold; they share one start state
+    (ops.cold_state), formed once, with the bits of a cold start.
     """
     op = problem.operator
     if cfg.p == 1:
         lam = cfg.theta
         r = ops.resolvent(op, lam, x)
         return lam, r.y, r.v, 0.0
-    lam = solve_lambda(op, x, cfg.law, hint=hint, residual=residual)
-    r = ops.resolvent(op, lam, x)
+    start = ops.cold_state(op, x)
+    lam = solve_lambda(op, x, cfg.law, hint=hint, residual=residual, warm=start)
+    r = ops.resolvent(op, lam, x, warm=start)
     for _ in range(60):
         val = lam * r.step ** (cfg.p - 1)
         if val >= cfg.theta:
             break
         band = law_band(lam, r.step, r.residual, cfg.p)
         lam *= max((cfg.theta + band) / max(val, 1e-300), 1.0 + 1e-12)
-        r = ops.resolvent(op, lam, x)
+        r = ops.resolvent(op, lam, x, warm=start)
     return lam, r.y, r.v, 0.0
 
 

@@ -64,6 +64,7 @@ __all__ = [
     "min_norm_residual",
     "normal_map_newton",
     "resolvent",
+    "cold_state",
     "TaylorSurrogate",
     "enlargement_check",
 ]
@@ -750,14 +751,35 @@ def resolvent(op, lam, x, warm=None):
     return op.route(op, lam, np.asarray(x, dtype=float), warm)
 
 
+def cold_state(op, x):
+    """The state (x, P(x), F(P(x))) a resolvent of x with warm=None starts
+    from, or None where op's route reads no warm start.
+
+    Handed to resolvent as warm, it gives the cold solve's bits at any lam
+    and spares the solve projecting x and evaluating F there, so solves of
+    one x at several lam form that start once.
+    """
+    if op.route is not _newton_route:
+        return None
+    w = np.array(x, dtype=float)
+    y = domain_project(op, w)  # the bits of normal_map_newton's inline box clamp
+    return w, y, single_value(op, y)
+
+
 class TaylorSurrogate:
     """The order-(p-1) Taylor surrogate of F anchored at a fixed point.
 
     For p = 1 the surrogate is the frozen value F(anchor).  Affine parts
-    are reproduced exactly for p >= 2, the radial part for p >= 4.  The
-    terms that depend on the anchor alone (polynomial derivative values,
-    the frozen affine value, the radial constants) are evaluated once here;
-    value and jacobian then cost only the terms in h = u - anchor.
+    are reproduced exactly for p >= 2, the radial part for p >= 4.  What
+    depends on the anchor alone is formed once here: the polynomial
+    derivative values, the radial constants, anchor_jac (the Jacobian at
+    the anchor, which the window search tests for monotonicity), and the
+    value at p = 1 and the Jacobian at p <= 2, which do not depend on u;
+    value and jacobian hand those two out as one shared read-only array
+    each (a lone affine part's constant Jacobian among them).  Otherwise
+    they evaluate only the terms in h = u - anchor.  Their bits are those
+    of the parts added in turn to a zero array, signs of zero included:
+    the first part comes out as t + 0.0, the bits of 0.0 + t.
     """
 
     def __init__(self, op, anchor, p):
@@ -766,9 +788,7 @@ class TaylorSurrogate:
         self.op = op
         self.p = p
         self.anchor = a = np.array(anchor, dtype=float)
-        self.frozen = self.ders = self.aa = self.aaa = self.rad_jac = None
-        if op.affine is not None and p == 1:
-            self.frozen = op.affine.matrix @ a + op.affine.offset
+        self.ders = self.aa = self.aaa = self.rad_jac = None
         if op.poly is not None:
             chain = op.poly.ders
             # ders[j] is the j-th derivative's value at the anchor; the
@@ -778,25 +798,37 @@ class TaylorSurrogate:
             self.aa = float(a @ a)
             self.aaa = self.aa * a
             self.rad_jac = self.aa * _eye(op.dim) + 2.0 * np.outer(a, a)
+        # Neither the value at p = 1 nor the Jacobian at p <= 2 depends on u.
+        self.fixed_value = self.fixed_jac = None
+        if p == 1:
+            self.fixed_value = _readonly(self.value(a))
+        if p <= 2:
+            self.fixed_jac = _readonly(self.jacobian(a))
+        self.anchor_jac = self.jacobian(a)
 
     def value(self, u):
         """Surrogate value at u."""
+        if self.fixed_value is not None:
+            return self.fixed_value
         op, p, a = self.op, self.p, self.anchor
-        u = np.asarray(u, dtype=float)
         h = u - a
-        out = np.zeros(op.dim)
+        out = None
         if op.affine is not None:
-            out += self.frozen if p == 1 else op.affine.matrix @ u + op.affine.offset
+            # At p = 1 only value(anchor) runs this, so M u + q is F(anchor).
+            out = op.affine.matrix @ u + op.affine.offset + 0.0
         if op.poly is not None:
-            fact = 1.0
-            acc = np.zeros(op.dim)
-            hk = np.ones(op.dim)
-            for j, c in enumerate(self.ders):
-                if j > 0:
+            # The sum of ders[j] * h^j / j!; its j = 0 term, 0.0 + ders[0],
+            # holds no -0.0, so neither does the sum, which then needs no + 0.0.
+            ders = self.ders
+            acc = ders[0] + 0.0
+            if p >= 2:
+                acc += ders[1] * h
+                hk, fact = h, 1.0
+                for j in range(2, p):
                     fact *= j
                     hk = hk * h
-                acc += c * hk / fact
-            out += acc
+                    acc += ders[j] * hk / fact
+            out = acc if out is None else out + acc
         if op.radial is not None:
             acc = self.aaa
             if p >= 2:
@@ -807,35 +839,43 @@ class TaylorSurrogate:
                 acc = acc + hh * a + 2.0 * ah * h
             if p >= 4:
                 acc = acc + hh * h
-            out += op.radial.weight * acc
-        return out
+            term = op.radial.weight * acc
+            out = term + 0.0 if out is None else out + term
+        return np.zeros(op.dim) if out is None else out
 
     def jacobian(self, u):
         """Jacobian in u of the surrogate."""
+        if self.fixed_jac is not None:
+            return self.fixed_jac
         op, p, a = self.op, self.p, self.anchor
-        u = np.asarray(u, dtype=float)
-        h = u - a
-        out = np.zeros((op.dim, op.dim))
-        if op.affine is not None and p >= 2:
-            out += op.affine.matrix
-        if op.poly is not None and p >= 2:
-            fact = 1.0
-            diag = np.zeros(op.dim)
-            hk = np.ones(op.dim)
-            for j in range(1, p):
-                fact *= j
-                diag += self.ders[j] * hk * j / fact
-                hk = hk * h
-            out += np.diag(diag)
-        if op.radial is not None and p >= 2:
-            jac = self.rad_jac
-            if p >= 3:
-                eye = _eye(op.dim)
-                jac = jac + 2.0 * np.outer(a, h) + 2.0 * np.outer(h, a) + 2.0 * float(a @ h) * eye
-            if p >= 4:
-                jac = jac + 2.0 * np.outer(h, h) + float(h @ h) * eye
-            out += op.radial.weight * jac
-        return out
+        out = None
+        if p >= 2:
+            h = u - a
+            if op.affine is not None:
+                out = op.affine.matrix + 0.0
+            if op.poly is not None:
+                # As in value, diag holds no -0.0, and np.diag(diag) has the
+                # bits of zeros + np.diag(diag).
+                ders = self.ders
+                diag = ders[1] + 0.0
+                hk, fact = h, 1.0
+                for j in range(2, p):
+                    fact *= j
+                    diag += ders[j] * hk * j / fact
+                    hk = hk * h
+                out = np.diag(diag) if out is None else out + np.diag(diag)
+            if op.radial is not None:
+                jac = self.rad_jac
+                if p >= 3:
+                    eye = _eye(op.dim)
+                    # t is 2 * np.outer(a, h), and t.T is 2 * np.outer(h, a).
+                    t = 2.0 * (a[:, None] * h)
+                    jac = jac + t + t.T + 2.0 * float(a @ h) * eye
+                if p >= 4:
+                    jac = jac + 2.0 * (h[:, None] * h) + float(h @ h) * eye
+                term = op.radial.weight * jac
+                out = term + 0.0 if out is None else out + term
+        return np.zeros((op.dim, op.dim)) if out is None else out
 
 
 def _sample_domain_member(op, x, rng, scale_hint):

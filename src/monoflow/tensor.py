@@ -168,9 +168,12 @@ def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
 
     Runs operators.normal_map_newton on w + lam*sur(P(w)) - x and stops as
     soon as the residual is within sigma_hat * ||P(w) - x||.  Returns
-    (y, u, w) with u an exact element of (sur + H)(y), so the inexactness
-    lives entirely in the residual ||lam*u + y - x|| <= sigma_hat *
-    ||y - x||, and w the exit point, a warm start for the next solve.
+    (y, u, state) with u an exact element of (sur + H)(y), so the
+    inexactness lives entirely in the residual ||lam*u + y - x|| <=
+    sigma_hat * ||y - x||, and state = (w, y, sur(y)) the Newton exit
+    state.  warm is None (w = x), a bare w, or the state of an earlier
+    solve of the same sur; a state spares projecting w and evaluating sur
+    there, with the same bits.
 
     At p = 3 an anchored surrogate can have no point that meets this stop
     rule.  Where a closed form (_unsolvable_bound) shows that, the solve
@@ -183,33 +186,40 @@ def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
         raise InnerSolverDiverged(
             f"{UNSOLVABLE} at residual >= {bound:.3e}", residual=bound, iterations=0
         )
-    y, _, _, (w, _, fy) = ops.normal_map_newton(
+    y, _, _, state = ops.normal_map_newton(
         sur.op, lam, x, sur.value, sur.jacobian, sigma_hat, floor, warm, "surrogate"
     )
-    return y, fy + (w - y) / lam, w
+    w, _, fy = state
+    return y, fy + (w - y) / lam, state
 
 
 def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     """Find lam whose large-step product falls inside the window.
 
     The surrogate is anchored at the domain projection of x, checked once
-    (order; at p >= 3 monotonicity at the anchor) and built once for every
-    trial lam.  For p = 1 the window constrains lam itself and the
-    arithmetic midpoint is taken directly.  For p >= 2 x must not be
-    stationary (residual, when given, is ops.min_norm_residual(op, x) and
-    is read instead of evaluated again), and the product is nondecreasing
-    in lam wherever the surrogate subproblem is solvable.  One loop keeps
-    a bracket (lo, hi), from (0, inf) and the hint as first trial: a trial
-    below the window sets lo, one above it sets hi, and the next trial is
-    2*lo while hi is inf, hi/2 while lo is 0, else sqrt(lo*hi).  An
-    anchored surrogate of degree >= 2 is only locally monotone, so the
-    subproblem can lose solvability past a finite lam; a failed solve, like
-    a NaN product, therefore counts as above the window.
+    (order; at p >= 3 monotonicity of its anchor_jac) and built once for
+    every trial lam, so what depends on the anchor alone is formed once
+    per search (see operators.TaylorSurrogate).  For p = 1 the window
+    constrains lam itself and the arithmetic midpoint is taken directly.
+    For p >= 2 x must not be stationary (residual, when given, is
+    ops.min_norm_residual(op, x) and is read instead of evaluated again),
+    and the product is nondecreasing in lam wherever the surrogate
+    subproblem is solvable.  One loop keeps a bracket (lo, hi), from
+    (0, inf) and the hint as first trial: a trial below the window sets lo,
+    one above it sets hi, and the next trial is 2*lo while hi is inf, hi/2
+    while lo is 0, else sqrt(lo*hi).  An anchored surrogate of degree >= 2
+    is only locally monotone, so the subproblem can lose solvability past a
+    finite lam; a failed solve, like a NaN product, therefore counts as
+    above the window.  The first trial starts from warm (None or a bare
+    w); each later one starts from the exit state (w, y, sur(y)) of the
+    last solve that succeeded, which spares it projecting w and evaluating
+    the surrogate there, with the same bits.
 
     Returns (lam, y, v, w): v = F(y) + u - sur(y) in A(y) exactly, the
     surrogate error folded into the accepted solve's u, and w its exit
-    point.  After MAX_TRIALS trials raises WindowUnreachable with bracket
-    (lo, hi), naming the side never bracketed (lo = 0 or hi = inf).
+    point, a bare warm start for a search with another anchor.  After
+    MAX_TRIALS trials raises WindowUnreachable with bracket (lo, hi),
+    naming the side never bracketed (lo = 0 or hi = inf).
     """
     op = problem.operator
     p = cfg.p
@@ -222,13 +232,14 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     _check_surrogate_order(op, p)
     sur = ops.TaylorSurrogate(op, anchor, p)
     if p >= 3:
-        jac = sur.jacobian(anchor)
+        jac = sur.anchor_jac
         eig = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[0])
         if eig < -1e-10 * max(1.0, float(np.abs(jac).max())):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {eig:.3e}")
 
-    def fold(lam, y, u, w):
-        return lam, y, ops.single_value(op, y) + u - sur.value(y), w
+    def fold(lam, y, u, state):
+        # state[2] is sur(y), as the solve evaluated it.
+        return lam, y, ops.single_value(op, y) + u - state[2], state[0]
 
     wlo, whi = cfg.window
     if p == 1:

@@ -121,9 +121,9 @@ class TestExactOracle:
         cfg = saddle_config(p=2, theta=0.05)
         seen = []
 
-        def spy(op, x, params, hint=None, residual=None):
+        def spy(op, x, params, hint=None, residual=None, warm=None):
             seen.append(params)
-            return solve_lambda(op, x, params, hint=hint, residual=residual)
+            return solve_lambda(op, x, params, hint=hint, residual=residual, warm=warm)
 
         monkeypatch.setattr(hpe, "solve_lambda", spy)
         monkeypatch.setattr(hpe, "FeedbackParams", None)  # building one per call would fail

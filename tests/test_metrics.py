@@ -406,3 +406,22 @@ class TestStacks:
         empty = np.zeros((0, 2))
         for f in (gap, residue, dist_to_solutions):
             assert f(SADDLE, empty).shape == (0,)
+
+
+class TestBallGap:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=UnsupportedMetric,
+        reason="_active_set_polish polishes boxes only, so ascent over a ball can stop short of the KKT tolerance",
+    )
+    def test_dense_monotone_affine_over_a_ball_at_interior_points(self):
+        # The TestStacks draw (d = 10, ball radius 1.5): the gap must be
+        # certified at every point strictly inside the ball.
+        name = "dense monotone + ball"
+        problem = STACK_PROBLEMS[name]
+        ball = problem.operator.cone
+        pts = _stack_points(problem, 8, np.random.default_rng(sorted(STACK_PROBLEMS).index(name)))
+        inside = [x for x in pts if ops.norm(x - ball.center) < ball.radius]
+        assert len(inside) >= 4
+        for x in inside:
+            assert np.isfinite(gap(problem, x))

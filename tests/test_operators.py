@@ -983,6 +983,33 @@ def _enlargement_instances():
     ]
 
 
+class TestColdState:
+    @settings(max_examples=100)
+    @given(
+        name=st.sampled_from(sorted(ROUTE_INSTANCES)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cold_state_gives_the_bits_of_a_cold_start(self, name, log_lam, log_scale, seed):
+        op, route = ROUTE_INSTANCES[name]
+        lam = 10.0**log_lam
+        x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(op.dim)
+        start = ops.cold_state(op, x)
+        assert (start is None) == (route is not ops._newton_route)
+        try:
+            want = ops.resolvent(op, lam, x)
+        except InnerSolverDiverged as exc:
+            with pytest.raises(InnerSolverDiverged) as got:
+                ops.resolvent(op, lam, x, warm=start)
+            assert str(got.value) == str(exc)
+            return
+        got = ops.resolvent(op, lam, x, warm=start)
+        assert got.iterations == want.iterations
+        for a, b in zip((got.y, got.v) + (got.state or ()), (want.y, want.v) + (want.state or ())):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestResidualAndEnlargement:
     def test_min_norm_residual_cases(self):
         op = make_box_affine(seed=19)
@@ -1263,14 +1290,14 @@ def _ref_taylor_jacobian(op, anchor, p, u):
 
 
 def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
-    """(y, u, w) as surrogate_resolvent returned them, or the error raised."""
+    """(y, u, (w, y, value(y))) as surrogate_resolvent returns them, or the error raised."""
     op = problem.operator
     p = cfg.p
     x = np.asarray(x, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
     try:
-        y, _, _, (w, _, _) = ops.normal_map_newton(
+        y, _, _, (w, _, fy) = ops.normal_map_newton(
             op,
             lam,
             x,
@@ -1283,7 +1310,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         )
     except InnerSolverDiverged as exc:
         return exc
-    return y, _ref_taylor_value(op, anchor, p, y) + (w - y) / lam, w
+    return y, _ref_taylor_value(op, anchor, p, y) + (w - y) / lam, (w, y, fy)
 
 
 def _surrogate_instances():
@@ -1349,7 +1376,8 @@ class TestSurrogateBitIdentity:
                 assert str(exc.value) == str(want)
             return
         got = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
-        for a, b in zip(got, want):
+        # y, u and the exit state (w, y, value(y)).
+        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
             assert a.tobytes() == b.tobytes()
 
     @settings(max_examples=120)
@@ -1359,19 +1387,23 @@ class TestSurrogateBitIdentity:
         log_lam=st.floats(-2.0, 3.0),
         log_scale=st.floats(-1.0, 0.5),
         warm_ratio=st.sampled_from([None, 0.5, 2.0]),
+        warm_state=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_surrogate_resolvent(self, name, p, log_lam, log_scale, warm_ratio, seed):
+    def test_surrogate_resolvent(self, name, p, log_lam, log_scale, warm_ratio, warm_state, seed):
         problem = SURROGATE_PROBLEMS[name]
         cfg = _surrogate_config(p)
         lam = 10.0**log_lam
         x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(problem.operator.dim)
         warm = None
         if warm_ratio is not None:
-            # A warm start as the window search passes it: w of a nearby lam.
+            # A warm start as the window search passes it: the exit state of
+            # a nearby lam (a trial after the first) or its w alone (the
+            # first trial, from the step before).
             try:
                 sur = ops.TaylorSurrogate(problem.operator, x, p)
                 warm = surrogate_resolvent(sur, x, lam * warm_ratio, cfg.sigma_hat)[2]
+                warm = warm if warm_state else warm[0]
             except InnerSolverDiverged:
                 pass
         self.check_resolvent(problem, x, x, lam, cfg, warm)

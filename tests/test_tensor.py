@@ -42,8 +42,8 @@ def _ref_window_search(problem, x, cfg, hint=None, warm=None):
     sur = ops.TaylorSurrogate(op, ops.domain_project(op, x), p)
     wlo, whi = cfg.window
 
-    def fold(lam, y, u, w):
-        return lam, y, ops.single_value(op, y) + u - sur.value(y), w
+    def fold(lam, y, u, state):
+        return lam, y, ops.single_value(op, y) + u - sur.value(y), state[0]
 
     def product(lam):
         nonlocal warm
@@ -360,6 +360,87 @@ class TestOracle:
         assert res.records and len(calls) >= len(res.records)
         assert len(builds) == len(calls)
         assert len(solves) > len(calls)
+
+
+class TestWorkCounts:
+    # (steps, trial solves, failed trials) per ZOO entry.
+    REFERENCE_WORK = [(9, 29, 0), (6, 24, 0), (18, 42, 2), (20, 44, 2)]
+
+    @pytest.mark.parametrize(
+        "name, params, tc, work", [z + (w,) for z, w in zip(ZOO, REFERENCE_WORK)], ids=[z[0] for z in ZOO]
+    )
+    def test_reference_runs(self, monkeypatch, name, params, tc, work):
+        # The reference TENSOR runs (x0 = 0.7 * ones, 60 iterations): steps,
+        # trial solves and failed trials, as counted before the solves were
+        # made leaner.  Same work, same order.
+        real, calls, failed = tensor.surrogate_resolvent, [], []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            try:
+                return real(*args, **kwargs)
+            except InnerSolverDiverged:
+                failed.append(1)
+                raise
+
+        monkeypatch.setattr(tensor, "surrogate_resolvent", spy)
+        problem = problems.build_problem(name, params)
+        res = run(problem, TensorOracle(problem, tc), tc.drive(60), np.full(problem.dim, 0.7))
+        assert (len(res.records), len(calls), len(failed)) == work
+
+    @pytest.mark.parametrize("name, params, tc", ZOO, ids=[z[0] for z in ZOO])
+    def test_state_hand_off_spares_one_start_evaluation(self, monkeypatch, name, params, tc):
+        # Each trial after the first starts from the last successful trial's
+        # exit state, not its bare w: per such trial that runs Newton, one
+        # surrogate value and one projection fewer (the box projection is
+        # inline, so it is counted only without a cone), and the same step.
+        problem = problems.build_problem(name, params)
+        real_solve, real_value, real_project = tensor.surrogate_resolvent, ops.TaylorSurrogate.value, ops.domain_project
+        counts = {"value": 0, "project": 0, "state starts": 0}
+
+        def value(sur, u):
+            counts["value"] += 1
+            return real_value(sur, u)
+
+        def project(op, z):
+            counts["project"] += 1
+            return real_project(op, z)
+
+        def search(x, hint, bare):
+            def solve(sur, x, lam, sigma_hat, warm=None):
+                state = isinstance(warm, tuple)
+                try:
+                    return real_solve(sur, x, lam, sigma_hat, warm=warm[0] if bare and state else warm)
+                except InnerSolverDiverged as exc:
+                    state = state and not str(exc).startswith(tensor.UNSOLVABLE)  # Newton never ran
+                    raise
+                finally:
+                    counts["state starts"] += state
+
+            monkeypatch.setattr(tensor, "surrogate_resolvent", solve)
+            before = dict(counts)
+            got = lambda_window_search(problem, x, tc, hint=hint)
+            return got, {k: counts[k] - before[k] for k in counts}
+
+        monkeypatch.setattr(ops.TaylorSurrogate, "value", value)
+        monkeypatch.setattr(ops, "domain_project", project)
+        rng = np.random.default_rng(29)
+        spared = 0
+        for _ in range(4):
+            x = rng.uniform(-0.9, 0.9, problem.dim)
+            for hint in (None, 10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(0.0, 8.0)):
+                got, lean = search(x, hint, bare=False)
+                want, full = search(x, hint, bare=True)
+                assert got[0] == want[0]
+                for a, b in zip(got[1:], want[1:]):
+                    assert a.tobytes() == b.tobytes()
+                n = lean["state starts"]
+                assert n == full["state starts"]
+                assert full["value"] - lean["value"] == n
+                if problem.operator.cone is None:
+                    assert full["project"] - lean["project"] == n
+                spared += n
+        assert spared > 0
 
 
 class TestUnsolvableSolves:
