@@ -29,7 +29,7 @@ from .problems import (
     make_strongly_monotone_affine,
     validate_instance,
 )
-from .report import CheckReport, worst
+from .report import CheckOutcome, CheckReport, worst
 from .tensor import TensorConfig, TensorOracle
 
 __all__ = ["SUITE_NAMES", "SUITES", "run_suites"]
@@ -425,13 +425,23 @@ SUITES = {
 SUITE_NAMES = list(SUITES)
 
 
+def _run_suite(name, seed):
+    """SUITES[name](seed), or one outcome with margin -inf when it raises MonoflowError."""
+    try:
+        return SUITES[name](seed)
+    except MonoflowError as exc:
+        return CheckReport([CheckOutcome("suite ran to completion", -math.inf, f"{type(exc).__name__}: {exc}")])
+
+
 def run_suites(names, seed=0, max_workers=1):
     """Run the named suites, each with the same seed; returns name -> report.
 
-    By default the suites run one after another on the calling thread.
-    max_workers > 1 runs them on a pool of up to that many threads;
-    suites are independent and each is deterministic, so the result does
-    not depend on scheduling, but the GIL keeps a pool from being faster.
+    A suite that raises MonoflowError reports one failing outcome, and the
+    other suites still run.  By default the suites run one after another
+    on the calling thread.  max_workers > 1 runs them on a pool of up to
+    that many threads; suites are independent and each is deterministic,
+    so the result does not depend on scheduling, but the GIL keeps a pool
+    from being faster.
     """
     names = list(names)
     for n in names:
@@ -439,12 +449,8 @@ def run_suites(names, seed=0, max_workers=1):
             raise KeyError(f"unknown suite {n!r}; known: {', '.join(SUITE_NAMES)}")
     max_workers = max(1, min(int(max_workers), len(names) or 1))
     if max_workers == 1:
-        return {n: SUITES[n](seed) for n in names}
+        return {n: _run_suite(n, seed) for n in names}
     from concurrent.futures import ThreadPoolExecutor  # only here: a module-level import costs every process
 
-    out = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futs = {n: pool.submit(SUITES[n], seed) for n in names}
-        for n in names:
-            out[n] = futs[n].result()
-    return out
+        return dict(zip(names, pool.map(_run_suite, names, [seed] * len(names))))

@@ -91,11 +91,11 @@ def rules_out_stationarity(op, lam, x, r):
     The Yosida bound ||x - J_lam(x)|| / lam <= ||A°(x)|| and ||r.y -
     J_lam(x)|| <= r.residual make (r.step - r.residual) / lam, less the
     rounding of r.step = ||r.y - x||, a lower bound on ||A°(x)||.  It is
-    used only where min_norm_residual is ||F(x)|| (ops.in_interior): nearer
+    used only where min_norm_residual is ||F(x)|| (op.domain.interior): nearer
     the boundary that test lets a normal vector cancel part of F(x), and
     past it returns inf.
     """
-    if not ops.in_interior(op, x):
+    if not op.domain.interior(x):
         return False
     slack = r.residual + _ROUNDING * (ops.norm(x) + ops.norm(r.y))
     return (r.step - slack) / lam > STATIONARITY_TOL
@@ -105,8 +105,8 @@ def law_gradient(op, lam, x, r, p):
     """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at r, the Resolvent of x at lam.
 
     y = r.y = P(w) with w = x - lam*F(y) the root of the normal map, whose
-    Jacobian in w is N = I + lam*JF(y)*DP(w) (ops._normal_map_jacobian,
-    the Newton kernel's).  The implicit-function theorem gives dy/dlam =
+    Jacobian in w is N = I + lam*JF(y)*DP(w) (op.domain.jacobian, the
+    Newton kernel's).  The implicit-function theorem gives dy/dlam =
     -DP N^-1 F(y) and (dy/dx)^T e = N^-T DP e; DP is symmetric.  Both
     parts read the one adjoint solve z = N^-T DP u, u = x - y: g_x is
     c (u - z) and g_lam is d^(p-1) + c (z . F(y)), since DP u . N^-1 F(y)
@@ -125,7 +125,7 @@ def law_gradient(op, lam, x, r, p):
     if d == 0.0 and p < 3:
         return math.nan, np.full(x.shape, math.nan)
     fy = ops.single_value(op, y) if r.state is None else r.state[2]
-    n, dp = ops._normal_map_jacobian(op.cone, lam, ops.single_jacobian(op, y), x - lam * fy)
+    n, dp = op.domain.jacobian(lam, ops.single_jacobian(op, y), x - lam * fy)
     pu = u if dp is None else dp * u if dp.ndim == 1 else dp @ u  # DP u
     c = lam * (p - 1) * d ** (p - 3)  # d/dd of lam * d^(p-1), over d
     z = ops._solve(n.T, pu)

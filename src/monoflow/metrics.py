@@ -10,8 +10,9 @@ KKT residual.
 
 gap, residue and dist_to_solutions take one point or an (n, d) stack of
 points, one per row, through the same code: a point is a stack of one.
-Matrix-vector and dot products stay per row, since a batched product can
-round differently, so every row gets the bits of the one-point call.
+Domain operations come from op.domain, which takes a stack as it takes a
+point.  Matrix-vector and dot products stay per row, since a batched product
+can round differently, so every row gets the bits of the one-point call.
 """
 
 from __future__ import annotations
@@ -73,11 +74,10 @@ def gap(problem, x, route="auto"):
     if route not in ("auto", "support", "ascent"):
         raise ValueError("route must be one of auto, support, ascent")
     pts, one = _stack(x)
-    inside = ops._rows_in_domain(op, pts, atol=1e-9)
+    inside = op.domain.contains(pts, atol=1e-9)
     k = len(pts) if inside.all() else int(np.flatnonzero(~inside)[0])  # rows before the first outside
     rows = pts[:k]
 
-    cone = op.cone
     m, q = _affine_terms(op)
     # Decided once per operator, when its AffinePart was built.
     linear = op.affine is None or op.affine.skew
@@ -87,12 +87,7 @@ def gap(problem, x, route="auto"):
     if linear and route != "ascent":
         # Skew part only: the objective is linear, sup attained at a
         # support point of the domain.
-        c = ops._rows_matvec(m.T, rows) - q
-        if isinstance(cone, ops.BoxCone):
-            vals = np.maximum(c * cone.lower, c * cone.upper).sum(axis=1)
-        else:
-            vals = cone.radius * ops._row_norms(c) + np.fromiter((ci @ cone.center for ci in c), float, k)
-        vals = vals + np.fromiter((q @ xi for xi in rows), float, k)
+        vals = op.domain.support(ops._matvec(m.T, rows) - q) + ops._dots(rows, q)
     else:
         vals = _ascent_gaps(op, m, q, rows)
     if k < len(pts):
@@ -103,7 +98,7 @@ def gap(problem, x, route="auto"):
 def _ascent_gaps(op, m, q, rows):
     """The certified ascent's gap at each row, in row order.  The step and
     the seeded starts do not depend on the point and are formed once."""
-    cone = op.cone
+    dom = op.domain
     sym = m + m.T
     curv = float(np.abs(sym).max())
     lip = float(np.linalg.eigvalsh(sym)[-1])
@@ -111,51 +106,33 @@ def _ascent_gaps(op, m, q, rows):
     # step; the floor only keeps the displacement finite before clipping.
     step = 1.0 / max(lip, 1e-12)
     rng = np.random.default_rng(0)
-    seeded = [_domain_center(cone)] + [_domain_random(cone, rng) for _ in range(14)]
+    seeded = [dom.midpoint()] + [dom.random_point(rng) for _ in range(14)]
 
     out = np.empty(len(rows))
     for i, x in enumerate(rows):
         lin = m.T @ x - q  # the objective <F(z), x - z> has gradient lin - sym @ z
         best_val, best_z = -np.inf, None
-        for z0 in [ops.domain_project(op, x)] + seeded:
+        for z0 in [dom.project(x)] + seeded:
             z = z0.copy()
             for _ in range(500):
-                z_new = ops.domain_project(op, z + step * (lin - sym @ z))
+                z_new = dom.project(z + step * (lin - sym @ z))
                 if ops.norm(z_new - z) <= 1e-13 * (1.0 + ops.norm(z)):
                     z = z_new
                     break
                 z = z_new
-            z = _active_set_polish(cone, sym, lin, z)
+            z = _active_set_polish(dom, sym, lin, z)
             val = float((m @ z + q) @ (x - z))
             if val > best_val:
                 best_val, best_z = val, z
 
         # Stationary for the max: the gradient at best_z lies in the normal cone there.
         g = lin - sym @ best_z
-        kkt = ops.cone_residual(cone, best_z, -g)
+        kkt = dom.residual(best_z, -g)
         scale = 1.0 + float(np.abs(g).max()) + curv
         if kkt > KKT_TOL * scale:
             raise UnsupportedMetric(f"gap maximization uncertified: KKT residual {kkt:.3e}")
         out[i] = best_val
     return out
-
-
-def _domain_center(cone):
-    if isinstance(cone, ops.BoxCone):
-        return 0.5 * (cone.lower + cone.upper)
-    return np.array(cone.center)
-
-
-def _domain_random(cone, rng):
-    if isinstance(cone, ops.BoxCone):
-        if rng.random() < 0.5:
-            pick = rng.random(cone.lower.size) < 0.5
-            return np.where(pick, cone.upper, cone.lower).astype(float)
-        return cone.lower + (cone.upper - cone.lower) * rng.random(cone.lower.size)
-    d = cone.center.size
-    u = rng.standard_normal(d)
-    u /= max(float(np.linalg.norm(u)), 1e-300)
-    return cone.center + cone.radius * rng.random() ** (1.0 / d) * u
 
 
 def _active_set_polish(cone, sym, lin, z):
@@ -181,7 +158,7 @@ def _active_set_polish(cone, sym, lin, z):
         except np.linalg.LinAlgError:
             return z
         zf[idx] = sol
-        zf = np.clip(zf, cone.lower, cone.upper)
+        zf = cone.project(zf)
         if ops.norm(zf - z) <= 1e-14 * (1.0 + ops.norm(z)):
             return zf
         z = zf
@@ -219,9 +196,9 @@ def residue(problem, x):
     """
     op = problem.operator
     pts, one = _stack(x)
-    if not ops._rows_in_domain(op, pts).all():
+    if not op.domain.contains(pts).all():
         raise ValueError("residue is defined on dom(A) only")
-    res = ops._rows_cone_residual(op.cone, pts, ops._rows_single_value(op, pts))
+    res = op.domain.residual(pts, ops.single_value(op, pts))
     return float(res[0]) if one else res
 
 
@@ -232,7 +209,7 @@ def dist_to_solutions(problem, x):
     if sol.kind != "SINGLETON":
         raise UnknownSolutionSet(f"problem {problem.name!r} declares no solution set")
     pts, one = _stack(x)
-    out = ops._row_norms(pts - sol.point)
+    out = ops._norms(pts - sol.point)
     return float(out[0]) if one else out
 
 

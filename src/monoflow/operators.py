@@ -16,12 +16,15 @@ Newton route runs it on F, and the tensor oracle on a TaylorSurrogate of F.
 
 What depends on the operator alone is computed once, when it is built: a
 PolyPart keeps its derivative chain, a BoxCone its boundary tolerance
-edges, and an OperatorSpec its resolvent route (projection only, affine
-solve, separable polynomial, radial, or Newton on the normal map).  Every
-route but the polynomial one raises InnerSolverDiverged when it misses the
-residual bound.  Polynomials are evaluated by _horner and differentiated
-by _polyder, which give the bits of numpy.polynomial.polynomial's polyval
-(on floats and on arrays alike) and polyder without importing it.
+edges, and an OperatorSpec its domain and its resolvent route (projection
+only, affine solve, separable polynomial, radial, or Newton on the normal
+map).  The domain, a BoxCone, a BallCone or the whole space, owns the
+operations on dom(A), each for a point or an (n, d) stack; domain_project
+and its siblings are one-point entry points to them.  Every route but the
+polynomial one raises InnerSolverDiverged when it misses the residual
+bound.  Polynomials are evaluated by _horner and differentiated by
+_polyder, which give the bits of numpy.polynomial.polynomial's polyval (on
+floats and on arrays alike) and polyder without importing it.
 
 Every dense linear solve (the Newton step, the affine closed form, and the
 active-set polish of metrics.gap) goes through _solve.  It calls the LAPACK
@@ -209,6 +212,65 @@ class RadialPart:
             raise ValueError("radial weight must be positive")
 
 
+def _dots(a, b):
+    """a @ b of two points, or of each row of an (n, d) stack a with b or with b's row."""
+    if a.ndim == 1:
+        return float(a @ b)
+    bs = b if b.ndim == 2 else [b] * len(a)
+    return np.fromiter((r @ s for r, s in zip(np.ascontiguousarray(a), bs)), float, len(a))
+
+
+def _norms(a):
+    """norm(a) of a point, or the norm of each row of an (n, d) stack."""
+    return norm(a) if a.ndim == 1 else np.sqrt(_dots(a, a))
+
+
+def _matvec(m, x):
+    """m @ x of a point, or m @ each row of an (n, d) stack, each written in place."""
+    if x.ndim == 1:
+        return m @ x
+    out = np.empty(x.shape)
+    for r, o in zip(x, out):
+        np.matmul(m, r, out=o)
+    return out
+
+
+# The domains.  Each kind carries its own operations, reached through
+# OperatorSpec.domain: project(x); contains(x, atol) and interior(x), inside
+# the boundary tolerance and past it; residual(x, g) = min over n in N(x) of
+# ||g + n|| for x in the domain; jacobian(lam, jf, w) = (N, DP), N = I + lam
+# * jf @ DP the normal map's Jacobian at w, jf F's at P(w), DP P's at w (None
+# for the identity, a 0/1 vector for a box, a symmetric matrix for a ball;
+# at a kink a box bound counts as active, the sphere as inactive);
+# sup_dist_sq(x0); for metrics.gap, support(c) = sup <c, z>, midpoint() and
+# random_point(rng).  project, contains, interior, residual and support take
+# a point or an (n, d) stack, each row with the one-point call's bits.
+
+
+class _WholeSpace:
+    """The domain R^dim of an operator built with cone=None."""
+
+    def project(self, x):
+        return x.copy()
+
+    def contains(self, x, atol=BOUNDARY_ATOL):
+        return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
+
+    interior = contains  # R^dim has no boundary
+
+    def residual(self, x, g):
+        return _norms(g)
+
+    def jacobian(self, lam, jf, w):
+        return _eye(w.size) + lam * jf, None
+
+    def sup_dist_sq(self, x0):
+        raise ValueError("domain is unbounded")
+
+
+_WHOLE_SPACE = _WholeSpace()
+
+
 @dataclass(frozen=True)
 class BoxCone:
     """lower <= x <= upper; scale = 1 + max(|lower|, |upper|) sets the
@@ -236,35 +298,125 @@ class BoxCone:
             raise ValueError("box bounds must be finite")
         if not np.all(lo <= hi):
             raise ValueError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        scale = _readonly(1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "lower_out", _readonly(lo - BOUNDARY_ATOL * scale))
-        object.__setattr__(self, "upper_out", _readonly(hi + BOUNDARY_ATOL * scale))
-        object.__setattr__(self, "lower_in", _readonly(lo + BOUNDARY_ATOL * scale))
-        object.__setattr__(self, "upper_in", _readonly(hi - BOUNDARY_ATOL * scale))
+        scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+        edge = BOUNDARY_ATOL * scale
+        stored = dict(lower=lo, upper=hi, scale=scale, lower_out=lo - edge, upper_out=hi + edge,
+                      lower_in=lo + edge, upper_in=hi - edge)
+        for name, a in stored.items():
+            object.__setattr__(self, name, _readonly(a))
+
+    def project(self, x):
+        return np.minimum(np.maximum(x, self.lower), self.upper)
+
+    def contains(self, x, atol=BOUNDARY_ATOL):
+        lo, hi = self.lower_out, self.upper_out  # the edges at BOUNDARY_ATOL
+        if atol != BOUNDARY_ATOL:
+            lo, hi = self.lower - atol * self.scale, self.upper + atol * self.scale
+        return ((x >= lo) & (x <= hi)).all(axis=-1)
+
+    def residual(self, x, g):
+        # n >= 0 available at the upper bound cancels negative g, and dually.
+        cancel = ((x >= self.upper_in) & (g < 0)) | ((x <= self.lower_in) & (g > 0))
+        return _norms(np.where(cancel, 0.0, g))
+
+    def interior(self, x):
+        return ((x > self.lower_in) & (x < self.upper_in)).all(axis=-1)
+
+    def jacobian(self, lam, jf, w):
+        mask = ((w > self.lower) & (w < self.upper)).astype(float)
+        return _eye(w.size) + lam * (jf * mask), mask
+
+    def sup_dist_sq(self, x0):
+        far = np.where(np.abs(self.lower - x0) > np.abs(self.upper - x0), self.lower, self.upper)
+        return float(np.sum((far - x0) ** 2))
+
+    def support(self, c):
+        return np.maximum(c * self.lower, c * self.upper).sum(axis=-1)
+
+    def midpoint(self):
+        return 0.5 * (self.lower + self.upper)
+
+    def random_point(self, rng):
+        if rng.random() < 0.5:
+            pick = rng.random(self.lower.size) < 0.5
+            return np.where(pick, self.upper, self.lower).astype(float)
+        return self.lower + (self.upper - self.lower) * rng.random(self.lower.size)
 
 
 @dataclass(frozen=True)
 class BallCone:
+    """||x - center|| <= radius, with a finite center and a finite radius > 0."""
+
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         c = _readonly(self.center)
-        if c.ndim != 1:
-            raise ValueError("ball center must be a vector")
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if c.ndim != 1 or not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be a finite vector")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
+
+    def project(self, x):
+        if x.ndim == 2:
+            return np.array([self.project(r) for r in x], dtype=float).reshape(x.shape)
+        r = x - self.center
+        nr = norm(r)
+        if nr <= self.radius:
+            return x.copy()
+        return self.center + (self.radius / nr) * r
+
+    def contains(self, x, atol=BOUNDARY_ATOL):
+        return _norms(x - self.center) <= self.radius * (1.0 + atol)
+
+    def residual(self, x, g):
+        if x.ndim == 2:
+            return np.array([self.residual(r, gr) for r, gr in zip(x, g)], dtype=float)
+        rad = x - self.center
+        nr = norm(rad)
+        if nr < self.radius * (1.0 - BOUNDARY_ATOL):
+            return norm(g)
+        inner = float(g @ (rad / nr))  # nr > 0: radius > 0 keeps the center interior
+        if inner >= 0:
+            return norm(g)
+        return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
+
+    def interior(self, x):
+        return _norms(x - self.center) < self.radius * (1.0 - BOUNDARY_ATOL)
+
+    def jacobian(self, lam, jf, w):
+        eye = _eye(w.size)
+        r = w - self.center
+        nr = norm(r)
+        if nr > self.radius:
+            u = r / nr
+            dp = (self.radius / nr) * (eye - np.outer(u, u))
+            return eye + lam * (jf @ dp), dp
+        return eye + lam * jf, None
+
+    def sup_dist_sq(self, x0):
+        return (norm(x0 - self.center) + self.radius) ** 2
+
+    def support(self, c):
+        return self.radius * _norms(c) + _dots(c, self.center)
+
+    def midpoint(self):
+        return np.array(self.center)
+
+    def random_point(self, rng):
+        d = self.center.size
+        u = rng.standard_normal(d)
+        u /= max(float(np.linalg.norm(u)), 1e-300)
+        return self.center + self.radius * rng.random() ** (1.0 / d) * u
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """Structured description of A = F + H; cone is None when dom(A) = R^dim.
 
-    route, the resolvent solve (op, lam, x, warm) -> Resolvent, is picked here.
+    Picked here: domain, cone or the whole space, and route, the resolvent
+    solve (op, lam, x, warm) -> Resolvent.
     """
 
     dim: int
@@ -272,6 +424,7 @@ class OperatorSpec:
     poly: PolyPart | None = None
     radial: RadialPart | None = None
     cone: BoxCone | BallCone | None = None
+    domain: object = field(init=False, repr=False, compare=False)
     route: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -290,6 +443,7 @@ class OperatorSpec:
         # A lone part has a closed form without a cone; a polynomial keeps it over a box.
         if len(parts) == 1 and (self.cone is None or (self.poly is not None and isinstance(self.cone, BoxCone))):
             route = {AffinePart: _affine_route, PolyPart: _poly_route, RadialPart: _radial_route}[type(parts[0])]
+        object.__setattr__(self, "domain", _WHOLE_SPACE if self.cone is None else self.cone)
         object.__setattr__(self, "route", route)
 
 
@@ -304,16 +458,17 @@ def make_poly(coeffs, dim=1, cone=None):
 
 
 def single_value(op, x):
-    """Evaluate the single-valued part F(x); excludes the normal cone."""
+    """The single-valued part F(x), without the normal cone, at a point or at each row of an (n, d) stack."""
     x = np.asarray(x, dtype=float)
-    out = op.affine.matrix @ x + op.affine.offset if op.affine is not None else None
+    out = _matvec(op.affine.matrix, x) + op.affine.offset if op.affine is not None else None
     if op.poly is not None:
         t = _horner(op.poly.ders[0], x)
         out = t if out is None else out + t
     if op.radial is not None:
-        t = op.radial.weight * float(x @ x) * x
+        s = op.radial.weight * _dots(x, x)
+        t = s * x if x.ndim == 1 else s[:, np.newaxis] * x
         out = t if out is None else out + t
-    return np.zeros(op.dim) if out is None else out
+    return np.zeros(x.shape) if out is None else out
 
 
 def single_jacobian(op, x):
@@ -330,140 +485,34 @@ def single_jacobian(op, x):
 
 
 def domain_project(op, x):
-    x = np.asarray(x, dtype=float)
-    c = op.cone
-    if c is None:
-        return x.copy()
-    if isinstance(c, BoxCone):
-        return np.minimum(np.maximum(x, c.lower), c.upper)
-    r = x - c.center
-    nr = norm(r)
-    if nr <= c.radius:
-        return x.copy()
-    return c.center + (c.radius / nr) * r
-
-
-def _box_edges(c, atol):
-    """The edges of box c widened by atol * c.scale; stored for BOUNDARY_ATOL."""
-    if atol == BOUNDARY_ATOL:
-        return c.lower_out, c.upper_out
-    return c.lower - atol * c.scale, c.upper + atol * c.scale
+    return op.domain.project(np.asarray(x, dtype=float))
 
 
 def domain_contains(op, x, atol=BOUNDARY_ATOL):
-    x = np.asarray(x, dtype=float)
-    c = op.cone
-    if c is None:
-        return True
-    if isinstance(c, BoxCone):
-        lo, hi = _box_edges(c, atol)
-        return bool((x >= lo).all() and (x <= hi).all())
-    return norm(x - c.center) <= c.radius * (1.0 + atol)
+    return bool(op.domain.contains(np.asarray(x, dtype=float), atol))
 
 
 def domain_sup_dist_sq(op, x0):
     """sup_{z in dom(A)} ||z - x0||^2 for bounded domains."""
-    x0 = np.asarray(x0, dtype=float)
-    c = op.cone
-    if isinstance(c, BoxCone):
-        far = np.where(np.abs(c.lower - x0) > np.abs(c.upper - x0), c.lower, c.upper)
-        return float(np.sum((far - x0) ** 2))
-    if isinstance(c, BallCone):
-        return (norm(x0 - c.center) + c.radius) ** 2
-    raise ValueError("domain is unbounded")
+    return op.domain.sup_dist_sq(np.asarray(x0, dtype=float))
 
 
 def cone_residual(cone, x, g):
     """min_{n in N_cone(x)} ||g + n||; x assumed in the domain."""
-    if cone is None:
-        return norm(g)
-    if isinstance(cone, BoxCone):
-        # n >= 0 available at the upper bound cancels negative g, and dually.
-        cancel = ((x >= cone.upper_in) & (g < 0)) | ((x <= cone.lower_in) & (g > 0))
-        return norm(np.where(cancel, 0.0, g))
-    rad = x - cone.center
-    nr = norm(rad)
-    if nr < cone.radius * (1.0 - BOUNDARY_ATOL):
-        return norm(g)
-    u = rad / nr if nr > 0 else np.zeros_like(x)
-    inner = float(g @ u)
-    if inner >= 0:
-        return norm(g)
-    return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
+    return (_WHOLE_SPACE if cone is None else cone).residual(np.asarray(x, dtype=float), np.asarray(g, dtype=float))
 
 
 def in_interior(op, x):
-    """x lies in dom(A) past the boundary tolerance, where cone_residual
-    lets no normal vector act and min_norm_residual is ||F(x)||."""
-    c = op.cone
-    if c is None:
-        return True
-    if isinstance(c, BoxCone):
-        return bool((x > c.lower_in).all() and (x < c.upper_in).all())
-    return norm(x - c.center) < c.radius * (1.0 - BOUNDARY_ATOL)
+    """x lies in dom(A) past the boundary tolerance, where min_norm_residual is ||F(x)||."""
+    return bool(op.domain.interior(np.asarray(x, dtype=float)))
 
 
 def min_norm_residual(op, x):
     """inf{||v|| : v in A(x)}; +inf when x lies outside dom(A)."""
     x = np.asarray(x, dtype=float)
-    if not domain_contains(op, x):
+    if not op.domain.contains(x):
         return np.inf
-    return cone_residual(op.cone, x, single_value(op, x))
-
-
-# Row by row twins of domain_contains, single_value and cone_residual for
-# an (n, d) stack of points, as metrics evaluates a run's records.  Each
-# keeps the one-point expression per row wherever a matrix-vector or dot
-# product enters (a batched product can round differently) and batches the
-# elementwise rest, so every row has the bits of the one-point call.
-
-
-def _row_norms(a):
-    """norm of each row of the 2-D array a."""
-    return np.fromiter((norm(r) for r in np.ascontiguousarray(a)), float, len(a))
-
-
-def _rows_matvec(m, xs):
-    """m @ x for each row x of xs, stacked, each written in place."""
-    out = np.empty(xs.shape)
-    for x, o in zip(xs, out):
-        np.matmul(m, x, out=o)
-    return out
-
-
-def _rows_in_domain(op, xs, atol=BOUNDARY_ATOL):
-    """domain_contains(op, x, atol) for each row x of xs, as a bool array."""
-    c = op.cone
-    if c is None:
-        return np.ones(len(xs), dtype=bool)
-    if isinstance(c, BoxCone):
-        lo, hi = _box_edges(c, atol)
-        return ((xs >= lo) & (xs <= hi)).all(axis=1)
-    return np.array([domain_contains(op, x, atol) for x in xs], dtype=bool)
-
-
-def _rows_single_value(op, xs):
-    """single_value(op, x) for each row x of xs, stacked."""
-    out = None
-    if op.affine is not None:
-        out = _rows_matvec(op.affine.matrix, xs) + op.affine.offset
-    if op.poly is not None:
-        t = _horner(op.poly.ders[0], xs)
-        out = t if out is None else out + t
-    if op.radial is not None:
-        t = (op.radial.weight * np.array([float(x @ x) for x in xs]))[:, np.newaxis] * xs
-        out = t if out is None else out + t
-    return np.zeros(xs.shape) if out is None else out
-
-
-def _rows_cone_residual(cone, xs, gs):
-    """cone_residual(cone, x, g) for each row x of xs and g of gs."""
-    if cone is None:
-        return _row_norms(gs)
-    if isinstance(cone, BoxCone):
-        cancel = ((xs >= cone.upper_in) & (gs < 0)) | ((xs <= cone.lower_in) & (gs > 0))
-        return _row_norms(np.where(cancel, 0.0, gs))
-    return np.array([cone_residual(cone, x, g) for x, g in zip(xs, gs)])
+    return op.domain.residual(x, single_value(op, x))
 
 
 class Resolvent:
@@ -562,38 +611,12 @@ def _radial_root(weight, lam, s):
     return r
 
 
-def _box_jacobian(eye, lo, hi, lam, jf, w):
-    """_normal_map_jacobian on the box [lo, hi], with eye the identity: DP
-    is the 0/1 mask of the coordinates of w strictly inside."""
-    mask = ((w > lo) & (w < hi)).astype(float)
-    return eye + lam * (jf * mask), mask
-
-
-def _normal_map_jacobian(cone, lam, jf, w):
-    """(N, DP): N = I + lam * jf @ DP the Jacobian of the normal map at w,
-    where jf is the single-valued map's Jacobian at P(w), and DP the
-    projection's Jacobian at w.  DP is None for the identity, the 0/1
-    diagonal (a vector) for a box and a symmetric matrix for a ball.  At a
-    kink a box bound counts as active and the ball's sphere as inactive.
-    """
-    eye = _eye(w.size)
-    if isinstance(cone, BoxCone):
-        return _box_jacobian(eye, cone.lower, cone.upper, lam, jf, w)
-    dp = None
-    if cone is not None:
-        r = w - cone.center
-        nr = norm(r)
-        if nr > cone.radius:
-            u = r / nr
-            dp = (cone.radius / nr) * (eye - np.outer(u, u))
-    return eye + lam * (jf if dp is None else jf @ dp), dp
-
-
 def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     """Damped semismooth Newton on the normal map w + lam*value(P(w)) - x = 0.
 
     value and jacobian evaluate a monotone single-valued map and its
-    Jacobian; the residual accepted at y = P(w) is max(rel*||y - x||,
+    Jacobian, and P and the normal map's Jacobian are op.domain's project
+    and jacobian; the residual accepted at y = P(w) is max(rel*||y - x||,
     floor).  start is None (w = x), a bare w, or the exit state (w, P(w),
     value(P(w))) of an earlier solve: a state skips projecting w and
     evaluating value there, with the same bits, and so is valid only for
@@ -606,18 +629,12 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     prefixed by what, when the line search stalls or NEWTON_MAX_ITERS
     steps fall short of the accepted residual.
     """
-    cone = op.cone
-    # A box, the zoo's usual domain, is projected and differentiated
-    # inline, without the isinstance dispatch of domain_project and
-    # _normal_map_jacobian.
-    box = isinstance(cone, BoxCone)
-    if box:
-        lo, hi, eye = cone.lower, cone.upper, _eye(op.dim)
+    project, map_jacobian = op.domain.project, op.domain.jacobian
     if isinstance(start, tuple):
         w, y, fy = start
     else:
         w = x.copy() if start is None else np.asarray(start, dtype=float).copy()
-        y = np.minimum(np.maximum(w, lo), hi) if box else domain_project(op, w)
+        y = project(w)
         fy = value(y)
     f = w + lam * fy - x
     nf = norm(f)
@@ -628,7 +645,7 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
         if nf <= target:
             break
         jf = jacobian(y)
-        jac = _box_jacobian(eye, lo, hi, lam, jf, w)[0] if box else _normal_map_jacobian(cone, lam, jf, w)[0]
+        jac = map_jacobian(lam, jf, w)[0]
         try:
             dw = _solve(jac, -f)
         except LinAlgError:
@@ -636,7 +653,7 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
         t = 1.0
         wn = w + dw  # the bits of w + 1.0 * dw
         for _ in range(60):
-            yn = np.minimum(np.maximum(wn, lo), hi) if box else domain_project(op, wn)
+            yn = project(wn)
             fyn = value(yn)
             fn = wn + lam * fyn - x
             nfn = norm(fn)
@@ -676,7 +693,7 @@ def _closed_form(lam, x, y, v, what):
 
 def _projection_route(op, lam, x, warm):
     # No single-valued part: the resolvent is the projection onto the cone.
-    y = domain_project(op, x)
+    y = op.domain.project(x)
     return Resolvent(y, (x - y) / lam, lam, x, residual=0.0)
 
 
@@ -692,8 +709,7 @@ def _poly_route(op, lam, x, warm):
     flam = float(lam)
     y = np.array([_scalar_poly_root(c, dc, flam, t) for t in x.tolist()])
     box = op.cone
-    if box is not None:
-        y = np.clip(y, box.lower, box.upper)
+    y = op.domain.project(y)
     py = _horner(c, y)
     # Clamping keeps the normal element sign-correct because the scalar map
     # y + lam*poly(y) is increasing.
@@ -762,7 +778,7 @@ def cold_state(op, x):
     if op.route is not _newton_route:
         return None
     w = np.array(x, dtype=float)
-    y = domain_project(op, w)  # the bits of normal_map_newton's inline box clamp
+    y = op.domain.project(w)
     return w, y, single_value(op, y)
 
 
@@ -920,7 +936,7 @@ def enlargement_check(op, x, v, eps, witness_count=64, seed=0):
     x = np.ascontiguousarray(x, dtype=float)
     v = np.ascontiguousarray(v, dtype=float)
     rng = np.random.default_rng(seed)
-    scale_hint = 1.0 + norm(v) + norm(single_value(op, domain_project(op, x)))
+    scale_hint = 1.0 + norm(v) + norm(single_value(op, op.domain.project(x)))
     margins = []
     ok = True
     for _ in range(witness_count):

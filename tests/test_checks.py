@@ -6,7 +6,7 @@ import pytest
 from monoflow import checks
 from monoflow import operators as ops
 from monoflow.checks import SUITE_NAMES, SUITES, run_suites
-from monoflow.errors import MonoflowError, StationaryPoint
+from monoflow.errors import InnerSolverDiverged, MonoflowError, StationaryPoint
 from monoflow.hpe import HpeConfig, verify_step
 from monoflow.tensor import TensorOracle
 
@@ -93,6 +93,21 @@ class TestRunSuites:
         par = run_suites(names, seed=0, max_workers=2)
         for n in names:
             assert [e.margin for e in ser[n].outcomes] == [e.margin for e in par[n].outcomes]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_suite_is_one_failing_outcome(self, monkeypatch, workers):
+        # A typed error that escapes a suite (here a Newton stall) becomes
+        # that suite's one outcome, margin -inf; the other suites still run.
+        def stalls(seed):
+            raise InnerSolverDiverged("resolvent newton stalled at residual 3.194e+01", residual=31.94)
+
+        monkeypatch.setitem(SUITES, "FEEDBACK", stalls)
+        got = run_suites(["FEEDBACK", "METRICS"], seed=0, max_workers=workers)
+        assert _outcomes(got["FEEDBACK"]) == [("suite ran to completion", False, -math.inf)]
+        assert got["FEEDBACK"].outcomes[0].detail == (
+            "InnerSolverDiverged: resolvent newton stalled at residual 3.194e+01"
+        )
+        assert _outcomes(got["METRICS"]) == _outcomes(checks.metrics_suite(0))
 
     def test_report_lines_carry_margins(self):
         rep = run_suites(["METRICS"], seed=0)["METRICS"]

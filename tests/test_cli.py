@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoflow import cli
+from monoflow import checks, cli
 from monoflow import operators as ops
+from monoflow.errors import InnerSolverDiverged
+from monoflow.report import CheckReport
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -288,11 +290,36 @@ class TestCheck:
         capsys.readouterr()
 
     def test_sampling_failure_is_a_typed_error(self, capsys, monkeypatch):
-        # No point is away from the solution set, so the suite cannot sample one.
+        # No point is away from the solution set, so the suite cannot sample
+        # one; the typed error is the suite's one FAIL line.
         monkeypatch.setattr(ops, "min_norm_residual", lambda op, x: 0.0)
         assert cli.main(["check", "--suite", "FEEDBACK"]) == 1
-        err = capsys.readouterr().err
-        assert any(line.startswith("error: ") for line in err.splitlines()), err
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "[FEEDBACK] [FAIL] suite ran to completion: worst margin -inf "
+            "(MonoflowError: could not sample a point away from the solution set)",
+            "check result: FAIL",
+        ]
+
+    def test_a_suite_that_raises_is_one_fail_line(self, capsys, monkeypatch):
+        # The other suites still run and report; check still fails.
+        def stalls(seed):
+            raise InnerSolverDiverged("resolvent newton stalled at residual 3.194e+01", residual=31.94)
+
+        def passes(seed):
+            rep = CheckReport()
+            rep.add(f"seed is {seed}", 1.0)
+            return rep
+
+        monkeypatch.setattr(checks, "SUITES", {n: passes for n in checks.SUITE_NAMES} | {"FEEDBACK": stalls})
+        assert cli.main(["check", "--suite", "ALL", "--seed", "7"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (
+            "[FEEDBACK] [FAIL] suite ran to completion: worst margin -inf "
+            "(InnerSolverDiverged: resolvent newton stalled at residual 3.194e+01)"
+        )
+        assert out[1:-1] == [f"[{n}] [PASS] seed is 7: worst margin 1.000e+00" for n in checks.SUITE_NAMES[1:]]
+        assert out[-1] == "check result: FAIL"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_line_passes_exactly_when_its_margin_is_nonnegative(self, capsys, seed):

@@ -165,10 +165,11 @@ class TestResidue:
         # Inside the box (its tolerance included) residue returns the bits
         # of min_norm_residual, with F evaluated once per call.
         calls = []
-        real = ops._rows_single_value
-        monkeypatch.setattr(ops, "_rows_single_value", lambda op, xs: calls.append(1) or real(op, xs))
-        for x in ([0.2, -0.1], [1.0, -1.0], [1.0 + 1e-13, 0.0]):
-            want = ops.min_norm_residual(SADDLE.operator, np.array(x))
+        points = ([0.2, -0.1], [1.0, -1.0], [1.0 + 1e-13, 0.0])
+        wants = [ops.min_norm_residual(SADDLE.operator, np.array(x)) for x in points]
+        real = ops.single_value
+        monkeypatch.setattr(ops, "single_value", lambda op, xs: calls.append(1) or real(op, xs))
+        for x, want in zip(points, wants):
             assert np.float64(residue(SADDLE, x)).tobytes() == np.float64(want).tobytes()
         assert len(calls) == 3
 
@@ -269,8 +270,8 @@ def _ref_gap(problem, x, route="auto"):
     curv = float(np.abs(sym).max())
     step = 1.0 / max(float(np.linalg.eigvalsh(sym)[-1]), 1e-12)
     rng = np.random.default_rng(0)
-    starts = [ops.domain_project(op, x), metrics._domain_center(cone)]
-    starts += [metrics._domain_random(cone, rng) for _ in range(14)]
+    starts = [ops.domain_project(op, x), op.domain.midpoint()]
+    starts += [op.domain.random_point(rng) for _ in range(14)]
     best_val, best_z = -np.inf, None
     for z0 in starts:
         z = z0.copy()
@@ -393,8 +394,9 @@ class TestStacks:
         with pytest.raises(ValueError, match="residue is defined on dom"):
             residue(problem, pts)
         evaluated = []
-        real = metrics.ops.domain_project
-        monkeypatch.setattr(metrics.ops, "domain_project", lambda op, z: evaluated.append(1) or real(op, z))
+        domain = type(problem.operator.domain)
+        real = domain.project
+        monkeypatch.setattr(domain, "project", lambda dom, z: evaluated.append(1) or real(dom, z))
         with pytest.raises(ValueError, match="gap is evaluated at points of dom"):
             gap(problem, pts, route="ascent")
         assert evaluated  # rows 0-2 ran their ascent first

@@ -54,6 +54,15 @@ class TestStructureValidation:
         with pytest.raises(ValueError):
             ops.BoxCone(np.ones(2), -np.ones(2))
 
+    @pytest.mark.parametrize(
+        "center, radius, what",
+        [([np.nan], 1.0, "center"), ([np.inf], 1.0, "center"), ([0.0], np.inf, "radius"), ([0.0], np.nan, "radius")],
+        ids=["nan center", "inf center", "inf radius", "nan radius"],
+    )
+    def test_ball_rejects_nonfinite(self, center, radius, what):
+        with pytest.raises(ValueError, match=f"ball {what} must be"):
+            ops.BallCone(center, radius)
+
 
 class TestValueAndJacobian:
     def test_affine_value(self):
@@ -718,15 +727,16 @@ class TestKernelBitIdentity:
         # The exit state of a solve at (lam, x) already meets the stop rule
         # there: a second solve projects nothing and evaluates F nowhere.
         # From a state that misses it, a solve projects and evaluates F once
-        # less than from the bare w.  The kernel projects onto a box inline,
-        # so domain_project counts projections onto the ball only.
+        # less than from the bare w.  Projections are counted at the domain's
+        # project, which the kernel binds once per solve.
         x = np.array([1.5, -0.3, 0.9, -2.0])
-        project, value = ops.domain_project, ops.single_value
+        value = ops.single_value
         calls = []
-        monkeypatch.setattr(ops, "domain_project", lambda op, z: calls.append("P") or project(op, z))
         monkeypatch.setattr(ops, "single_value", lambda op, z: calls.append("F") or value(op, z))
-        for name, projections_saved in (("affine+box", 0), ("affine+ball", 1)):
+        for name, projections_saved in (("affine+box", 1), ("affine+ball", 1)):
             op = NEWTON_INSTANCES[name]
+            project = type(op.domain).project
+            monkeypatch.setattr(type(op.domain), "project", lambda dom, z, p=project: calls.append("P") or p(dom, z))
             first = ops.resolvent(op, 0.8, x)
             calls.clear()
             again = ops.resolvent(op, 0.8, x, warm=first.state)
@@ -1113,9 +1123,128 @@ def _ref_active_set_polish(cone, sym, lin, z):
     return z
 
 
+# Copies of the one-point domain helpers as they stood before each domain
+# kind carried its own operations: each tests the cone's kind per call.
+
+
+def _ref_domain_project(op, x):
+    x = np.asarray(x, dtype=float)
+    c = op.cone
+    if c is None:
+        return x.copy()
+    if isinstance(c, ops.BoxCone):
+        return np.minimum(np.maximum(x, c.lower), c.upper)
+    r = x - c.center
+    nr = ops.norm(r)
+    if nr <= c.radius:
+        return x.copy()
+    return c.center + (c.radius / nr) * r
+
+
+def _ref_domain_contains(op, x, atol=ops.BOUNDARY_ATOL):
+    x = np.asarray(x, dtype=float)
+    c = op.cone
+    if c is None:
+        return True
+    if isinstance(c, ops.BoxCone):
+        if atol == ops.BOUNDARY_ATOL:
+            lo, hi = c.lower_out, c.upper_out
+        else:
+            lo, hi = c.lower - atol * c.scale, c.upper + atol * c.scale
+        return bool((x >= lo).all() and (x <= hi).all())
+    return ops.norm(x - c.center) <= c.radius * (1.0 + atol)
+
+
+def _ref_domain_sup_dist_sq(op, x0):
+    x0 = np.asarray(x0, dtype=float)
+    c = op.cone
+    if isinstance(c, ops.BoxCone):
+        far = np.where(np.abs(c.lower - x0) > np.abs(c.upper - x0), c.lower, c.upper)
+        return float(np.sum((far - x0) ** 2))
+    if isinstance(c, ops.BallCone):
+        return (ops.norm(x0 - c.center) + c.radius) ** 2
+    raise ValueError("domain is unbounded")
+
+
+def _ref_cone_residual(cone, x, g):
+    if cone is None:
+        return ops.norm(g)
+    if isinstance(cone, ops.BoxCone):
+        cancel = ((x >= cone.upper_in) & (g < 0)) | ((x <= cone.lower_in) & (g > 0))
+        return ops.norm(np.where(cancel, 0.0, g))
+    rad = x - cone.center
+    nr = ops.norm(rad)
+    if nr < cone.radius * (1.0 - ops.BOUNDARY_ATOL):
+        return ops.norm(g)
+    u = rad / nr if nr > 0 else np.zeros_like(x)
+    inner = float(g @ u)
+    if inner >= 0:
+        return ops.norm(g)
+    return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
+
+
+def _ref_in_interior(op, x):
+    c = op.cone
+    if c is None:
+        return True
+    if isinstance(c, ops.BoxCone):
+        return bool((x > c.lower_in).all() and (x < c.upper_in).all())
+    return ops.norm(x - c.center) < c.radius * (1.0 - ops.BOUNDARY_ATOL)
+
+
+def _ref_normal_map_jacobian(cone, lam, jf, w):
+    eye = np.eye(w.size)
+    if isinstance(cone, ops.BoxCone):
+        mask = ((w > cone.lower) & (w < cone.upper)).astype(float)
+        return eye + lam * (jf * mask), mask
+    dp = None
+    if cone is not None:
+        r = w - cone.center
+        nr = ops.norm(r)
+        if nr > cone.radius:
+            u = r / nr
+            dp = (cone.radius / nr) * (eye - np.outer(u, u))
+    return eye + lam * (jf if dp is None else jf @ dp), dp
+
+
+def _bits(a):
+    return None if a is None else (np.asarray(a).dtype, np.asarray(a).shape, np.asarray(a).tobytes())
+
+
+def _check_domain_against_reference(op, xs, gs, lam, jf):
+    """Every operation of op.domain, on each row of the stack xs (with the
+    same row of gs) and on the whole stack, against the reference copies."""
+    dom, cone = op.domain, op.cone
+    for x, g in zip(xs, gs):
+        assert _bits(ops.domain_project(op, x)) == _bits(_ref_domain_project(op, x))
+        for atol in (ops.BOUNDARY_ATOL, 1e-9):
+            assert ops.domain_contains(op, x, atol=atol) is _ref_domain_contains(op, x, atol)
+        if _ref_domain_contains(op, x):  # residual is defined on the domain
+            got, want = ops.cone_residual(cone, x, g), _ref_cone_residual(cone, x, g)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert ops.in_interior(op, x) is _ref_in_interior(op, x)
+        n, dp = dom.jacobian(lam, jf, x)
+        want_n, want_dp = _ref_normal_map_jacobian(cone, lam, jf, x)
+        assert (_bits(n), _bits(dp)) == (_bits(want_n), _bits(want_dp))
+        if cone is None:
+            with pytest.raises(ValueError, match="domain is unbounded"):
+                ops.domain_sup_dist_sq(op, x)
+        else:
+            assert np.float64(ops.domain_sup_dist_sq(op, x)).tobytes() == np.float64(_ref_domain_sup_dist_sq(op, x)).tobytes()
+    assert _bits(dom.project(xs)) == _bits(np.array([_ref_domain_project(op, x) for x in xs]).reshape(xs.shape))
+    for atol in (ops.BOUNDARY_ATOL, 1e-9):
+        assert _bits(dom.contains(xs, atol)) == _bits(np.array([_ref_domain_contains(op, x, atol) for x in xs]))
+    assert _bits(dom.interior(xs)) == _bits(np.array([_ref_in_interior(op, x) for x in xs]))
+    inside = np.array([_ref_domain_contains(op, x) for x in xs], dtype=bool)
+    want = np.array([_ref_cone_residual(cone, x, g) for x, g in zip(xs[inside], gs[inside])], dtype=float)
+    assert _bits(dom.residual(xs[inside], gs[inside])) == _bits(want)
+
+
 @st.composite
-def _box_points(draw):
-    """A box and points on, just inside and just outside its tolerance edges."""
+def _box_points(draw, stack=False):
+    """A box and points on, just inside and just outside its tolerance
+    edges, with a g for each: one point, or with stack an (n, d) stack of
+    them and of their g."""
     d = draw(st.integers(1, 6))
     mag = st.floats(-1e3, 1e3, allow_subnormal=False)
     lower = np.array(draw(st.lists(mag, min_size=d, max_size=d)))
@@ -1128,22 +1257,28 @@ def _box_points(draw):
         upper - ops.BOUNDARY_ATOL * scale, upper + ops.BOUNDARY_ATOL * scale,
         lower - 1e-9 * scale, upper + 1e-9 * scale,
     ]
-    pick = draw(st.lists(st.integers(0, len(edges) + 1), min_size=d, max_size=d))
-    nudge = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d))
-    x = np.empty(d)
-    for i, (k, step) in enumerate(zip(pick, nudge)):
-        if k < len(edges):
-            x[i] = edges[k][i]
-            for _ in range(abs(step)):
-                x[i] = np.nextafter(x[i], step * np.inf)
-        else:
-            x[i] = lower[i] + width[i] * (0.5 if k == len(edges) else 0.25)
-    g = np.array(draw(st.lists(st.sampled_from([-2.5, -1e-8, 0.0, -0.0, 1e-8, 3.0]), min_size=d, max_size=d)))
-    return ops.BoxCone(lower, upper), x, g
+    xs, gs = [], []
+    for _ in range(draw(st.integers(1, 4)) if stack else 1):
+        pick = draw(st.lists(st.integers(0, len(edges) + 1), min_size=d, max_size=d))
+        nudge = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d))
+        x = np.empty(d)
+        for i, (k, step) in enumerate(zip(pick, nudge)):
+            if k < len(edges):
+                x[i] = edges[k][i]
+                for _ in range(abs(step)):
+                    x[i] = np.nextafter(x[i], step * np.inf)
+            else:
+                x[i] = lower[i] + width[i] * (0.5 if k == len(edges) else 0.25)
+        xs.append(x)
+        gs.append(np.array(draw(st.lists(st.sampled_from([-2.5, -1e-8, 0.0, -0.0, 1e-8, 3.0]), min_size=d, max_size=d))))
+    if stack:
+        return ops.BoxCone(lower, upper), np.array(xs), np.array(gs)
+    return ops.BoxCone(lower, upper), xs[0], gs[0]
 
 
 class TestBoxConeBitIdentity:
-    """The stored box scale gives the bits of the scale computed per call."""
+    """The stored box scale and edges, and the box's operations on a point
+    and on a stack, give the bits of the computation per call."""
 
     @settings(max_examples=300)
     @given(_box_points())
@@ -1155,6 +1290,13 @@ class TestBoxConeBitIdentity:
             assert ops.domain_contains(op, x, atol=atol) is _ref_box_contains(cone, x, atol)
         got = ops.cone_residual(cone, x, g)
         assert np.float64(got).tobytes() == np.float64(_ref_box_residual(cone, x, g)).tobytes()
+
+    @settings(max_examples=300)
+    @given(_box_points(stack=True), st.sampled_from([1e-3, 0.7, 30.0]), st.integers(0, 2**16))
+    def test_domain_operations_match_reference(self, case, lam, seed):
+        cone, xs, gs = case
+        jf = np.random.default_rng(seed).standard_normal((xs.shape[1], xs.shape[1]))
+        _check_domain_against_reference(ops.make_affine(np.eye(xs.shape[1]), cone=cone), xs, gs, lam, jf)
 
     @settings(max_examples=300)
     @given(_box_points())
@@ -1179,6 +1321,80 @@ class TestBoxConeBitIdentity:
         lin = 10.0 * g
         want = _ref_active_set_polish(cone, sym, lin, x)
         assert metrics._active_set_polish(cone, sym, lin, x).tobytes() == want.tobytes()
+
+
+@st.composite
+def _ball_points(draw):
+    """A ball and an (n, d) stack of points at its center, inside, on its
+    sphere and at its tolerance edges, each moved by up to one ulp, with a
+    g per point: random, along the outward normal, against it (where a
+    normal vector cancels g exactly) or across it."""
+    d = draw(st.integers(1, 5))
+    mag = st.floats(-1e3, 1e3, allow_subnormal=False)
+    center = np.array(draw(st.lists(mag, min_size=d, max_size=d)))
+    radius = draw(st.sampled_from([1e-6, 0.5, 1.0, 37.0, 2e3]))
+    factors = [
+        0.0, 0.5, 1.0,
+        1.0 - ops.BOUNDARY_ATOL, 1.0 + ops.BOUNDARY_ATOL, 1.0 + 1e-9, 2.0,
+    ]
+    unit = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=d, max_size=d)
+    xs, gs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        u = np.array(draw(unit))
+        nu = float(np.linalg.norm(u))
+        u = u / nu if nu > 1e-3 else np.eye(d)[0]
+        x = center + radius * draw(st.sampled_from(factors)) * u
+        nudge = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d))
+        for i, step in enumerate(nudge):
+            if step:
+                x[i] = np.nextafter(x[i], step * np.inf)
+        s = draw(st.sampled_from([1e-8, 1.0, 3.0]))
+        kind = draw(st.sampled_from(["random", "out", "in", "across"]))
+        g = np.array(draw(st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=d, max_size=d)))
+        if kind == "out":
+            g = s * u
+        elif kind == "in":
+            g = -s * u
+        elif kind == "across":
+            g = -s * u + 1e-3 * g
+        xs.append(x)
+        gs.append(g)
+    return ops.BallCone(center, radius), np.array(xs), np.array(gs)
+
+
+class TestBallConeBitIdentity:
+    """The ball's operations and the whole space's give the bits of the
+    per-call dispatch they replace, on one point and on a stack."""
+
+    @settings(max_examples=300)
+    @given(_ball_points(), st.sampled_from([1e-3, 0.7, 30.0]), st.integers(0, 2**16))
+    def test_ball_operations_match_reference(self, case, lam, seed):
+        cone, xs, gs = case
+        jf = np.random.default_rng(seed).standard_normal((xs.shape[1], xs.shape[1]))
+        _check_domain_against_reference(ops.make_affine(np.eye(xs.shape[1]), cone=cone), xs, gs, lam, jf)
+
+    @settings(max_examples=100)
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 5)), elements=st.floats(-1e3, 1e3)),
+        st.sampled_from([1e-3, 0.7, 30.0]),
+        st.integers(0, 2**16),
+    )
+    def test_whole_space_operations_match_reference(self, xs, lam, seed):
+        rng = np.random.default_rng(seed)
+        gs = rng.standard_normal(xs.shape)
+        jf = rng.standard_normal((xs.shape[1], xs.shape[1]))
+        _check_domain_against_reference(ops.make_affine(np.eye(xs.shape[1])), xs, gs, lam, jf)
+
+    def test_center_is_interior(self):
+        # radius > 0 keeps the center off the sphere, so the residual there
+        # never divides by a zero distance.
+        cone = ops.BallCone([1.0, -2.0], 1e-6)
+        op = ops.make_affine(np.eye(2), cone=cone)
+        x, g = cone.center.copy(), np.array([3.0, -4.0])
+        assert ops.in_interior(op, x)
+        assert ops.cone_residual(cone, x, g) == 5.0
+        assert op.domain.jacobian(0.5, np.eye(2), x)[1] is None
+        assert ops.domain_project(op, x).tobytes() == x.tobytes()
 
 
 class TestTaylorSurrogate:

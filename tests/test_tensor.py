@@ -392,19 +392,20 @@ class TestWorkCounts:
     def test_state_hand_off_spares_one_start_evaluation(self, monkeypatch, name, params, tc):
         # Each trial after the first starts from the last successful trial's
         # exit state, not its bare w: per such trial that runs Newton, one
-        # surrogate value and one projection fewer (the box projection is
-        # inline, so it is counted only without a cone), and the same step.
+        # surrogate value and one projection fewer (counted at the domain's
+        # project), and the same step.
         problem = problems.build_problem(name, params)
-        real_solve, real_value, real_project = tensor.surrogate_resolvent, ops.TaylorSurrogate.value, ops.domain_project
+        domain = type(problem.operator.domain)
+        real_solve, real_value, real_project = tensor.surrogate_resolvent, ops.TaylorSurrogate.value, domain.project
         counts = {"value": 0, "project": 0, "state starts": 0}
 
         def value(sur, u):
             counts["value"] += 1
             return real_value(sur, u)
 
-        def project(op, z):
+        def project(dom, z):
             counts["project"] += 1
-            return real_project(op, z)
+            return real_project(dom, z)
 
         def search(x, hint, bare):
             def solve(sur, x, lam, sigma_hat, warm=None):
@@ -423,7 +424,7 @@ class TestWorkCounts:
             return got, {k: counts[k] - before[k] for k in counts}
 
         monkeypatch.setattr(ops.TaylorSurrogate, "value", value)
-        monkeypatch.setattr(ops, "domain_project", project)
+        monkeypatch.setattr(domain, "project", project)
         rng = np.random.default_rng(29)
         spared = 0
         for _ in range(4):
@@ -437,8 +438,7 @@ class TestWorkCounts:
                 n = lean["state starts"]
                 assert n == full["state starts"]
                 assert full["value"] - lean["value"] == n
-                if problem.operator.cone is None:
-                    assert full["project"] - lean["project"] == n
+                assert full["project"] - lean["project"] == n
                 spared += n
         assert spared > 0
 
