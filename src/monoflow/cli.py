@@ -158,6 +158,8 @@ def _run_flow(cfg, problem):
         "mode": cfg.mode,
         "problem": cfg.problem_name,
         "status": traj.status,
+        "stop": traj.stop,
+        "lam_rate_fallbacks": traj.lam_rate_fallbacks,
         "samples": len(traj.states),
         "final": {
             "t": last.t,

@@ -16,8 +16,10 @@ v are formed.
 A solve rules out stationarity with the resolvent at its first lam where it
 can (rules_out_stationarity): ||x - J_lam(x)|| / lam <= ||A°(x)||, so a
 displacement well above STATIONARITY_TOL * lam spares min_norm_residual.
-law_gradient differentiates the law by the implicit-function theorem; the
-flow integrates lam' = -g_x . x' / g_lam from it.
+law_gradient differentiates the law by the implicit-function theorem, and
+law_slope gives the same g_lam with g_x . f along a direction f, as
+floats: the flow integrates lam' = -g_x . x' / g_lam from it, one adjoint
+solve per evaluation on the resolvent's exit state.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "AE_TOL",
     "law_band",
     "law_gradient",
+    "law_slope",
     "rules_out_stationarity",
     "scaled_displacement",
     "solve_law",
@@ -101,6 +104,27 @@ def rules_out_stationarity(op, lam, x, r):
     return (r.step - slack) / lam > STATIONARITY_TOL
 
 
+def _adjoint(op, lam, x, r, p, e):
+    """(d, c, z, F(y)) at r, the Resolvent of x at lam, for p >= 2 and d > 0:
+    d = ||x - y|| is r.step, c = lam (p-1) d^(p-3) and z = N^-T DP e.
+
+    N = I + lam*JF(y)*DP(w) is the normal map's Jacobian in w, as the
+    Newton kernel forms it (op.domain.jacobian), with w and F(y) read from
+    r.state when the Newton route left one and JF from op.jacobian; only a
+    resolvent without a state forms F(y) and w = x - lam*F(y).
+    """
+    y = r.y
+    if r.state is None:
+        fy = op.value(y)
+        w = x - lam * fy
+    else:
+        w, _, fy = r.state
+    n, dp = op.domain.jacobian(lam, op.jacobian(y), w)
+    pe = e if dp is None else dp * e if dp.ndim == 1 else dp @ e  # DP e
+    d = r.step  # ||y - x||, the bits of ||x - y||
+    return d, lam * (p - 1) * d ** (p - 3), ops._solve(n.T, pe), fy
+
+
 def law_gradient(op, lam, x, r, p):
     """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at r, the Resolvent of x at lam.
 
@@ -111,25 +135,35 @@ def law_gradient(op, lam, x, r, p):
     parts read the one adjoint solve z = N^-T DP u, u = x - y: g_x is
     c (u - z) and g_lam is d^(p-1) + c (z . F(y)), since DP u . N^-1 F(y)
     equals z . F(y).  At a kink of P it is the one-sided gradient on the
-    branch N takes there.  d = ||x - y|| is r.step, and F(y) is read from
-    r.state when the Newton route left one, so neither is formed again.
-    At y = x, where d^(p-3) has no value for p = 2, both parts come back
-    NaN; for p >= 3 they are 0 there.  For p = 1, g = lam: (1, 0).
+    branch N takes there.  d = ||x - y|| is r.step; the exit w and F(y)
+    are read from r.state when the Newton route left one, and JF(y) comes
+    from op.jacobian, so none is formed again.  At y = x, where d^(p-3)
+    has no value for p = 2, both parts come back NaN; for p >= 3 they are
+    0 there.  For p = 1, g = lam: (1, 0).
     """
     x = np.asarray(x, dtype=float)
     if p == 1:
         return 1.0, np.zeros(x.shape)
-    y = r.y
-    u = x - y
-    d = r.step  # ||y - x||, the bits of ||x - y||
-    if d == 0.0 and p < 3:
+    u = x - r.y
+    if r.step == 0.0 and p < 3:
         return math.nan, np.full(x.shape, math.nan)
-    fy = ops.single_value(op, y) if r.state is None else r.state[2]
-    n, dp = op.domain.jacobian(lam, ops.single_jacobian(op, y), x - lam * fy)
-    pu = u if dp is None else dp * u if dp.ndim == 1 else dp @ u  # DP u
-    c = lam * (p - 1) * d ** (p - 3)  # d/dd of lam * d^(p-1), over d
-    z = ops._solve(n.T, pu)
+    d, c, z, fy = _adjoint(op, lam, x, r, p, u)
     return d ** (p - 1) + c * float(z @ fy), c * (u - z)
+
+
+def law_slope(op, lam, x, r, p, f):
+    """(g_lam, g_x . f) of law_gradient at r, the Resolvent of x at lam,
+    with f = r.y - x, as two floats and without forming g_x.
+
+    The flow reads lam' = -g_x . f / g_lam from it.  The adjoint solve is
+    made on f = -u, so its z is law_gradient's -z to the bit, g_lam has
+    law_gradient's bits, and g_x . f is -c (f - z) . f.  For p >= 2 only;
+    at y = x with p = 2 both come back NaN, as in law_gradient.
+    """
+    if r.step == 0.0 and p < 3:
+        return math.nan, math.nan
+    d, c, z, fy = _adjoint(op, lam, x, r, p, f)
+    return d ** (p - 1) - c * float(z @ fy), -c * float((f - z) @ f)
 
 
 class _LawCurve:

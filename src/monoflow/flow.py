@@ -4,8 +4,9 @@ The trajectory solves dx/dt = J_{lam(x)}(x) - x where lam(x) is the root
 of the control law at the current point (lam = theta identically when
 p = 1).  Integration is classical RK4 in (x, lam): differentiating the law
 g(lam, x) = theta along the trajectory gives lam' = -g_x . x' / g_lam,
-with the gradient from law_gradient (0 for p = 1), so each stage makes one
-resolvent at its RK4-advanced (x, lam).  For every p, each committed step
+read as a scalar from feedback.law_slope at the stage's own resolvent (0
+for p = 1), so each stage makes one resolvent at its RK4-advanced
+(x, lam) and one adjoint solve.  For every p, each committed step
 is projected back onto the law (Hairer, Lubich & Wanner, Geometric
 Numerical Integration, IV.4): solve_law at the new x, from the RK4 lam as
 its hint, certifies the root, tests stationarity and gives the next
@@ -26,7 +27,7 @@ from numpy.linalg import LinAlgError
 
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
-from .feedback import law_gradient, solve_law
+from .feedback import law_slope, solve_law
 # solve_lambda is re-exported for benchmarks/tests/test_helpers.py, which reads flow.solve_lambda.
 from .feedback import solve_lambda  # noqa: F401
 from .report import CheckReport, worst
@@ -60,33 +61,24 @@ class FlowState:
 
 @dataclass
 class Trajectory:
+    """The kept states and the ergodic sums (of lam*y and of lam) at each.
+
+    status is OK, or STATIONARY when the run ended before T; stop names
+    the rule that ended it: "horizon" (T reached), "law_solve" (the law
+    solve at a step's end point raised StationaryPoint) or "band" (that
+    point's certified band exceeded 0.1 * theta).  lam_rate_fallbacks
+    counts the evaluations of lam' that fell back to 0 (see integrate).
+    """
+
     states: list[FlowState] = field(default_factory=list)
     erg_num: list[np.ndarray] = field(default_factory=list)
     erg_den: list[float] = field(default_factory=list)
     status: str = "OK"
+    stop: str = "horizon"
+    lam_rate_fallbacks: int = 0
 
     def __len__(self):
         return len(self.states)
-
-
-def _lam_rate(op, lam, x, r, p):
-    """lam' = -g_x . (y - x) / g_lam at (lam, x), with r the Resolvent of x
-    at lam and y = r.y, from law_gradient.
-
-    0 for p = 1, where g = lam has g_x = 0, without the gradient's work.
-    0 also where the gradient fails (a singular Newton matrix) or g_lam is
-    not positive and finite, as at y = x (NaN for p = 2, 0 above): the stage
-    then holds lam, and the committed step's law solve still certifies it.
-    """
-    if p == 1:
-        return 0.0
-    try:
-        g_lam, g_x = law_gradient(op, lam, x, r, p)
-    except LinAlgError:
-        return 0.0
-    if not 0.0 < g_lam < math.inf:
-        return 0.0
-    return -float(g_x @ (r.y - x)) / g_lam
 
 
 def law_margin(lam, d, band, params):
@@ -118,10 +110,20 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
     Returns a Trajectory; status is STATIONARY when the flow reached the
     solution set early (benign): the law solve at a step's end point found
     it stationary, or its certified band swamps theta, and the step is not
-    committed.  Each step ends with one law solve at the new x (the
-    projection), which accepts lam only within AE_TOL plus the certified
-    band; a committed step that still fails law_margin raises
+    committed; stop says which.  Each step ends with one law solve at the
+    new x (the projection), which accepts lam only within AE_TOL plus the
+    certified band; a committed step that still fails law_margin raises
     StepRejected, so this guards integrator misuse only.
+
+    Each RK4 evaluation reads lam' = -g_x . f / g_lam at its resolvent r,
+    with f = r.y - x the field it has formed, from feedback.law_slope: one
+    adjoint solve on the exit state r carries, no gradient vector.  It is 0
+    for p = 1, where g = lam, without that work.  It is 0 also where the
+    slope fails (a singular Newton matrix) or g_lam is not positive and
+    finite, as at y = x (NaN for p = 2, 0 above): the stage then holds lam,
+    the committed step's law solve still certifies it, and the trajectory
+    counts the fallback.  A state's arrays are the step's own, not copies:
+    every step forms x, y and the ergodic sum afresh.
     """
     if not (T >= 0 and h > 0):
         raise ValueError("need T >= 0 and h > 0")
@@ -131,6 +133,19 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
     theta, p = params.theta, params.p
     x = np.asarray(x0, dtype=float).copy()
     warm = None
+    traj = Trajectory()
+
+    def lam_rate(lam_s, x_s, r, f):
+        if p == 1:
+            return 0.0
+        try:
+            g_lam, g_xf = law_slope(op, lam_s, x_s, r, p, f)
+        except LinAlgError:
+            g_lam = math.nan
+        if not 0.0 < g_lam < math.inf:
+            traj.lam_rate_fallbacks += 1
+            return 0.0
+        return -g_xf / g_lam
 
     def stage(x_s, lam_s):
         # For p = 1, lam = theta and the operator are fixed, so each stage
@@ -142,7 +157,8 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         r = ops.resolvent(op, lam_s, x_s, warm=warm)
         if p == 1 and r.state is not None:
             warm = r.state
-        return r.y - x_s, _lam_rate(op, lam_s, x_s, r, p)
+        f = r.y - x_s
+        return f, lam_rate(lam_s, x_s, r, f)
 
     def project(x_s, hint):
         # The law root at x_s, its resolvent and band; warm is None for p >= 2.
@@ -152,7 +168,6 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
             warm = r.state
         return lam_s, r, band_s
 
-    traj = Trajectory()
     lam, r, band = project(x, None)
     y, rho, speed = r.y, r.residual, r.step
     t = 0.0
@@ -160,8 +175,8 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
     den = 0.0
 
     def record():
-        traj.states.append(FlowState(t, x.copy(), lam, y.copy(), rho, speed, band))
-        traj.erg_num.append(num.copy())
+        traj.states.append(FlowState(t, x, lam, y, rho, speed, band))
+        traj.erg_num.append(num)
         traj.erg_den.append(den)
 
     record()
@@ -171,7 +186,8 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # exactly on T.
         t_next = T if step_idx == nsteps else step_idx * h
         hs = t_next - t
-        f1, l1 = y - x, _lam_rate(op, lam, x, r, p)
+        f1 = y - x
+        l1 = lam_rate(lam, x, r, f1)
         try:
             f2, l2 = stage(x + 0.5 * hs * f1, lam + 0.5 * hs * l1)
             f3, l3 = stage(x + 0.5 * hs * f2, lam + 0.5 * hs * l2)
@@ -182,7 +198,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         except StationaryPoint:
             # The step landed on (numerically) the solution set; keep the
             # last consistent state as the endpoint.
-            traj.status = "STATIONARY"
+            traj.status, traj.stop = "STATIONARY", "law_solve"
             break
         # The law value is only measurable to the certified resolvent band.
         # Once that band swamps theta the state is within resolvent noise
@@ -190,7 +206,7 @@ def integrate(problem, x0, params, T, h, sample_stride=1):
         # commit steps whose control value cannot be certified.
         y_new, rho_new, speed_new = r_new.y, r_new.residual, r_new.step
         if band_new > 0.1 * theta:
-            traj.status = "STATIONARY"
+            traj.status, traj.stop = "STATIONARY", "band"
             break
         margin = law_margin(lam_new, speed_new, band_new, params)
         if not margin >= 0.0:

@@ -16,13 +16,14 @@ Newton route runs it on F, and the tensor oracle on a TaylorSurrogate of F.
 
 What depends on the operator alone is computed once, when it is built: a
 PolyPart keeps its derivative chain, a BoxCone its boundary tolerance
-edges, and an OperatorSpec its domain and its resolvent route (projection
+edges, and an OperatorSpec its domain, its resolvent route (projection
 only, affine solve, separable polynomial, radial, or Newton on the normal
-map).  The domain, a BoxCone, a BallCone or the whole space, owns the
-operations on dom(A), each for a point or an (n, d) stack; domain_project
-and its siblings are one-point entry points to them.  Every route but the
-polynomial one raises InnerSolverDiverged when it misses the residual
-bound.  Polynomials are evaluated by _horner and differentiated by
+map) and point evaluators of F and JF, which the Newton route hands the
+kernel on every solve.  The domain, a BoxCone, a BallCone or the whole
+space, owns the operations on dom(A), each for a point or an (n, d)
+stack; domain_project and its siblings are one-point entry points to
+them.  Every route but the polynomial one raises InnerSolverDiverged when
+it misses the residual bound.  Polynomials are evaluated by _horner and differentiated by
 _polyder, which give the bits of numpy.polynomial.polynomial's polyval (on
 floats and on arrays alike) and polyder without importing it.
 
@@ -380,7 +381,9 @@ class BallCone:
         inner = float(g @ (rad / nr))  # nr > 0: radius > 0 keeps the center interior
         if inner >= 0:
             return norm(g)
-        return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
+        tangent_sq = float(g @ g) - inner * inner
+        # max(0.0, nan) is 0.0, which would certify stationarity: keep the NaN.
+        return tangent_sq if math.isnan(tangent_sq) else float(np.sqrt(max(0.0, tangent_sq)))
 
     def interior(self, x):
         return _norms(x - self.center) < self.radius * (1.0 - BOUNDARY_ATOL)
@@ -411,12 +414,27 @@ class BallCone:
         return self.center + self.radius * rng.random() ** (1.0 / d) * u
 
 
+def _point_maps(op):
+    """(value, jacobian): F and JF at a 1-D float point z, with the bits of
+    single_value(op, z) and single_jacobian(op, z).  A lone affine part,
+    the Newton route's usual case, is m @ z + q and the stored matrix,
+    without their dispatch."""
+    if op.affine is not None and op.poly is None and op.radial is None:
+        m, q = op.affine.matrix, op.affine.offset
+        return (lambda z: m @ z + q), (lambda z: m)
+    return (lambda z: single_value(op, z)), (lambda z: single_jacobian(op, z))
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """Structured description of A = F + H; cone is None when dom(A) = R^dim.
 
-    Picked here: domain, cone or the whole space, and route, the resolvent
-    solve (op, lam, x, warm) -> Resolvent.
+    Picked here, once: domain, cone or the whole space; route, the
+    resolvent solve (op, lam, x, warm) -> Resolvent; and value and
+    jacobian, F and JF at a 1-D float point, with the bits of single_value
+    and single_jacobian there.  The Newton route hands them to
+    normal_map_newton, and the law gradient (feedback.law_gradient and
+    law_slope) reads JF through them.
     """
 
     dim: int
@@ -426,6 +444,8 @@ class OperatorSpec:
     cone: BoxCone | BallCone | None = None
     domain: object = field(init=False, repr=False, compare=False)
     route: object = field(init=False, repr=False, compare=False)
+    value: object = field(init=False, repr=False, compare=False)
+    jacobian: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = [p for p in (self.affine, self.poly, self.radial) if p is not None]
@@ -445,6 +465,13 @@ class OperatorSpec:
             route = {AffinePart: _affine_route, PolyPart: _poly_route, RadialPart: _radial_route}[type(parts[0])]
         object.__setattr__(self, "domain", _WHOLE_SPACE if self.cone is None else self.cone)
         object.__setattr__(self, "route", route)
+        value, jacobian = _point_maps(self)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "jacobian", jacobian)
+
+    def __reduce__(self):
+        # The bound evaluators are closures, which do not pickle: rebuild from the parts.
+        return OperatorSpec, (self.dim, self.affine, self.poly, self.radial, self.cone)
 
 
 def make_affine(matrix, offset=None, cone=None):
@@ -730,8 +757,8 @@ def _newton_route(op, lam, x, warm):
         op,
         lam,
         x,
-        lambda z: single_value(op, z),
-        lambda z: single_jacobian(op, z),
+        op.value,
+        op.jacobian,
         RESOLVENT_TOL,  # rel and floor: RESOLVENT_TOL * max(1, ||y - x||), to the bit
         RESOLVENT_TOL,
         warm,
@@ -779,7 +806,7 @@ def cold_state(op, x):
         return None
     w = np.array(x, dtype=float)
     y = op.domain.project(w)
-    return w, y, single_value(op, y)
+    return w, y, op.value(y)
 
 
 class TaylorSurrogate:

@@ -61,6 +61,37 @@ class TestRun:
         printed = json.loads(capsys.readouterr().out)
         assert printed["problem"] == "bilinear_saddle"
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_flow_summary_names_the_stop_and_counts_fallbacks(self, tmp_path, capsys, monkeypatch, fallback):
+        # p = 2 to T = 0.05: four evaluations of lam' a step, each falling
+        # back to 0 when the law slope raises.
+        if fallback:
+
+            def singular(*args):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(cli.flow, "law_slope", singular)
+        out = tmp_path / "flow.csv"
+        payload = dict(flow_payload(out, T=0.05), params={"theta": 0.1, "p": 2})
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+        summary = json.loads((tmp_path / "flow.summary.json").read_text())
+        assert (summary["status"], summary["stop"]) == ("OK", "horizon")
+        assert summary["lam_rate_fallbacks"] == (4 * 5 if fallback else 0)
+        assert json.loads(capsys.readouterr().out) == summary
+
+    def test_flow_summary_names_a_law_solve_stop(self, tmp_path, capsys):
+        out = tmp_path / "flow.csv"
+        payload = dict(
+            flow_payload(out),
+            problem={"name": "strongly_monotone_affine", "params": {"d": 2}},
+            params={"theta": 0.5, "p": 1},
+            horizon={"T": 120.0, "h": 0.05},
+            x0=[1.0, 1.0],
+        )
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["status"], summary["stop"], summary["lam_rate_fallbacks"]) == ("STATIONARY", "law_solve", 0)
+
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -511,6 +542,8 @@ def _ref_run_flow(cfg, problem):
         "mode": cfg.mode,
         "problem": cfg.problem_name,
         "status": traj.status,
+        "stop": traj.stop,
+        "lam_rate_fallbacks": traj.lam_rate_fallbacks,
         "samples": len(traj.states),
         "final": {
             "t": last.t,

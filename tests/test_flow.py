@@ -8,7 +8,7 @@ from monoflow import operators as ops
 from monoflow import problems
 from monoflow import feedback, flow
 from monoflow.errors import StationaryPoint
-from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, solve_law
+from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, law_gradient, solve_law
 from monoflow.flow import (
     FLOW_AE_TOL,
     FlowState,
@@ -157,7 +157,7 @@ class TestIntegrate:
         monkeypatch.setattr(flow, "solve_law", lambda op, x, params, **kw: ends.append(x) or real(op, x, params, **kw))
         prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
         traj = integrate(prob, [1.0, 1.0], FeedbackParams(0.5, p), T=120.0, h=0.05)
-        assert traj.status == "STATIONARY"
+        assert (traj.status, traj.stop) == ("STATIONARY", "law_solve")
         res = [ops.min_norm_residual(prob.operator, s.x) for s in traj.states]
         assert min(res) > STATIONARITY_TOL
         assert ops.min_norm_residual(prob.operator, ends[-1]) <= STATIONARITY_TOL
@@ -235,51 +235,163 @@ class TestPredictedLaw:
 
     @pytest.mark.parametrize("gradient", ["singular", "zero", "negative", "nan", "inf"])
     def test_stage_without_a_gradient_holds_the_previous_lam(self, monkeypatch, gradient):
-        # Where law_gradient raises or gives no positive finite g_lam, the
+        # Where law_slope raises or gives no positive finite g_lam, the
         # stage takes lam' = 0: every stage of a step solves at the lam the
-        # step started from, and only the projection moves lam.
+        # step started from, and only the projection moves lam.  The
+        # trajectory counts each such fallback.
         seen = []
 
-        def broken(op, lam, x, y, p):
+        def broken(op, lam, x, r, p, f):
             seen.append(lam)
             if gradient == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
-            return {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}[gradient], np.ones_like(x)
+            return {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}[gradient], 1.0
 
         params = FeedbackParams(0.1, 2)
-        monkeypatch.setattr(flow, "law_gradient", broken)
+        monkeypatch.setattr(flow, "law_slope", broken)
         traj = integrate(SADDLE, [0.7, 0.4], params, T=0.1, h=0.01)
         assert traj.status == "OK" and len(traj) == 11
         assert all(law_margin(s.lam, s.speed, s.band, params) >= 0.0 for s in traj.states)
         lams = [s.lam for s in traj.states]
         assert seen == [lam for lam in lams[:-1] for _ in range(4)]
         assert lams[-1] > lams[0]
+        assert (traj.stop, traj.lam_rate_fallbacks) == ("horizon", 4 * 10)
 
 
 class TestLawGradientReadsTheStage:
     def test_four_fewer_evaluations_of_f_per_step(self, monkeypatch):
-        # Each p = 2 RK4 step takes four law gradients, at its start and at
+        # Each p = 2 RK4 step takes four law slopes, at its start and at
         # three stages.  Each reads F(y) from its resolvent's Newton exit
-        # state: handed the same resolvent without a state, law_gradient
-        # evaluates F(y) itself, four more single_value calls per step, on
-        # the same floats.
-        real_value, real_gradient = ops.single_value, flow.law_gradient
+        # state: handed the same resolvent without a state, law_slope
+        # evaluates F(y) itself, four more calls of the operator's bound F
+        # per step, on the same floats.
+        op = SADDLE.operator
+        real_value, real_slope = op.value, flow.law_slope
 
-        def stateless(op, lam, x, r, p):
+        def stateless(op, lam, x, r, p, f):
             assert r.state is not None
-            return real_gradient(op, lam, x, types.SimpleNamespace(y=r.y, step=r.step, state=None), p)
+            return real_slope(op, lam, x, types.SimpleNamespace(y=r.y, step=r.step, state=None), p, f)
 
         counts, states = [], []
-        for gradient in (real_gradient, stateless):
+        for slope in (real_slope, stateless):
             calls = []
-            monkeypatch.setattr(ops, "single_value", lambda op, z: calls.append(1) or real_value(op, z))
-            monkeypatch.setattr(flow, "law_gradient", gradient)
+            monkeypatch.setitem(vars(op), "value", lambda z: calls.append(1) or real_value(z))
+            monkeypatch.setattr(flow, "law_slope", slope)
             traj = integrate(SADDLE, [0.7, 0.4], FeedbackParams(0.1, 2), T=0.1, h=0.01)
             assert traj.status == "OK" and len(traj) == 11
             counts.append(len(calls))
             states.append([(s.x.tobytes(), s.lam, s.y.tobytes(), s.speed, s.band) for s in traj.states])
         assert counts[1] - counts[0] == 4 * 10
         assert states[0] == states[1]
+
+
+# A ball whose skew field pushes the flow onto the sphere, where the
+# projection's Jacobian is not the identity.
+BALL = types.SimpleNamespace(
+    operator=ops.make_affine([[0.2, 1.0], [-1.0, 0.2]], [-1.5, 0.5], cone=ops.BallCone([0.0, 0.0], 1.0))
+)
+
+
+class TestLamRate:
+    @pytest.mark.parametrize(
+        "problem, theta, x0", [(SADDLE, 0.012, [0.7, 0.7]), (BALL, 0.2, [0.3, -0.2])], ids=["gate", "ball"]
+    )
+    def test_stage_rate_matches_law_gradient(self, monkeypatch, problem, theta, x0):
+        # Each evaluation's lam' = -g_x . f / g_lam, read as a scalar, is the
+        # one law_gradient's vector gives at the same resolvent, with the
+        # same g_lam.
+        seen, real = [], flow.law_slope
+
+        def spy(op, lam, x, r, p, f):
+            out = real(op, lam, x, r, p, f)
+            seen.append((op, lam, x, r, p, f, out))
+            return out
+
+        monkeypatch.setattr(flow, "law_slope", spy)
+        traj = integrate(problem, x0, FeedbackParams(theta, 2), T=0.5, h=0.01)
+        assert traj.status == "OK" and len(traj) == 51
+        outside = []
+        for op, lam, x, r, p, f, (g_lam, g_xf) in seen:
+            assert f.tobytes() == (r.y - x).tobytes()
+            want_lam, want_x = law_gradient(op, lam, x, r, p)
+            assert g_lam == want_lam
+            rate, want = -g_xf / g_lam, -float(want_x @ f) / want_lam
+            assert abs(rate - want) <= 1e-13 * abs(want)
+            outside.append(ops.norm(r.state[0]) > 1.0)  # w past the unit sphere
+        assert len(seen) == 4 * 50
+        if problem is BALL:  # both branches of the ball's projection Jacobian
+            assert any(outside) and not all(outside)
+
+
+class TestStops:
+    """The summary's stop names the rule that ended the run."""
+
+    def test_horizon(self):
+        traj = integrate(SADDLE, [0.7, 0.4], FeedbackParams(0.1, 2), T=0.05, h=0.01)
+        assert (traj.status, traj.stop, traj.lam_rate_fallbacks, len(traj)) == ("OK", "horizon", 0, 6)
+
+    @pytest.mark.parametrize("rule", ["law_solve", "band"])
+    def test_early_stop(self, monkeypatch, rule):
+        # The fourth law solve, at the end point of step 3, finds it
+        # stationary or returns a band above 0.1 theta: step 3 is not
+        # committed either way.
+        params, calls, real = FeedbackParams(0.1, 2), [], flow.solve_law
+
+        def solve(op, x, params, **kw):
+            calls.append(1)
+            lam, r, band = real(op, x, params, **kw)
+            if len(calls) == 4:
+                if rule == "law_solve":
+                    raise StationaryPoint("forced", x=x, residual=0.0)
+                band = 0.2 * params.theta
+            return lam, r, band
+
+        monkeypatch.setattr(flow, "solve_law", solve)
+        traj = integrate(SADDLE, [0.7, 0.4], params, T=0.1, h=0.01)
+        assert (traj.status, traj.stop, len(traj)) == ("STATIONARY", rule, 3)
+        assert traj.states[-1].t == 0.02
+
+
+class TestWorkCounts:
+    # Per RK4 step of the p = 2 gate flow on the 2-d saddle, after the start's
+    # law solve: resolvents (3 stages, 1 law solve trial), their Newton
+    # iterations, adjoint solves (one per lam'), normal-map Jacobian builds
+    # (one per Newton iteration, one per adjoint solve) and evaluations of
+    # the operator's bound F (one per resolvent start, one per iteration).
+    PER_STEP = {"resolvents": 4, "newton iterations": 4, "adjoint solves": 4, "jacobians": 8, "F": 8}
+    START = {"resolvents": 12, "newton iterations": 10, "adjoint solves": 0, "jacobians": 10, "F": 11}
+
+    def test_ten_gate_steps(self, monkeypatch):
+        op = SADDLE.operator
+        counts = dict.fromkeys(self.PER_STEP, 0)
+
+        def counting(key, fn):
+            def spy(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        real_resolvent = ops.resolvent
+
+        def resolvent(*args, **kwargs):
+            r = real_resolvent(*args, **kwargs)
+            counts["newton iterations"] += r.iterations
+            return r
+
+        monkeypatch.setattr(ops, "resolvent", counting("resolvents", resolvent))
+        monkeypatch.setattr(feedback, "_adjoint", counting("adjoint solves", feedback._adjoint))
+        monkeypatch.setattr(type(op.domain), "jacobian", counting("jacobians", type(op.domain).jacobian))
+        monkeypatch.setitem(vars(op), "value", counting("F", op.value))
+        seen = []
+        for T in (0.0, 0.1):
+            counts.update(dict.fromkeys(counts, 0))
+            traj = integrate(SADDLE, [0.7, 0.7], FeedbackParams(0.012, 2), T=T, h=0.01)
+            assert traj.status == "OK"
+            seen.append(dict(counts))
+        start, run = seen
+        assert start == self.START
+        assert {k: run[k] - start[k] for k in run} == {k: 10 * n for k, n in self.PER_STEP.items()}
 
 
 class TestLawReadOnce:

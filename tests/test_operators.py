@@ -1,5 +1,8 @@
 import collections
+import copy
 import dataclasses
+import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -728,13 +731,13 @@ class TestKernelBitIdentity:
         # there: a second solve projects nothing and evaluates F nowhere.
         # From a state that misses it, a solve projects and evaluates F once
         # less than from the bare w.  Projections are counted at the domain's
-        # project, which the kernel binds once per solve.
+        # project, which the kernel binds once per solve, and evaluations of
+        # F at the operator's bound evaluator.
         x = np.array([1.5, -0.3, 0.9, -2.0])
-        value = ops.single_value
         calls = []
-        monkeypatch.setattr(ops, "single_value", lambda op, z: calls.append("F") or value(op, z))
         for name, projections_saved in (("affine+box", 1), ("affine+ball", 1)):
             op = NEWTON_INSTANCES[name]
+            monkeypatch.setitem(vars(op), "value", lambda z, value=op.value: calls.append("F") or value(z))
             project = type(op.domain).project
             monkeypatch.setattr(type(op.domain), "project", lambda dom, z, p=project: calls.append("P") or p(dom, z))
             first = ops.resolvent(op, 0.8, x)
@@ -865,6 +868,95 @@ class TestKernelBitIdentity:
                     want = npoly.polyval(t, np.array(c))
                     assert np.float64(ops._horner(c, float(t))).tobytes() == want.tobytes()
 
+
+
+def _parent_newton_route(op, lam, x, warm):
+    """The Newton route as it stood when every solve handed the kernel two
+    fresh closures over single_value and single_jacobian."""
+    y, step, its, state = ops.normal_map_newton(
+        op,
+        lam,
+        x,
+        lambda z: ops.single_value(op, z),
+        lambda z: ops.single_jacobian(op, z),
+        ops.RESOLVENT_TOL,
+        ops.RESOLVENT_TOL,
+        warm,
+        "resolvent",
+    )
+    return ops.Resolvent(y, None, lam, x, iterations=its, step=step, state=state)
+
+
+def _warm_start(solve, op, lam, x, kind):
+    """None, or the exit state (kind "state") or its w (kind "w") of solve at lam."""
+    if kind is None:
+        return None
+    try:
+        state = solve(op, lam, x, None).state
+    except InnerSolverDiverged:
+        return None
+    return state if kind == "state" else state[0]
+
+
+class TestBoundEvaluators:
+    """Each operator's F and JF, bound once when it is built, give the bits
+    of single_value and single_jacobian, and every Newton-route resolvent
+    the bits of the parent's per-solve closures."""
+
+    @settings(max_examples=150)
+    @given(
+        name=st.sampled_from(sorted(NEWTON_INSTANCES)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-1.0, 1.0),
+        warm_ratio=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+        start=st.sampled_from([None, "w", "state"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_resolvent_matches_parent_closures(self, name, log_lam, log_scale, warm_ratio, start, seed):
+        op = NEWTON_INSTANCES[name]
+        assert op.route is ops._newton_route
+        lam = 10.0**log_lam
+        x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(op.dim)
+        outcomes = []
+        for solve in (_parent_newton_route, ops.resolvent):
+            warm = _warm_start(solve, op, lam * warm_ratio, x, start)
+            try:
+                outcomes.append(solve(op, lam, x, warm))
+            except InnerSolverDiverged as exc:
+                outcomes.append(exc)
+        want, got = outcomes
+        if isinstance(want, InnerSolverDiverged):
+            assert isinstance(got, InnerSolverDiverged)
+            assert (str(got), got.residual, got.iterations) == (str(want), want.residual, want.iterations)
+            return
+        assert got.iterations == want.iterations
+        assert got.step == want.step and got.residual == want.residual
+        for a, b in zip((got.y, got.v) + got.state, (want.y, want.v) + want.state):
+            assert a.tobytes() == b.tobytes()
+
+    def test_point_maps_match_single_value_and_jacobian(self):
+        rng = np.random.default_rng(53)
+        ops_ = [op for op, _ in ROUTE_INSTANCES.values()]
+        ops_.append(ops.OperatorSpec(dim=4, affine=ops.AffinePart(np.eye(4), np.ones(4)), poly=ops.PolyPart([0.0, 1.0, 0.0, 2.0])))
+        ops_.append(ops.OperatorSpec(dim=4, poly=ops.PolyPart([0.0, 1.0, 0.0, 2.0]), radial=ops.RadialPart(0.3)))
+        ops_.append(ops.OperatorSpec(dim=4, affine=ops.AffinePart(np.eye(4), np.ones(4)), radial=ops.RadialPart(0.3)))
+        for op in ops_:
+            points = [np.zeros(op.dim), -np.zeros(op.dim)] + [10.0 ** rng.uniform(-3, 2) * rng.standard_normal(op.dim) for _ in range(20)]
+            for z in points:
+                assert op.value(z).tobytes() == ops.single_value(op, z).tobytes()
+                assert op.jacobian(z).tobytes() == ops.single_jacobian(op, z).tobytes()
+        lone = ops.make_affine([[1.0, 2.0], [-2.0, 0.5]], [0.5, -1.0])
+        assert lone.jacobian(np.ones(2)) is lone.affine.matrix
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_INSTANCES))
+    def test_pickles_and_copies_with_its_evaluators(self, name):
+        op = NEWTON_INSTANCES[name]
+        x = np.linspace(-1.0, 1.5, op.dim)
+        want = ops.resolvent(op, 0.7, x)
+        for twin in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+            assert twin.route is op.route and type(twin.domain) is type(op.domain)
+            got = ops.resolvent(twin, 0.7, x)
+            assert got.y.tobytes() == want.y.tobytes() and got.v.tobytes() == want.v.tobytes()
 
 class TestCertificateReadLate:
     """A Resolvent's v, step ||y - x|| and residual ||lam*v + y - x||,
@@ -1395,6 +1487,18 @@ class TestBallConeBitIdentity:
         assert ops.cone_residual(cone, x, g) == 5.0
         assert op.domain.jacobian(0.5, np.eye(2), x)[1] is None
         assert ops.domain_project(op, x).tobytes() == x.tobytes()
+
+    def test_nan_residual_is_not_a_certificate(self):
+        # g . g - inner^2 is inf - inf at an overflowed g, NaN at a NaN x:
+        # the residual reads NaN there, never the 0.0 of a stationary point.
+        cone = ops.BallCone([0.0, 0.0], 1.0)
+        on_sphere = np.array([1.0, 0.0])
+        assert math.isnan(ops.cone_residual(cone, on_sphere, [-np.inf, 1.0]))
+        assert math.isnan(ops.cone_residual(cone, [np.nan, 0.0], [-1.0, 1.0]))
+        stack = cone.residual(np.array([on_sphere, on_sphere]), np.array([[-np.inf, 1.0], [-3.0, 4.0]]))
+        assert math.isnan(stack[0]) and stack[1] == 4.0
+        # A finite g normal to the sphere inward still cancels exactly.
+        assert ops.cone_residual(cone, on_sphere, [-2.0, 0.0]) == 0.0
 
 
 class TestTaylorSurrogate:
