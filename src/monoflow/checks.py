@@ -245,7 +245,7 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
             s = lam * step_norm ** (tcfg.p - 1)
             m_win.extend((s - wlo + 1e-12, whi - s + 1e-12))
 
-        anchor = ops.domain_project(op, x)
+        anchor = op.domain.project(x)
         fy = ops.single_value(op, y)
         ty = ops.TaylorSurrogate(op, anchor, tcfg.p).value(y)
         u = v - fy + ty

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import operators as ops
 from . import problems
 from .errors import ConfigError
 from .feedback import FeedbackParams
@@ -221,7 +220,7 @@ class ExperimentConfig:
         if isinstance(self.x0, dict):
             rng = np.random.default_rng(self.seed)
             raw = rng.standard_normal(problem.operator.dim) * self.x0["random_scale"]
-            return ops.domain_project(problem.operator, raw)
+            return problem.operator.domain.project(raw)
         return np.asarray(self.x0, dtype=float)
 
 

@@ -16,10 +16,10 @@ v are formed.
 A solve rules out stationarity with the resolvent at its first lam where it
 can (rules_out_stationarity): ||x - J_lam(x)|| / lam <= ||A°(x)||, so a
 displacement well above STATIONARITY_TOL * lam spares min_norm_residual.
-law_gradient differentiates the law by the implicit-function theorem, and
-law_slope gives the same g_lam with g_x . f along a direction f, as
-floats: the flow integrates lam' = -g_x . x' / g_lam from it, one adjoint
-solve per evaluation on the resolvent's exit state.
+law_slope differentiates the law by the implicit-function theorem and
+gives g_lam and g_x . f along a direction f, as floats: the flow
+integrates lam' = -g_x . x' / g_lam from it, one adjoint solve per
+evaluation on the resolvent's exit state.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "STATIONARITY_TOL",
     "AE_TOL",
     "law_band",
-    "law_gradient",
     "law_slope",
     "rules_out_stationarity",
     "scaled_displacement",
@@ -125,40 +124,21 @@ def _adjoint(op, lam, x, r, p, e):
     return d, lam * (p - 1) * d ** (p - 3), ops._solve(n.T, pe), fy
 
 
-def law_gradient(op, lam, x, r, p):
-    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at r, the Resolvent of x at lam.
+def law_slope(op, lam, x, r, p, f):
+    """(g_lam, g_x . f), two floats, for the gradient of g(lam, x) = lam *
+    ||x - J_lam(x)||^(p-1) at r, the Resolvent of x at lam, along f = r.y - x.
 
     y = r.y = P(w) with w = x - lam*F(y) the root of the normal map, whose
     Jacobian in w is N = I + lam*JF(y)*DP(w) (op.domain.jacobian, the
     Newton kernel's).  The implicit-function theorem gives dy/dlam =
-    -DP N^-1 F(y) and (dy/dx)^T e = N^-T DP e; DP is symmetric.  Both
-    parts read the one adjoint solve z = N^-T DP u, u = x - y: g_x is
-    c (u - z) and g_lam is d^(p-1) + c (z . F(y)), since DP u . N^-1 F(y)
-    equals z . F(y).  At a kink of P it is the one-sided gradient on the
-    branch N takes there.  d = ||x - y|| is r.step; the exit w and F(y)
-    are read from r.state when the Newton route left one, and JF(y) comes
-    from op.jacobian, so none is formed again.  At y = x, where d^(p-3)
-    has no value for p = 2, both parts come back NaN; for p >= 3 they are
-    0 there.  For p = 1, g = lam: (1, 0).
-    """
-    x = np.asarray(x, dtype=float)
-    if p == 1:
-        return 1.0, np.zeros(x.shape)
-    u = x - r.y
-    if r.step == 0.0 and p < 3:
-        return math.nan, np.full(x.shape, math.nan)
-    d, c, z, fy = _adjoint(op, lam, x, r, p, u)
-    return d ** (p - 1) + c * float(z @ fy), c * (u - z)
-
-
-def law_slope(op, lam, x, r, p, f):
-    """(g_lam, g_x . f) of law_gradient at r, the Resolvent of x at lam,
-    with f = r.y - x, as two floats and without forming g_x.
-
-    The flow reads lam' = -g_x . f / g_lam from it.  The adjoint solve is
-    made on f = -u, so its z is law_gradient's -z to the bit, g_lam has
-    law_gradient's bits, and g_x . f is -c (f - z) . f.  For p >= 2 only;
-    at y = x with p = 2 both come back NaN, as in law_gradient.
+    -DP N^-1 F(y) and (dy/dx)^T e = N^-T DP e; DP is symmetric.  With u =
+    x - y, d = ||u|| and c = lam (p-1) d^(p-3), g_x = c (u - z) and g_lam =
+    d^(p-1) + c (z . F(y)) for the adjoint solve z = N^-T DP u.  Made on f
+    = -u instead, its z is -z to the bit, so g_lam = d^(p-1) - c (z . F(y))
+    and g_x . f = -c (f - z) . f, with no vector g_x formed.  At a kink of
+    P it is the one-sided gradient on the branch N takes there.  The flow
+    reads lam' = -g_x . f / g_lam from it.  For p >= 2 only; at y = x with
+    p = 2, where d^(p-3) has no value, both come back NaN.
     """
     if r.step == 0.0 and p < 3:
         return math.nan, math.nan

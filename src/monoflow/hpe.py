@@ -287,7 +287,7 @@ def check_discrete_lemmas(records, problem, cfg):
         from .metrics import gap
 
         try:
-            sup_sq = ops.domain_sup_dist_sq(problem.operator, records[0].x_prev)
+            sup_sq = problem.operator.domain.sup_dist_sq(records[0].x_prev)
             margins = []
             num = np.zeros_like(records[0].y)
             for r, ls in zip(records, lam_sum):

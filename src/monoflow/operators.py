@@ -20,12 +20,12 @@ edges, and an OperatorSpec its domain, its resolvent route (projection
 only, affine solve, separable polynomial, radial, or Newton on the normal
 map) and point evaluators of F and JF, which the Newton route hands the
 kernel on every solve.  The domain, a BoxCone, a BallCone or the whole
-space, owns the operations on dom(A), each for a point or an (n, d)
-stack; domain_project and its siblings are one-point entry points to
-them.  Every route but the polynomial one raises InnerSolverDiverged when
-it misses the residual bound.  Polynomials are evaluated by _horner and differentiated by
-_polyder, which give the bits of numpy.polynomial.polynomial's polyval (on
-floats and on arrays alike) and polyder without importing it.
+space, owns the operations on dom(A) (op.domain.project, contains,
+residual, ...), each for a float point or an (n, d) stack.  Every route
+but the polynomial one raises InnerSolverDiverged when it misses the
+residual bound.  Polynomials are evaluated by _horner and differentiated
+by _polyder, which give the bits of numpy.polynomial.polynomial's polyval
+(on floats and on arrays alike) and polyder without importing it.
 
 Every dense linear solve (the Newton step, the affine closed form, and the
 active-set polish of metrics.gap) goes through _solve.  It calls the LAPACK
@@ -60,11 +60,6 @@ __all__ = [
     "single_value",
     "single_jacobian",
     "norm",
-    "domain_project",
-    "domain_contains",
-    "domain_sup_dist_sq",
-    "cone_residual",
-    "in_interior",
     "min_norm_residual",
     "normal_map_newton",
     "resolvent",
@@ -243,9 +238,10 @@ def _matvec(m, x):
 # * jf @ DP the normal map's Jacobian at w, jf F's at P(w), DP P's at w (None
 # for the identity, a 0/1 vector for a box, a symmetric matrix for a ball;
 # at a kink a box bound counts as active, the sphere as inactive);
-# sup_dist_sq(x0); for metrics.gap, support(c) = sup <c, z>, midpoint() and
-# random_point(rng).  project, contains, interior, residual and support take
-# a point or an (n, d) stack, each row with the one-point call's bits.
+# sup_dist_sq(x0) = sup ||z - x0||^2 over a bounded domain; for metrics.gap,
+# support(c) = sup <c, z>, midpoint() and random_point(rng).  Each takes float
+# arrays: project, contains, interior, residual and support a point or an
+# (n, d) stack, each row with the one-point call's bits.
 
 
 class _WholeSpace:
@@ -378,12 +374,13 @@ class BallCone:
         nr = norm(rad)
         if nr < self.radius * (1.0 - BOUNDARY_ATOL):
             return norm(g)
-        inner = float(g @ (rad / nr))  # nr > 0: radius > 0 keeps the center interior
+        u = rad / nr  # nr > 0: radius > 0 keeps the center interior
+        inner = float(g @ u)
         if inner >= 0:
             return norm(g)
-        tangent_sq = float(g @ g) - inner * inner
-        # max(0.0, nan) is 0.0, which would certify stationarity: keep the NaN.
-        return tangent_sq if math.isnan(tangent_sq) else float(np.sqrt(max(0.0, tangent_sq)))
+        # The tangent part, formed without cancellation; an infinite or NaN g
+        # certifies nothing (and inner * u would form inf * 0): keep a NaN.
+        return norm(g - inner * u) if math.isfinite(inner) else math.nan
 
     def interior(self, x):
         return _norms(x - self.center) < self.radius * (1.0 - BOUNDARY_ATOL)
@@ -433,8 +430,7 @@ class OperatorSpec:
     resolvent solve (op, lam, x, warm) -> Resolvent; and value and
     jacobian, F and JF at a 1-D float point, with the bits of single_value
     and single_jacobian there.  The Newton route hands them to
-    normal_map_newton, and the law gradient (feedback.law_gradient and
-    law_slope) reads JF through them.
+    normal_map_newton, and feedback.law_slope reads JF through them.
     """
 
     dim: int
@@ -509,29 +505,6 @@ def single_jacobian(op, x):
         t = op.radial.weight * (float(x @ x) * _eye(op.dim) + 2.0 * np.outer(x, x))
         out = t if out is None else out + t
     return np.zeros((op.dim, op.dim)) if out is None else out
-
-
-def domain_project(op, x):
-    return op.domain.project(np.asarray(x, dtype=float))
-
-
-def domain_contains(op, x, atol=BOUNDARY_ATOL):
-    return bool(op.domain.contains(np.asarray(x, dtype=float), atol))
-
-
-def domain_sup_dist_sq(op, x0):
-    """sup_{z in dom(A)} ||z - x0||^2 for bounded domains."""
-    return op.domain.sup_dist_sq(np.asarray(x0, dtype=float))
-
-
-def cone_residual(cone, x, g):
-    """min_{n in N_cone(x)} ||g + n||; x assumed in the domain."""
-    return (_WHOLE_SPACE if cone is None else cone).residual(np.asarray(x, dtype=float), np.asarray(g, dtype=float))
-
-
-def in_interior(op, x):
-    """x lies in dom(A) past the boundary tolerance, where min_norm_residual is ||F(x)||."""
-    return bool(op.domain.interior(np.asarray(x, dtype=float)))
 
 
 def min_norm_residual(op, x):

@@ -164,8 +164,8 @@ def validate_instance(problem, seed=0):
 
     margins = []
     for _ in range(samples):
-        a = ops.domain_project(op, rng.standard_normal(op.dim) * 2.0)
-        b = ops.domain_project(op, rng.standard_normal(op.dim) * 2.0)
+        a = op.domain.project(rng.standard_normal(op.dim) * 2.0)
+        b = op.domain.project(rng.standard_normal(op.dim) * 2.0)
         margins.append(float((ops.single_value(op, a) - ops.single_value(op, b)) @ (a - b)) + 1e-10)
     rep.add("operator monotone on sampled pairs", *worst(margins))
 
@@ -173,7 +173,7 @@ def validate_instance(problem, seed=0):
         eb = problem.error_bound
         margins = []
         for _ in range(samples):
-            x = ops.domain_project(op, sol.point + rng.standard_normal(op.dim) * 0.05)
+            x = op.domain.project(sol.point + rng.standard_normal(op.dim) * 0.05)
             res = ops.min_norm_residual(op, x)
             # Outside the bound's region; a NaN residue is kept, and fails.
             if np.isinf(res) or res > eb.delta:

@@ -133,17 +133,19 @@ def _unsolvable_bound(sur, x, lam, sigma_hat):
     if sur.p != 3 or op.cone is not None or op.affine is not None:
         return None
     if op.poly is not None and op.radial is None:
-        c = x - sur.anchor
-        # R_i = qa h_i^2 + qb h_i + qc: |R_i| > sigma_hat |h_i - c_i| for
-        # all h_i when both R_i -+ sigma_hat (h_i - c_i) have no real root.
-        d0, d1, d2 = (lam * v for v in sur.ders)
-        qa, qb, qc = 0.5 * d2, 1.0 + d1, d0 - c
-        mag = (1.0 + np.abs(d1) + sigma_hat) ** 2 + 4.0 * np.abs(qa) * (np.abs(d0) + 2.0 * np.abs(c))
-        for s in (sigma_hat, -sigma_hat):
-            if not np.all(_disc_gap(qa, qb - s, qc + s * c, mag) > 0.0):
+        # R_i = qa h_i^2 + qb h_i + qc: |R_i| > sigma_hat |h_i - c_i| for all h_i
+        # when both R_i -+ sigma_hat (h_i - c_i) have no real root; then min |R_i|
+        # = -disc_i / (4 |qa_i|), and ||R|| >= max_i |R_i|.  Scalar floats: dim is 1 to 4.
+        bound = -math.inf
+        for ci, *ders in zip((x - sur.anchor).tolist(), *(v.tolist() for v in sur.ders)):
+            d0, d1, d2 = (lam * v for v in ders)
+            qa, qb, qc = 0.5 * d2, 1.0 + d1, d0 - ci
+            t = 1.0 + abs(d1) + sigma_hat
+            mag = t * t + 4.0 * abs(qa) * (abs(d0) + 2.0 * abs(ci))
+            if any(not _disc_gap(qa, qb - s, qc + s * ci, mag) > 0.0 for s in (sigma_hat, -sigma_hat)):
                 return None
-        # min |R_i| = -disc_i / (4 |qa_i|), and ||R|| >= max_i |R_i|.
-        return float(np.max(_disc_gap(qa, qb, qc, mag) / (4.0 * np.abs(qa))))
+            bound = max(bound, _disc_gap(qa, qb, qc, mag) / (4.0 * abs(qa)))
+        return float(bound)
     if op.radial is not None and op.poly is None and np.array_equal(x, sur.anchor):
         # With h = t*a + s*e, e a unit vector orthogonal to a, S = s^2/A and
         # mu = lam*weight*A: ||R||^2/A = (q(t) + mu S)^2 + S (1 + mu + 2 mu t)^2
@@ -224,7 +226,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     op = problem.operator
     p = cfg.p
     x = np.asarray(x, dtype=float)
-    anchor = ops.domain_project(op, x)
+    anchor = op.domain.project(x)
     if p >= 2:
         res = ops.min_norm_residual(op, x) if residual is None else residual
         if res <= STATIONARITY_TOL:

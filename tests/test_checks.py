@@ -38,7 +38,7 @@ def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters, seed):
         if tcfg.p >= 2:
             m_win = min(m_win, s - wlo + 1e-12, whi - s + 1e-12)
 
-        anchor = ops.domain_project(op, x)
+        anchor = op.domain.project(x)
         fy = ops.single_value(op, y)
         ty = ops.TaylorSurrogate(op, anchor, tcfg.p).value(y)
         u = v - fy + ty

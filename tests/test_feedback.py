@@ -16,7 +16,6 @@ from monoflow.feedback import (
     STATIONARITY_TOL,
     FeedbackParams,
     law_band,
-    law_gradient,
     rules_out_stationarity,
     scaled_displacement,
     solve_lambda,
@@ -293,7 +292,7 @@ class TestStationarityCertificate:
             for _ in range(300):
                 x = sol + 10.0 ** rng.uniform(-15, 0) * rng.standard_normal(op.dim)
                 if op.cone is not None and rng.random() < 0.3:
-                    x = ops.domain_project(op, x)  # onto the boundary where it left the domain
+                    x = op.domain.project(x)  # onto the boundary where it left the domain
                 lam = float(10.0 ** rng.uniform(-4, 4))
                 r = ops.resolvent(op, lam, x)
                 certified = rules_out_stationarity(op, lam, x, r)
@@ -305,8 +304,25 @@ class TestStationarityCertificate:
         assert fired > missed > 0
 
 
+def law_gradient(op, lam, x, r, p):
+    """Gradient (g_lam, g_x) of g(lam, x) = lam * ||x - J_lam(x)||^(p-1) at
+    r, the Resolvent of x at lam, from feedback._adjoint made on u = x - y:
+    g_x = c (u - z) and g_lam = d^(p-1) + c (z . F(y)).  feedback.law_slope
+    reads g_lam and g_x . f from the same solve made on f = -u.  For p = 1,
+    g = lam: (1, 0); at y = x with p = 2 both parts come back NaN."""
+    x = np.asarray(x, dtype=float)
+    if p == 1:
+        return 1.0, np.zeros(x.shape)
+    u = x - r.y
+    if r.step == 0.0 and p < 3:
+        return math.nan, np.full(x.shape, math.nan)
+    d, c, z, fy = feedback._adjoint(op, lam, x, r, p, u)
+    return d ** (p - 1) + c * float(z @ fy), c * (u - z)
+
+
 class TestLawGradient:
-    """law_gradient against central differences of the law and the
+    """The implicit-function gradient that feedback.law_slope evaluates
+    (law_gradient above) against central differences of the law and the
     sandwich 1 <= lam * g_lam / g <= p, on every resolvent route."""
 
     BOX = ops.BoxCone(-np.ones(3), np.ones(3))
@@ -621,7 +637,7 @@ class _EagerLawCurve:
             r = self.entry(lam)[2]
         except InnerSolverDiverged:
             return False
-        if not ops.in_interior(self.op, self.x):
+        if not self.op.domain.interior(self.x):
             return False
         slack = r.residual + feedback._ROUNDING * (ops.norm(self.x) + ops.norm(r.y))
         return (ops.norm(self.x - r.y) - slack) / lam > STATIONARITY_TOL

@@ -8,7 +8,7 @@ from monoflow import operators as ops
 from monoflow import problems
 from monoflow import feedback, flow
 from monoflow.errors import StationaryPoint
-from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, law_gradient, solve_law
+from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, solve_law
 from monoflow.flow import (
     FLOW_AE_TOL,
     FlowState,
@@ -17,6 +17,7 @@ from monoflow.flow import (
     integrate,
     law_margin,
 )
+from test_feedback import law_gradient  # the gradient law_slope evaluates, as a vector
 
 IDENTITY_PROBLEM = problems.make_strongly_monotone_affine(d=1, mu=1.0)
 SADDLE = problems.make_bilinear_saddle(d=2)
@@ -298,8 +299,8 @@ class TestLamRate:
     )
     def test_stage_rate_matches_law_gradient(self, monkeypatch, problem, theta, x0):
         # Each evaluation's lam' = -g_x . f / g_lam, read as a scalar, is the
-        # one law_gradient's vector gives at the same resolvent, with the
-        # same g_lam.
+        # one the test-local law_gradient's vector gives at the same
+        # resolvent, with the same g_lam.
         seen, real = [], flow.law_slope
 
         def spy(op, lam, x, r, p, f):

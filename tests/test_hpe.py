@@ -289,3 +289,33 @@ class TestLemmaAuditFailsOnNaN:
             "residual bound min sqrt(lam)||v||",
         ):
             assert verdicts[name] is False, name
+
+
+class TestWorkCounts:
+    # The first 200 iterations of the p = 2 exact-HPE gate (10-d saddle,
+    # theta = 1.5e-3, x0 = 0.7 * 1): one law solve per iteration, the
+    # resolvents inside it and the oracle's re-solve, and their Newton
+    # iterations.
+    COUNTS = {"law solves": 200, "resolvents": 1689, "newton iterations": 1207}
+
+    def test_gate_iterations(self, monkeypatch):
+        problem = problems.make_bilinear_saddle(d=10)
+        cfg = HpeConfig(sigma=0.0, theta=1.5e-3, p=2, max_iters=200, stop_res=0.0)
+        counts = dict.fromkeys(self.COUNTS, 0)
+        real_resolvent, real_solve = ops.resolvent, hpe.solve_lambda
+
+        def resolvent(*args, **kwargs):
+            r = real_resolvent(*args, **kwargs)
+            counts["resolvents"] += 1
+            counts["newton iterations"] += r.iterations
+            return r
+
+        def solve(*args, **kwargs):
+            counts["law solves"] += 1
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "resolvent", resolvent)
+        monkeypatch.setattr(hpe, "solve_lambda", solve)
+        res = run(problem, ExactProxOracle(problem, cfg), cfg, np.full(10, 0.7))
+        assert res.status == "MAX_ITERS" and len(res.records) == 200
+        assert counts == self.COUNTS

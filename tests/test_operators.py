@@ -1,6 +1,8 @@
 import collections
 import copy
 import dataclasses
+import decimal
+import functools
 import math
 import pickle
 from fractions import Fraction
@@ -95,10 +97,10 @@ class TestValueAndJacobian:
 class TestDomain:
     def test_box_project_and_contains(self):
         op = make_box_affine()
-        y = ops.domain_project(op, np.array([2.0, -3.0, 0.5, 1.0]))
+        y = op.domain.project(np.array([2.0, -3.0, 0.5, 1.0]))
         assert np.allclose(y, [1.0, -1.0, 0.5, 1.0])
-        assert ops.domain_contains(op, y)
-        assert not ops.domain_contains(op, [1.1, 0.0, 0.0, 0.0])
+        assert op.domain.contains(y)
+        assert not op.domain.contains(np.asarray([1.1, 0.0, 0.0, 0.0]))
 
     def test_ball_project(self):
         op = ops.OperatorSpec(
@@ -106,13 +108,13 @@ class TestDomain:
             affine=ops.AffinePart(np.zeros((2, 2)), np.zeros(2)),
             cone=ops.BallCone(np.zeros(2), 1.0),
         )
-        assert np.allclose(ops.domain_project(op, [3.0, 4.0]), [0.6, 0.8])
+        assert np.allclose(op.domain.project(np.asarray([3.0, 4.0])), [0.6, 0.8])
 
     def test_box_sup_dist_sq_hits_far_corner(self):
         cone = ops.BoxCone(-np.ones(2), np.ones(2))
         op = ops.make_affine(np.zeros((2, 2)), cone=cone)
         # Farthest corner from (0.3, -0.2) is (-1, 1).
-        assert ops.domain_sup_dist_sq(op, [0.3, -0.2]) == pytest.approx(1.3**2 + 1.2**2)
+        assert op.domain.sup_dist_sq(np.asarray([0.3, -0.2])) == pytest.approx(1.3**2 + 1.2**2)
 
     def test_ball_sup_dist_sq(self):
         op = ops.OperatorSpec(
@@ -120,7 +122,7 @@ class TestDomain:
             affine=ops.AffinePart(np.zeros((2, 2)), np.zeros(2)),
             cone=ops.BallCone(np.zeros(2), 2.0),
         )
-        assert ops.domain_sup_dist_sq(op, [1.0, 0.0]) == pytest.approx(9.0)
+        assert op.domain.sup_dist_sq(np.asarray([1.0, 0.0])) == pytest.approx(9.0)
 
 
 class TestResolvent:
@@ -404,7 +406,7 @@ def _ref_dispatch(op, lam, x, warm):
     x = np.asarray(x, dtype=float)
     single_parts = sum(p is not None for p in (op.affine, op.poly, op.radial))
     if single_parts == 0:
-        y = ops.domain_project(op, x)
+        y = op.domain.project(x)
         return _RefResolvent(y=y, v=(x - y) / lam, residual=0.0, iterations=0)
     if op.affine is not None and single_parts == 1 and op.cone is None:
         m, q = op.affine.matrix, op.affine.offset
@@ -707,7 +709,7 @@ class TestKernelBitIdentity:
         except InnerSolverDiverged:
             return
         w0, y0, fy0 = state
-        assert y0.tobytes() == ops.domain_project(op, w0).tobytes()
+        assert y0.tobytes() == op.domain.project(w0).tobytes()
         assert fy0.tobytes() == ops.single_value(op, y0).tobytes()
         want = _ref_resolvent(op, lam, x, w0)
         if isinstance(want, InnerSolverDiverged):
@@ -1060,7 +1062,7 @@ def _ref_enlargement_check(op, x, v, eps, witness_count=64, seed=0):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     rng = np.random.default_rng(seed)
-    scale_hint = 1.0 + float(np.linalg.norm(v)) + float(np.linalg.norm(ops.single_value(op, ops.domain_project(op, x))))
+    scale_hint = 1.0 + float(np.linalg.norm(v)) + float(np.linalg.norm(ops.single_value(op, op.domain.project(x))))
     worst = np.inf
     ok = True
     for _ in range(witness_count):
@@ -1261,18 +1263,23 @@ def _ref_domain_sup_dist_sq(op, x0):
 def _ref_cone_residual(cone, x, g):
     if cone is None:
         return ops.norm(g)
-    if isinstance(cone, ops.BoxCone):
-        cancel = ((x >= cone.upper_in) & (g < 0)) | ((x <= cone.lower_in) & (g > 0))
-        return ops.norm(np.where(cancel, 0.0, g))
-    rad = x - cone.center
-    nr = ops.norm(rad)
-    if nr < cone.radius * (1.0 - ops.BOUNDARY_ATOL):
-        return ops.norm(g)
-    u = rad / nr if nr > 0 else np.zeros_like(x)
-    inner = float(g @ u)
-    if inner >= 0:
-        return ops.norm(g)
-    return float(np.sqrt(max(0.0, float(g @ g) - inner * inner)))
+    cancel = ((x >= cone.upper_in) & (g < 0)) | ((x <= cone.lower_in) & (g > 0))
+    return ops.norm(np.where(cancel, 0.0, g))
+
+
+def _exact_ball_residual(cone, x, g):
+    """BallCone.residual(x, g) at 50 digits, on the branch its float test of
+    ||x - center|| against the boundary tolerance takes: x - center, its
+    squared norm and g . (x - center) exact as fractions, the root in
+    decimal.  The tangent part is sqrt(g.g - (g.r)^2 / r.r), r = x - center."""
+    r = [Fraction(a) - Fraction(c) for a, c in zip(x.tolist(), cone.center.tolist())]
+    gf = [Fraction(v) for v in g.tolist()]
+    gg, gr = sum(v * v for v in gf), sum(a * b for a, b in zip(gf, r))
+    sq = gg
+    if ops.norm(x - cone.center) >= cone.radius * (1.0 - ops.BOUNDARY_ATOL) and gr < 0:
+        sq -= gr * gr / sum(v * v for v in r)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        return float((decimal.Decimal(sq.numerator) / decimal.Decimal(sq.denominator)).sqrt())
 
 
 def _ref_in_interior(op, x):
@@ -1305,30 +1312,39 @@ def _bits(a):
 
 def _check_domain_against_reference(op, xs, gs, lam, jf):
     """Every operation of op.domain, on each row of the stack xs (with the
-    same row of gs) and on the whole stack, against the reference copies."""
+    same row of gs) and on the whole stack, against the reference copies;
+    the ball's residual within 1e-14 ||g|| of the exact one."""
     dom, cone = op.domain, op.cone
+    ball = isinstance(cone, ops.BallCone)
     for x, g in zip(xs, gs):
-        assert _bits(ops.domain_project(op, x)) == _bits(_ref_domain_project(op, x))
+        assert _bits(dom.project(x)) == _bits(_ref_domain_project(op, x))
         for atol in (ops.BOUNDARY_ATOL, 1e-9):
-            assert ops.domain_contains(op, x, atol=atol) is _ref_domain_contains(op, x, atol)
+            assert bool(dom.contains(x, atol)) is _ref_domain_contains(op, x, atol)
         if _ref_domain_contains(op, x):  # residual is defined on the domain
-            got, want = ops.cone_residual(cone, x, g), _ref_cone_residual(cone, x, g)
-            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert ops.in_interior(op, x) is _ref_in_interior(op, x)
+            got = dom.residual(x, g)
+            assert type(got) is float
+            if ball:
+                # The floor: g . g underflows when every |g_i| < sqrt(tiny).
+                floor = math.sqrt(g.size * np.finfo(float).tiny)
+                assert abs(got - _exact_ball_residual(cone, x, g)) <= 1e-14 * ops.norm(g) + floor
+            else:
+                assert np.float64(got).tobytes() == np.float64(_ref_cone_residual(cone, x, g)).tobytes()
+        assert bool(dom.interior(x)) is _ref_in_interior(op, x)
         n, dp = dom.jacobian(lam, jf, x)
         want_n, want_dp = _ref_normal_map_jacobian(cone, lam, jf, x)
         assert (_bits(n), _bits(dp)) == (_bits(want_n), _bits(want_dp))
         if cone is None:
             with pytest.raises(ValueError, match="domain is unbounded"):
-                ops.domain_sup_dist_sq(op, x)
+                dom.sup_dist_sq(x)
         else:
-            assert np.float64(ops.domain_sup_dist_sq(op, x)).tobytes() == np.float64(_ref_domain_sup_dist_sq(op, x)).tobytes()
+            assert np.float64(dom.sup_dist_sq(x)).tobytes() == np.float64(_ref_domain_sup_dist_sq(op, x)).tobytes()
     assert _bits(dom.project(xs)) == _bits(np.array([_ref_domain_project(op, x) for x in xs]).reshape(xs.shape))
     for atol in (ops.BOUNDARY_ATOL, 1e-9):
         assert _bits(dom.contains(xs, atol)) == _bits(np.array([_ref_domain_contains(op, x, atol) for x in xs]))
     assert _bits(dom.interior(xs)) == _bits(np.array([_ref_in_interior(op, x) for x in xs]))
     inside = np.array([_ref_domain_contains(op, x) for x in xs], dtype=bool)
-    want = np.array([_ref_cone_residual(cone, x, g) for x, g in zip(xs[inside], gs[inside])], dtype=float)
+    row = dom.residual if ball else functools.partial(_ref_cone_residual, cone)  # the ball's rows: checked above
+    want = np.array([row(x, g) for x, g in zip(xs[inside], gs[inside])], dtype=float)
     assert _bits(dom.residual(xs[inside], gs[inside])) == _bits(want)
 
 
@@ -1379,8 +1395,8 @@ class TestBoxConeBitIdentity:
         op = ops.make_affine(np.eye(len(x)), cone=cone)
         assert np.array_equal(cone.scale, 1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
         for atol in (ops.BOUNDARY_ATOL, 1e-9):
-            assert ops.domain_contains(op, x, atol=atol) is _ref_box_contains(cone, x, atol)
-        got = ops.cone_residual(cone, x, g)
+            assert bool(op.domain.contains(x, atol)) is _ref_box_contains(cone, x, atol)
+        got = cone.residual(x, g)
         assert np.float64(got).tobytes() == np.float64(_ref_box_residual(cone, x, g)).tobytes()
 
     @settings(max_examples=300)
@@ -1456,7 +1472,8 @@ def _ball_points(draw):
 
 class TestBallConeBitIdentity:
     """The ball's operations and the whole space's give the bits of the
-    per-call dispatch they replace, on one point and on a stack."""
+    per-call dispatch they replace, on one point and on a stack; the ball's
+    residual comes within 1e-14 ||g|| of the exact one instead."""
 
     @settings(max_examples=300)
     @given(_ball_points(), st.sampled_from([1e-3, 0.7, 30.0]), st.integers(0, 2**16))
@@ -1483,22 +1500,40 @@ class TestBallConeBitIdentity:
         cone = ops.BallCone([1.0, -2.0], 1e-6)
         op = ops.make_affine(np.eye(2), cone=cone)
         x, g = cone.center.copy(), np.array([3.0, -4.0])
-        assert ops.in_interior(op, x)
-        assert ops.cone_residual(cone, x, g) == 5.0
+        assert op.domain.interior(x)
+        assert cone.residual(x, g) == 5.0
         assert op.domain.jacobian(0.5, np.eye(2), x)[1] is None
-        assert ops.domain_project(op, x).tobytes() == x.tobytes()
+        assert op.domain.project(x).tobytes() == x.tobytes()
 
     def test_nan_residual_is_not_a_certificate(self):
-        # g . g - inner^2 is inf - inf at an overflowed g, NaN at a NaN x:
-        # the residual reads NaN there, never the 0.0 of a stationary point.
+        # inner = g . u is -inf at an overflowed g and NaN at a NaN x: the
+        # residual reads NaN there, never the 0.0 of a stationary point.
         cone = ops.BallCone([0.0, 0.0], 1.0)
         on_sphere = np.array([1.0, 0.0])
-        assert math.isnan(ops.cone_residual(cone, on_sphere, [-np.inf, 1.0]))
-        assert math.isnan(ops.cone_residual(cone, [np.nan, 0.0], [-1.0, 1.0]))
+        assert math.isnan(cone.residual(on_sphere, np.asarray([-np.inf, 1.0])))
+        assert math.isnan(cone.residual(np.asarray([np.nan, 0.0]), np.asarray([-1.0, 1.0])))
         stack = cone.residual(np.array([on_sphere, on_sphere]), np.array([[-np.inf, 1.0], [-3.0, 4.0]]))
         assert math.isnan(stack[0]) and stack[1] == 4.0
         # A finite g normal to the sphere inward still cancels exactly.
-        assert ops.cone_residual(cone, on_sphere, [-2.0, 0.0]) == 0.0
+        assert cone.residual(on_sphere, np.asarray([-2.0, 0.0])) == 0.0
+
+
+class TestBallResidualCancellation:
+    def test_inward_normal_sweep(self):
+        # g along the inward normal at points on spheres (d 2 to 10, random
+        # center, radius e^-2 to e^2): the tangent part is at rounding level,
+        # where sqrt(g.g - inner^2) read up to 2.7e-8 ||g|| on these draws.
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(2000):
+            d = int(rng.integers(2, 11))
+            cone = ops.BallCone(rng.standard_normal(d), math.exp(rng.uniform(-2.0, 2.0)))
+            u = rng.standard_normal(d)
+            u /= ops.norm(u)
+            x = cone.center + cone.radius * u
+            g = -math.exp(rng.uniform(-3.0, 3.0)) * u
+            worst = max(worst, abs(cone.residual(x, g) - _exact_ball_residual(cone, x, g)) / ops.norm(g))
+        assert worst <= 1e-14
 
 
 class TestTaylorSurrogate:
@@ -1769,6 +1804,18 @@ def _exact_quadratic_gap(a, b, c):
     return 4 * a * c - b * b
 
 
+def _ref_poly_unsolvable_bound(sur, x, lam, sigma_hat):
+    """tensor._unsolvable_bound's polynomial branch as it stood on numpy arrays."""
+    c = x - sur.anchor
+    d0, d1, d2 = (lam * v for v in sur.ders)
+    qa, qb, qc = 0.5 * d2, 1.0 + d1, d0 - c
+    mag = (1.0 + np.abs(d1) + sigma_hat) ** 2 + 4.0 * np.abs(qa) * (np.abs(d0) + 2.0 * np.abs(c))
+    for s in (sigma_hat, -sigma_hat):
+        if not np.all(tensor._disc_gap(qa, qb - s, qc + s * c, mag) > 0.0):
+            return None
+    return float(np.max(tensor._disc_gap(qa, qb, qc, mag) / (4.0 * np.abs(qa))))
+
+
 class TestUnsolvableCertificate:
     """Soundness of tensor._unsolvable_bound: whenever it fires, the exact
     discriminants are negative, no sampled point meets the stop rule, and
@@ -1785,7 +1832,7 @@ class TestUnsolvableCertificate:
         sig = Fraction(sigma_hat)
         lam = Fraction(lam)
         if op.poly is not None:
-            best = Fraction(0)
+            best, want, scale = Fraction(0), None, Fraction(0)
             for i in range(op.dim):
                 d0, d1, d2 = (lam * Fraction(float(v[i])) for v in sur.ders)
                 c = Fraction(float(x[i])) - Fraction(float(sur.anchor[i]))
@@ -1793,8 +1840,15 @@ class TestUnsolvableCertificate:
                 for s in (sig, -sig):
                     assert _exact_quadratic_gap(qa, qb - s, qc + s * c) > 0
                 best = max(best, _exact_quadratic_gap(qa, qb, qc) / (4 * abs(qa)))
+                mag = (1 + abs(d1) + sig) ** 2 + 4 * abs(qa) * (abs(d0) + 2 * abs(c))
+                cut = (_exact_quadratic_gap(qa, qb, qc) - Fraction(tensor.CERT_TOL) * mag) / (4 * abs(qa))
+                want = cut if want is None else max(want, cut)
+                scale = max(scale, mag / (4 * abs(qa)))
             assert Fraction(bound) <= best
             assert best > Fraction(floor)
+            # Tight too: the largest coordinate's bound less its CERT_TOL * mag
+            # margin, up to the rounding of the float terms (a few ulps of mag).
+            assert abs(Fraction(bound) - want) <= 16 * Fraction(2.0**-52) * scale
         else:
             assert np.array_equal(x, sur.anchor)  # the radial reduction assumes c = 0
             aa = sum(Fraction(float(v)) ** 2 for v in sur.anchor)
@@ -1846,6 +1900,8 @@ class TestUnsolvableCertificate:
                 sur = ops.TaylorSurrogate(op, anchor, 3)
                 floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
                 bound = tensor._unsolvable_bound(sur, x, lam, sigma_hat)
+                if op.poly is not None:  # the numpy form's float, or None, to the bit
+                    assert repr(bound) == repr(_ref_poly_unsolvable_bound(sur, x, lam, sigma_hat))
                 if bound is None or not bound > floor:
                     continue
                 fired[name] += 1

@@ -39,7 +39,7 @@ def _ref_window_search(problem, x, cfg, hint=None, warm=None):
     Trial solves go through tensor.surrogate_resolvent."""
     op, p = problem.operator, cfg.p
     x = np.asarray(x, dtype=float)
-    sur = ops.TaylorSurrogate(op, ops.domain_project(op, x), p)
+    sur = ops.TaylorSurrogate(op, op.domain.project(x), p)
     wlo, whi = cfg.window
 
     def fold(lam, y, u, state):
