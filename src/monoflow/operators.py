@@ -15,12 +15,12 @@ solve error.  normal_map_newton is the one Newton kernel: the resolvent's
 Newton route runs it on F, and the tensor oracle on a TaylorSurrogate of F.
 
 What depends on the operator alone is computed once, when it is built: a
-PolyPart keeps its derivative chain, a BoxCone its boundary tolerance
-edges, and an OperatorSpec its domain, its resolvent route (projection
-only, affine solve, separable polynomial, radial, or Newton on the normal
-map) and point evaluators of F and JF, which the Newton route hands the
-kernel on every solve.  The domain, a BoxCone, a BallCone or the whole
-space, owns the operations on dom(A) (op.domain.project, contains,
+PolyPart keeps its derivative chain, a BoxCone or a BallCone its boundary
+tolerance edges, and an OperatorSpec its domain, its resolvent route
+(projection only, affine solve, separable polynomial, radial, or Newton on
+the normal map) and point evaluators of F and JF, which the Newton route
+hands the kernel on every solve.  The domain, a BoxCone, a BallCone or the
+whole space, owns the operations on dom(A) (op.domain.project, contains,
 residual, ...), each for a float point or an (n, d) stack.  Every route
 but the polynomial one raises InnerSolverDiverged when it misses the
 residual bound.  Polynomials are evaluated by _horner and differentiated
@@ -45,7 +45,6 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InnerSolverDiverged
-from .report import worst
 
 __all__ = [
     "AffinePart",
@@ -65,7 +64,6 @@ __all__ = [
     "resolvent",
     "cold_state",
     "TaylorSurrogate",
-    "enlargement_check",
 ]
 
 AFFINE_EIG_TOL = -1e-10
@@ -342,10 +340,18 @@ class BoxCone:
 
 @dataclass(frozen=True)
 class BallCone:
-    """||x - center|| <= radius, with a finite center and a finite radius > 0."""
+    """||x - center|| <= radius, scale = 1 + ||center|| + radius, with a finite
+    center and a finite radius > BOUNDARY_ATOL * scale.  A projection meets the
+    sphere only to the rounding of center, so, as a BoxCone's, the stored
+    tolerance edges at BOUNDARY_ATOL * scale scale with both: x lies in the
+    ball when ||x - center|| <= radius_out, on its boundary when >= radius_in.
+    """
 
     center: np.ndarray
     radius: float
+    scale: float = field(init=False, repr=False, compare=False)
+    radius_out: float = field(init=False, repr=False, compare=False)
+    radius_in: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = _readonly(self.center)
@@ -353,7 +359,13 @@ class BallCone:
             raise ValueError("ball center must be a finite vector")
         if not 0 < self.radius < math.inf:
             raise ValueError("ball radius must be positive and finite")
-        object.__setattr__(self, "center", c)
+        scale = 1.0 + norm(c) + self.radius
+        edge = BOUNDARY_ATOL * scale
+        if not self.radius > edge:
+            raise ValueError("ball radius must exceed its boundary tolerance")
+        stored = dict(center=c, scale=scale, radius_out=self.radius + edge, radius_in=self.radius - edge)
+        for name, a in stored.items():
+            object.__setattr__(self, name, a)
 
     def project(self, x):
         if x.ndim == 2:
@@ -365,16 +377,17 @@ class BallCone:
         return self.center + (self.radius / nr) * r
 
     def contains(self, x, atol=BOUNDARY_ATOL):
-        return _norms(x - self.center) <= self.radius * (1.0 + atol)
+        edge = self.radius_out if atol == BOUNDARY_ATOL else self.radius + atol * self.scale
+        return _norms(x - self.center) <= edge
 
     def residual(self, x, g):
         if x.ndim == 2:
             return np.array([self.residual(r, gr) for r, gr in zip(x, g)], dtype=float)
         rad = x - self.center
         nr = norm(rad)
-        if nr < self.radius * (1.0 - BOUNDARY_ATOL):
+        if nr < self.radius_in:
             return norm(g)
-        u = rad / nr  # nr > 0: radius > 0 keeps the center interior
+        u = rad / nr  # nr > 0: radius_in > 0 keeps the center interior
         inner = float(g @ u)
         if inner >= 0:
             return norm(g)
@@ -383,7 +396,7 @@ class BallCone:
         return norm(g - inner * u) if math.isfinite(inner) else math.nan
 
     def interior(self, x):
-        return _norms(x - self.center) < self.radius * (1.0 - BOUNDARY_ATOL)
+        return _norms(x - self.center) < self.radius_in
 
     def jacobian(self, lam, jf, w):
         eye = _eye(w.size)
@@ -892,58 +905,3 @@ class TaylorSurrogate:
                 term = op.radial.weight * jac
                 out = term + 0.0 if out is None else out + term
         return np.zeros((op.dim, op.dim)) if out is None else out
-
-
-def _sample_domain_member(op, x, rng, scale_hint):
-    """Draw (x_tilde, v_tilde) with v_tilde in A(x_tilde)."""
-    c = op.cone
-    d = op.dim
-    if c is None:
-        xt = x + rng.standard_normal(d) * (1.0 + 0.5 * float(np.linalg.norm(x)))
-        return xt, single_value(op, xt)
-    if isinstance(c, BoxCone):
-        xt = c.lower + (c.upper - c.lower) * rng.random(d)
-        n = np.zeros(d)
-        if rng.random() < 0.4:
-            mask = rng.random(d) < 0.5
-            hi_side = rng.random(d) < 0.5
-            xt = np.where(mask, np.where(hi_side, c.upper, c.lower), xt)
-            mag = np.abs(rng.standard_normal(d)) * scale_hint
-            n = np.where(mask, np.where(hi_side, mag, -mag), 0.0)
-        return xt, single_value(op, xt) + n
-    u = rng.standard_normal(d)
-    u /= max(float(np.linalg.norm(u)), 1e-300)
-    xt = c.center + c.radius * rng.random() ** (1.0 / d) * u
-    n = np.zeros(d)
-    if rng.random() < 0.4:
-        xt = c.center + c.radius * u
-        n = abs(rng.standard_normal()) * scale_hint * u
-    return xt, single_value(op, xt) + n
-
-
-def enlargement_check(op, x, v, eps, witness_count=64, seed=0):
-    """Sampled necessary condition for v in the eps-enlargement of A at x.
-
-    Draws witness_count pairs (x_tilde, v_tilde) from the graph of A,
-    deterministic in seed, and tests <x - x_tilde, v - v_tilde> >= -eps up
-    to a small relative slack.  A True answer is not a certificate (no
-    finite one exists); a False answer exhibits a violating witness.
-
-    Returns (ok, worst_margin) with worst_margin = min inner product + eps,
-    folded by report.worst; a NaN inner product fails both.
-    """
-    # Contiguous, so that norm() matches np.linalg.norm on strided input too.
-    x = np.ascontiguousarray(x, dtype=float)
-    v = np.ascontiguousarray(v, dtype=float)
-    rng = np.random.default_rng(seed)
-    scale_hint = 1.0 + norm(v) + norm(single_value(op, op.domain.project(x)))
-    margins = []
-    ok = True
-    for _ in range(witness_count):
-        xt, vt = _sample_domain_member(op, x, rng, scale_hint)
-        inner = float((x - xt) @ (v - vt))
-        margins.append(inner + eps)
-        slack = 1e-10 * (1.0 + norm(x - xt) * norm(v - vt))
-        if not inner >= -eps - slack:
-            ok = False
-    return ok, worst(margins)[0]

@@ -303,6 +303,37 @@ class TestConfigRejection:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("HPE_EXACT", lambda c: c.pop("horizon"), "config is missing required keys ['horizon']"),
+            ("HPE_EXACT", lambda c: c["params"].update(theta="0.1"), "params.theta must be a number"),
+            ("HPE_EXACT", lambda c: c["horizon"].update(max_iters=2.5), "horizon.max_iters must be an integer"),
+            ("HPE_EXACT", lambda c: c["problem"].update(name=3), "problem.name must be a string"),
+            ("HPE_EXACT", lambda c: c["problem"].update(params=[2]), "problem.params must be a mapping"),
+            ("FLOW", lambda c: c["horizon"].pop("h"), "FLOW horizon needs T and h"),
+            ("HPE_EXACT", lambda c: c["horizon"].clear(), "HPE_EXACT horizon needs max_iters"),
+            ("TENSOR", lambda c: c["horizon"].clear(), "TENSOR horizon needs max_iters"),
+            ("HPE_EXACT", lambda c: c.update(x0={"random_scale": 0.0}), "x0.random_scale must be > 0"),
+            ("HPE_EXACT", lambda c: c.update(x0=[]), "x0 must not be empty"),
+            ("HPE_EXACT", lambda c: c.update(x0="0.7"), 'x0 must be a coordinate list or {"random_scale": s}'),
+            ("HPE_EXACT", lambda c: c.update(out=3), "out must be a string path"),
+        ],
+        ids=[
+            "missing key", "non-number", "non-integer", "problem name", "problem params", "flow horizon",
+            "hpe horizon", "tensor horizon", "random scale", "empty x0", "x0 type", "out type",
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, mode, edit, message):
+        out = tmp_path / "x.csv"
+        payload = flow_payload(out, T=1.0) if mode == "FLOW" else hpe_payload(out)
+        if mode == "TENSOR":
+            payload.update(mode="TENSOR", params={"sigma_hat": 0.05, "sigma_l": 0.3, "sigma_u": 0.7, "L": 1.0, "p": 2})
+        edit(payload)
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_usage_error_exits_two(self, capsys):
         assert cli.main(["run"]) == 2
         capsys.readouterr()

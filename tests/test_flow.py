@@ -7,7 +7,7 @@ import pytest
 from monoflow import operators as ops
 from monoflow import problems
 from monoflow import feedback, flow
-from monoflow.errors import StationaryPoint
+from monoflow.errors import StationaryPoint, StepRejected
 from monoflow.feedback import AE_TOL, STATIONARITY_TOL, FeedbackParams, law_band, solve_law
 from monoflow.flow import (
     FLOW_AE_TOL,
@@ -351,6 +351,27 @@ class TestStops:
         traj = integrate(SADDLE, [0.7, 0.4], params, T=0.1, h=0.01)
         assert (traj.status, traj.stop, len(traj)) == ("STATIONARY", rule, 3)
         assert traj.states[-1].t == 0.02
+
+    def test_step_off_the_law_is_rejected(self, monkeypatch):
+        # The law solve at the end point of step 3 returns lam 1.5 times its
+        # root: that state misses the law by half of theta, so the step is
+        # rejected with its time and the law residual beyond the band.
+        params, calls, real = FeedbackParams(0.1, 2), [], flow.solve_law
+
+        def solve(op, x, params, **kw):
+            lam, r, band = real(op, x, params, **kw)
+            calls.append((1.5 * lam, r.step, band))
+            if len(calls) == 4:
+                lam = 1.5 * lam
+            return lam, r, band
+
+        monkeypatch.setattr(flow, "solve_law", solve)
+        with pytest.raises(StepRejected, match="beyond its certified band at t=0.03$") as exc:
+            integrate(SADDLE, [0.7, 0.4], params, T=0.1, h=0.01)
+        assert exc.value.t == 0.03
+        excess = FLOW_AE_TOL - law_margin(*calls[3], params)
+        assert exc.value.residual == excess * params.theta
+        assert exc.value.residual == pytest.approx(0.5 * params.theta, rel=1e-6)
 
 
 class TestWorkCounts:

@@ -159,6 +159,17 @@ class TestRun:
         last = res.records[-1].x_next
         assert ops.min_norm_residual(prob.operator, last) <= 1e-6
 
+    def test_solved_when_the_last_budgeted_step_meets_the_residual(self):
+        # The final iterate is tested once more after the budget runs out:
+        # a run whose last step lands within stop_res is SOLVED.
+        prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
+        cfg = HpeConfig(sigma=0.0, theta=0.5, p=1, max_iters=500, stop_res=1e-6)
+        n = len(run(prob, ExactProxOracle(prob, cfg), cfg, np.array([1.0, 1.0])).records)
+        for iters, status in ((n, "SOLVED"), (n - 1, "MAX_ITERS")):
+            cfg = HpeConfig(sigma=0.0, theta=0.5, p=1, max_iters=iters, stop_res=1e-6)
+            res = run(prob, ExactProxOracle(prob, cfg), cfg, np.array([1.0, 1.0]))
+            assert (res.status, len(res.records)) == (status, iters)
+
     def test_zero_budget(self):
         cfg = saddle_config(iters=0)
         res = run(SADDLE, ExactProxOracle(SADDLE, cfg), cfg, np.array([0.7, 0.7]))

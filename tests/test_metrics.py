@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monoflow import checks, metrics, problems
+from monoflow import checks, cli, metrics, problems
 from monoflow import operators as ops
 from monoflow.errors import (
     DomainUnbounded,
@@ -422,3 +422,41 @@ class TestBallGap:
         assert len(inside) >= 4
         for x in inside:
             assert np.isfinite(gap(problem, x))
+
+
+class TestUncertifiedAscent:
+    """The ascent can end where its KKT test fails; the gap then raises
+    instead of returning an uncertified value, and a run's gap column turns
+    off from that row."""
+
+    @staticmethod
+    def _instance():
+        # Seeded draw 59 of a rank-one PSD plus skew M over the unit box at
+        # d = 3; the ascent fails its KKT test at its third point.
+        rng = np.random.default_rng(59)
+        b = rng.standard_normal((3, 1))
+        s = rng.standard_normal((3, 3))
+        m, q = b @ b.T + (s - s.T), rng.standard_normal(3)
+        problem = problems.ProblemInstance(
+            name="rank-one monotone + box",
+            operator=ops.make_affine(m, q, cone=ops.BoxCone(-np.ones(3), np.ones(3))),
+            solution_set=problems.SolutionSet("UNKNOWN"),
+            error_bound=None,
+        )
+        return problem, rng.uniform(-1.0, 1.0, size=(3, 3))
+
+    def test_point_and_stack_raise(self):
+        problem, pts = self._instance()
+        for x in pts[:2]:
+            assert np.isfinite(gap(problem, x))
+        for x in (pts[2], pts):
+            with pytest.raises(UnsupportedMetric, match="^gap maximization uncertified: KKT residual"):
+                gap(problem, x)
+
+    def test_run_gap_column_turns_off_at_that_row(self):
+        problem, pts = self._instance()
+        num, den = np.vstack([pts, 0.5 * pts[:1]]), np.ones(4)
+        gaps, off = cli._ergodic_gaps(problem, num, den)
+        assert gaps[:2] == [gap(problem, pts[0]), gap(problem, pts[1])]
+        assert np.isnan(gaps[2:]).all() and np.isfinite(gap(problem, num[3]))
+        assert off.startswith("gap maximization uncertified: KKT residual")

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monoflow import feedback, metrics, problems, tensor
+from monoflow import checks, feedback, metrics, problems, tensor
 from monoflow import operators as ops
 from monoflow.errors import InnerSolverDiverged
-from monoflow.hpe import run
+from monoflow.hpe import ExactProxOracle, HpeConfig, run, verify_step
+from monoflow.report import CheckReport, worst
 from monoflow.tensor import TensorConfig, TensorOracle, surrogate_resolvent
 
 
@@ -255,12 +256,24 @@ class TestNewtonFailures:
 
 
     @pytest.mark.xfail(strict=True, raises=InnerSolverDiverged, reason="affine + box Newton has no globalisation")
-    def test_affine_box_large_lam_stall(self):
-        # Bilinear saddle at d = 4: the damped Newton stalls at residual
-        # 2.253e3.  A globally convergent affine + box route turns this green.
-        op = problems.make_bilinear_saddle(d=4).operator
-        x = np.array([2.504, -0.309, 3.283, -1.598])
-        r = ops.resolvent(op, 1580.69, x)
+    @pytest.mark.parametrize(
+        "d, lam, x",
+        [
+            (4, 1580.69, [2.504, -0.309, 3.283, -1.598]),
+            # The stalls that FAIL `check --suite FEEDBACK` at seeds
+            # 1385176604 and 1819789398.
+            (2, 26.443858112896248, [-0.798185709492968, 1.6533876275933117]),
+            (2, 28.602189190884285, [0.9370911473279101, -1.609600875803956]),
+        ],
+        ids=["d4", "d2-feedback-1385176604", "d2-feedback-1819789398"],
+    )
+    def test_affine_box_large_lam_stall(self, d, lam, x):
+        # Bilinear saddle: the damped Newton stalls (at residual 2.253e3,
+        # 3.194e1 and 3.665e1).  A globally convergent affine + box route
+        # turns these green.
+        op = problems.make_bilinear_saddle(d=d).operator
+        x = np.array(x)
+        r = ops.resolvent(op, lam, x)
         assert r.residual <= ops.RESOLVENT_TOL * max(1.0, float(np.linalg.norm(r.y - x)))
 
 
@@ -1057,26 +1070,6 @@ class TestCertificateReadLate:
             self._check(r, 0.7, kept, route)
 
 
-def _ref_enlargement_check(op, x, v, eps, witness_count=64, seed=0):
-    # The check as it was, with np.linalg.norm and an if-fold.
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rng = np.random.default_rng(seed)
-    scale_hint = 1.0 + float(np.linalg.norm(v)) + float(np.linalg.norm(ops.single_value(op, op.domain.project(x))))
-    worst = np.inf
-    ok = True
-    for _ in range(witness_count):
-        xt, vt = ops._sample_domain_member(op, x, rng, scale_hint)
-        inner = float((x - xt) @ (v - vt))
-        margin = inner + eps
-        if margin < worst:
-            worst = margin
-        slack = 1e-10 * (1.0 + float(np.linalg.norm(x - xt)) * float(np.linalg.norm(v - vt)))
-        if inner < -eps - slack:
-            ok = False
-    return ok, worst
-
-
 def _enlargement_instances():
     return [
         ("box-affine", make_box_affine(seed=3)),
@@ -1137,24 +1130,51 @@ class TestResidualAndEnlargement:
     @pytest.mark.parametrize("name,op", _enlargement_instances())
     @pytest.mark.parametrize("strided", [False, True])
     def test_enlargement_check_matches_reference(self, name, op, strided):
-        # Bit for bit, strided caller arrays included; the contiguous copy
-        # inside the check is what keeps ops.norm exact on them.
+        # The exact membership audit that replaced the sampled enlargement
+        # check, on the instances and random (y, v) that pinned it, half of
+        # them with y projected onto the domain: -inf outside it, else the
+        # tolerance less the domain residual of F(y) - v, bit for bit
+        # against the box and whole-space copies and within 1e-14 ||g|| of
+        # the ball's exact residual.  Strided caller arrays give the bits
+        # of their contiguous copies.
         rng = np.random.default_rng(5)
         for k in range(40):
             scale = 10.0 ** rng.uniform(-6, 6)
-            xs, vs = rng.standard_normal(8) * scale, rng.standard_normal(8) * scale
-            x, v = (xs[::2], vs[1::2]) if strided else (xs[:4].copy(), vs[:4].copy())
-            eps = float(rng.choice([0.0, 1e-3 * scale]))
-            got = ops.enlargement_check(op, x, v, eps, witness_count=16, seed=k)
-            want = _ref_enlargement_check(op, x, v, eps, witness_count=16, seed=k)
-            assert got[0] == want[0]
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            ys, vs = rng.standard_normal(8) * scale, rng.standard_normal(8) * scale
+            if k % 2:
+                ys[::2] = op.domain.project(ys[::2].copy())
+            y, v = (ys[::2], vs[1::2]) if strided else (ys[::2].copy(), vs[1::2].copy())
+            got = checks._membership_margin(op, y, v)
+            y, v = y.copy(), v.copy()
+            assert np.float64(got).tobytes() == np.float64(checks._membership_margin(op, y, v)).tobytes()
+            inside = _ref_domain_contains(op, y)
+            if inside is None:  # within rounding of a ball's edge
+                continue
+            if not inside:
+                assert got == -math.inf
+                continue
+            fy = ops.single_value(op, y)
+            g = fy - v
+            tol = 1e-12 * (1.0 + float(np.linalg.norm(v)) + float(np.linalg.norm(fy)))
+            if isinstance(op.cone, ops.BallCone):
+                assert abs(got - (tol - _exact_ball_residual(op.cone, y, g))) <= 1e-14 * ops.norm(g) + 1e-16 * tol
+            else:
+                assert np.float64(got).tobytes() == np.float64(tol - _ref_cone_residual(op.cone, y, g)).tobytes()
 
-    def test_enlargement_check_fails_on_nan(self):
+    def test_nan_direction_or_point_outside_fails(self):
         op = make_box_affine(seed=23)
-        v = np.array([0.1, np.nan, 0.0, 0.0])
-        ok, margin = ops.enlargement_check(op, np.zeros(4), v, eps=0.0, witness_count=8, seed=1)
-        assert not ok and np.isnan(margin)
+        r = ops.resolvent(op, 1.2, np.array([1.0, 2.0, -1.5, 0.2]))
+        nan_v = r.v.copy()
+        nan_v[1] = np.nan
+        assert math.isnan(checks._membership_margin(op, r.y, nan_v))
+        assert checks._membership_margin(op, np.array([2.0, 0.0, 0.0, 0.0]), r.v) == -math.inf
+        assert checks._membership_margin(op, np.array([np.nan, 0.0, 0.0, 0.0]), r.v) == -math.inf
+        # One bad step fails the line that folds every step's margin.
+        for bad in ((r.y, nan_v), (r.y + 1.0, r.v)):
+            rep = CheckReport()
+            rep.add("output direction lies in A(y)", *worst(checks._membership_margin(op, *p) for p in ((r.y, r.v), bad)))
+            assert [o.passed for o in rep.outcomes] == [False]
+        assert checks._membership_margin(op, r.y, r.v) >= 0.0
 
     def test_radial_closed_form_on_strided_input(self):
         op = ops.OperatorSpec(dim=4, radial=ops.RadialPart(1.0))
@@ -1168,12 +1188,38 @@ class TestResidualAndEnlargement:
             r = ops._radial_root(1.0, lam, s)
             assert got.y.tobytes() == ((r / s) * big[::2]).tobytes()
 
-    def test_exact_pair_passes_enlargement(self):
-        op = make_box_affine(seed=23)
-        r = ops.resolvent(op, 1.2, np.array([1.0, 2.0, -1.5, 0.2]))
-        ok, margin = ops.enlargement_check(op, r.y, r.v, eps=0.0, witness_count=64, seed=1)
-        assert ok
-        assert margin >= -1e-12
+    @settings(max_examples=300)
+    @given(
+        name=st.sampled_from(sorted(ROUTE_INSTANCES)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_exact_pairs_lie_in_A_y(self, name, log_lam, log_scale, seed):
+        # Every route builds v in A(y) exactly, so the audit passes up to
+        # the rounding of v - F(y) and of a projection onto a ball.
+        op, _ = ROUTE_INSTANCES[name]
+        x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(op.dim)
+        try:
+            r = ops.resolvent(op, 10.0**log_lam, x)
+        except InnerSolverDiverged:
+            return
+        assert checks._membership_margin(op, r.y, r.v) >= 0.0
+
+    def test_perturbed_pair_passes_verify_step_only(self):
+        # The first exact step of the 10-d saddle gate from 0.7 * 1, with v
+        # moved so that ||lam*v + y - x|| = 9.0e-5: verify_step's absolute
+        # 1e-8 slack passes it, the membership audit does not.
+        prob = problems.make_bilinear_saddle(10)
+        cfg = HpeConfig(0.0, 1.5e-3, 2, 1)
+        x = np.full(10, 0.7)
+        lam, y, v, eps = ExactProxOracle(prob, cfg)(x)
+        assert checks._membership_margin(prob.operator, y, v) >= 0.0
+        moved = v + 9.0e-5 / lam * (np.ones(10) / math.sqrt(10.0))
+        assert ops.norm(lam * moved + y - x) == pytest.approx(9.0e-5, rel=1e-9)
+        cert = verify_step(cfg, x, lam, y, moved, eps)
+        assert 0.0 <= cert.relative_error_slack < 1e-8 and cert.large_step_slack >= 0.0
+        assert checks._membership_margin(prob.operator, y, moved) < -1e-3
 
 
 def _ref_box_contains(cone, x, atol=ops.BOUNDARY_ATOL):
@@ -1246,7 +1292,7 @@ def _ref_domain_contains(op, x, atol=ops.BOUNDARY_ATOL):
         else:
             lo, hi = c.lower - atol * c.scale, c.upper + atol * c.scale
         return bool((x >= lo).all() and (x <= hi).all())
-    return ops.norm(x - c.center) <= c.radius * (1.0 + atol)
+    return _exact_ball_verdict(c, x, c.radius + atol * _ball_scale(c))
 
 
 def _ref_domain_sup_dist_sq(op, x0):
@@ -1258,6 +1304,24 @@ def _ref_domain_sup_dist_sq(op, x0):
     if isinstance(c, ops.BallCone):
         return (ops.norm(x0 - c.center) + c.radius) ** 2
     raise ValueError("domain is unbounded")
+
+
+def _ball_scale(cone):
+    return 1.0 + ops.norm(cone.center) + cone.radius
+
+
+def _exact_ball_verdict(cone, x, edge):
+    """Whether ||x - center|| < edge, in exact arithmetic, or None where
+    the float distance may round to either side of edge: its square lies
+    within (d + 3) * 2^-52 relative of the exact one."""
+    d2 = sum((Fraction(a) - Fraction(c)) ** 2 for a, c in zip(x.tolist(), cone.center.tolist()))
+    e2 = Fraction(edge) ** 2
+    band = Fraction(x.size + 3, 2**52)
+    if d2 < e2 * (1 - band):
+        return True
+    if d2 > e2 * (1 + band):
+        return False
+    return None
 
 
 def _ref_cone_residual(cone, x, g):
@@ -1276,7 +1340,7 @@ def _exact_ball_residual(cone, x, g):
     gf = [Fraction(v) for v in g.tolist()]
     gg, gr = sum(v * v for v in gf), sum(a * b for a, b in zip(gf, r))
     sq = gg
-    if ops.norm(x - cone.center) >= cone.radius * (1.0 - ops.BOUNDARY_ATOL) and gr < 0:
+    if ops.norm(x - cone.center) >= cone.radius_in and gr < 0:
         sq -= gr * gr / sum(v * v for v in r)
     with decimal.localcontext(decimal.Context(prec=50)):
         return float((decimal.Decimal(sq.numerator) / decimal.Decimal(sq.denominator)).sqrt())
@@ -1288,7 +1352,7 @@ def _ref_in_interior(op, x):
         return True
     if isinstance(c, ops.BoxCone):
         return bool((x > c.lower_in).all() and (x < c.upper_in).all())
-    return ops.norm(x - c.center) < c.radius * (1.0 - ops.BOUNDARY_ATOL)
+    return _exact_ball_verdict(c, x, c.radius - ops.BOUNDARY_ATOL * _ball_scale(c))
 
 
 def _ref_normal_map_jacobian(cone, lam, jf, w):
@@ -1313,14 +1377,17 @@ def _bits(a):
 def _check_domain_against_reference(op, xs, gs, lam, jf):
     """Every operation of op.domain, on each row of the stack xs (with the
     same row of gs) and on the whole stack, against the reference copies;
-    the ball's residual within 1e-14 ||g|| of the exact one."""
+    the ball's membership and interior against its edges in exact
+    arithmetic, outside the rounding of the distance, and its residual
+    within 1e-14 ||g|| of the exact one."""
     dom, cone = op.domain, op.cone
     ball = isinstance(cone, ops.BallCone)
     for x, g in zip(xs, gs):
         assert _bits(dom.project(x)) == _bits(_ref_domain_project(op, x))
         for atol in (ops.BOUNDARY_ATOL, 1e-9):
-            assert bool(dom.contains(x, atol)) is _ref_domain_contains(op, x, atol)
-        if _ref_domain_contains(op, x):  # residual is defined on the domain
+            want = _ref_domain_contains(op, x, atol)
+            assert want is None or bool(dom.contains(x, atol)) is want
+        if dom.contains(x):  # residual is defined on the domain
             got = dom.residual(x, g)
             assert type(got) is float
             if ball:
@@ -1329,7 +1396,8 @@ def _check_domain_against_reference(op, xs, gs, lam, jf):
                 assert abs(got - _exact_ball_residual(cone, x, g)) <= 1e-14 * ops.norm(g) + floor
             else:
                 assert np.float64(got).tobytes() == np.float64(_ref_cone_residual(cone, x, g)).tobytes()
-        assert bool(dom.interior(x)) is _ref_in_interior(op, x)
+        want = _ref_in_interior(op, x)
+        assert want is None or bool(dom.interior(x)) is want
         n, dp = dom.jacobian(lam, jf, x)
         want_n, want_dp = _ref_normal_map_jacobian(cone, lam, jf, x)
         assert (_bits(n), _bits(dp)) == (_bits(want_n), _bits(want_dp))
@@ -1339,11 +1407,14 @@ def _check_domain_against_reference(op, xs, gs, lam, jf):
         else:
             assert np.float64(dom.sup_dist_sq(x)).tobytes() == np.float64(_ref_domain_sup_dist_sq(op, x)).tobytes()
     assert _bits(dom.project(xs)) == _bits(np.array([_ref_domain_project(op, x) for x in xs]).reshape(xs.shape))
+    # A ball stack's rows are compared with the one-point calls, checked above.
+    contains = dom.contains if ball else functools.partial(_ref_domain_contains, op)
+    interior = dom.interior if ball else functools.partial(_ref_in_interior, op)
     for atol in (ops.BOUNDARY_ATOL, 1e-9):
-        assert _bits(dom.contains(xs, atol)) == _bits(np.array([_ref_domain_contains(op, x, atol) for x in xs]))
-    assert _bits(dom.interior(xs)) == _bits(np.array([_ref_in_interior(op, x) for x in xs]))
-    inside = np.array([_ref_domain_contains(op, x) for x in xs], dtype=bool)
-    row = dom.residual if ball else functools.partial(_ref_cone_residual, cone)  # the ball's rows: checked above
+        assert _bits(dom.contains(xs, atol)) == _bits(np.array([bool(contains(x, atol)) for x in xs]))
+    assert _bits(dom.interior(xs)) == _bits(np.array([bool(interior(x)) for x in xs]))
+    inside = np.array([bool(contains(x)) for x in xs], dtype=bool)
+    row = dom.residual if ball else functools.partial(_ref_cone_residual, cone)
     want = np.array([row(x, g) for x, g in zip(xs[inside], gs[inside])], dtype=float)
     assert _bits(dom.residual(xs[inside], gs[inside])) == _bits(want)
 
@@ -1441,9 +1512,10 @@ def _ball_points(draw):
     mag = st.floats(-1e3, 1e3, allow_subnormal=False)
     center = np.array(draw(st.lists(mag, min_size=d, max_size=d)))
     radius = draw(st.sampled_from([1e-6, 0.5, 1.0, 37.0, 2e3]))
-    factors = [
-        0.0, 0.5, 1.0,
-        1.0 - ops.BOUNDARY_ATOL, 1.0 + ops.BOUNDARY_ATOL, 1.0 + 1e-9, 2.0,
+    scale = 1.0 + float(np.linalg.norm(center)) + radius
+    dists = [
+        0.0, 0.5 * radius, radius,
+        radius - ops.BOUNDARY_ATOL * scale, radius + ops.BOUNDARY_ATOL * scale, radius + 1e-9 * scale, 2.0 * radius,
     ]
     unit = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=d, max_size=d)
     xs, gs = [], []
@@ -1451,7 +1523,7 @@ def _ball_points(draw):
         u = np.array(draw(unit))
         nu = float(np.linalg.norm(u))
         u = u / nu if nu > 1e-3 else np.eye(d)[0]
-        x = center + radius * draw(st.sampled_from(factors)) * u
+        x = center + draw(st.sampled_from(dists)) * u
         nudge = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d))
         for i, step in enumerate(nudge):
             if step:
@@ -1471,9 +1543,11 @@ def _ball_points(draw):
 
 
 class TestBallConeBitIdentity:
-    """The ball's operations and the whole space's give the bits of the
-    per-call dispatch they replace, on one point and on a stack; the ball's
-    residual comes within 1e-14 ||g|| of the exact one instead."""
+    """The whole space's operations give the bits of the per-call dispatch
+    they replace, on one point and on a stack, and so do the ball's
+    projection, Jacobian and sup_dist_sq; its membership and interior agree
+    with its edges in exact arithmetic, and its residual comes within
+    1e-14 ||g|| of the exact one."""
 
     @settings(max_examples=300)
     @given(_ball_points(), st.sampled_from([1e-3, 0.7, 30.0]), st.integers(0, 2**16))
@@ -1516,6 +1590,55 @@ class TestBallConeBitIdentity:
         assert math.isnan(stack[0]) and stack[1] == 4.0
         # A finite g normal to the sphere inward still cancels exactly.
         assert cone.residual(on_sphere, np.asarray([-2.0, 0.0])) == 0.0
+
+
+class TestBallEdges:
+    """The ball's tolerance edges scale with 1 + ||center|| + radius, as a
+    box's do with its bounds: a projection lands on the sphere only to
+    within the rounding of the center."""
+
+    @settings(max_examples=100)
+    @given(_ball_points())
+    def test_stored_edges(self, case):
+        cone, _, _ = case
+        scale = _ball_scale(cone)
+        assert cone.scale == scale
+        assert cone.radius_out == cone.radius + ops.BOUNDARY_ATOL * scale
+        assert cone.radius_in == cone.radius - ops.BOUNDARY_ATOL * scale
+
+    def test_projection_far_from_the_origin(self):
+        # At the edge radius * (1 + BOUNDARY_ATOL) the ball had before, this
+        # projection lay 1.46e-12 outside: contains was False, the residual inf.
+        cone = ops.BallCone([3e4, -4e4], 1.0)
+        y = cone.project(np.array([3e4 + 3.0, -4e4 + 4.0]))
+        assert cone.contains(y)
+        assert math.isfinite(ops.min_norm_residual(ops.make_affine(np.eye(2), cone=cone), y))
+
+    def test_projections_lie_in_the_ball(self):
+        # Center norm 1 to 1e8, radius 1e-3 to 10, d 1 to 5, points outside
+        # the ball: the projection overshoots the sphere by at most a few
+        # ulps of scale (523 of these draws fell outside the edge
+        # radius * (1 + BOUNDARY_ATOL) the ball had before).
+        rng = np.random.default_rng(28)
+        worst = 0.0
+        for _ in range(2000):
+            d = int(rng.integers(1, 6))
+            u = rng.standard_normal(d)
+            center = 10.0 ** rng.uniform(0.0, 8.0) * u / ops.norm(u)
+            cone = ops.BallCone(center, 10.0 ** rng.uniform(-3.0, 1.0))
+            w = rng.standard_normal(d)
+            y = cone.project(center + cone.radius * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0)) * w / ops.norm(w))
+            assert cone.contains(y)
+            op = ops.make_affine(np.eye(d), cone=cone)
+            assert math.isfinite(ops.min_norm_residual(op, y))
+            worst = max(worst, (ops.norm(y - center) - cone.radius) / cone.scale)
+        assert worst <= 1e-15
+
+    def test_rejects_a_radius_inside_its_tolerance(self):
+        # Such a ball has no interior at the tolerance: not even its center.
+        with pytest.raises(ValueError, match="ball radius must exceed its boundary tolerance"):
+            ops.BallCone([1e6, 0.0], 1e-7)
+        assert ops.BallCone([1e6, 0.0], 1e-5).interior(np.array([1e6, 0.0]))
 
 
 class TestBallResidualCancellation:
