@@ -3,15 +3,17 @@
 Every suite takes one integer seed and returns a CheckReport with one
 outcome per invariant; the HPE and TENSOR suites audit fixed runs and do
 not read it.  Suites share no state and each is deterministic given its
-seed.  They run one after another: they are Python-bound, so a thread
-pool only makes them wait for the GIL.  Margins are oriented so that
-larger is safer; report.worst folds each invariant's margins, and an
-outcome passes exactly when its margin is >= 0.
+seed, so run_suites can run them on worker processes forked from the
+caller and return the same reports as one after another; they are
+Python-bound, so threads would only wait for the GIL.  Margins are
+oriented so that larger is safer; report.worst folds each invariant's
+margins, and an outcome passes exactly when its margin is >= 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -448,19 +450,29 @@ def run_suites(names, seed=0, max_workers=1):
 
     A suite that raises MonoflowError reports one failing outcome, and the
     other suites still run.  By default the suites run one after another
-    on the calling thread.  max_workers > 1 runs them on a pool of up to
-    that many threads; suites are independent and each is deterministic,
-    so the result does not depend on scheduling, but the GIL keeps a pool
-    from being faster.
+    in the calling process.  max_workers > 1 runs them on up to that many
+    worker processes (at most one per suite), forked from the caller so
+    that each starts from its modules and state without importing again;
+    each report comes back pickled, equal to the serial run's.  Where the
+    platform cannot fork, the suites run serially.  The pool is left, and
+    every worker joined, before this returns.  fork copies only the calling
+    thread, so a caller running threads of its own keeps max_workers at 1.
     """
     names = list(names)
     for n in names:
         if n not in SUITES:
             raise KeyError(f"unknown suite {n!r}; known: {', '.join(SUITE_NAMES)}")
     max_workers = max(1, min(int(max_workers), len(names) or 1))
-    if max_workers == 1:
-        return {n: _run_suite(n, seed) for n in names}
-    from concurrent.futures import ThreadPoolExecutor  # only here: a module-level import costs every process
+    if max_workers > 1:
+        # Imported only here: a module-level import would cost every process.
+        import multiprocessing
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return dict(zip(names, pool.map(_run_suite, names, [seed] * len(names))))
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # A forked worker flushes its copy of the caller's buffers when it exits.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return dict(zip(names, pool.map(_run_suite, names, [seed] * len(names))))
+    return {n: _run_suite(n, seed) for n in names}

@@ -13,6 +13,8 @@ v in A(y) exactly (v is assembled from the parts plus an explicit normal
 element), so the reported residual ||lam*v + y - x|| measures the full
 solve error.  normal_map_newton is the one Newton kernel: the resolvent's
 Newton route runs it on F, and the tensor oracle on a TaylorSurrogate of F.
+Where the kernel fails on a lone affine part over a box, the Newton route
+finishes the solve by principal pivoting on the box LVI (_box_pivoting).
 
 What depends on the operator alone is computed once, when it is built: a
 PolyPart keeps its derivative chain, a BoxCone or a BallCone its boundary
@@ -70,6 +72,7 @@ AFFINE_EIG_TOL = -1e-10
 POLY_DERIV_TOL = -1e-12
 RESOLVENT_TOL = 1e-10
 NEWTON_MAX_ITERS = 100
+MAX_PIVOTS_PER_DIM = 100
 BOUNDARY_ATOL = 1e-12
 
 
@@ -738,18 +741,57 @@ def _radial_route(op, lam, x, warm):
     return _closed_form(lam, x, y, op.radial.weight * r * r * y, "radial")
 
 
+def _box_pivoting(op, lam, x):
+    """The resolvent of a lone affine part over a box by least-index principal pivoting.
+
+    y solves the box LVI with a = I + lam*M and b = x - lam*q: each
+    coordinate is free, at its lower or at its upper bound (first as x
+    lies), the free ones solve a_FF y_F = b_F - a_F,active y_active, and
+    the lowest-index violation switches: a free y_i outside its bound, or
+    a normal element n_i = (x - y)_i/lam - F(y)_i of the wrong sign at an
+    active one.  a's symmetric part is >= I, so a is a P-matrix and the
+    pivots end (Murty 1974; Cottle, Pang & Stone 1992, ch. 4); past
+    MAX_PIVOTS_PER_DIM * dim of them InnerSolverDiverged is raised.  v =
+    F(y) + n with n = 0 on free coordinates lies in A(y) exactly.
+    """
+    m, q, lo, hi = op.affine.matrix, op.affine.offset, op.cone.lower, op.cone.upper
+    a, b = _eye(op.dim) + lam * m, x - lam * q
+    side = np.where(x <= lo, -1, np.where(x >= hi, 1, 0))  # -1 lower, 1 upper, 0 free
+    cap = MAX_PIVOTS_PER_DIM * op.dim
+    for _ in range(cap):
+        free = side == 0
+        y = np.where(side < 0, lo, hi)
+        if free.any():
+            act = ~free
+            y[free] = _solve(a[np.ix_(free, free)], b[free] - a[np.ix_(free, act)] @ y[act])
+        fy = m @ y + q
+        n = np.where(free, 0.0, (x - y) / lam - fy)
+        bad = free & ((y < lo) | (y > hi)) | (lo < hi) & ((side < 0) & (n > 0) | (side > 0) & (n < 0))
+        if not bad.any():
+            return _closed_form(lam, x, y, fy + n, "affine + box pivoting")
+        i = int(np.argmax(bad))
+        side[i] = 0 if side[i] else (-1 if y[i] < lo[i] else 1)
+    raise InnerSolverDiverged(f"resolvent affine + box pivoting hit its cap of {cap} pivots", iterations=cap)
+
+
 def _newton_route(op, lam, x, warm):
-    y, step, its, state = normal_map_newton(
-        op,
-        lam,
-        x,
-        op.value,
-        op.jacobian,
-        RESOLVENT_TOL,  # rel and floor: RESOLVENT_TOL * max(1, ||y - x||), to the bit
-        RESOLVENT_TOL,
-        warm,
-        "resolvent",
-    )
+    try:
+        y, step, its, state = normal_map_newton(
+            op,
+            lam,
+            x,
+            op.value,
+            op.jacobian,
+            RESOLVENT_TOL,  # rel and floor: RESOLVENT_TOL * max(1, ||y - x||), to the bit
+            RESOLVENT_TOL,
+            warm,
+            "resolvent",
+        )
+    except InnerSolverDiverged:
+        # Damped Newton has no global convergence on a box LVI; pivoting finishes one exactly.
+        if not isinstance(op.cone, BoxCone) or op.affine is None or op.poly is not None or op.radial is not None:
+            raise
+        return _box_pivoting(op, lam, x)
     return Resolvent(y, None, lam, x, iterations=its, step=step, state=state)
 
 
@@ -773,7 +815,9 @@ def resolvent(op, lam, x, warm=None):
     ||y - x||, each computed when first read unless the route formed it.
     The solve runs op.route, fixed when op was built.  Every route but the
     polynomial closed form raises InnerSolverDiverged when it misses that
-    bound; there lam times the rounding of poly(y) can exceed it.
+    bound; there lam times the rounding of poly(y) can exceed it.  Where
+    Newton fails on a lone affine part over a box, pivoting finishes the
+    solve and returns a closed-form pair (state None).
     """
     if not lam > 0:
         raise ValueError("resolvent needs lam > 0")

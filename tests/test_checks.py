@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -91,11 +92,21 @@ class TestRunSuites:
         assert [e.margin for e in a.outcomes] == [e.margin for e in b.outcomes]
 
     def test_parallel_matches_serial(self):
-        names = ["FEEDBACK", "METRICS"]
-        ser = run_suites(names, seed=0, max_workers=1)
-        par = run_suites(names, seed=0, max_workers=2)
-        for n in names:
-            assert [e.margin for e in ser[n].outcomes] == [e.margin for e in par[n].outcomes]
+        # Every suite on forked workers gives the serial reports: names,
+        # margins to the bit and details, in the order asked for.
+        def fields(rep):
+            return [(o.name, np.float64(o.margin).tobytes(), o.detail) for o in rep.outcomes]
+
+        for seed in (0, 3):
+            ser = run_suites(SUITE_NAMES, seed=seed, max_workers=1)
+            par = run_suites(SUITE_NAMES, seed=seed, max_workers=2)
+            assert list(par) == list(ser) == SUITE_NAMES
+            for n in SUITE_NAMES:
+                assert fields(par[n]) == fields(ser[n]), (seed, n)
+
+    def test_pool_leaves_no_worker_alive(self):
+        run_suites(["HPE", "TENSOR", "METRICS"], seed=0, max_workers=3)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_raising_suite_is_one_failing_outcome(self, monkeypatch, workers):
@@ -111,6 +122,13 @@ class TestRunSuites:
             "InnerSolverDiverged: resolvent newton stalled at residual 3.194e+01"
         )
         assert _outcomes(got["METRICS"]) == _outcomes(checks.metrics_suite(0))
+
+    @pytest.mark.parametrize("seed", [1385176604, 1819789398, 1141051470, 493018052])
+    def test_feedback_passes_where_newton_stalled(self, seed):
+        # Each seed's probes drove the saddle's damped Newton into a stall
+        # that failed the suite; principal pivoting finishes those solves.
+        rep = checks.feedback_suite(seed)
+        assert rep.all_passed, [o for o in rep.outcomes if not o.passed]
 
     def test_report_lines_carry_margins(self):
         rep = run_suites(["METRICS"], seed=0)["METRICS"]

@@ -383,6 +383,15 @@ class TestCheck:
         assert out[1:-1] == [f"[{n}] [PASS] seed is 7: worst margin 1.000e+00" for n in checks.SUITE_NAMES[1:]]
         assert out[-1] == "check result: FAIL"
 
+    def test_pooled_check_prints_the_serial_bytes(self, capsys, monkeypatch):
+        # One usable processor runs the suites serially; the default runs
+        # them on one forked worker per processor.  stdout is the same.
+        assert cli.main(["check", "--suite", "ALL", "--seed", "3"]) == 0
+        pooled = capsys.readouterr().out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.main(["check", "--suite", "ALL", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == pooled
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_line_passes_exactly_when_its_margin_is_nonnegative(self, capsys, seed):
         assert cli.main(["check", "--suite", "ALL", "--seed", str(seed)]) == 0
@@ -501,14 +510,14 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
     def test_import_leaves_numpy_polynomial_and_thread_pools_out(self):
-        # Neither is needed to run: numpy.polynomial (operators has its own
-        # polyder) and concurrent.futures (imported only for a suite pool)
-        # would add about 1.3 MiB to every process's resident set.
+        # None is needed to run: numpy.polynomial (operators has its own
+        # polyder), and concurrent.futures and multiprocessing (imported
+        # only for a suite pool), would add to every process's resident set.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, monoflow; from monoflow import cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('numpy.polynomial', 'concurrent.futures'))))"
+            " if m.startswith(('numpy.polynomial', 'concurrent.futures', 'multiprocessing'))))"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr

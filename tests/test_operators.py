@@ -254,8 +254,6 @@ class TestNewtonFailures:
             assert exc.value.iterations == 0
             assert np.isnan(exc.value.residual)
 
-
-    @pytest.mark.xfail(strict=True, raises=InnerSolverDiverged, reason="affine + box Newton has no globalisation")
     @pytest.mark.parametrize(
         "d, lam, x",
         [
@@ -269,12 +267,42 @@ class TestNewtonFailures:
     )
     def test_affine_box_large_lam_stall(self, d, lam, x):
         # Bilinear saddle: the damped Newton stalls (at residual 2.253e3,
-        # 3.194e1 and 3.665e1).  A globally convergent affine + box route
-        # turns these green.
+        # 3.194e1 and 3.665e1), and principal pivoting finishes the solve.
         op = problems.make_bilinear_saddle(d=d).operator
         x = np.array(x)
+        with pytest.raises(InnerSolverDiverged, match="^resolvent newton stalled"):
+            ops.normal_map_newton(op, lam, x, op.value, op.jacobian, ops.RESOLVENT_TOL, ops.RESOLVENT_TOL, None, "resolvent")
         r = ops.resolvent(op, lam, x)
         assert r.residual <= ops.RESOLVENT_TOL * max(1.0, float(np.linalg.norm(r.y - x)))
+        _assert_pivoted(op, lam, x, r)
+
+    @pytest.mark.parametrize("d, draws", [(4, 400), (10, 100)])
+    def test_affine_box_sweep_certifies_every_stall(self, d, draws):
+        # Seeded draws over lam in [1e-8, 1e10]: wherever Newton fails on the
+        # saddle over its box, the resolvent still meets its bound with v in
+        # A(y) exactly; elsewhere it is Newton's own pair.
+        op = problems.make_bilinear_saddle(d=d).operator
+        rng = np.random.default_rng(d)
+        stalls = 0
+        for _ in range(draws):
+            x = 10.0 ** rng.uniform(0.0, 1.0) * rng.standard_normal(d)
+            lam = 10.0 ** rng.uniform(-8.0, 10.0)
+            r = ops.resolvent(op, lam, x)
+            assert r.residual <= ops.RESOLVENT_TOL * max(1.0, ops.norm(r.y - x))
+            assert checks._membership_margin(op, r.y, r.v) >= 0.0
+            stalls += r.state is None
+        assert stalls >= 10
+
+    def test_pivoting_failures_are_typed(self, monkeypatch):
+        # The d = 4 stall needs 7 pivots: a cap of 1 per coordinate (4) raises.
+        # A NaN query fails Newton, then pivoting's residual bound.
+        op = problems.make_bilinear_saddle(d=4).operator
+        monkeypatch.setattr(ops, "MAX_PIVOTS_PER_DIM", 1)
+        with pytest.raises(InnerSolverDiverged, match=r"^resolvent affine \+ box pivoting hit its cap of 4 pivots$"):
+            ops.resolvent(op, 1580.69, np.array([2.504, -0.309, 3.283, -1.598]))
+        monkeypatch.undo()
+        with pytest.raises(InnerSolverDiverged, match=r"^resolvent affine \+ box pivoting solve missed its bound at residual nan"):
+            ops.resolvent(op, 5.0, np.array([np.nan, 1.0, 0.0, 0.0]))
 
 
 # Reference copy of the normal-map Newton kernel as it stood before its
@@ -407,6 +435,18 @@ def _newton_instances():
 
 
 NEWTON_INSTANCES = _newton_instances()
+
+
+def _pivots(op):
+    """True where a failed Newton solve is finished by pivoting: a lone affine part over a box."""
+    return isinstance(op.cone, ops.BoxCone) and op.affine is not None and op.poly is None and op.radial is None
+
+
+def _assert_pivoted(op, lam, x, r):
+    """r, where the reference Newton failed, is pivoting's certified closed-form pair."""
+    assert r.state is None and r.iterations == 0 and r._v is not None
+    assert r.residual <= ops.RESOLVENT_TOL * max(1.0, ops.norm(r.y - x))
+    assert checks._membership_margin(op, r.y, r.v) >= 0.0
 
 
 # A Resolvent as _ref_dispatch returns it: every field formed at the solve.
@@ -681,10 +721,14 @@ class TestKernelBitIdentity:
         if warm_ratio is not None:
             # A warm start as the law solve passes it: w of a nearby lam.
             try:
-                warm = ops.resolvent(op, lam * warm_ratio, x).state[0]
+                state = ops.resolvent(op, lam * warm_ratio, x).state
+                warm = None if state is None else state[0]  # None: pivoted, as a failure left it
             except InnerSolverDiverged:
                 pass
         want = _ref_resolvent(op, lam, x, warm)
+        if isinstance(want, InnerSolverDiverged) and _pivots(op):
+            _assert_pivoted(op, lam, x, ops.resolvent(op, lam, x, warm=warm))
+            return
         if isinstance(want, InnerSolverDiverged):
             with pytest.raises(InnerSolverDiverged) as exc:
                 ops.resolvent(op, lam, x, warm=warm)
@@ -721,10 +765,15 @@ class TestKernelBitIdentity:
             state = ops.resolvent(op, lam * warm_ratio, x + move * rng.standard_normal(op.dim)).state
         except InnerSolverDiverged:
             return
+        if state is None:  # pivoted: no exit state to start from
+            return
         w0, y0, fy0 = state
         assert y0.tobytes() == op.domain.project(w0).tobytes()
         assert fy0.tobytes() == ops.single_value(op, y0).tobytes()
         want = _ref_resolvent(op, lam, x, w0)
+        if isinstance(want, InnerSolverDiverged) and _pivots(op):
+            _assert_pivoted(op, lam, x, ops.resolvent(op, lam, x, warm=state))
+            return
         if isinstance(want, InnerSolverDiverged):
             with pytest.raises(InnerSolverDiverged) as exc:
                 ops.resolvent(op, lam, x, warm=state)
@@ -794,6 +843,9 @@ class TestKernelBitIdentity:
         if route is ops._radial_route and not want.residual <= ops.RESOLVENT_TOL * max(1.0, ops.norm(want.y - x)):
             msg = f"resolvent radial solve missed its bound at residual {want.residual:.3e}"
             want = InnerSolverDiverged(msg, residual=want.residual, iterations=0)
+        if isinstance(want, InnerSolverDiverged) and _pivots(op):
+            _assert_pivoted(op, lam, x, ops.resolvent(op, lam, x, warm=warm))
+            return
         if isinstance(want, InnerSolverDiverged):
             with pytest.raises(InnerSolverDiverged) as exc:
                 ops.resolvent(op, lam, x, warm=warm)
@@ -910,6 +962,8 @@ def _warm_start(solve, op, lam, x, kind):
         state = solve(op, lam, x, None).state
     except InnerSolverDiverged:
         return None
+    if state is None:  # pivoted, as a failure leaves no start
+        return None
     return state if kind == "state" else state[0]
 
 
@@ -940,6 +994,9 @@ class TestBoundEvaluators:
             except InnerSolverDiverged as exc:
                 outcomes.append(exc)
         want, got = outcomes
+        if isinstance(want, InnerSolverDiverged) and _pivots(op):
+            _assert_pivoted(op, lam, x, got)
+            return
         if isinstance(want, InnerSolverDiverged):
             assert isinstance(got, InnerSolverDiverged)
             assert (str(got), got.residual, got.iterations) == (str(want), want.residual, want.iterations)
@@ -1012,13 +1069,15 @@ class TestCertificateReadLate:
                 state = ops.resolvent(op, 2.0 * lam, x + 0.1 * rng.standard_normal(op.dim)).state
             except InnerSolverDiverged:
                 return
-            assert (state is None) == (route is not ops._newton_route)
+            # Only Newton leaves a state, unless pivoting finished a failed solve.
+            assert (state is None) == (route is not ops._newton_route) or _pivots(op)
             warm = state if start == "state" or state is None else state[0]
         try:
             r = ops.resolvent(op, lam, x, warm=warm)
         except InnerSolverDiverged:
             return
-        assert (r._v is None) == (route is ops._newton_route)  # Newton forms v on first read
+        # Newton forms v on first read.
+        assert (r._v is None) == (route is ops._newton_route and r.state is not None)
         self._check(r, lam, x, route)
 
     def test_newton_exit_at_the_iteration_cap(self, monkeypatch):
@@ -1031,8 +1090,11 @@ class TestCertificateReadLate:
             its = ops.resolvent(op, 2.0, x).iterations
             assert its >= 1, name
             monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", its - 1)
-            with pytest.raises(InnerSolverDiverged, match="hit iteration cap"):
-                ops.resolvent(op, 2.0, x)
+            if _pivots(op):  # pivoting finishes the capped solve
+                _assert_pivoted(op, 2.0, x, ops.resolvent(op, 2.0, x))
+            else:
+                with pytest.raises(InnerSolverDiverged, match="hit iteration cap"):
+                    ops.resolvent(op, 2.0, x)
             monkeypatch.setattr(ops, "NEWTON_MAX_ITERS", its)
             r = ops.resolvent(op, 2.0, x)
             assert r.iterations == its and r._v is None, name
