@@ -1,11 +1,12 @@
 """Randomized property suites behind the command-line check harness.
 
 Every suite takes one integer seed and returns a CheckReport with one
-outcome per invariant; the HPE and TENSOR suites audit fixed runs and do
-not read it.  Suites share no state and each is deterministic given its
-seed, so run_suites can run them on worker processes forked from the
-caller and return the same reports as one after another; they are
-Python-bound, so threads would only wait for the GIL.  Margins are
+outcome per invariant.  The HPE and TENSOR suites ignore the seed.  Every
+hpe.run here binds its oracle (exact_oracle or lambda_window_search) with
+functools.partial when the run starts.  Suites share no state and each is
+deterministic given its seed, so run_suites can run them on worker processes
+forked from the caller and return the same reports as one after another;
+they are Python-bound, so threads would only wait for the GIL.  Margins are
 oriented so that larger is safer; report.worst folds each invariant's
 margins, and an outcome passes exactly when its margin is >= 0.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from . import operators as ops
 from .errors import CertificateViolation, MonoflowError, OracleFailure
 from .feedback import FeedbackParams, scaled_displacement, solve_lambda, stationarity_gauge
 from .flow import check_flow_invariants, integrate
-from .hpe import ExactProxOracle, HpeConfig, check_discrete_lemmas, run
+from .hpe import HpeConfig, check_discrete_lemmas, exact_oracle, run
 from .metrics import dist_to_solutions, fit_rate, gap, gap_grid_oracle, residue
 from .problems import (
     ProblemInstance,
@@ -33,7 +35,7 @@ from .problems import (
     validate_instance,
 )
 from .report import CheckOutcome, CheckReport, worst
-from .tensor import TensorConfig, TensorOracle
+from .tensor import TensorConfig, lambda_window_search
 
 __all__ = ["SUITE_NAMES", "SUITES", "run_suites"]
 
@@ -208,7 +210,7 @@ def hpe_suite(seed=0):
         ("radial p=2", make_convex_gradient(2), HpeConfig(0.0, 0.2, 2, 80, stop_res=1e-12), np.array([1.0, 0.8])),
     ]
     for tag, prob, cfg, x0 in runs:
-        records = run(prob, ExactProxOracle(prob, cfg), cfg, x0).records
+        records = run(prob, partial(exact_oracle, prob, cfg=cfg), cfg, x0).records
         rep.add(f"{tag}: every step certificate holds", *worst(m for r in records for m in _slacks(r.cert)))
         member = worst(_membership_margin(prob.operator, r.y, r.v) for r in records)
         rep.add(f"{tag}: output direction lies in A(y)", *member)
@@ -217,7 +219,7 @@ def hpe_suite(seed=0):
     mu, theta = 1.0, 0.7
     ident = make_strongly_monotone_affine(1, mu, seed=0)
     cfg = HpeConfig(0.0, theta, 1, 40, stop_res=0.0)
-    records = run(ident, ExactProxOracle(ident, cfg), cfg, np.array([1.0])).records
+    records = run(ident, partial(exact_oracle, ident, cfg=cfg), cfg, np.array([1.0])).records
     factor = 1.0 / (1.0 + theta * mu)
     rep.add(
         "proximal contraction factor matches closed form",
@@ -242,7 +244,7 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     wlo, whi = tcfg.window
     m_cert, m_win, m_hat, m_taylor, m_member = [], [], [], [], []
     try:
-        records = run(prob, TensorOracle(prob, tcfg), hcfg, x0).records
+        records = run(prob, partial(lambda_window_search, prob, cfg=tcfg), hcfg, x0).records
     except OracleFailure as exc:
         records = exc.records
     except CertificateViolation as exc:
@@ -325,7 +327,7 @@ def tensor_suite(seed=0):
     tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
     hcfg = tcfg.drive(40, stop_res=1e-10)
     try:
-        records = run(prob, TensorOracle(prob, tcfg), hcfg, np.array([2.0])).records
+        records = run(prob, partial(lambda_window_search, prob, cfg=tcfg), hcfg, np.array([2.0])).records
     except OracleFailure as exc:
         records = exc.records
     _merge(rep, check_discrete_lemmas(records, prob, hcfg), "cubic p=3 framework run")
@@ -393,7 +395,7 @@ def metrics_suite(seed=0):
     rep.add("ascent gap within one grid cell of the oracle", *worst(margins_hi))
 
     cfg = HpeConfig(0.0, 0.01, 2, 60, stop_res=1e-12)
-    records = run(saddle, ExactProxOracle(saddle, cfg), cfg, np.array([0.7, 0.4])).records
+    records = run(saddle, partial(exact_oracle, saddle, cfg=cfg), cfg, np.array([0.7, 0.4])).records
     rep.add(
         "pointwise residue below the certified direction norm",
         *worst(ops.norm(r.v) - residue(saddle, r.y) + 1e-8 for r in records),

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -202,9 +203,9 @@ def _record_columns(problem, records, x0):
 def _run_iterative(cfg, problem):
     drive = cfg.drive()
     if cfg.mode == "HPE_EXACT":
-        oracle = hpe.ExactProxOracle(problem, drive)
+        oracle = partial(hpe.exact_oracle, problem, cfg=drive)
     else:
-        oracle = tensor.TensorOracle(problem, cfg.mode_params())
+        oracle = partial(tensor.lambda_window_search, problem, cfg=cfg.mode_params())
     x0 = cfg.initial_point(problem)
     result = hpe.run(problem, oracle, drive, x0)
 

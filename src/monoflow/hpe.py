@@ -8,7 +8,8 @@ the operator at y, subject to the two machine-checked conditions
 
 followed by the update x+ = x - lam*v.  The exact oracle solves the
 control law and a resolvent, which satisfies both with sigma = 0, eps = 0
-and large-step equality.
+and large-step equality; tensor.lambda_window_search is the other oracle.
+Both are plain functions; run hands each call the last step's lam and warm.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "RunResult",
     "verify_step",
     "exact_oracle",
-    "ExactProxOracle",
     "run",
     "check_discrete_lemmas",
 ]
@@ -123,7 +123,7 @@ def verify_step(cfg, x_prev, lam, y, v, eps):
     return StepCertificate(relative_error_slack=rel_slack, large_step_slack=ls_slack)
 
 
-def exact_oracle(problem, x, cfg, hint=None, residual=None):
+def exact_oracle(problem, x, cfg, hint=None, residual=None, warm=None):
     """Resolvent oracle: lam solves the control law, then (y, v) = prox pair.
 
     Satisfies the step conditions with sigma = 0 and eps = 0.  The large-
@@ -132,17 +132,18 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None):
     theta, so lam is nudged up until lam * ||y - x||^(p-1) >= theta holds
     for the exact pair handed back.  Scaling lam by f >= 1 scales the law
     value by at least f, so the loop terminates in a step or two and the
-    overshoot stays within the solver's acceptance band.  residual, when
-    given, is ops.min_norm_residual(op, x), and the law's stationarity test
-    reads it instead of evaluating it again.  The law solve's first trial
-    and every re-solve of x start cold; they share one start state
-    (ops.cold_state), formed once, with the bits of a cold start.
+    overshoot stays within the solver's acceptance band.  hint is the law
+    solve's first trial.  residual, when given, is ops.min_norm_residual(op,
+    x), and the law's stationarity test reads it instead of evaluating it
+    again.  The law solve's first trial and every re-solve of x start cold;
+    they share one start state (ops.cold_state), formed once, with the bits
+    of a cold start.  warm is not read, and the warm returned is None.
     """
     op = problem.operator
     if cfg.p == 1:
         lam = cfg.theta
         r = ops.resolvent(op, lam, x)
-        return lam, r.y, r.v, 0.0
+        return lam, r.y, r.v, 0.0, None
     start = ops.cold_state(op, x)
     lam = solve_lambda(op, x, cfg.law, hint=hint, residual=residual, warm=start)
     r = ops.resolvent(op, lam, x, warm=start)
@@ -153,21 +154,7 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None):
         band = law_band(lam, r.step, r.residual, cfg.p)
         lam *= max((cfg.theta + band) / max(val, 1e-300), 1.0 + 1e-12)
         r = ops.resolvent(op, lam, x, warm=start)
-    return lam, r.y, r.v, 0.0
-
-
-class ExactProxOracle:
-    """Stateful wrapper around exact_oracle that warm-starts the law solve."""
-
-    def __init__(self, problem, cfg):
-        self.problem = problem
-        self.cfg = cfg
-        self.hint = None
-
-    def __call__(self, x, residual=None):
-        lam, y, v, eps = exact_oracle(self.problem, x, self.cfg, hint=self.hint, residual=residual)
-        self.hint = lam
-        return lam, y, v, eps
+    return lam, r.y, r.v, 0.0, None
 
 
 def run(problem, oracle, cfg, x0):
@@ -176,9 +163,10 @@ def run(problem, oracle, cfg, x0):
     Parameters
     ----------
     problem : ProblemInstance
-    oracle : callable (x, residual) -> (lam, y, v, eps); residual is
-        ops.min_norm_residual at x, which run has just tested; ExactProxOracle
-        and tensor.TensorOracle read it for their stationarity tests
+    oracle : callable (x, residual=, hint=, warm=) -> (lam, y, v, eps, warm),
+        e.g. functools.partial(exact_oracle, problem, cfg=cfg); residual is
+        ops.min_norm_residual at x, which run has just tested, and hint and
+        warm are the last step's lam and returned warm (None at k = 1)
     cfg : HpeConfig (verification constants sigma, theta, p)
     x0 : array
 
@@ -189,13 +177,14 @@ def run(problem, oracle, cfg, x0):
     x = np.asarray(x0, dtype=float).copy()
     records = []
     status = "MAX_ITERS"
+    lam = warm = None
     for k in range(1, cfg.max_iters + 1):
         res = ops.min_norm_residual(op, x)
         if res <= cfg.stop_res:
             status = "SOLVED"
             break
         try:
-            lam, y, v, eps = oracle(x, res)
+            lam, y, v, eps, warm = oracle(x, residual=res, hint=lam, warm=warm)
         except StationaryPoint:
             status = "SOLVED"
             break

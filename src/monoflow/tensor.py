@@ -10,7 +10,9 @@ step size, and searches for one whose large-step product lands in the window
 The returned (lam, y, v, 0), the surrogate error folded into v, satisfies
 the large-step and relative-error conditions with theta = sigma_l * p!/L
 and sigma = sigma_hat + sigma_u, so every step is verifiable by the
-discrete framework's certificate.
+discrete framework's certificate.  Bound to a problem and config,
+lambda_window_search is an oracle for hpe.run, which hands each search the
+last step's lam as its first trial and Newton exit point as its warm start.
 
 At p = 3 the anchored surrogate is quadratic in the step, and past a finite
 lam its subproblem has no point within the inexactness rule.  For a lone
@@ -42,7 +44,6 @@ __all__ = [
     "TensorConfig",
     "surrogate_resolvent",
     "lambda_window_search",
-    "TensorOracle",
 ]
 
 MAX_TRIALS = 400
@@ -217,9 +218,11 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     last solve that succeeded, which spares it projecting w and evaluating
     the surrogate there, with the same bits.
 
-    Returns (lam, y, v, w): v = F(y) + u - sur(y) in A(y) exactly, the
-    surrogate error folded into the accepted solve's u, and w its exit
-    point, a bare warm start for a search with another anchor.  After
+    Returns (lam, y, v, 0.0, w): v = F(y) + u - sur(y) in A(y) exactly,
+    the surrogate error folded into the accepted solve's u, eps = 0, and w
+    its exit point, a bare warm start for a search with another anchor.
+    The Taylor remainder bound together with the window's upper edge gives
+    ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.  After
     MAX_TRIALS trials raises WindowUnreachable with bracket (lo, hi),
     naming the side never bracketed (lo = 0 or hi = inf).
     """
@@ -241,7 +244,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
 
     def fold(lam, y, u, state):
         # state[2] is sur(y), as the solve evaluated it.
-        return lam, y, ops.single_value(op, y) + u - state[2], state[0]
+        return lam, y, ops.single_value(op, y) + u - state[2], 0.0, state[0]
 
     wlo, whi = cfg.window
     if p == 1:
@@ -272,28 +275,3 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     side = "lower" if lo == 0.0 else "upper" if hi == math.inf else None
     why = f"no {side} bracket" if side else "no trial inside the bracket"
     raise WindowUnreachable(f"step window: {why} after {MAX_TRIALS} trials", bracket=(lo, hi))
-
-
-class TensorOracle:
-    """Stateful oracle for hpe.run: warm-starts lam and the inner Newton."""
-
-    def __init__(self, problem, cfg):
-        self.problem = problem
-        self.cfg = cfg
-        self.hint = None
-        self.warm = None
-
-    def __call__(self, x, residual=None):
-        """One accelerated step: lambda_window_search from the last step's
-        lam and exit point, with hpe.run's residual for its stationarity test.
-
-        Returns (lam, y, v, 0.0) with v in A(y) exactly: the surrogate error
-        F(y) - F_anchor(y) is folded into v, and the Taylor remainder bound
-        together with the window upper edge gives
-        ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.
-        """
-        lam, y, v, self.warm = lambda_window_search(
-            self.problem, x, self.cfg, hint=self.hint, warm=self.warm, residual=residual
-        )
-        self.hint = lam
-        return lam, y, v, 0.0

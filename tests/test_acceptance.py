@@ -7,6 +7,7 @@ exponents -(p+1)/2 for the ergodic gap and -p/2 for the residue.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from monoflow import operators as ops
 from monoflow import problems
 from monoflow.feedback import FeedbackParams
 from monoflow.flow import check_flow_invariants, integrate
-from monoflow.hpe import ExactProxOracle, HpeConfig, run
+from monoflow.hpe import HpeConfig, exact_oracle, run
 from monoflow.metrics import dist_to_solutions, fit_rate, gap, gap_grid_oracle, residue
-from monoflow.tensor import TensorConfig, TensorOracle
+from monoflow.tensor import TensorConfig, lambda_window_search
+from saddle_recurrence import exact_hpe
 
 RATE_TOL = 0.2
 RUNTIME_BUDGET = 30.0
@@ -55,7 +57,7 @@ def saddle_runs():
         problem = problems.make_bilinear_saddle(d=d)
         cfg = HpeConfig(sigma=0.0, theta=theta, p=p, max_iters=3000, stop_res=0.0)
         start = time.perf_counter()
-        res = run(problem, ExactProxOracle(problem, cfg), cfg, np.full(d, 0.7))
+        res = run(problem, partial(exact_oracle, problem, cfg=cfg), cfg, np.full(d, 0.7))
         elapsed = time.perf_counter() - start
         gaps, resmins = gap_and_residue_series(problem, res.records)
         out.append((p, d, theta, res, elapsed, gaps, resmins))
@@ -84,6 +86,32 @@ class TestDiscreteRates:
                 f"p={p} d={d}: residue slope {fit.slope:.3f} > {target:.2f}"
             )
             print(f"[PASS] residue rate p={p} d={d}: slope {fit.slope:.3f} <= {target:.2f}")
+
+
+class TestExactRecurrence:
+    # Iterations compared per (p, d) gate run: every one at p = 1, and at
+    # p = 2 a fixed k before the terminal collapse, which amplifies the
+    # law's accepted residual into the last steps.
+    HORIZON = {(1, 2): 3000, (1, 10): 3000, (2, 2): 2000, (2, 10): 2600}
+    REL_TOL = 1e-9
+
+    def test_gate_runs_track_the_exact_recurrence(self, saddle_runs):
+        # With the box inactive the saddle's exact HPE iteration is a scalar
+        # recurrence in r = ||x||; 40-digit decimal arithmetic gives lam_k
+        # and ||x_k|| without the resolvent, the Newton kernel or the law solve.
+        for p, d, theta, res, *_ in saddle_runs:
+            k_max = self.HORIZON[(p, d)]
+            assert len(res.records) >= k_max, f"p={p} d={d}: {len(res.records)} iterations"
+            exact = exact_hpe(p, theta, res.records[0].x_prev, k_max)
+            worst = max(
+                max(abs(r.lam - lam) / lam, abs(ops.norm(r.x_next) - rad) / rad)
+                for r, (lam, rad) in zip(res.records, exact)
+            )
+            assert worst <= self.REL_TOL, f"p={p} d={d}: relative error {worst:.2e} > {self.REL_TOL:.0e}"
+            print(
+                f"[PASS] exact recurrence p={p} d={d}: lam_k and ||x_k|| within "
+                f"{worst:.1e} relative for k <= {k_max}"
+            )
 
 
 class TestContinuousRates:
@@ -123,7 +151,7 @@ class TestLocalLinearConvergence:
     X0 = np.array([1.0, -0.5, 0.8])
 
     def ratios(self, cfg):
-        res = run(self.PROBLEM, ExactProxOracle(self.PROBLEM, cfg), cfg, self.X0)
+        res = run(self.PROBLEM, partial(exact_oracle, self.PROBLEM, cfg=cfg), cfg, self.X0)
         dists = [dist_to_solutions(self.PROBLEM, res.records[0].x_prev)]
         dists += [dist_to_solutions(self.PROBLEM, r.x_next) for r in res.records]
         out = []
@@ -192,7 +220,7 @@ class TestTensorEquivalence:
             drive = HpeConfig(
                 sigma=tc.sigma, theta=tc.theta, p=tc.p, max_iters=60, stop_res=1e-9
             )
-            res = run(problem, TensorOracle(problem, tc), drive, np.array(x0))
+            res = run(problem, partial(lambda_window_search, problem, cfg=tc), drive, np.array(x0))
             assert res.records, f"{name}: no steps produced"
             assert all(r.cert.ok for r in res.records)
             first = ops.min_norm_residual(problem.operator, res.records[0].x_prev)
@@ -235,7 +263,7 @@ class TestOracleCrossChecks:
         problem = problems.make_strongly_monotone_affine(d=1, mu=1.0)
         theta = 0.7
         cfg = HpeConfig(sigma=0.0, theta=theta, p=1, max_iters=8, stop_res=0.0)
-        res = run(problem, ExactProxOracle(problem, cfg), cfg, np.array([1.0]))
+        res = run(problem, partial(exact_oracle, problem, cfg=cfg), cfg, np.array([1.0]))
         want = 1.0 / (1.0 + theta)
         xs = [res.records[0].x_prev] + [r.x_next for r in res.records]
         worst = max(abs(abs(b[0] / a[0]) - want) for a, b in zip(xs, xs[1:]))

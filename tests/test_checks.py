@@ -9,28 +9,30 @@ from monoflow import operators as ops
 from monoflow.checks import SUITE_NAMES, SUITES, run_suites
 from monoflow.errors import InnerSolverDiverged, MonoflowError, StationaryPoint
 from monoflow.hpe import HpeConfig, verify_step
-from monoflow.tensor import TensorOracle
+from monoflow.tensor import lambda_window_search
 
 
 def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     """Reference: the TENSOR audit as a hand-written replay of the oracle
-    loop, step by step, beside hpe.run."""
+    loop, step by step, beside hpe.run, carrying each step's lam and warm
+    start to the next search."""
     op = prob.operator
     hcfg = HpeConfig(
         sigma=tcfg.sigma, theta=tcfg.theta, p=tcfg.p, max_iters=iters, stop_res=1e-11
     )
     wlo, whi = tcfg.window
     x = np.asarray(x0, dtype=float).copy()
-    oracle = TensorOracle(prob, tcfg)
+    hint = warm = None
     m_cert = m_win = m_hat = m_taylor = m_member = math.inf
     steps = 0
     for _ in range(iters):
         if ops.min_norm_residual(op, x) <= hcfg.stop_res:
             break
         try:
-            lam, y, v, eps = oracle(x)
+            lam, y, v, eps, warm = lambda_window_search(prob, x, tcfg, hint=hint, warm=warm)
         except (StationaryPoint, MonoflowError):
             break
+        hint = lam
         steps += 1
         cert = verify_step(hcfg, x, lam, y, v, eps)
         m_cert = min(m_cert, cert.relative_error_slack, cert.large_step_slack)

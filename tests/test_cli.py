@@ -7,12 +7,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monoflow import checks, cli
+from monoflow import checks, cli, hpe, tensor
 from monoflow import operators as ops
 from monoflow.errors import InnerSolverDiverged
 from monoflow.report import CheckReport
@@ -524,6 +525,53 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
+class TestOracleTracerCoverage:
+    """A counting wrapper put over the two oracles in every monoflow module
+    namespace that holds them, the way benchmarks/spans.py puts its span
+    wrappers, sees one call per verified step.  An oracle bound at import
+    time would bypass the wrapper and zero the benchmark's oracle counts."""
+
+    @staticmethod
+    def _count_oracle_calls(monkeypatch):
+        counts = {"returned": 0, "verified": 0}
+        package = [m for n, m in sorted(sys.modules.items()) if n == "monoflow" or n.startswith("monoflow.")]
+        for original in (hpe.exact_oracle, tensor.lambda_window_search):
+
+            def counting(*args, _fn=original, **kwargs):
+                out = _fn(*args, **kwargs)
+                counts["returned"] += 1
+                return out
+
+            for mod in package:
+                for key, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, key, counting)
+        real_verify = hpe.verify_step
+
+        def verify(*args):
+            counts["verified"] += 1
+            return real_verify(*args)
+
+        monkeypatch.setattr(hpe, "verify_step", verify)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["HPE_EXACT", "TENSOR"])
+    def test_cli_run(self, tmp_path, capsys, monkeypatch, mode):
+        payload = hpe_payload(tmp_path / "run.csv", iters=12, p=2, theta=0.05)
+        if mode == "TENSOR":
+            payload.update(mode="TENSOR", params={"sigma_hat": 0.05, "sigma_l": 0.3, "sigma_u": 0.7, "L": 1.0, "p": 2})
+        counts = self._count_oracle_calls(monkeypatch)
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+        iterations = json.loads((tmp_path / "run.summary.json").read_text())["iterations"]
+        assert counts == {"returned": iterations, "verified": iterations} and iterations > 1
+
+    @pytest.mark.parametrize("suite", ["HPE", "TENSOR"])
+    def test_check_suites(self, monkeypatch, suite):
+        counts = self._count_oracle_calls(monkeypatch)
+        assert checks.SUITES[suite]().all_passed
+        assert counts["returned"] == counts["verified"] > 0
+
+
 # Reference copy of the CSV and summary pass over the records as it stood
 # before the pass was batched: one metrics call per record, the ergodic
 # sums accumulated with +=.  cli's batched pass must give the same bytes.
@@ -603,9 +651,9 @@ def _ref_run_flow(cfg, problem):
 def _ref_run_iterative(cfg, problem):
     drive = cfg.drive()
     if cfg.mode == "HPE_EXACT":
-        oracle = cli.hpe.ExactProxOracle(problem, drive)
+        oracle = partial(cli.hpe.exact_oracle, problem, cfg=drive)
     else:
-        oracle = cli.tensor.TensorOracle(problem, cfg.mode_params())
+        oracle = partial(cli.tensor.lambda_window_search, problem, cfg=cfg.mode_params())
     x0 = cfg.initial_point(problem)
     result = cli.hpe.run(problem, oracle, drive, x0)
     header = ["k", "lambda", "v_norm", "eps", "step_norm", "gap_ergodic", "residue_min_so_far", "dist"]

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -440,10 +441,10 @@ class TestBracketOverflow:
         # on every law value is 0.
         problem = problems.make_bilinear_saddle(d=2)
         cfg = hpe.HpeConfig(sigma=0.0, theta=0.1, p=2, max_iters=30, stop_res=0.0)
-        oracle, steps = hpe.ExactProxOracle(problem, cfg), []
+        oracle, steps = partial(hpe.exact_oracle, problem, cfg=cfg), []
         self._fake(monkeypatch, lambda lam: np.zeros(2), active=lambda: len(steps) >= 3)
         with pytest.raises(OracleFailure) as info:
-            hpe.run(problem, lambda x, r: steps.append(1) or oracle(x, r), cfg, np.array([0.6, -0.4]))
+            hpe.run(problem, lambda x, **kw: steps.append(1) or oracle(x, **kw), cfg, np.array([0.6, -0.4]))
         assert info.value.k == 3 and [r.k for r in info.value.records] == [1, 2]
         assert isinstance(info.value.__cause__, BracketOverflow)
 
@@ -469,10 +470,10 @@ class TestBisectionFinish:
     def test_run_reports_it_as_oracle_failure(self, monkeypatch):
         problem = problems.make_bilinear_saddle(d=2)
         cfg = hpe.HpeConfig(sigma=0.0, theta=0.1, p=2, max_iters=30, stop_res=0.0)
-        oracle, steps = hpe.ExactProxOracle(problem, cfg), []
+        oracle, steps = partial(hpe.exact_oracle, problem, cfg=cfg), []
         TestBracketOverflow._fake(monkeypatch, self._jump, active=lambda: len(steps) >= 3)
         with pytest.raises(OracleFailure, match="control-law residual") as info:
-            hpe.run(problem, lambda x, r: steps.append(1) or oracle(x, r), cfg, np.array([0.6, -0.4]))
+            hpe.run(problem, lambda x, **kw: steps.append(1) or oracle(x, **kw), cfg, np.array([0.6, -0.4]))
         assert info.value.k == 3 and [r.k for r in info.value.records] == [1, 2]
         assert isinstance(info.value.__cause__, InnerSolverDiverged)
 

@@ -17,9 +17,9 @@ from hypothesis.extra import numpy as hnp
 from monoflow import checks, feedback, metrics, problems, tensor
 from monoflow import operators as ops
 from monoflow.errors import InnerSolverDiverged
-from monoflow.hpe import ExactProxOracle, HpeConfig, run, verify_step
+from monoflow.hpe import HpeConfig, exact_oracle, run, verify_step
 from monoflow.report import CheckReport, worst
-from monoflow.tensor import TensorConfig, TensorOracle, surrogate_resolvent
+from monoflow.tensor import TensorConfig, lambda_window_search, surrogate_resolvent
 
 
 def make_box_affine(seed=0, d=4):
@@ -1275,7 +1275,7 @@ class TestResidualAndEnlargement:
         prob = problems.make_bilinear_saddle(10)
         cfg = HpeConfig(0.0, 1.5e-3, 2, 1)
         x = np.full(10, 0.7)
-        lam, y, v, eps = ExactProxOracle(prob, cfg)(x)
+        lam, y, v, eps, _ = exact_oracle(prob, x, cfg)
         assert checks._membership_margin(prob.operator, y, v) >= 0.0
         moved = v + 9.0e-5 / lam * (np.ones(10) / math.sqrt(10.0))
         assert ops.norm(lam * moved + y - x) == pytest.approx(9.0e-5, rel=1e-9)
@@ -2157,6 +2157,6 @@ class TestStoredDerivatives:
                 ops.TaylorSurrogate(op, x, p)
         tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
         hcfg = tcfg.drive(8)
-        result = run(cubic, TensorOracle(cubic, tcfg), hcfg, np.array([0.7]))
+        result = run(cubic, functools.partial(lambda_window_search, cubic, cfg=tcfg), hcfg, np.array([0.7]))
         assert len(result.records) == 8
         assert calls == []

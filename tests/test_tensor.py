@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from monoflow.errors import (
 from monoflow.hpe import run, verify_step
 from monoflow.tensor import (
     TensorConfig,
-    TensorOracle,
     lambda_window_search,
     surrogate_resolvent,
 )
@@ -162,7 +162,7 @@ class TestSurrogateResolvent:
 class TestWindowSearch:
     def test_first_order_takes_midpoint(self):
         tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=1)
-        lam, y, u, w = lambda_window_search(SADDLE, np.full(2, 0.7), tc)
+        lam, y, u, eps, w = lambda_window_search(SADDLE, np.full(2, 0.7), tc)
         assert lam == 0.5
 
     def test_product_lands_in_window(self):
@@ -171,7 +171,7 @@ class TestWindowSearch:
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.uniform(-0.9, 0.9, size=2)
-            lam, y, u, w = lambda_window_search(SADDLE, x, tc)
+            lam, y, u, eps, w = lambda_window_search(SADDLE, x, tc)
             s = lam * float(np.linalg.norm(y - x))
             assert wlo - 1e-12 <= s <= whi + 1e-12
 
@@ -205,7 +205,7 @@ class TestWindowSearch:
         # lam; the search must treat that as product = +inf and bisect
         # instead of failing.
         tc = cubic_config()
-        lam, y, u, w = lambda_window_search(CUBIC, np.array([2.0]), tc)
+        lam, y, u, eps, w = lambda_window_search(CUBIC, np.array([2.0]), tc)
         s = lam * float(np.linalg.norm(y - np.array([2.0]))) ** 2
         wlo, whi = tc.window
         assert wlo - 1e-12 <= s <= whi + 1e-12
@@ -261,9 +261,9 @@ class TestWindowFailures:
 
         monkeypatch.setattr(tensor, "surrogate_resolvent", solve)
         tc = saddle_config()
-        oracle = TensorOracle(SADDLE, tc)
+        oracle = partial(lambda_window_search, SADDLE, cfg=tc)
         with pytest.raises(OracleFailure) as info:
-            run(SADDLE, lambda x, r: steps.append(1) or oracle(x, r), tc.drive(30), np.full(2, 0.7))
+            run(SADDLE, lambda x, **kw: steps.append(1) or oracle(x, **kw), tc.drive(30), np.full(2, 0.7))
         exc = info.value
         assert exc.k == 3 and [r.k for r in exc.records] == [1, 2]
         assert isinstance(exc.__cause__, WindowUnreachable)
@@ -308,7 +308,7 @@ class TestOracle:
         tc = cubic_config()
         drive = tc.drive(50)
         x = np.array([2.0])
-        lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
+        lam, y, v, eps, w = lambda_window_search(CUBIC, x, tc)
         assert eps == 0.0
         cert = verify_step(drive, x, lam, y, v, eps)
         assert cert.ok
@@ -318,7 +318,7 @@ class TestOracle:
         # crossed the solvability knee of the anchored surrogate.
         tc = cubic_config()
         drive = tc.drive(40)
-        res = run(CUBIC, TensorOracle(CUBIC, tc), drive, np.array([2.0]))
+        res = run(CUBIC, partial(lambda_window_search, CUBIC, cfg=tc), drive, np.array([2.0]))
         assert res.status == "SOLVED"
         assert all(r.cert.ok for r in res.records)
         final = ops.min_norm_residual(CUBIC.operator, res.records[-1].x_next)
@@ -327,7 +327,7 @@ class TestOracle:
     def test_full_run_on_saddle(self):
         tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
         drive = tc.drive(60)
-        res = run(SADDLE, TensorOracle(SADDLE, tc), drive, np.full(2, 0.7))
+        res = run(SADDLE, partial(lambda_window_search, SADDLE, cfg=tc), drive, np.full(2, 0.7))
         assert all(r.cert.ok for r in res.records)
         wlo, whi = tc.window
         for r in res.records:
@@ -339,7 +339,7 @@ class TestOracle:
         # graph: v - F(y) must vanish without a cone.
         tc = cubic_config()
         x = np.array([1.3])
-        lam, y, v, eps = TensorOracle(CUBIC, tc)(x)
+        lam, y, v, eps, w = lambda_window_search(CUBIC, x, tc)
         assert np.allclose(v, ops.single_value(CUBIC.operator, y), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -354,9 +354,9 @@ class TestOracle:
         real_sur, real_solve = ops.TaylorSurrogate, tensor.surrogate_resolvent
         monkeypatch.setattr(ops, "TaylorSurrogate", lambda *a: builds.append(1) or real_sur(*a))
         monkeypatch.setattr(tensor, "surrogate_resolvent", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
-        oracle = TensorOracle(problem, tc)
+        oracle = partial(lambda_window_search, problem, cfg=tc)
         calls = []
-        res = run(problem, lambda x, r: calls.append(1) or oracle(x, r), tc.drive(30), np.full(problem.dim, 0.7))
+        res = run(problem, lambda x, **kw: calls.append(1) or oracle(x, **kw), tc.drive(30), np.full(problem.dim, 0.7))
         assert res.records and len(calls) >= len(res.records)
         assert len(builds) == len(calls)
         assert len(solves) > len(calls)
@@ -385,7 +385,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(tensor, "surrogate_resolvent", spy)
         problem = problems.build_problem(name, params)
-        res = run(problem, TensorOracle(problem, tc), tc.drive(60), np.full(problem.dim, 0.7))
+        res = run(problem, partial(lambda_window_search, problem, cfg=tc), tc.drive(60), np.full(problem.dim, 0.7))
         assert (len(res.records), len(calls), len(failed)) == work
 
     @pytest.mark.parametrize("name, params, tc", ZOO, ids=[z[0] for z in ZOO])
@@ -432,8 +432,8 @@ class TestWorkCounts:
             for hint in (None, 10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(0.0, 8.0)):
                 got, lean = search(x, hint, bare=False)
                 want, full = search(x, hint, bare=True)
-                assert got[0] == want[0]
-                for a, b in zip(got[1:], want[1:]):
+                assert got[0] == want[0] and got[3] == want[3] == 0.0
+                for a, b in zip(got[1:3] + got[4:], want[1:3] + want[4:]):
                     assert a.tobytes() == b.tobytes()
                 n = lean["state starts"]
                 assert n == full["state starts"]
@@ -460,7 +460,7 @@ class TestUnsolvableSolves:
 
         monkeypatch.setattr(tensor, "surrogate_resolvent", spy)
         tc = cubic_config()
-        res = run(problem, TensorOracle(problem, tc), tc.drive(60), np.full(problem.dim, 0.7))
+        res = run(problem, partial(lambda_window_search, problem, cfg=tc), tc.drive(60), np.full(problem.dim, 0.7))
         assert all(r.cert.ok for r in res.records)
         assert len(failures) >= 2
         for exc in failures:
