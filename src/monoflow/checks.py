@@ -335,8 +335,8 @@ def tensor_suite(seed=0):
 
 
 def _box_monotone_instance():
-    # Strictly monotone affine part over the unit box: exercises the
-    # certified-ascent gap route (the support form does not apply).
+    # Strictly monotone affine part over the unit box: exercises the gap's
+    # exact maximizer route, proximal pivoting (the support form does not apply).
     d = 2
     m = np.array([[1.0, 1.5], [-1.5, 2.0]])
     q = np.array([0.1, -0.2])

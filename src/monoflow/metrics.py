@@ -4,9 +4,9 @@ gap(x) = sup over z in dom(A) and xi in A(z) of <xi, x - z>.  For x inside
 the domain the normal-cone component of xi contributes nothing to the sup,
 so the inner objective is g(z) = <F(z), x - z>.  With affine F this is a
 concave quadratic over a box or ball: a skew part alone makes it linear
-(closed-form corner/support evaluation); otherwise projected gradient
-ascent from seeded starts is polished on the active set and certified by a
-KKT residual.
+(closed-form corner/support evaluation); otherwise its exact maximizer (by
+proximal pivoting on a box, the secular equation on a ball) is certified by
+its Frank-Wolfe width and a KKT residual.
 
 gap, residue and dist_to_solutions take one point or an (n, d) stack of
 points, one per row, through the same code: a point is a stack of one.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .errors import DomainUnbounded, InsufficientPoints, UnknownSolutionSet, UnsupportedMetric
+from .errors import DomainUnbounded, InnerSolverDiverged, InsufficientPoints, UnknownSolutionSet, UnsupportedMetric
 
 __all__ = [
     "gap",
@@ -57,12 +57,12 @@ def gap(problem, x, route="auto"):
 
     x is one point, or an (n, d) stack of points for an (n,) array of
     values.  route selects the maximization path: "auto" uses the closed
-    support form when the quadratic term vanishes and certified ascent
-    otherwise; "support" and "ascent" force one path (cross-validation
-    hook).
+    support form when the quadratic term vanishes and the exact maximizer
+    otherwise; "support" and "ascent" (the maximizer) force one path
+    (cross-validation hook).  See _maximizer_gaps for its certificate.
 
     Raises DomainUnbounded without a bounded domain, UnsupportedMetric for
-    non-affine single-valued parts (no certified maximization route), and
+    non-affine single-valued parts or an uncertified maximizer, and
     ValueError when a point lies outside dom(A).  A stack is taken in row
     order and raises what the first failing one-point call would.
     """
@@ -89,80 +89,73 @@ def gap(problem, x, route="auto"):
         # support point of the domain.
         vals = op.domain.support(ops._matvec(m.T, rows) - q) + ops._dots(rows, q)
     else:
-        vals = _ascent_gaps(op, m, q, rows)
+        vals = _maximizer_gaps(op, m, q, rows)
     if k < len(pts):
         raise ValueError("gap is evaluated at points of dom(A)")
     return float(vals[0]) if one else vals
 
 
-def _ascent_gaps(op, m, q, rows):
-    """The certified ascent's gap at each row, in row order.  The step and
-    the seeded starts do not depend on the point and are formed once."""
-    dom = op.domain
-    sym = m + m.T
+def _maximizer_gaps(op, m, q, rows):
+    """f(z) + q.x at each row, z the maximizer of f(z) = lin.z - z'Sz/2, S = M + M'
+    and lin = M'x - q, if its Frank-Wolfe width w = support(g) - g.z, g = grad
+    f(z), a bound on sup f - f(z) for concave f, is at most KKT_TOL * (1 + |f(z)|
+    + max|g| + max|S|) and its KKT residual at most KKT_TOL * (1 + max|g| + max|S|)."""
+    dom, sym = op.domain, m + m.T
     curv = float(np.abs(sym).max())
-    lip = float(np.linalg.eigvalsh(sym)[-1])
-    # Zero curvature (linear objective) still converges with any positive
-    # step; the floor only keeps the displacement finite before clipping.
-    step = 1.0 / max(lip, 1e-12)
-    rng = np.random.default_rng(0)
-    seeded = [dom.midpoint()] + [dom.random_point(rng) for _ in range(14)]
-
+    if isinstance(dom, ops.BoxCone):
+        t = 1e6 / max(curv, 1e-10)  # the floor keeps t finite at S = 0: a skew part on route "ascent"
+        argmax, fixed = _box_argmax, (ops._eye(op.dim) + t * sym, t)
+    else:
+        eig, vecs = np.linalg.eigh(sym)  # S is PSD; rounding may dip below 0
+        argmax, fixed = _ball_argmax, (sym, np.maximum(eig, 0.0), vecs)
     out = np.empty(len(rows))
     for i, x in enumerate(rows):
-        lin = m.T @ x - q  # the objective <F(z), x - z> has gradient lin - sym @ z
-        best_val, best_z = -np.inf, None
-        for z0 in [dom.project(x)] + seeded:
-            z = z0.copy()
-            for _ in range(500):
-                z_new = dom.project(z + step * (lin - sym @ z))
-                if ops.norm(z_new - z) <= 1e-13 * (1.0 + ops.norm(z)):
-                    z = z_new
-                    break
-                z = z_new
-            z = _active_set_polish(dom, sym, lin, z)
-            val = float((m @ z + q) @ (x - z))
-            if val > best_val:
-                best_val, best_z = val, z
-
-        # Stationary for the max: the gradient at best_z lies in the normal cone there.
-        g = lin - sym @ best_z
-        kkt = dom.residual(best_z, -g)
+        lin = m.T @ x - q
+        z = argmax(dom, lin, x, *fixed)
+        g = lin - sym @ z
+        out[i] = val = float((m @ z + q) @ (x - z))
+        width = float(dom.support(g)) - float(g @ z)
+        kkt = dom.residual(z, -g)  # stationary: the gradient at z lies in the normal cone there
         scale = 1.0 + float(np.abs(g).max()) + curv
-        if kkt > KKT_TOL * scale:
-            raise UnsupportedMetric(f"gap maximization uncertified: KKT residual {kkt:.3e}")
-        out[i] = best_val
+        if width > KKT_TOL * (scale + abs(val - float(q @ x))) or kkt > KKT_TOL * scale:
+            why = f"Frank–Wolfe width {width:.3e}, KKT residual {kkt:.3e}"
+            raise UnsupportedMetric(f"gap maximization uncertified: {why}")
     return out
 
 
-def _active_set_polish(cone, sym, lin, z):
-    # Quadratic objective lin.z - z'sym z/2: solve the stationarity system
-    # on the inactive coordinates, clip, repeat until the active set is
-    # stable.  Box domains only; the ball case stays with plain ascent.
-    if not isinstance(cone, ops.BoxCone):
-        return z
-    d = z.size
-    for _ in range(d + 2):
-        at_lo = z <= cone.lower_in
-        at_hi = z >= cone.upper_in
-        grad_z = lin - sym @ z
-        free = (~at_lo & ~at_hi) | (at_lo & (grad_z > 0)) | (at_hi & (grad_z < 0))
-        if not free.any():
-            return z
-        zf = z.copy()
-        idx = np.where(free)[0]
-        a = sym[np.ix_(idx, idx)]
-        b = lin[idx] - sym[np.ix_(idx, np.where(~free)[0])] @ z[~free]
+def _box_argmax(box, lin, x, a, t):
+    """At most dim + 2 proximal steps z <- argmax f - ||. - z||^2/(2t) from
+    P(x), each the box LVI with a = I + t*S and b = z + t*lin pivoted from
+    the last step's partition, until z stops moving or hits the pivot cap."""
+    z = box.project(x)
+    side = np.where(z <= box.lower, -1, np.where(z >= box.upper, 1, 0))
+    for _ in range(z.size + 2):
         try:
-            sol = ops._solve(a, b)
-        except np.linalg.LinAlgError:
-            return z
-        zf[idx] = sol
-        zf = cone.project(zf)
-        if ops.norm(zf - z) <= 1e-14 * (1.0 + ops.norm(z)):
-            return zf
-        z = zf
+            step, side = ops._box_lvi(a, z + t * lin, box.lower, box.upper, side, "gap box")
+        except InnerSolverDiverged:
+            break
+        if np.array_equal(step, z):
+            break
+        z = step
     return z
+
+
+def _ball_argmax(ball, lin, x, sym, eig, vecs):
+    """c + u with (S + mu*I) u = lin - S c (Moré & Sorensen 1983), S = vecs
+    diag(eig) vecs': mu = 0 where the right side has no kernel part and its
+    min-norm u lies in the ball; else ||u(mu)|| = radius, bisected on (0,
+    ||rhs||/radius] to eps of that width, with u at the end inside the ball."""
+    c, r = ball.center, ball.radius
+    rhs = vecs.T @ (lin - sym @ c)
+    u = np.divide(rhs, eig, out=np.zeros(rhs.size), where=eig > 0.0)
+    if rhs[eig == 0.0].any() or ops.norm(u) > r:
+        lo, hi = 0.0, ops.norm(rhs) / r
+        width = np.finfo(float).eps * hi
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ops.norm(rhs / (eig + mid)) > r else (lo, mid)
+        u = rhs / (eig + hi)
+    return c + vecs @ u
 
 
 def gap_grid_oracle(problem, x):

@@ -14,7 +14,7 @@ element), so the reported residual ||lam*v + y - x|| measures the full
 solve error.  normal_map_newton is the one Newton kernel: the resolvent's
 Newton route runs it on F, and the tensor oracle on a TaylorSurrogate of F.
 Where the kernel fails on a lone affine part over a box, the Newton route
-finishes the solve by principal pivoting on the box LVI (_box_pivoting).
+finishes the solve by principal pivoting (_box_lvi, which metrics.gap shares).
 
 What depends on the operator alone is computed once, when it is built: a
 PolyPart keeps its derivative chain, a BoxCone or a BallCone its boundary
@@ -30,7 +30,7 @@ by _polyder, which give the bits of numpy.polynomial.polynomial's polyval
 (on floats and on arrays alike) and polyder without importing it.
 
 Every dense linear solve (the Newton step, the affine closed form, and the
-active-set polish of metrics.gap) goes through _solve.  It calls the LAPACK
+pivots of _box_lvi) goes through _solve.  It calls the LAPACK
 gufunc behind np.linalg.solve under the same floating-point error state,
 so it returns the same bits and raises the same LinAlgError on a singular
 matrix, without np.linalg.solve's Python-side dispatch, which costs several
@@ -240,9 +240,9 @@ def _matvec(m, x):
 # for the identity, a 0/1 vector for a box, a symmetric matrix for a ball;
 # at a kink a box bound counts as active, the sphere as inactive);
 # sup_dist_sq(x0) = sup ||z - x0||^2 over a bounded domain; for metrics.gap,
-# support(c) = sup <c, z>, midpoint() and random_point(rng).  Each takes float
-# arrays: project, contains, interior, residual and support a point or an
-# (n, d) stack, each row with the one-point call's bits.
+# support(c) = sup <c, z>.  Each takes float arrays: project, contains,
+# interior, residual and support a point or an (n, d) stack, each row with
+# the one-point call's bits.
 
 
 class _WholeSpace:
@@ -331,15 +331,6 @@ class BoxCone:
     def support(self, c):
         return np.maximum(c * self.lower, c * self.upper).sum(axis=-1)
 
-    def midpoint(self):
-        return 0.5 * (self.lower + self.upper)
-
-    def random_point(self, rng):
-        if rng.random() < 0.5:
-            pick = rng.random(self.lower.size) < 0.5
-            return np.where(pick, self.upper, self.lower).astype(float)
-        return self.lower + (self.upper - self.lower) * rng.random(self.lower.size)
-
 
 @dataclass(frozen=True)
 class BallCone:
@@ -416,15 +407,6 @@ class BallCone:
 
     def support(self, c):
         return self.radius * _norms(c) + _dots(c, self.center)
-
-    def midpoint(self):
-        return np.array(self.center)
-
-    def random_point(self, rng):
-        d = self.center.size
-        u = rng.standard_normal(d)
-        u /= max(float(np.linalg.norm(u)), 1e-300)
-        return self.center + self.radius * rng.random() ** (1.0 / d) * u
 
 
 def _point_maps(op):
@@ -741,37 +723,27 @@ def _radial_route(op, lam, x, warm):
     return _closed_form(lam, x, y, op.radial.weight * r * r * y, "radial")
 
 
-def _box_pivoting(op, lam, x):
-    """The resolvent of a lone affine part over a box by least-index principal pivoting.
-
-    y solves the box LVI with a = I + lam*M and b = x - lam*q: each
-    coordinate is free, at its lower or at its upper bound (first as x
-    lies), the free ones solve a_FF y_F = b_F - a_F,active y_active, and
-    the lowest-index violation switches: a free y_i outside its bound, or
-    a normal element n_i = (x - y)_i/lam - F(y)_i of the wrong sign at an
-    active one.  a's symmetric part is >= I, so a is a P-matrix and the
-    pivots end (Murty 1974; Cottle, Pang & Stone 1992, ch. 4); past
-    MAX_PIVOTS_PER_DIM * dim of them InnerSolverDiverged is raised.  v =
-    F(y) + n with n = 0 on free coordinates lies in A(y) exactly.
-    """
-    m, q, lo, hi = op.affine.matrix, op.affine.offset, op.cone.lower, op.cone.upper
-    a, b = _eye(op.dim) + lam * m, x - lam * q
-    side = np.where(x <= lo, -1, np.where(x >= hi, 1, 0))  # -1 lower, 1 upper, 0 free
-    cap = MAX_PIVOTS_PER_DIM * op.dim
+def _box_lvi(a, b, lo, hi, side, what):
+    """(y, side): y in [lo, hi] with r = b - a @ y zero where y is free, <= 0
+    at lo and >= 0 at hi, by least-index principal pivoting from the
+    partition side (-1 lower, 1 upper, 0 free), which it updates.  On a
+    P-matrix a the pivots end (Murty 1974; Cottle, Pang & Stone 1992, ch.
+    4); past MAX_PIVOTS_PER_DIM * dim, InnerSolverDiverged is raised, its
+    message prefixed by what."""
+    cap = MAX_PIVOTS_PER_DIM * b.size
     for _ in range(cap):
         free = side == 0
         y = np.where(side < 0, lo, hi)
         if free.any():
             act = ~free
             y[free] = _solve(a[np.ix_(free, free)], b[free] - a[np.ix_(free, act)] @ y[act])
-        fy = m @ y + q
-        n = np.where(free, 0.0, (x - y) / lam - fy)
-        bad = free & ((y < lo) | (y > hi)) | (lo < hi) & ((side < 0) & (n > 0) | (side > 0) & (n < 0))
+        r = b - a @ y
+        bad = free & ((y < lo) | (y > hi)) | (lo < hi) & ((side < 0) & (r > 0) | (side > 0) & (r < 0))
         if not bad.any():
-            return _closed_form(lam, x, y, fy + n, "affine + box pivoting")
+            return y, side
         i = int(np.argmax(bad))
         side[i] = 0 if side[i] else (-1 if y[i] < lo[i] else 1)
-    raise InnerSolverDiverged(f"resolvent affine + box pivoting hit its cap of {cap} pivots", iterations=cap)
+    raise InnerSolverDiverged(f"{what} pivoting hit its cap of {cap} pivots", iterations=cap)
 
 
 def _newton_route(op, lam, x, warm):
@@ -788,10 +760,15 @@ def _newton_route(op, lam, x, warm):
             "resolvent",
         )
     except InnerSolverDiverged:
-        # Damped Newton has no global convergence on a box LVI; pivoting finishes one exactly.
+        # Damped Newton has no global convergence on a box LVI; pivoting on the P-matrix I + lam*M
+        # finishes one exactly, and v = F(y) + n, n = 0 where y is free, lies in A(y) exactly.
         if not isinstance(op.cone, BoxCone) or op.affine is None or op.poly is not None or op.radial is not None:
             raise
-        return _box_pivoting(op, lam, x)
+        m, q, lo, hi = op.affine.matrix, op.affine.offset, op.cone.lower, op.cone.upper
+        side = np.where(x <= lo, -1, np.where(x >= hi, 1, 0))
+        y, side = _box_lvi(_eye(op.dim) + lam * m, x - lam * q, lo, hi, side, "resolvent affine + box")
+        fy = m @ y + q
+        return _closed_form(lam, x, y, fy + np.where(side == 0, 0.0, (x - y) / lam - fy), "affine + box pivoting")
     return Resolvent(y, None, lam, x, iterations=its, step=step, state=state)
 
 

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import decimal
 import functools
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monoflow import checks, feedback, metrics, problems, tensor
+from monoflow import checks, feedback, problems, tensor
 from monoflow import operators as ops
 from monoflow.errors import InnerSolverDiverged
 from monoflow.hpe import HpeConfig, exact_oracle, run, verify_step
@@ -303,6 +304,58 @@ class TestNewtonFailures:
         monkeypatch.undo()
         with pytest.raises(InnerSolverDiverged, match=r"^resolvent affine \+ box pivoting solve missed its bound at residual nan"):
             ops.resolvent(op, 5.0, np.array([np.nan, 1.0, 0.0, 0.0]))
+
+
+def _exact_box_lvi(a, b, lo, hi):
+    """Every partition (-1 lower, 1 upper, 0 free) of the box LVI that
+    _box_lvi solves, solved in fractions.Fraction: the (partition, y) pairs
+    where y lies in the box and r = b - a @ y has its sign at each bound."""
+    d = len(b)
+    a = [[Fraction(v) for v in row] for row in a.tolist()]
+    b, lo, hi = ([Fraction(v) for v in u.tolist()] for u in (b, lo, hi))
+    out = []
+    for side in itertools.product((-1, 0, 1), repeat=d):
+        y = [lo[i] if s < 0 else hi[i] for i, s in enumerate(side)]
+        free = [i for i in range(d) if side[i] == 0]
+        # Gauss-Jordan on a_FF y_F = b_F - a_F,active y_active.
+        rows = [[a[i][j] for j in free] + [b[i] - sum(a[i][j] * y[j] for j in range(d) if side[j])] for i in free]
+        for c in range(len(free)):
+            p = next(k for k in range(c, len(free)) if rows[k][c] != 0)
+            rows[c], rows[p] = rows[p], rows[c]
+            for k in range(len(free)):
+                if k != c and rows[k][c] != 0:
+                    f = rows[k][c] / rows[c][c]
+                    rows[k] = [u - f * v for u, v in zip(rows[k], rows[c])]
+        for k, i in enumerate(free):
+            y[i] = rows[k][-1] / rows[k][k]
+        r = [b[i] - sum(a[i][j] * y[j] for j in range(d)) for i in range(d)]
+        if all(lo[i] <= y[i] <= hi[i] if s == 0 else (r[i] <= 0 if s < 0 else r[i] >= 0) for i, s in enumerate(side)):
+            out.append((side, y))
+    return out
+
+
+class TestBoxLvi:
+    """_box_lvi, the pivot that the resolvent's finish and the gap's
+    proximal steps share, against the exact solution of its LVI."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 4), st.data())
+    def test_matches_the_one_consistent_partition(self, d, data):
+        # a = I + t*S with S = BB' of random rank is positive definite, so a
+        # P-matrix: exactly one of the 3^d partitions is consistent.
+        rank = data.draw(st.integers(0, d))
+        t = 10.0 ** data.draw(st.floats(-2.0, 6.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = rng.standard_normal((d, rank))
+        sym = g @ g.T
+        a = ops._eye(d) + t * (0.5 * (sym + sym.T))
+        lo, hi = -0.1 - rng.random(d), 0.1 + rng.random(d)
+        b = (1.0 + t * rng.random()) * 3.0 * rng.standard_normal(d)
+        y, side = ops._box_lvi(a, b, lo, hi, rng.integers(-1, 2, d), "test")
+        [(want_side, want)] = _exact_box_lvi(a, b, lo, hi)
+        want = np.array([float(v) for v in want])
+        assert np.all(np.abs(y - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert tuple(side) == want_side
 
 
 # Reference copy of the normal-map Newton kernel as it stood before its
@@ -1299,32 +1352,6 @@ def _ref_box_residual(cone, x, g):
     return ops.norm(r)
 
 
-def _ref_active_set_polish(cone, sym, lin, z):
-    d = z.size
-    edge = ops.BOUNDARY_ATOL * (1.0 + np.maximum(np.abs(cone.lower), np.abs(cone.upper)))
-    for _ in range(d + 2):
-        at_lo = z <= cone.lower + edge
-        at_hi = z >= cone.upper - edge
-        grad_z = lin - sym @ z
-        free = (~at_lo & ~at_hi) | (at_lo & (grad_z > 0)) | (at_hi & (grad_z < 0))
-        if not free.any():
-            return z
-        zf = z.copy()
-        idx = np.where(free)[0]
-        a = sym[np.ix_(idx, idx)]
-        b = lin[idx] - sym[np.ix_(idx, np.where(~free)[0])] @ z[~free]
-        try:
-            sol = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            return z
-        zf[idx] = sol
-        zf = np.clip(zf, cone.lower, cone.upper)
-        if float(np.linalg.norm(zf - z)) <= 1e-14 * (1.0 + float(np.linalg.norm(z))):
-            return zf
-        z = zf
-    return z
-
-
 # Copies of the one-point domain helpers as they stood before each domain
 # kind carried its own operations: each tests the cone's kind per call.
 
@@ -1551,17 +1578,6 @@ class TestBoxConeBitIdentity:
         assert cone.upper_in.tobytes() == (cone.upper - edge).tobytes()
         for a in (cone.scale, cone.lower_out, cone.upper_out, cone.lower_in, cone.upper_in):
             assert not a.flags.writeable
-
-    @settings(max_examples=300)
-    @given(_box_points(), st.integers(0, 2**16))
-    def test_gap_helpers_match_reference(self, case, seed):
-        cone, x, g = case
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((x.size, x.size))
-        sym = a @ a.T
-        lin = 10.0 * g
-        want = _ref_active_set_polish(cone, sym, lin, x)
-        assert metrics._active_set_polish(cone, sym, lin, x).tobytes() == want.tobytes()
 
 
 @st.composite
