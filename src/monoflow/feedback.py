@@ -119,7 +119,7 @@ def _adjoint(op, lam, x, r, p, e):
     else:
         w, _, fy = r.state
     n, dp = op.domain.jacobian(lam, op.jacobian(y), w)
-    pe = e if dp is None else dp * e if dp.ndim == 1 else dp @ e  # DP e
+    pe = e if dp is None else dp * e if dp.ndim == 1 else dp.dot(e)  # DP e
     d = r.step  # ||y - x||, the bits of ||x - y||
     return d, lam * (p - 1) * d ** (p - 3), ops._solve(n.T, pe), fy
 
@@ -143,7 +143,7 @@ def law_slope(op, lam, x, r, p, f):
     if r.step == 0.0 and p < 3:
         return math.nan, math.nan
     d, c, z, fy = _adjoint(op, lam, x, r, p, f)
-    return d ** (p - 1) - c * float(z @ fy), -c * float((f - z) @ f)
+    return d ** (p - 1) - c * float(z.dot(fy)), -c * float((f - z).dot(f))
 
 
 class _LawCurve:

@@ -43,7 +43,11 @@ CERT_TOL = 1e-8
 @dataclass(frozen=True)
 class HpeConfig:
     """Step-verification constants and budget; theta and p are checked once,
-    by building the FeedbackParams that the exact oracle solves the law with."""
+    by building the FeedbackParams that the exact oracle solves the law with.
+
+    sigma only widens verify_step's relative-error allowance: the exact
+    oracle returns resolvent pairs, whose relative error is zero (sigma = 0),
+    so sigma changes no iterate."""
 
     sigma: float
     theta: float

@@ -110,14 +110,14 @@ def _maximizer_gaps(op, m, q, rows):
         argmax, fixed = _ball_argmax, (sym, np.maximum(eig, 0.0), vecs)
     out = np.empty(len(rows))
     for i, x in enumerate(rows):
-        lin = m.T @ x - q
+        lin = m.T.dot(x) - q
         z = argmax(dom, lin, x, *fixed)
-        g = lin - sym @ z
-        out[i] = val = float((m @ z + q) @ (x - z))
-        width = float(dom.support(g)) - float(g @ z)
+        g = lin - sym.dot(z)
+        out[i] = val = float((m.dot(z) + q).dot(x - z))
+        width = float(dom.support(g)) - float(g.dot(z))
         kkt = dom.residual(z, -g)  # stationary: the gradient at z lies in the normal cone there
         scale = 1.0 + float(np.abs(g).max()) + curv
-        if width > KKT_TOL * (scale + abs(val - float(q @ x))) or kkt > KKT_TOL * scale:
+        if width > KKT_TOL * (scale + abs(val - float(q.dot(x)))) or kkt > KKT_TOL * scale:
             why = f"Frank–Wolfe width {width:.3e}, KKT residual {kkt:.3e}"
             raise UnsupportedMetric(f"gap maximization uncertified: {why}")
     return out

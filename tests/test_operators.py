@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from monoflow import checks, feedback, problems, tensor
+from monoflow import checks, feedback, metrics, problems, tensor
 from monoflow import operators as ops
-from monoflow.errors import InnerSolverDiverged
+from monoflow.errors import InnerSolverDiverged, UnsupportedMetric
 from monoflow.hpe import HpeConfig, exact_oracle, run, verify_step
 from monoflow.report import CheckReport, worst
 from monoflow.tensor import TensorConfig, lambda_window_search, surrogate_resolvent
@@ -305,6 +305,23 @@ class TestNewtonFailures:
         with pytest.raises(InnerSolverDiverged, match=r"^resolvent affine \+ box pivoting solve missed its bound at residual nan"):
             ops.resolvent(op, 5.0, np.array([np.nan, 1.0, 0.0, 0.0]))
 
+    def test_dense_pivoting_misses_a_bound_below_its_rounding(self):
+        # A known defect, pinned until the bound gains a floor that scales
+        # with lam * ||M|| * ||y|| * eps: at lam = 1e6 Newton fails on the
+        # dense 12-d instance and pivoting's exact partition leaves a residual
+        # above RESOLVENT_TOL * ||y - x|| but below the rounding of lam * M * y.
+        op = NEWTON_INSTANCES["dense affine+box d=12"]
+        x, lam = np.random.default_rng(0).standard_normal(12), 1e6
+        with pytest.raises(InnerSolverDiverged, match=r"^resolvent affine \+ box pivoting solve missed its bound") as exc:
+            ops.resolvent(op, lam, x)
+        m, box = op.affine.matrix, op.cone
+        side = np.where(x <= box.lower, -1, np.where(x >= box.upper, 1, 0))
+        y, _ = ops._box_lvi(np.eye(12) + lam * m, x - lam * op.affine.offset, box.lower, box.upper, side, "")
+        bound = ops.RESOLVENT_TOL * max(1.0, ops.norm(y - x))
+        rounding = np.finfo(float).eps * lam * np.linalg.norm(m, 2) * ops.norm(y)
+        assert bound < exc.value.residual < rounding
+        ops.resolvent(op, 1e5, x)  # a tenth of that lam still meets the bound
+
 
 def _exact_box_lvi(a, b, lo, hi):
     """Every partition (-1 lower, 1 upper, 0 free) of the box LVI that
@@ -466,6 +483,8 @@ def _ref_resolvent(op, lam, x, warm, tol=ops.RESOLVENT_TOL, solve=np.linalg.solv
 
 def _newton_instances():
     # Every instance leaves resolvent no closed form, so the kernel runs.
+    # Besides the d = 4 ones, the benchmarked 10-d saddle and a dense 12-d
+    # affine + box, where BLAS runs the unrolled paths of its dot and matvec.
     rng = np.random.default_rng(41)
     g = rng.standard_normal((4, 4))
     m = g @ g.T / 4.0 + (g - g.T)
@@ -484,7 +503,16 @@ def _newton_instances():
             radial=ops.RadialPart(0.2),
             cone=ball,
         ),
+        "saddle d=10": problems.make_bilinear_saddle(d=10).operator,
+        "dense affine+box d=12": _dense_affine_box(12),
     }
+
+
+def _dense_affine_box(d):
+    # Drawn from a generator of its own, so the d = 4 instances keep their draws.
+    rng = np.random.default_rng(412)
+    g = rng.standard_normal((d, d))
+    return ops.make_affine(g @ g.T / d + (g - g.T), rng.standard_normal(d), cone=ops.BoxCone(-np.ones(d), np.ones(d)))
 
 
 NEWTON_INSTANCES = _newton_instances()
@@ -562,7 +590,10 @@ def _route_instances():
     rng = np.random.default_rng(43)
     box = ops.BoxCone(-np.ones(4), np.ones(4))
     ball = ops.BallCone(0.3 * rng.standard_normal(4), 1.5)
-    out = {name: (op, ops._newton_route) for name, op in NEWTON_INSTANCES.items()}
+    # The dense 12-d instance stays out: these tests draw lam up to 1e6, and above
+    # about 5e5 its pivoting finish can miss an absolute residual bound that lies
+    # below the rounding of lam * M * y (TestNewtonFailures pins that defect).
+    out = {name: (op, ops._newton_route) for name, op in NEWTON_INSTANCES.items() if name != "dense affine+box d=12"}
     out.update({
         "box only": (ops.OperatorSpec(dim=4, cone=box), ops._projection_route),
         "ball only": (ops.OperatorSpec(dim=4, cone=ball), ops._projection_route),
@@ -753,6 +784,244 @@ class TestDenseSolve:
                 assert got.iterations == its and got.residual == res, name
                 steps += its
         assert steps > 0
+
+
+def _strided(a):
+    """A view of a with the same values and every stride doubled."""
+    big = np.zeros(tuple(2 * n for n in a.shape))
+    every_other = (slice(None, None, 2),) * a.ndim
+    big[every_other] = a
+    return big[every_other]
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _layouts(rng, d, scale=1.0):
+    """(name, v, w, m): two random vectors and a random monotone matrix (PSD
+    plus skew), the same values in each operand layout."""
+    v, w = scale * rng.standard_normal((2, d))
+    g = rng.standard_normal((d, d))
+    m = g @ g.T / d + g - g.T
+    return [
+        ("contiguous", v.copy(), w.copy(), m.copy()),
+        ("strided", _strided(v), _strided(w), _strided(m)),
+        ("transposed", v.copy(), w.copy(), m.T.copy().T),
+        ("read-only", _read_only(v), _read_only(w), _read_only(m)),
+    ]
+
+
+def _ref_ball_residual(cone, x, g):
+    """BallCone.residual on one point as it stood with g @ u."""
+    rad = x - cone.center
+    nr = math.sqrt(rad @ rad)
+    if nr < cone.radius_in:
+        return math.sqrt(g @ g)
+    u = rad / nr
+    inner = float(g @ u)
+    if inner >= 0:
+        return math.sqrt(g @ g)
+    t = g - inner * u
+    return math.sqrt(t @ t) if math.isfinite(inner) else math.nan
+
+
+def _ref_law_slope(op, lam, x, r, p, f):
+    """feedback.law_slope and its _adjoint as they stood with @."""
+    y = r.y
+    if r.state is None:
+        fy = ops.single_value(op, y)
+        w = x - lam * fy
+    else:
+        w, _, fy = r.state
+    n, dp = op.domain.jacobian(lam, ops.single_jacobian(op, y), w)
+    pe = f if dp is None else dp * f if dp.ndim == 1 else dp @ f
+    d = r.step
+    c = lam * (p - 1) * d ** (p - 3)
+    z = np.linalg.solve(n.T, pe)
+    return d ** (p - 1) - c * float(z @ fy), -c * float((f - z) @ f)
+
+
+def _ref_maximizer_gaps(op, m, q, rows):
+    """The values of metrics._maximizer_gaps as they stood with @ (its
+    certificate, unchanged, is left to the live code)."""
+    sym = m + m.T
+    curv = float(np.abs(sym).max())
+    if isinstance(op.domain, ops.BoxCone):
+        t = 1e6 / max(curv, 1e-10)
+        argmax, fixed = metrics._box_argmax, (np.eye(op.dim) + t * sym, t)
+    else:
+        eig, vecs = np.linalg.eigh(sym)
+        argmax, fixed = metrics._ball_argmax, (sym, np.maximum(eig, 0.0), vecs)
+    out = []
+    for x in rows:
+        lin = m.T @ x - q
+        z = argmax(op.domain, lin, x, *fixed)
+        out.append(float((m @ z + q) @ (x - z)))
+    return np.array(out)
+
+
+class TestDotLayouts:
+    """Each product switched from @ to ndarray.dot gives the bits of the @
+    expression it replaced, for d = 1..12, on contiguous, strided,
+    transposed and read-only operands.  They differ only on a matrix with no
+    unit stride, which no operator hands to a product."""
+
+    DIMS = range(1, 13)
+
+    def test_norm_and_dots(self):
+        rng = np.random.default_rng(61)
+        for d in self.DIMS:
+            for _ in range(10):
+                for name, v, w, m in _layouts(rng, d, 10.0 ** rng.uniform(-5, 5)):
+                    assert ops.norm(v) == math.sqrt(v @ v), (name, d)
+                    got = ops._dots(v, w)
+                    assert type(got) is float and got == float(v @ w), (name, d)
+                    # m as an (n, d) stack: its rows with another stack's, or with one point.
+                    rows = np.ascontiguousarray(m)
+                    for b in (m[::-1], w):
+                        want = [r @ s for r, s in zip(rows, b if b.ndim == 2 else [b] * d)]
+                        assert ops._dots(m, b).tobytes() == np.array(want).tobytes(), (name, d)
+                    assert ops._norms(m).tobytes() == np.sqrt([r @ s for r, s in zip(rows, m)]).tobytes(), (name, d)
+
+    def test_matvec_and_affine_evaluators(self):
+        rng = np.random.default_rng(62)
+        for d in self.DIMS:
+            box = ops.BoxCone(-np.ones(d), np.ones(d))
+            for _ in range(10):
+                for name, v, q, m in _layouts(rng, d, 10.0 ** rng.uniform(-5, 5)):
+                    # On a matrix with no unit stride (the strided layout) @ runs numpy's
+                    # own loop and .dot BLAS on a contiguous copy, so the bits differ.
+                    want = (np.ascontiguousarray(m) if name == "strided" else m) @ v
+                    assert ops._matvec(m, v).tobytes() == want.tobytes(), (name, d)
+                    # The operator's stored matrix keeps a unit stride; F and the
+                    # whole-space affine closed form multiply by it.
+                    op = ops.make_affine(m, q, cone=box)
+                    a = op.affine.matrix
+                    assert a.flags.c_contiguous or a.flags.f_contiguous, (name, d)
+                    assert op.value(v).tobytes() == (a @ v + q).tobytes(), (name, d)
+                    assert ops.single_value(op, v).tobytes() == (a @ v + q).tobytes(), (name, d)
+                    lam = 10.0 ** rng.uniform(-2, 2)
+                    y = np.linalg.solve(np.eye(d) + lam * a, v - lam * q)
+                    try:
+                        r = ops.resolvent(ops.make_affine(m, q), lam, v)
+                    except InnerSolverDiverged:
+                        continue
+                    assert r.y.tobytes() == y.tobytes() and r.v.tobytes() == (a @ y + q).tobytes(), (name, d)
+
+    def test_pivoting_finish(self, monkeypatch):
+        # Newton made to fail on every solve: pivoting finishes each, F(y) included.
+        def stall(*args):
+            raise InnerSolverDiverged("resolvent newton stalled", residual=1.0, iterations=0)
+
+        monkeypatch.setattr(ops, "normal_map_newton", stall)
+        rng = np.random.default_rng(63)
+        finished = 0
+        for d in self.DIMS:
+            box = ops.BoxCone(-np.ones(d), np.ones(d))
+            for name, x, q, m in _layouts(rng, d, 2.0):
+                op = ops.make_affine(m, q, cone=box)
+                a, lam = op.affine.matrix, 10.0 ** rng.uniform(-2, 2)
+                side = np.where(x <= -1.0, -1, np.where(x >= 1.0, 1, 0))
+                y, side = ops._box_lvi(np.eye(d) + lam * a, x - lam * q, box.lower, box.upper, side, "")
+                fy = a @ y + q
+                try:
+                    r = ops.resolvent(op, lam, x)
+                except InnerSolverDiverged:
+                    continue
+                assert r.y.tobytes() == y.tobytes(), (name, d)
+                assert r.v.tobytes() == (fy + np.where(side == 0, 0.0, (x - y) / lam - fy)).tobytes(), (name, d)
+                finished += 1
+        assert finished > 0
+
+    def test_ball_residual(self):
+        rng = np.random.default_rng(64)
+        for d in self.DIMS:
+            ball = ops.BallCone(0.3 * rng.standard_normal(d), 1.5)
+            for _ in range(10):
+                for name, x, g, _ in _layouts(rng, d, 10.0 ** rng.uniform(-3, 3)):
+                    on = ball.project(x * (1e3 / ops.norm(x)))  # on the sphere
+                    for point in (x, _strided(on) if name == "strided" else on):
+                        want = _ref_ball_residual(ball, point, g)
+                        assert np.float64(ball.residual(point, g)).tobytes() == np.float64(want).tobytes(), (name, d)
+
+    def test_taylor_surrogate(self):
+        rng = np.random.default_rng(65)
+        for d in self.DIMS:
+            for name, anchor, u, m in _layouts(rng, d):
+                op = ops.OperatorSpec(dim=d, affine=ops.AffinePart(m, rng.standard_normal(d)), radial=ops.RadialPart(0.3))
+                for p in (1, 2, 3, 4):
+                    # The surrogate keeps a contiguous copy of its anchor.
+                    sur, kept = ops.TaylorSurrogate(op, anchor, p), anchor.copy()
+                    assert sur.value(u).tobytes() == _ref_taylor_value(op, kept, p, u).tobytes(), (name, d, p)
+                    assert sur.jacobian(u).tobytes() == _ref_taylor_jacobian(op, kept, p, u).tobytes(), (name, d, p)
+
+    def test_law_slope(self):
+        rng = np.random.default_rng(66)
+        slopes = 0
+        for d in self.DIMS:
+            for cone in (ops.BoxCone(-np.ones(d), np.ones(d)), ops.BallCone(np.zeros(d), 1.0), None):
+                for name, x, q, m in _layouts(rng, d, 2.0):
+                    op = ops.make_affine(m, q, cone=cone)
+                    lam = 10.0 ** rng.uniform(-1, 1)
+                    try:
+                        r = ops.resolvent(op, lam, x)
+                    except InnerSolverDiverged:
+                        continue
+                    f = _strided(r.y - x) if name == "strided" else r.y - x
+                    for p in (2, 3):
+                        got = feedback.law_slope(op, lam, x, r, p, f)
+                        want = _ref_law_slope(op, lam, x, r, p, f)
+                        assert np.array(got).tobytes() == np.array(want).tobytes(), (name, d, p)
+                        slopes += 1
+        assert slopes > 200
+
+    def test_maximizer_gaps(self):
+        rng = np.random.default_rng(67)
+        certified = 0
+        for d in self.DIMS:
+            for cone in (ops.BoxCone(-np.ones(d), np.ones(d)), ops.BallCone(np.zeros(d), 1.0)):
+                for name, x, q, m in _layouts(rng, d):
+                    op = ops.make_affine(m, q, cone=cone)
+                    prob = problems.ProblemInstance("layout", op, problems.SolutionSet("UNKNOWN"), None)
+                    x = op.domain.project(np.array(x))
+                    x = _strided(x) if name == "strided" else x
+                    try:
+                        got = metrics.gap(prob, x, route="ascent")
+                    except UnsupportedMetric:
+                        continue
+                    want = _ref_maximizer_gaps(op, op.affine.matrix, q, x[np.newaxis, :])[0]
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (name, d)
+                    certified += 1
+        assert certified > 60
+
+    def test_strided_norm_hazard(self):
+        # ops.norm on a strided view takes BLAS's strided ddot, np.linalg.norm
+        # its contiguous copy's unrolled one: they differ in some draws, as
+        # before the switch (ops.norm is math.sqrt(v @ v) on every layout).
+        rng = np.random.default_rng(68)
+        differ = 0
+        for _ in range(300):
+            v = rng.standard_normal(2 * int(rng.integers(4, 13))) * 10.0 ** rng.uniform(-5, 5)
+            s = v[::2]
+            assert ops.norm(s) == math.sqrt(s @ s) and ops.norm(s.copy()) == float(np.linalg.norm(s))
+            differ += ops.norm(s) != float(np.linalg.norm(s))
+        assert differ > 0
+
+    def test_radial_route_and_membership_margin_copy(self, monkeypatch):
+        # The two callers that may receive strided views norm contiguous copies.
+        seen, real = [], ops.norm
+        monkeypatch.setattr(ops, "norm", lambda v: seen.append(v.flags.c_contiguous) or real(v))
+        rng = np.random.default_rng(69)
+        radial = ops.OperatorSpec(dim=4, radial=ops.RadialPart(1.0))
+        box = make_box_affine(seed=3)
+        for _ in range(20):
+            big = 0.5 * rng.standard_normal(8)
+            ops.resolvent(radial, 0.7, big[::2])
+            checks._membership_margin(box, big[::2], big[1::2])
+        assert seen and all(seen)
 
 
 class TestKernelBitIdentity:
