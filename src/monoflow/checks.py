@@ -373,8 +373,8 @@ def metrics_suite(seed=0):
     )
 
     rep.add(
-        "ascent route agrees with the exact support form",
-        *worst(1e-8 - abs(gap(saddle, x, route="ascent") - gap(saddle, x, route="support")) for x in pts[:25]),
+        "maximizer route agrees with the exact support form",
+        *worst(1e-8 - abs(gap(saddle, x, route="maximizer") - gap(saddle, x, route="support")) for x in pts[:25]),
     )
 
     box = _box_monotone_instance()
@@ -391,8 +391,8 @@ def metrics_suite(seed=0):
         tol = gbound * cell + 1e-9
         margins_lo.append(val - grid + 1e-9)
         margins_hi.append(tol - (val - grid))
-    rep.add("ascent gap dominates the grid lower bound", *worst(margins_lo))
-    rep.add("ascent gap within one grid cell of the oracle", *worst(margins_hi))
+    rep.add("maximizer gap dominates the grid lower bound", *worst(margins_lo))
+    rep.add("maximizer gap within one grid cell of the oracle", *worst(margins_hi))
 
     cfg = HpeConfig(0.0, 0.01, 2, 60, stop_res=1e-12)
     records = run(saddle, partial(exact_oracle, saddle, cfg=cfg), cfg, np.array([0.7, 0.4])).records

@@ -29,14 +29,7 @@ import numpy as np
 from . import checks, flow, hpe, metrics, tensor
 from . import operators as ops
 from .config import load_config
-from .errors import (
-    ConfigError,
-    DomainUnbounded,
-    InsufficientPoints,
-    MonoflowError,
-    UnknownSolutionSet,
-    UnsupportedMetric,
-)
+from .errors import ConfigError, InsufficientPoints, MonoflowError, UnknownSolutionSet
 from .report import running_worst
 
 RATE_TOL = 0.2
@@ -85,32 +78,6 @@ def _fit_or_none(values, positions):
     return {"slope": fit.slope, "r_squared": fit.r_squared, "dropped": fit.dropped}
 
 
-def _ergodic_gaps(problem, num, den):
-    """(gaps, off): metrics.gap at num[i] / den[i] for each row with
-    den[i] > 0, NaN at the others, as a list of floats.
-
-    The gap turns off at the first row where it raises UnsupportedMetric or
-    DomainUnbounded: that row and every later one read NaN, and off holds
-    the reason; it is None while the gap stays on.  A point outside dom(A)
-    raises ValueError.
-    """
-    gaps = np.full(len(den), np.nan)
-    rows = np.flatnonzero(den > 0)
-    points = num[rows] / den[rows, np.newaxis]
-    try:
-        if rows.size:
-            gaps[rows] = metrics.gap(problem, points)
-    except (UnsupportedMetric, DomainUnbounded):
-        # One row's gap does not depend on another's: redo the rows one at
-        # a time to keep the values before the first that raises.
-        for i, x in zip(rows, points):
-            try:
-                gaps[i] = metrics.gap(problem, x)
-            except (UnsupportedMetric, DomainUnbounded) as exc:
-                return gaps.tolist(), str(exc)
-    return gaps.tolist(), None
-
-
 def _dists_or_nan(problem, points):
     """metrics.dist_to_solutions at each row of points, as a list of
     floats; all NaN when the problem declares no solution set."""
@@ -137,7 +104,7 @@ def _run_flow(cfg, problem):
         + [f"x{i}" for i in range(d)]
         + ["lambda", "speed", "gap_ergodic", "residue_pointwise", "dist", "E"]
     )
-    gaps, gap_off = _ergodic_gaps(problem, np.array(traj.erg_num), np.array(traj.erg_den))
+    gaps, gap_off = metrics.ergodic_gaps(problem, np.array(traj.erg_num), np.array(traj.erg_den))
     residues = metrics.residue(problem, np.array([s.y for s in traj.states])).tolist()
     dists = _dists_or_nan(problem, np.array([s.x for s in traj.states]))
 
@@ -183,18 +150,14 @@ def _record_columns(problem, records, x0):
     as lists, in one pass over the stacked records.
 
     gaps is the gap at the lam-weighted average of y_1..y_k (gap_off as in
-    _ergodic_gaps), res_mins the running worst residue at y_1..y_k and
+    metrics.ergodic_gaps), res_mins the running worst residue at y_1..y_k and
     dists the distance at x0, then at each x_k.  The stacks live only here,
     so they are freed before the CSV rows are built.
     """
     d = problem.operator.dim
     lam = np.array([r.lam for r in records], dtype=float)
     ys = np.array([r.y for r in records], dtype=float).reshape(len(records), d)
-    # Running sums num_k = num_{k-1} + lam_k y_k and den_k = den_{k-1} + lam_k
-    # from 0: a cumulative sum from a zero row makes the same additions.
-    num = np.cumsum(np.concatenate([np.zeros((1, d)), lam[:, np.newaxis] * ys]), axis=0)[1:]
-    den = np.cumsum(np.concatenate([[0.0], lam]))[1:]
-    gaps, gap_off = _ergodic_gaps(problem, num, den)
+    gaps, gap_off = metrics.ergodic_gaps(problem, *metrics.running_sums(lam, ys))
     res_mins = list(running_worst(metrics.residue(problem, ys).tolist()))
     dists = _dists_or_nan(problem, np.array([x0] + [r.x_next for r in records], dtype=float))
     return gaps, gap_off, res_mins, dists

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from . import metrics
 from . import operators as ops
 from .errors import StationaryPoint, StepRejected
 from .feedback import law_slope, solve_law
@@ -257,10 +258,10 @@ def check_flow_invariants(traj, problem, params):
         *worst((a.lam * math.exp((p - 1) * (b.t - a.t)) * (1.0 + 1e-6) - b.lam) / a.lam for a, b in pairs),
     )
 
-    sol = problem.solution_set
-    if sol.kind == "SINGLETON":
-        z = np.asarray(sol.point)
-        e = [0.5 * ops.norm(s.x - z) ** 2 for s in states]
+    if problem.solution_set.kind == "SINGLETON":
+        dists = metrics.dist_to_solutions(problem, np.array([s.x for s in states])).tolist()
+        # On Python floats: numpy's 0.5 * dists**2 rounds some states differently.
+        e = [0.5 * d**2 for d in dists]
         e0 = e[0]
         rep.add(
             "Lyapunov energy nonincreasing",

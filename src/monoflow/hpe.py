@@ -20,6 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import metrics
 from . import operators as ops
 from .errors import CertificateViolation, MonoflowError, OracleFailure, StationaryPoint, UnknownSolutionSet
 from .feedback import FeedbackParams, law_band, solve_lambda
@@ -128,7 +129,8 @@ def verify_step(cfg, x_prev, lam, y, v, eps):
 
 
 def exact_oracle(problem, x, cfg, hint=None, residual=None, warm=None):
-    """Resolvent oracle: lam solves the control law, then (y, v) = prox pair.
+    """Resolvent oracle: lam solves the control law (lam = theta at p = 1, where
+    the nudge loop below exits at once), then (y, v) = prox pair.
 
     Satisfies the step conditions with sigma = 0 and eps = 0.  The large-
     step inequality is enforced one-sidedly on the returned pair: a root
@@ -144,12 +146,8 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None, warm=None):
     of a cold start.  warm is not read, and the warm returned is None.
     """
     op = problem.operator
-    if cfg.p == 1:
-        lam = cfg.theta
-        r = ops.resolvent(op, lam, x)
-        return lam, r.y, r.v, 0.0, None
     start = ops.cold_state(op, x)
-    lam = solve_lambda(op, x, cfg.law, hint=hint, residual=residual, warm=start)
+    lam = cfg.theta if cfg.p == 1 else solve_lambda(op, x, cfg.law, hint=hint, residual=residual, warm=start)
     r = ops.resolvent(op, lam, x, warm=start)
     for _ in range(60):
         val = lam * r.step ** (cfg.p - 1)
@@ -230,18 +228,17 @@ def check_discrete_lemmas(records, problem, cfg):
         rep.add("run nonempty", -1.0)
         return rep
 
-    from .metrics import dist_to_solutions
-
     sigma, theta, p = cfg.sigma, cfg.theta, cfg.p
-    x_seq = [records[0].x_prev] + [r.x_next for r in records]
-    d_seq = [dist_to_solutions(problem, x) for x in x_seq]
+    x_seq = np.array([records[0].x_prev] + [r.x_next for r in records])
+    d_seq = metrics.dist_to_solutions(problem, x_seq).tolist()
     d0 = d_seq[0]
     e_seq = [0.5 * d * d for d in d_seq]
     e0 = e_seq[0]
     scale = max(e0, 1e-300)
     step_sq = [ops.norm(r.x_prev - r.y) ** 2 for r in records]
     acc = list(accumulate(step_sq))
-    lam_sum = list(accumulate(r.lam for r in records))
+    num, den = metrics.running_sums([r.lam for r in records], np.array([r.y for r in records]))
+    lam_sum = den.tolist()
 
     rep.add("Lyapunov distance nonincreasing", *worst((a - b) / scale + 1e-9 for a, b in zip(e_seq, e_seq[1:])))
     rep.add(
@@ -277,17 +274,12 @@ def check_discrete_lemmas(records, problem, cfg):
     )
 
     if problem.domain_bounded:
-        from .metrics import gap
-
-        try:
+        gaps, off = metrics.ergodic_gaps(problem, num, den)
+        if off is None:
             sup_sq = problem.operator.domain.sup_dist_sq(records[0].x_prev)
-            margins = []
-            num = np.zeros_like(records[0].y)
-            for r, ls in zip(records, lam_sum):
-                num += r.lam * r.y
-                cap_g = 0.5 * sup_sq / ls
-                margins.append((cap_g - gap(problem, num / ls)) / max(cap_g, 1e-300) + 1e-8)
-            rep.add("ergodic gap <= sup ||z-x0||^2 / (2 sum lam)", *worst(margins))
-        except MonoflowError:
-            pass
+            caps = [0.5 * sup_sq / ls for ls in lam_sum]
+            rep.add(
+                "ergodic gap <= sup ||z-x0||^2 / (2 sum lam)",
+                *worst((c - g) / max(c, 1e-300) + 1e-8 for c, g in zip(caps, gaps)),
+            )
     return rep

@@ -27,6 +27,8 @@ from .errors import DomainUnbounded, InnerSolverDiverged, InsufficientPoints, Un
 
 __all__ = [
     "gap",
+    "running_sums",
+    "ergodic_gaps",
     "gap_grid_oracle",
     "residue",
     "dist_to_solutions",
@@ -58,8 +60,8 @@ def gap(problem, x, route="auto"):
     x is one point, or an (n, d) stack of points for an (n,) array of
     values.  route selects the maximization path: "auto" uses the closed
     support form when the quadratic term vanishes and the exact maximizer
-    otherwise; "support" and "ascent" (the maximizer) force one path
-    (cross-validation hook).  See _maximizer_gaps for its certificate.
+    otherwise; "support" and "maximizer" force one path (cross-validation
+    hook).  See _maximizer_gaps for its certificate.
 
     Raises DomainUnbounded without a bounded domain, UnsupportedMetric for
     non-affine single-valued parts or an uncertified maximizer, and
@@ -71,8 +73,8 @@ def gap(problem, x, route="auto"):
         raise DomainUnbounded("gap needs a bounded domain")
     if op.poly is not None or op.radial is not None:
         raise UnsupportedMetric("gap is certified only for affine single-valued parts")
-    if route not in ("auto", "support", "ascent"):
-        raise ValueError("route must be one of auto, support, ascent")
+    if route not in ("auto", "support", "maximizer"):
+        raise ValueError("route must be one of auto, support, maximizer")
     pts, one = _stack(x)
     inside = op.domain.contains(pts, atol=1e-9)
     k = len(pts) if inside.all() else int(np.flatnonzero(~inside)[0])  # rows before the first outside
@@ -84,7 +86,7 @@ def gap(problem, x, route="auto"):
     if k and route == "support" and not linear:
         raise UnsupportedMetric("support route is exact only when the quadratic term vanishes")
 
-    if linear and route != "ascent":
+    if linear and route != "maximizer":
         # Skew part only: the objective is linear, sup attained at a
         # support point of the domain.
         vals = op.domain.support(ops._matvec(m.T, rows) - q) + ops._dots(rows, q)
@@ -95,6 +97,47 @@ def gap(problem, x, route="auto"):
     return float(vals[0]) if one else vals
 
 
+def running_sums(lam, ys):
+    """(num, den): num[k] = lam[0] ys[0] + ... + lam[k] ys[k] and den[k] =
+    lam[0] + ... + lam[k], for the (n,) step sizes lam and (n, d) points ys.
+
+    A cumulative sum from a zero row makes the additions num_k = num_{k-1}
+    + lam_k y_k and den_k = den_{k-1} + lam_k from 0, so each row has the
+    bits of that running sum.
+    """
+    lam = np.asarray(lam, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    num = np.cumsum(np.concatenate([np.zeros((1, ys.shape[1])), lam[:, np.newaxis] * ys]), axis=0)[1:]
+    den = np.cumsum(np.concatenate([[0.0], lam]))[1:]
+    return num, den
+
+
+def ergodic_gaps(problem, num, den):
+    """(gaps, off): gap at num[i] / den[i] for each row with den[i] > 0, NaN
+    at the others, as a list of floats.
+
+    The gap turns off at the first row where it raises UnsupportedMetric or
+    DomainUnbounded: that row and every later one read NaN, and off holds
+    the reason; it is None while the gap stays on.  A point outside dom(A)
+    raises ValueError.
+    """
+    gaps = np.full(len(den), np.nan)
+    rows = np.flatnonzero(den > 0)
+    points = num[rows] / den[rows, np.newaxis]
+    try:
+        if rows.size:
+            gaps[rows] = gap(problem, points)
+    except (UnsupportedMetric, DomainUnbounded):
+        # One row's gap does not depend on another's: redo the rows one at
+        # a time to keep the values before the first that raises.
+        for i, x in zip(rows, points):
+            try:
+                gaps[i] = gap(problem, x)
+            except (UnsupportedMetric, DomainUnbounded) as exc:
+                return gaps.tolist(), str(exc)
+    return gaps.tolist(), None
+
+
 def _maximizer_gaps(op, m, q, rows):
     """f(z) + q.x at each row, z the maximizer of f(z) = lin.z - z'Sz/2, S = M + M'
     and lin = M'x - q, if its Frank-Wolfe width w = support(g) - g.z, g = grad
@@ -103,7 +146,7 @@ def _maximizer_gaps(op, m, q, rows):
     dom, sym = op.domain, m + m.T
     curv = float(np.abs(sym).max())
     if isinstance(dom, ops.BoxCone):
-        t = 1e6 / max(curv, 1e-10)  # the floor keeps t finite at S = 0: a skew part on route "ascent"
+        t = 1e6 / max(curv, 1e-10)  # the floor keeps t finite at S = 0: a skew part on route "maximizer"
         argmax, fixed = _box_argmax, (ops._eye(op.dim) + t * sym, t)
     else:
         eig, vecs = np.linalg.eigh(sym)  # S is PSD; rounding may dip below 0

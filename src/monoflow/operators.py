@@ -834,9 +834,8 @@ class TaylorSurrogate:
     For p = 1 the surrogate is the frozen value F(anchor).  Affine parts
     are reproduced exactly for p >= 2, the radial part for p >= 4.  What
     depends on the anchor alone is formed once here: the polynomial
-    derivative values, the radial constants, anchor_jac (the Jacobian at
-    the anchor, which the window search tests for monotonicity), and the
-    value at p = 1 and the Jacobian at p <= 2, which do not depend on u;
+    derivative values, the radial constants, and the value at p = 1 and the
+    Jacobian at p <= 2, which do not depend on u;
     value and jacobian hand those two out as one shared read-only array
     each (a lone affine part's constant Jacobian among them).  Otherwise
     they evaluate only the terms in h = u - anchor.  Their bits are those
@@ -866,7 +865,6 @@ class TaylorSurrogate:
             self.fixed_value = _readonly(self.value(a))
         if p <= 2:
             self.fixed_jac = _readonly(self.jacobian(a))
-        self.anchor_jac = self.jacobian(a)
 
     def value(self, u):
         """Surrogate value at u."""

@@ -200,7 +200,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     """Find lam whose large-step product falls inside the window.
 
     The surrogate is anchored at the domain projection of x, checked once
-    (order; at p >= 3 monotonicity of its anchor_jac) and built once for
+    (order; at p >= 3 monotonicity of its Jacobian there) and built once for
     every trial lam, so what depends on the anchor alone is formed once
     per search (see operators.TaylorSurrogate).  For p = 1 the window
     constrains lam itself and the arithmetic midpoint is taken directly.
@@ -237,7 +237,7 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     _check_surrogate_order(op, p)
     sur = ops.TaylorSurrogate(op, anchor, p)
     if p >= 3:
-        jac = sur.anchor_jac
+        jac = sur.jacobian(sur.anchor)
         eig = float(np.linalg.eigvalsh(0.5 * (jac + jac.T))[0])
         if eig < -1e-10 * max(1.0, float(np.abs(jac).max())):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {eig:.3e}")

@@ -15,7 +15,7 @@ import pytest
 
 from monoflow import checks, cli, hpe, tensor
 from monoflow import operators as ops
-from monoflow.errors import InnerSolverDiverged
+from monoflow.errors import DomainUnbounded, InnerSolverDiverged, UnsupportedMetric
 from monoflow.report import CheckReport
 
 
@@ -587,7 +587,7 @@ class _RefGapProbe:
             return float("nan")
         try:
             return cli.metrics.gap(self.problem, x)
-        except (cli.UnsupportedMetric, cli.DomainUnbounded) as exc:
+        except (UnsupportedMetric, DomainUnbounded) as exc:
             self.off = str(exc)
             return float("nan")
 
@@ -768,7 +768,7 @@ class TestRecordPassBitIdentity:
 
         def gap(problem, x, route="auto"):
             if (np.atleast_1d(real(problem, x)) < 0.9).any():
-                raise cli.UnsupportedMetric("gap below 0.9")
+                raise UnsupportedMetric("gap below 0.9")
             return real(problem, x)
 
         monkeypatch.setattr(cli.metrics, "gap", gap)

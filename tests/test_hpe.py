@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from monoflow import checks, hpe, problems
+from monoflow import checks, hpe, metrics, problems
 from monoflow import operators as ops
 from monoflow.errors import (
     CertificateViolation,
@@ -13,6 +13,7 @@ from monoflow.errors import (
     OracleFailure,
     StationaryPoint,
     UnknownSolutionSet,
+    UnsupportedMetric,
 )
 from monoflow.feedback import FeedbackParams, solve_lambda
 from monoflow.hpe import (
@@ -283,6 +284,48 @@ class TestLemmaAudit:
         res = run(anon, partial(exact_oracle, anon, cfg=cfg), cfg, np.array([1.0]))
         with pytest.raises(UnknownSolutionSet):
             check_discrete_lemmas(res.records, anon, cfg)
+
+
+class TestLemmaAuditGapLine:
+    """The ergodic-gap line is added only when the gap is defined at every
+    ergodic point: a gap that raises at any row drops the line, and the
+    other lines stay."""
+
+    GAP_LINE = "ergodic gap <= sup ||z-x0||^2 / (2 sum lam)"
+
+    @staticmethod
+    def _names(problem, x0, monkeypatch=None, raise_from=None):
+        cfg = saddle_config(p=1, theta=0.1, iters=40)
+        records = run(problem, partial(exact_oracle, problem, cfg=cfg), cfg, np.array(x0)).records
+        assert len(records) == 40
+        if raise_from is not None:
+            # metrics.gap raises at the ergodic point of row raise_from, on the
+            # stack that holds it and on that point alone.
+            num = np.cumsum([r.lam * r.y for r in records], axis=0)
+            bad = num[raise_from] / sum(r.lam for r in records[: raise_from + 1])
+            real = metrics.gap
+
+            def gap(problem, x, route="auto"):
+                if (np.atleast_2d(x) == bad).all(axis=1).any():
+                    raise UnsupportedMetric("row raises")
+                return real(problem, x)
+
+            monkeypatch.setattr(metrics, "gap", gap)
+        return [o.name for o in check_discrete_lemmas(records, problem, cfg).outcomes]
+
+    def test_a_row_that_raises_drops_the_line(self, monkeypatch):
+        names = self._names(SADDLE, [0.7, 0.7])
+        assert len(names) == 8 and self.GAP_LINE in names
+        dropped = self._names(SADDLE, [0.7, 0.7], monkeypatch, raise_from=10)
+        assert dropped == [n for n in names if n != self.GAP_LINE]
+
+    def test_cubic_over_a_box_has_no_line(self):
+        # gap certifies affine parts only, so it raises at the first row.
+        op = ops.make_poly([0.0, 0.0, 0.0, 1.0], dim=1, cone=ops.BoxCone(-np.ones(1), np.ones(1)))
+        cubic = problems.ProblemInstance("cubic over a box", op, problems.SolutionSet("SINGLETON", np.zeros(1)), None)
+        assert cubic.domain_bounded
+        names = self._names(cubic, [0.9])
+        assert len(names) == 7 and self.GAP_LINE not in names
 
 
 class TestLemmaAuditFailsOnNaN:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from monoflow import checks, cli, metrics, problems
+from monoflow import checks, metrics, problems
 from monoflow import operators as ops
 from monoflow.errors import (
     DomainUnbounded,
@@ -50,8 +50,12 @@ class TestGap:
         for _ in range(5):
             x = rng.uniform(-0.9, 0.9, size=2)
             a = gap(SADDLE, x, route="support")
-            b = gap(SADDLE, x, route="ascent")
+            b = gap(SADDLE, x, route="maximizer")
             assert a == pytest.approx(b, abs=1e-9)
+
+    def test_unknown_route_is_rejected(self):
+        with pytest.raises(ValueError, match="one of auto, support, maximizer"):
+            gap(SADDLE, [0.3, 0.1], route="ascent")
 
     def test_support_route_needs_vanishing_quadratic(self):
         prob = problems.ProblemInstance(
@@ -66,7 +70,7 @@ class TestGap:
         )
         with pytest.raises(UnsupportedMetric):
             gap(prob, [0.3, 0.1], route="support")
-        assert gap(prob, [0.3, 0.1], route="ascent") >= 0.0
+        assert gap(prob, [0.3, 0.1], route="maximizer") >= 0.0
 
     def test_stored_skew_flag_is_the_per_call_decision(self):
         # AffinePart.skew against the test gap ran on every call: the
@@ -244,7 +248,8 @@ class TestRateFit:
 # exact maximizer replaced the multi-start ascent: one point per call, the
 # ascent's seeded starts, its box polish and its gradient m.T @ x - q - sym
 # @ z formed afresh on every call.  The support route must match it bit for
-# bit; the maximizer route must certify wherever it did, within 1e-12.
+# bit; the maximizer route, the ascent here, must certify wherever it did,
+# within 1e-12.
 
 
 def _ref_random_point(cone, rng):
@@ -299,7 +304,7 @@ def _ref_gap(problem, x, route="auto"):
     if route == "support" and not linear:
         raise UnsupportedMetric("support route is exact only when the quadratic term vanishes")
     m, q = metrics._affine_terms(op)
-    if linear and route != "ascent":
+    if linear and route != "maximizer":
         c = m.T @ x - q
         if isinstance(cone, ops.BoxCone):
             val = float(np.sum(np.maximum(c * cone.lower, c * cone.upper)))
@@ -342,7 +347,7 @@ def _stack_problems():
     """Every zoo problem, the check suites' operator pool, and dense d = 10
     operators over a box and a ball: a skew one (the support route, where a
     batched gemm would round unlike the per-row gemv) and a monotone one
-    (the ascent route), plus nonaffine parts on each cone."""
+    (the maximizer route), plus nonaffine parts on each cone."""
     rng = np.random.default_rng(31)
     g = rng.standard_normal((10, 10))
     skew, mono = g - g.T, g @ g.T / 10.0 + (g - g.T)
@@ -429,12 +434,12 @@ class TestStacks:
         rng = np.random.default_rng(sorted(STACK_PROBLEMS).index(name))
         pts = _stack_points(problem, 8, rng)
         singles = [p.copy() for p in pts]
-        routes = ["auto", "ascent"] + (["support"] if op.affine is not None and op.affine.skew else [])
+        routes = ["auto", "maximizer"] + (["support"] if op.affine is not None and op.affine.skew else [])
         linear = op.affine is None or op.affine.skew
         for route in routes:
             want = [_outcome(_ref_gap, problem, x, route) for x in singles]
             got = [_outcome(gap, problem, x, route) for x in singles]
-            maximizer = route == "ascent" or (route == "auto" and not linear)
+            maximizer = route == "maximizer" or (route == "auto" and not linear)
             for g, w in zip(got, want):
                 assert _agrees_with_reference(g, w, maximizer), (route, g, w)
             failed = [g for g in got if not isinstance(g, bytes)]
@@ -463,10 +468,10 @@ class TestStacks:
         real = domain.support
         monkeypatch.setattr(domain, "support", lambda dom, c: evaluated.append(1) or real(dom, c))
         with pytest.raises(ValueError, match="gap is evaluated at points of dom"):
-            gap(problem, pts, route="ascent")
+            gap(problem, pts, route="maximizer")
         assert len(evaluated) == 3  # rows 0-2 were certified first
-        assert _outcome(gap, problem, pts[:3], route="ascent") == b"".join(
-            _outcome(gap, problem, x.copy(), "ascent") for x in pts[:3]
+        assert _outcome(gap, problem, pts[:3], route="maximizer") == b"".join(
+            _outcome(gap, problem, x.copy(), "maximizer") for x in pts[:3]
         )
 
     def test_empty_stack(self):
@@ -532,7 +537,7 @@ class TestCertifiedMaximizer:
         for d in range(1, 7):
             for seed in range(4):
                 problem, pts = _monotone_instance(100 * d + seed, d, kind, 5)
-                assert np.isfinite(gap(problem, pts, route="ascent")).all()
+                assert np.isfinite(gap(problem, pts, route="maximizer")).all()
 
     def test_a_non_maximizer_raises_with_its_width(self, monkeypatch):
         # Every proximal step lands on the box's lower corner, which is not
@@ -635,7 +640,7 @@ class TestRankOneBoxGap:
     def test_run_gap_column_stays_on(self):
         problem, pts = self._instance()
         num, den = np.vstack([pts, 0.5 * pts[:1]]), np.ones(4)
-        gaps, off = cli._ergodic_gaps(problem, num, den)
+        gaps, off = metrics.ergodic_gaps(problem, num, den)
         assert off is None and np.isfinite(gaps).all()
         assert gaps == [gap(problem, x) for x in num]
 

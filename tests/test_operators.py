@@ -989,7 +989,7 @@ class TestDotLayouts:
                     x = op.domain.project(np.array(x))
                     x = _strided(x) if name == "strided" else x
                     try:
-                        got = metrics.gap(prob, x, route="ascent")
+                        got = metrics.gap(prob, x, route="maximizer")
                     except UnsupportedMetric:
                         continue
                     want = _ref_maximizer_gaps(op, op.affine.matrix, q, x[np.newaxis, :])[0]
