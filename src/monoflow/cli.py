@@ -87,9 +87,9 @@ def _dists_or_nan(problem, points):
         return [math.nan] * len(points)
 
 
-def _run_flow(cfg, problem):
-    params = cfg.mode_params()
-    x0 = cfg.initial_point(problem)
+def _run_flow(cfg):
+    problem, params = cfg.problem, cfg.params
+    x0 = cfg.initial_point()
     traj = flow.integrate(
         problem,
         x0,
@@ -141,8 +141,7 @@ def _run_flow(cfg, problem):
         },
         "certificates": {"control_law_within_tol": ae_ok, "total": len(traj.states)},
     }
-    rates = {"p": params.p, "residue": "residue_pointwise", "gap_off": gap_off}
-    return header, rows, summary, rates
+    return header, rows, summary, gap_off
 
 
 def _record_columns(problem, records, x0):
@@ -163,13 +162,13 @@ def _record_columns(problem, records, x0):
     return gaps, gap_off, res_mins, dists
 
 
-def _run_iterative(cfg, problem):
-    drive = cfg.drive()
+def _run_iterative(cfg):
+    problem, drive = cfg.problem, cfg.drive
     if cfg.mode == "HPE_EXACT":
         oracle = partial(hpe.exact_oracle, problem, cfg=drive)
     else:
-        oracle = partial(tensor.lambda_window_search, problem, cfg=cfg.mode_params())
-    x0 = cfg.initial_point(problem)
+        oracle = partial(tensor.lambda_window_search, problem, cfg=cfg.params)
+    x0 = cfg.initial_point()
     result = hpe.run(problem, oracle, drive, x0)
 
     header = [
@@ -219,15 +218,12 @@ def _run_iterative(cfg, problem):
         },
         "certificates": {"passed": sum(r.cert.ok for r in records), "total": len(records)},
     }
-    rates = {"p": drive.p, "residue": "residue_min_so_far", "gap_off": gap_off}
-    return header, rows, summary, rates
+    return header, rows, summary, gap_off
 
 
 def _execute(cfg):
-    problem = cfg.problem_instance()
-    if cfg.mode == "FLOW":
-        return _run_flow(cfg, problem)
-    return _run_iterative(cfg, problem)
+    """(header, rows, summary, gap_off) of the run cfg describes."""
+    return (_run_flow if cfg.mode == "FLOW" else _run_iterative)(cfg)
 
 
 def _summary_path(out):
@@ -287,20 +283,21 @@ def cmd_run(args):
 
 def cmd_rates(args):
     cfg = _load_with_overrides(args)
-    header, rows, summary, rates = _execute(cfg)
+    header, rows, summary, gap_off = _execute(cfg)
     _write_outputs(cfg.out, header, rows, summary)
-    p = rates["p"]
+    p = cfg.params.p
     slopes = summary["slopes"]
+    residue = "residue_pointwise" if cfg.mode == "FLOW" else "residue_min_so_far"
     targets = [
         ("gap_ergodic", slopes["gap_ergodic"], -(p + 1) / 2.0 + RATE_TOL),
-        ("residue", slopes[rates["residue"]], -p / 2.0 + RATE_TOL),
+        ("residue", slopes[residue], -p / 2.0 + RATE_TOL),
     ]
     ok = True
     for name, fit, target in targets:
         if fit is None:
             why = "no usable series (need >= 10 positive tail points)"
-            if name == "gap_ergodic" and rates["gap_off"] is not None:
-                why = f"undefined on this problem ({rates['gap_off']})"
+            if name == "gap_ergodic" and gap_off is not None:
+                why = f"undefined on this problem ({gap_off})"
             print(f"{name}: {why} target <= {target:g} FAIL")
             ok = False
             continue

@@ -69,24 +69,33 @@ def _number(name, val, integer=False):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; all fields are plain data."""
+    """Validated experiment description, with the objects a run is built from.
+
+    params is the mode's parameter object (FeedbackParams, HpeConfig or
+    TensorConfig) and drive the HpeConfig that drives and verifies an
+    HPE_EXACT or TENSOR run (None for FLOW).  problem is the built
+    ProblemInstance.
+    """
 
     problem_name: str
-    problem_params: dict = field(default_factory=dict)
-    mode: str = "HPE_EXACT"
-    params: dict = field(default_factory=dict)
-    horizon: dict = field(default_factory=dict)
-    x0: object = None
-    seed: int = 0
-    out: str | None = None
+    problem_params: dict
+    mode: str
+    params: FeedbackParams | HpeConfig | TensorConfig
+    horizon: dict
+    x0: object
+    seed: int
+    out: str | None
+    problem: problems.ProblemInstance = field(compare=False)
+    drive: HpeConfig | None
 
     @staticmethod
     def from_dict(raw):
         """Build and fully validate a config from parsed JSON data.
 
-        Validation goes all the way down: the problem is constructed and
-        the mode parameters are instantiated once, so every invariant of
-        the target module is checked before any run starts.
+        Validation goes all the way down: the problem, then the mode's
+        parameter object and drive, are built once, so every invariant of
+        the target module is checked before any run starts, and the run
+        uses the objects that were checked.
         """
         top = _section(raw, "config", _TOP_KEYS, {"problem", "mode", "horizon", "x0"})
 
@@ -152,75 +161,45 @@ class ExperimentConfig:
         if out is not None and not isinstance(out, str):
             raise ConfigError("out must be a string path")
 
-        cfg = ExperimentConfig(name, pparams, mode, params, horizon, x0, seed, out)
-        problem = cfg.problem_instance()
-        mode_params = cfg.mode_params()
-        if mode == "TENSOR":
-            cfg.drive()
-            try:
-                _check_surrogate_order(problem.operator, mode_params.p)
-            except ConfigError as exc:
-                raise ConfigError(f"params.p = {mode_params.p} does not fit problem {name!r}: {exc}") from None
-        if isinstance(cfg.x0, list) and len(cfg.x0) != problem.operator.dim:
-            raise ConfigError(
-                f"x0 has {len(cfg.x0)} coordinates but the problem dimension is "
-                f"{problem.operator.dim}"
-            )
-        return cfg
-
-    def problem_instance(self):
         try:
-            return problems.build_problem(self.problem_name, self.problem_params)
+            problem = problems.build_problem(name, pparams)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"problem section invalid: {exc}") from None
-
-    def mode_params(self):
-        """Instantiate the mode's parameter object, surfacing its invariants.
-
-        FLOW -> FeedbackParams, HPE_EXACT -> HpeConfig, TENSOR ->
-        TensorConfig.  Messages from the target constructors pass through
-        unchanged so the violated invariant is named.
-        """
-        p = dict(self.params)
+        # Messages from the target constructors pass through unchanged, so
+        # the violated invariant is named.
+        kw = dict(params)
+        stop_res = kw.pop("stop_res", HpeConfig.stop_res)
         try:
-            if self.mode == "FLOW":
-                return FeedbackParams(theta=p.pop("theta"), p=p.pop("p"))
-            if self.mode == "HPE_EXACT":
-                return HpeConfig(
-                    sigma=p.pop("sigma", 0.0),
-                    theta=p.pop("theta"),
-                    p=p.pop("p"),
-                    max_iters=self.horizon["max_iters"],
-                    stop_res=p.pop("stop_res", HpeConfig.stop_res),
-                )
-            return TensorConfig(
-                sigma_hat=p.pop("sigma_hat"),
-                sigma_l=p.pop("sigma_l"),
-                sigma_u=p.pop("sigma_u"),
-                L=p.pop("L"),
-                p=p.pop("p"),
-            )
+            if mode == "FLOW":
+                built, drive = FeedbackParams(theta=kw.pop("theta"), p=kw.pop("p")), None
+            elif mode == "HPE_EXACT":
+                sigma = kw.pop("sigma", 0.0)
+                built = drive = HpeConfig(sigma, kw.pop("theta"), kw.pop("p"), horizon["max_iters"], stop_res)
+            else:
+                built = TensorConfig(**{k: kw.pop(k) for k in ("sigma_hat", "sigma_l", "sigma_u", "L", "p")})
+                drive = built.drive(horizon["max_iters"], stop_res)
         except KeyError as exc:
-            raise ConfigError(f"params is missing required key {exc.args[0]!r} for mode {self.mode}") from None
+            raise ConfigError(f"params is missing required key {exc.args[0]!r} for mode {mode}") from None
         except ValueError as exc:
             raise ConfigError(f"params invalid: {exc}") from None
+        if mode == "TENSOR":
+            try:
+                _check_surrogate_order(problem.operator, built.p)
+            except ConfigError as exc:
+                raise ConfigError(f"params.p = {built.p} does not fit problem {name!r}: {exc}") from None
+        if isinstance(x0, list) and len(x0) != problem.operator.dim:
+            raise ConfigError(f"x0 has {len(x0)} coordinates but the problem dimension is {problem.operator.dim}")
+        return ExperimentConfig(name, pparams, mode, built, horizon, x0, seed, out, problem, drive)
 
-    def drive(self):
-        """The HpeConfig that drives an HPE_EXACT or TENSOR run and verifies its steps."""
-        mode_params = self.mode_params()
-        if self.mode == "HPE_EXACT":
-            return mode_params
-        try:
-            return mode_params.drive(self.horizon["max_iters"], self.params.get("stop_res", HpeConfig.stop_res))
-        except ValueError as exc:
-            raise ConfigError(f"params invalid: {exc}") from None
+    def problem_instance(self):
+        return self.problem
 
-    def initial_point(self, problem):
+    def initial_point(self):
         """Resolve x0 to coordinates; random starts are seeded and projected."""
         if isinstance(self.x0, dict):
             rng = np.random.default_rng(self.seed)
-            raw = rng.standard_normal(problem.operator.dim) * self.x0["random_scale"]
-            return problem.operator.domain.project(raw)
+            raw = rng.standard_normal(self.problem.operator.dim) * self.x0["random_scale"]
+            return self.problem.operator.domain.project(raw)
         return np.asarray(self.x0, dtype=float)
 
 

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import metrics
 from . import operators as ops
-from .errors import CertificateViolation, MonoflowError, OracleFailure, StationaryPoint, UnknownSolutionSet
+from .errors import (
+    CertificateViolation, InnerSolverDiverged, MonoflowError, OracleFailure, StationaryPoint, UnknownSolutionSet
+)
 from .feedback import FeedbackParams, law_band, solve_lambda
 from .report import CheckReport, running_worst, worst
 
@@ -137,8 +139,10 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None, warm=None):
     accepted within the law's residual tolerance can land a hair below
     theta, so lam is nudged up until lam * ||y - x||^(p-1) >= theta holds
     for the exact pair handed back.  Scaling lam by f >= 1 scales the law
-    value by at least f, so the loop terminates in a step or two and the
-    overshoot stays within the solver's acceptance band.  hint is the law
+    value by at least f, so while that value is positive the loop ends in a
+    step or two and the overshoot stays within the solver's acceptance
+    band.  A value that is not positive (a step that rounds to zero) gives
+    no scale to nudge by, and InnerSolverDiverged is raised.  hint is the law
     solve's first trial.  residual, when given, is ops.min_norm_residual(op,
     x), and the law's stationarity test reads it instead of evaluating it
     again.  The law solve's first trial and every re-solve of x start cold;
@@ -153,6 +157,8 @@ def exact_oracle(problem, x, cfg, hint=None, residual=None, warm=None):
         val = lam * r.step ** (cfg.p - 1)
         if val >= cfg.theta:
             break
+        if not val > 0:
+            raise InnerSolverDiverged(f"law value {val:.3e} at lam={lam:.3e} cannot be nudged to theta={cfg.theta:.3e}")
         band = law_band(lam, r.step, r.residual, cfg.p)
         lam *= max((cfg.theta + band) / max(val, 1e-300), 1.0 + 1e-12)
         r = ops.resolvent(op, lam, x, warm=start)

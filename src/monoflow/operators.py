@@ -156,8 +156,8 @@ class AffinePart:
     def __post_init__(self):
         m = _readonly(self.matrix)
         q = _readonly(self.offset)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("affine matrix must be square")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError("affine matrix must be square and non-empty")
         if q.shape != (m.shape[0],):
             raise ValueError("affine offset shape mismatch")
         twice_sym = m + m.T

@@ -80,8 +80,8 @@ def make_bilinear_saddle(d=2, scale=1.0):
     """
     if d < 2 or d % 2:
         raise ValueError("bilinear saddle needs even d >= 2")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < np.inf:
+        raise ValueError("scale must be positive" if not scale > 0 else "scale must be finite")
     h = d // 2
     m = np.zeros((d, d))
     m[:h, h:] = scale * np.eye(h)
@@ -104,8 +104,8 @@ def make_strongly_monotone_affine(d=2, mu=1.0, seed=0):
     ||F(x)|| >= mu*||x|| (the skew term is orthogonal to x), so the error
     bound holds globally with kappa = 1/mu.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be positive" if not mu > 0 else "mu must be finite")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d))
     m = mu * np.eye(d) + 0.5 * (g - g.T)

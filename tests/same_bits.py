@@ -5,6 +5,10 @@
 For each reference() call of the benchmark workloads (benchmarks/workloads.py,
 imported as it is) it writes the call's CSV, .summary.json and stdout, and
 for each seed in CHECK_SEEDS the stdout of `monoflow check --suite ALL`.
+Each CONFIG_RUNS entry, which reaches a corner of the config layer (a random
+x0 under a --seed override, a sample stride, sigma, stop_res), is run with
+`run` and with `rates`, and its CSV, summary, stdout and stderr are written;
+for each REJECTED config, the exit code and stderr.
 The program is imported from the src/ next to this file.  Run it on two
 checkouts and compare: `diff -r OUTDIR_A OUTDIR_B` lists every output that
 changed.  pytest does not collect this file.
@@ -20,14 +24,72 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECK_SEEDS = [0, 3, 1385176604, 1819789398, 1141051470, 493018052]
+_TENSOR_P3 = {"sigma_hat": 0.1, "sigma_l": 0.2, "sigma_u": 0.8, "L": 6.0, "p": 3}
+# name: (config, extra argv)
+CONFIG_RUNS = {
+    "random_x0": (
+        {
+            "problem": {"name": "bilinear_saddle", "params": {"d": 4}},
+            "mode": "HPE_EXACT",
+            "params": {"theta": 0.01, "p": 2},
+            "horizon": {"max_iters": 200},
+            "x0": {"random_scale": 2.0},
+            "seed": 3,
+        },
+        ["--seed", "7"],
+    ),
+    "flow_stride": (
+        {
+            "problem": {"name": "bilinear_saddle", "params": {"d": 2}},
+            "mode": "FLOW",
+            "params": {"theta": 0.012, "p": 2},
+            "horizon": {"T": 5.0, "h": 0.01, "sample_stride": 7},
+            "x0": [0.7, -0.4],
+        },
+        [],
+    ),
+    "hpe_sigma_stop": (
+        {
+            "problem": {"name": "strongly_monotone_affine", "params": {"d": 3, "mu": 0.5}},
+            "mode": "HPE_EXACT",
+            "params": {"sigma": 0.3, "theta": 0.05, "p": 2, "stop_res": 1e-6},
+            "horizon": {"max_iters": 300},
+            "x0": [0.5, -1.0, 2.0],
+        },
+        [],
+    ),
+    "tensor_stop": (
+        {
+            "problem": {"name": "cubic_1d"},
+            "mode": "TENSOR",
+            "params": dict(_TENSOR_P3, stop_res=1e-7),
+            "horizon": {"max_iters": 60},
+            "x0": [2.0],
+        },
+        [],
+    ),
+}
+_HPE = CONFIG_RUNS["hpe_sigma_stop"][0]
+REJECTED = {
+    "missing_key": dict(_HPE, params={"sigma": 0.3, "p": 2}),
+    "tensor_p3_d5": {
+        "problem": {"name": "convex_gradient", "params": {"d": 5}},
+        "mode": "TENSOR",
+        "params": _TENSOR_P3,
+        "horizon": {"max_iters": 5},
+        "x0": [0.5] * 5,
+    },
+    "x0_length": dict(_HPE, x0=[0.5, -1.0]),
+    "problem_param": dict(_HPE, problem={"name": "bilinear_saddle", "params": {"d": 3}}),
+}
 
 
 def _call(cli, argv):
-    """(exit code, stdout) of cli.main(argv)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def main():
@@ -44,11 +106,23 @@ def main():
         for i, call in enumerate(workload.reference()):
             stem = str(outdir / f"{workload.name}.{i}")
             Path(stem + ".json").write_text(json.dumps(call.config), encoding="utf-8")
-            rc, out = _call(cli, [call.cmd, "--config", stem + ".json", "--out", stem + ".csv"])
+            rc, out, _ = _call(cli, [call.cmd, "--config", stem + ".json", "--out", stem + ".csv"])
             Path(stem + ".stdout").write_text(f"exit {rc}\n{out}", encoding="utf-8")
     for seed in CHECK_SEEDS:
-        rc, out = _call(cli, ["check", "--suite", "ALL", "--seed", str(seed)])
+        rc, out, _ = _call(cli, ["check", "--suite", "ALL", "--seed", str(seed)])
         (outdir / f"check_ALL.{seed}.stdout").write_text(f"exit {rc}\n{out}", encoding="utf-8")
+    for name, (config, extra) in CONFIG_RUNS.items():
+        for cmd in ("run", "rates"):
+            stem = str(outdir / f"config.{name}.{cmd}")
+            Path(stem + ".json").write_text(json.dumps(config), encoding="utf-8")
+            rc, out, err = _call(cli, [cmd, "--config", stem + ".json", "--out", stem + ".csv", *extra])
+            Path(stem + ".stdout").write_text(f"exit {rc}\n{out}", encoding="utf-8")
+            Path(stem + ".stderr").write_text(err, encoding="utf-8")
+    for name, config in REJECTED.items():
+        stem = str(outdir / f"rejected.{name}")
+        Path(stem + ".json").write_text(json.dumps(config), encoding="utf-8")
+        rc, out, err = _call(cli, ["run", "--config", stem + ".json"])
+        Path(stem + ".stderr").write_text(f"exit {rc}\n{out}{err}", encoding="utf-8")
     return 0
 
 

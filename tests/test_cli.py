@@ -599,9 +599,9 @@ def _ref_dist_or_nan(problem, x):
         return float("nan")
 
 
-def _ref_run_flow(cfg, problem):
-    params = cfg.mode_params()
-    x0 = cfg.initial_point(problem)
+def _ref_run_flow(cfg):
+    problem, params = cfg.problem, cfg.params
+    x0 = cfg.initial_point()
     traj = cli.flow.integrate(
         problem, x0, params, cfg.horizon["T"], cfg.horizon["h"], cfg.horizon.get("sample_stride", 1)
     )
@@ -645,16 +645,16 @@ def _ref_run_flow(cfg, problem):
         },
         "certificates": {"control_law_within_tol": ae_ok, "total": len(traj.states)},
     }
-    return header, rows, summary, {"p": params.p, "residue": "residue_pointwise", "gap_off": gap_at.off}
+    return header, rows, summary, gap_at.off
 
 
-def _ref_run_iterative(cfg, problem):
-    drive = cfg.drive()
+def _ref_run_iterative(cfg):
+    problem, drive = cfg.problem, cfg.drive
     if cfg.mode == "HPE_EXACT":
         oracle = partial(cli.hpe.exact_oracle, problem, cfg=drive)
     else:
-        oracle = partial(cli.tensor.lambda_window_search, problem, cfg=cfg.mode_params())
-    x0 = cfg.initial_point(problem)
+        oracle = partial(cli.tensor.lambda_window_search, problem, cfg=cfg.params)
+    x0 = cfg.initial_point()
     result = cli.hpe.run(problem, oracle, drive, x0)
     header = ["k", "lambda", "v_norm", "eps", "step_norm", "gap_ergodic", "residue_min_so_far", "dist"]
     gap_at = _RefGapProbe(problem)
@@ -695,7 +695,7 @@ def _ref_run_iterative(cfg, problem):
         },
         "certificates": {"passed": cert_ok, "total": len(result.records)},
     }
-    return header, rows, summary, {"p": drive.p, "residue": "residue_min_so_far", "gap_off": gap_at.off}
+    return header, rows, summary, gap_at.off
 
 
 _TWO_P2 = {"sigma_hat": 0.05, "sigma_l": 0.3, "sigma_u": 0.7, "L": 1.0, "p": 2}

@@ -3,12 +3,13 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monoflow import cli
+from monoflow import cli, problems
 from monoflow.config import (
     MAX_FLOW_STEPS,
     ExperimentConfig,
@@ -195,7 +196,7 @@ class TestValidation:
     def test_tensor_surrogate_order_accepted(self, problem, x0, p):
         raw = tensor_dict(problem=problem, x0=x0)
         raw["params"]["p"] = p
-        assert ExperimentConfig.from_dict(raw).params["p"] == p
+        assert ExperimentConfig.from_dict(raw).params.p == p
 
     def test_flow_step_count_at_cap_accepted(self):
         cfg = ExperimentConfig.from_dict(flow_dict(horizon={"T": 2.0, "h": 2.0 / MAX_FLOW_STEPS}))
@@ -205,44 +206,116 @@ class TestValidation:
 
 class TestDerivedObjects:
     def test_mode_params_types(self):
-        assert isinstance(ExperimentConfig.from_dict(flow_dict()).mode_params(), FeedbackParams)
-        hp = ExperimentConfig.from_dict(hpe_dict()).mode_params()
+        flow = ExperimentConfig.from_dict(flow_dict())
+        assert isinstance(flow.params, FeedbackParams)
+        assert flow.drive is None
+        hp = ExperimentConfig.from_dict(hpe_dict()).params
         assert isinstance(hp, HpeConfig)
         assert hp.max_iters == 100
         assert hp.stop_res == 1e-9
-        tc = ExperimentConfig.from_dict(tensor_dict()).mode_params()
+        tc = ExperimentConfig.from_dict(tensor_dict()).params
         assert isinstance(tc, TensorConfig)
 
     def test_drive_config_inherits_derived_constants(self):
         cfg = ExperimentConfig.from_dict(tensor_dict())
-        tc = cfg.mode_params()
+        tc = cfg.params
         drive = tc.drive(cfg.horizon["max_iters"])
         assert drive == HpeConfig(sigma=tc.sigma, theta=tc.theta, p=tc.p, max_iters=40, stop_res=1e-9)
         assert drive.law == FeedbackParams(tc.theta, tc.p)
         assert tc.drive(40, stop_res=1e-6).stop_res == 1e-6
         # ExperimentConfig.drive is what cli drives a run with.
-        assert cfg.drive() == drive
+        assert cfg.drive == drive
         params = dict(tensor_dict()["params"], stop_res=1e-6)
-        assert ExperimentConfig.from_dict(tensor_dict(params=params)).drive() == tc.drive(40, stop_res=1e-6)
+        assert ExperimentConfig.from_dict(tensor_dict(params=params)).drive == tc.drive(40, stop_res=1e-6)
         hpe = ExperimentConfig.from_dict(hpe_dict())
-        assert hpe.drive() == hpe.mode_params()
+        assert hpe.drive is hpe.params
+        params = dict(hpe_dict()["params"], stop_res=1e-6)
+        assert ExperimentConfig.from_dict(hpe_dict(params=params)).drive.stop_res == 1e-6
 
     def test_explicit_x0(self):
         cfg = ExperimentConfig.from_dict(flow_dict())
-        prob = cfg.problem_instance()
-        assert np.allclose(cfg.initial_point(prob), [0.5, 0.5])
+        assert np.allclose(cfg.initial_point(), [0.5, 0.5])
 
     def test_random_x0_is_seeded_and_projected(self):
         cfg1 = ExperimentConfig.from_dict(hpe_dict(x0={"random_scale": 5.0}, seed=11))
         cfg2 = ExperimentConfig.from_dict(hpe_dict(x0={"random_scale": 5.0}, seed=11))
         cfg3 = ExperimentConfig.from_dict(hpe_dict(x0={"random_scale": 5.0}, seed=12))
-        prob = cfg1.problem_instance()
-        a = cfg1.initial_point(prob)
-        b = cfg2.initial_point(prob)
-        c = cfg3.initial_point(prob)
+        a = cfg1.initial_point()
+        b = cfg2.initial_point()
+        c = cfg3.initial_point()
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(np.abs(a) <= 1.0)  # projected into the box
+
+    def test_seed_override_keeps_the_built_objects(self):
+        # --seed and --out go through dataclasses.replace: the new config
+        # shares the problem and parameter objects, and only a random x0 moves.
+        cfg = ExperimentConfig.from_dict(hpe_dict(x0={"random_scale": 5.0}, seed=11))
+        moved = replace(cfg, seed=12, out="trace.csv")
+        assert moved.problem is cfg.problem
+        assert moved.params is cfg.params and moved.drive is cfg.drive
+        fresh = ExperimentConfig.from_dict(hpe_dict(x0={"random_scale": 5.0}, seed=12))
+        assert np.array_equal(moved.initial_point(), fresh.initial_point())
+        fixed = ExperimentConfig.from_dict(hpe_dict())
+        assert np.array_equal(replace(fixed, seed=12).initial_point(), fixed.initial_point())
+
+
+def _main(tmp_path, text, cmd, *extra):
+    """cli.main's exit code for `cmd --config FILE *extra`, FILE holding text."""
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    return cli.main([cmd, "--config", str(path), *extra])
+
+
+class TestProblemParamsRejected:
+    """Problem parameters no run can use exit 2 through cli.main."""
+
+    @pytest.mark.parametrize(
+        "problem, x0, why",
+        [
+            ({"name": "strongly_monotone_affine", "params": {"d": 0}}, [1.0], "affine matrix must be square and non-empty"),
+            ({"name": "strongly_monotone_affine", "params": {"d": 2, "mu": "INF"}}, [1.0, 1.0], "mu must be finite"),
+            ({"name": "bilinear_saddle", "params": {"d": 2, "scale": "INF"}}, [1.0, 1.0], "scale must be finite"),
+        ],
+    )
+    def test_exit_2(self, tmp_path, capsys, problem, x0, why):
+        # "INF" stands for the JSON number 1e400, which json reads as inf.
+        text = json.dumps(hpe_dict(problem=problem, x0=x0)).replace('"INF"', "1e400")
+        assert _main(tmp_path, text, "run") == 2
+        assert capsys.readouterr().err == f"config error: problem section invalid: {why}\n"
+
+
+class TestBuiltOnce:
+    """A run builds its problem once, at parse time, and runs the very
+    problem and parameter objects the parser checked."""
+
+    @pytest.mark.parametrize("cmd", ["run", "rates"])
+    @pytest.mark.parametrize("make", [flow_dict, hpe_dict, tensor_dict])
+    def test_problem_built_once_and_objects_shared(self, tmp_path, capsys, monkeypatch, make, cmd):
+        builds, loaded, calls = [], [], []
+        real_build, real_load, real_integrate, real_run = (
+            problems.build_problem, cli.load_config, cli.flow.integrate, cli.hpe.run
+        )
+        monkeypatch.setattr(problems, "build_problem", lambda *a: builds.append(a) or real_build(*a))
+        monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(real_load(path)) or loaded[-1])
+        monkeypatch.setattr(cli.flow, "integrate", lambda *a: calls.append(a) or real_integrate(*a))
+        monkeypatch.setattr(cli.hpe, "run", lambda *a: calls.append(a) or real_run(*a))
+        rc = _main(tmp_path, json.dumps(make()), cmd, "--seed", "5")
+        out = capsys.readouterr().out
+        if cmd == "run":
+            assert rc == 0
+        else:  # a slope may miss its target on these short runs
+            assert rc in (0, 1) and "residue: " in out
+        assert len(builds) == len(loaded) == len(calls) == 1
+        cfg = loaded[0]
+        if cfg.mode == "FLOW":
+            problem, _, params = calls[0][:3]
+            assert problem is cfg.problem and params is cfg.params
+            return
+        problem, oracle, drive, _ = calls[0]
+        assert problem is cfg.problem and oracle.args == (cfg.problem,)
+        assert drive is cfg.drive
+        assert oracle.keywords["cfg"] is (cfg.drive if cfg.mode == "HPE_EXACT" else cfg.params)
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -285,11 +358,10 @@ class TestBenchmarkConfigs:
             calls = [c.config for c in w.reference() + w.warmup() if c.config is not None]
             for raw in calls + [w.setup_config()]:
                 cfg = parse_config(json.dumps(raw))
-                cfg.problem_instance()
                 n = cfg.horizon.get("max_iters")
-                derived = cfg.mode_params()
+                derived = cfg.params
                 if cfg.mode == "TENSOR":
-                    derived = derived, derived.window, derived.drive(n)
+                    derived = derived, derived.window, cfg.drive
                 assert derived == expected[cfg.mode, cfg.problem_name](n), raw
                 budgets.append((cfg.mode, n))
         assert sorted(budgets, key=repr) == sorted(

@@ -531,5 +531,5 @@ class TestOneLawRule:
                 "x0": [0.5, 0.0],
             }
         )
-        _, _, summary, _ = cli._run_flow(cfg, SADDLE)
+        _, _, summary, _ = cli._run_flow(cfg)
         assert summary["certificates"] == {"control_law_within_tol": 2, "total": 2}

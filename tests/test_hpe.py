@@ -142,6 +142,18 @@ class TestExactOracle:
         assert len(res.records) == 50
         assert all(r.cert.ok for r in res.records)
 
+    def test_step_that_rounds_to_zero_raises(self):
+        # At theta = 1e-30 the law's root lam = 2.84e-14 is accepted inside
+        # its band, but its step rounds to 0: the law value there is 0, and
+        # nudging by theta / value would send lam to 1e259.
+        cubic, x = problems.make_cubic_1d(), np.array([1.0])
+        cfg = HpeConfig(sigma=0.0, theta=1e-30, p=2, max_iters=5)
+        with pytest.raises(InnerSolverDiverged, match=r"^law value 0\.000e\+00 at lam=2\.842e-14 .*theta=1\.000e-30$"):
+            exact_oracle(cubic, x, cfg)
+        with pytest.raises(OracleFailure, match="at k=1") as info:
+            run(cubic, partial(exact_oracle, cubic, cfg=cfg), cfg, x)
+        assert isinstance(info.value.__cause__, InnerSolverDiverged) and info.value.records == []
+
 
 class TestRun:
     def test_update_rule_and_certificates(self):
