@@ -238,7 +238,8 @@ def hpe_suite(seed=0):
 
 def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     """Audits each sub-certificate over the records of an hpe.run of the oracle;
-    a run cut short is audited up to the step that failed, whose certificate counts."""
+    a run cut short is audited up to the step that failed, whose certificate
+    counts.  Returns the records and the HpeConfig that drove them."""
     op = prob.operator
     hcfg = tcfg.drive(iters, stop_res=1e-11)
     wlo, whi = tcfg.window
@@ -278,6 +279,7 @@ def _tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     rep.add(f"{tag}: surrogate solve within its inexactness budget", *worst(m_hat))
     rep.add(f"{tag}: Taylor remainder within the derivative bound", *worst(m_taylor))
     rep.add(f"{tag}: output direction lies in A(y)", *worst(m_member))
+    return records, hcfg
 
 
 def tensor_suite(seed=0):
@@ -320,17 +322,11 @@ def tensor_suite(seed=0):
         ),
     ]
     for tag, prob, tcfg, x0, iters in cases:
-        _tensor_step_audit(rep, tag, prob, tcfg, x0, iters)
-
-    # Lemma suite over a tensor-driven run, via the shared framework loop.
-    prob = make_cubic_1d()
-    tcfg = TensorConfig(sigma_hat=0.1, sigma_l=0.2, sigma_u=0.8, L=6.0, p=3)
-    hcfg = tcfg.drive(40, stop_res=1e-10)
-    try:
-        records = run(prob, partial(lambda_window_search, prob, cfg=tcfg), hcfg, np.array([2.0])).records
-    except OracleFailure as exc:
-        records = exc.records
-    _merge(rep, check_discrete_lemmas(records, prob, hcfg), "cubic p=3 framework run")
+        records, hcfg = _tensor_step_audit(rep, tag, prob, tcfg, x0, iters)
+        if tag == "cubic p=3":
+            lemmas = check_discrete_lemmas(records, prob, hcfg)
+    # The lemma suite audits the cubic p = 3 run the step audit made; its lines come last.
+    _merge(rep, lemmas, "cubic p=3 framework run")
     return rep
 
 

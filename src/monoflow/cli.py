@@ -29,7 +29,7 @@ import numpy as np
 from . import checks, flow, hpe, metrics, tensor
 from . import operators as ops
 from .config import load_config
-from .errors import ConfigError, InsufficientPoints, MonoflowError, UnknownSolutionSet
+from .errors import ConfigError, InsufficientPoints, MonoflowError, StationaryPoint, UnknownSolutionSet
 from .report import running_worst
 
 RATE_TOL = 0.2
@@ -90,14 +90,18 @@ def _dists_or_nan(problem, points):
 def _run_flow(cfg):
     problem, params = cfg.problem, cfg.params
     x0 = cfg.initial_point()
-    traj = flow.integrate(
-        problem,
-        x0,
-        params,
-        cfg.horizon["T"],
-        cfg.horizon["h"],
-        cfg.horizon.get("sample_stride", 1),
-    )
+    try:
+        traj = flow.integrate(
+            problem,
+            x0,
+            params,
+            cfg.horizon["T"],
+            cfg.horizon["h"],
+            cfg.horizon.get("sample_stride", 1),
+        )
+    except StationaryPoint:
+        # x0 solves the inclusion to tolerance: no state is kept.
+        traj = flow.Trajectory(status="STATIONARY", stop="law_solve")
     d = problem.operator.dim
     header = (
         ["t"]
@@ -105,8 +109,9 @@ def _run_flow(cfg):
         + ["lambda", "speed", "gap_ergodic", "residue_pointwise", "dist", "E"]
     )
     gaps, gap_off = metrics.ergodic_gaps(problem, np.array(traj.erg_num), np.array(traj.erg_den))
-    residues = metrics.residue(problem, np.array([s.y for s in traj.states])).tolist()
-    dists = _dists_or_nan(problem, np.array([s.x for s in traj.states]))
+    # Without a state, residues and dists hold their value at x0 alone.
+    residues = metrics.residue(problem, np.array([s.y for s in traj.states] or [x0])).tolist()
+    dists = _dists_or_nan(problem, np.array([s.x for s in traj.states] or [x0]))
 
     rows = []
     ae_ok = 0
@@ -121,7 +126,7 @@ def _run_flow(cfg):
         )
     ts = [s.t for s in traj.states]
 
-    last = traj.states[-1]
+    last = traj.states[-1] if traj.states else None
     summary = {
         "mode": cfg.mode,
         "problem": cfg.problem_name,
@@ -130,8 +135,8 @@ def _run_flow(cfg):
         "lam_rate_fallbacks": traj.lam_rate_fallbacks,
         "samples": len(traj.states),
         "final": {
-            "t": last.t,
-            "gap_ergodic": gaps[-1],
+            "t": last.t if last else 0.0,
+            "gap_ergodic": gaps[-1] if last else math.nan,
             "residue_pointwise": residues[-1],
             "dist": dists[-1],
         },

@@ -155,8 +155,10 @@ class _LawCurve:
     of which the true g cannot lie; solve_law forms it, and with it rho,
     only for a lam whose acceptance it tests.  memo maps each lam evaluated
     (the exact float) to (value, Resolvent); a repeated lam returns its
-    entry and leaves the warm start alone.  Every solve starts from the
-    exit state of the last one, the first from warm: x and the operator
+    entry and leaves the warm start alone.  A resolvent whose step is not
+    finite (an overflow) raises InnerSolverDiverged naming lam and the
+    step, since no law value can be read from it.  Every solve starts from
+    the exit state of the last one, the first from warm: x and the operator
     are fixed here.
     """
 
@@ -171,6 +173,8 @@ class _LawCurve:
         hit = self.memo.get(lam)
         if hit is None:
             r = ops.resolvent(self.op, lam, self.x, warm=self.warm)
+            if not math.isfinite(r.step):
+                raise InnerSolverDiverged(f"resolvent step ||x - y|| = {r.step} not finite at lam {lam:.3e}")
             if r.state is not None:
                 self.warm = r.state
             hit = self.memo[lam] = (lam * r.step ** (self.p - 1), r)

@@ -537,10 +537,13 @@ class Resolvent:
     expression on the same floats, x copied at the solve, so its bits do
     not depend on when it happens or on what the caller does to x.
 
-    Only the Newton route sets state = (w, y, F(y)), its exit state with w
-    its last normal-map point, and forms v = F(y) + (w - y)/lam from it on
-    first read.  The state, or w alone, warm-starts another solve of the
-    same operator (see resolvent).
+    The Newton kernel (normal_map_newton) sets state = (w, y, value(y)),
+    its exit state with w its last normal-map point, and forms v = value(y)
+    + (w - y)/lam from it on first read.  The state, or w alone,
+    warm-starts another solve of the same map (see resolvent).  On a
+    surrogate solve (tensor.surrogate_resolvent) value is the surrogate
+    sur: v lies in (sur + N_C)(y) exactly and residual <= max(sigma_hat *
+    ||y - x||, floor), the solve's stop rule.
     """
 
     __slots__ = ("y", "iterations", "state", "_v", "_lam", "_x", "_step", "_residual")
@@ -630,14 +633,13 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
     floor).  start is None (w = x), a bare w, or the exit state (w, P(w),
     value(P(w))) of an earlier solve: a state skips projecting w and
     evaluating value there, with the same bits, and so is valid only for
-    the same value map and domain (lam and x may differ).  Returns (y,
-    step, iterations, state) with step = ||y - x|| as the stop rule formed
-    it and state = (w, y, value(y)) at exit.  The kernel does not form
-    v = value(y) + (w - y)/lam, the element of (value + N_dom)(y) whose
-    ||lam*v + y - x|| is the normal-map residual; a caller that reads v
-    forms it from the state.  Raises InnerSolverDiverged, its message
-    prefixed by what, when the line search stalls or NEWTON_MAX_ITERS
-    steps fall short of the accepted residual.
+    the same value map and domain (lam and x may differ).  Returns the
+    Resolvent of the exit state: y, iterations, step = ||y - x|| as the
+    stop rule formed it and state = (w, y, value(y)); its v = value(y) +
+    (w - y)/lam, the element of (value + N_dom)(y) whose ||lam*v + y - x||
+    is the normal-map residual, is formed only when read.  Raises
+    InnerSolverDiverged, its message prefixed by what, when the line search
+    stalls or NEWTON_MAX_ITERS steps fall short of the accepted residual.
     """
     project, map_jacobian = op.domain.project, op.domain.jacobian
     if isinstance(start, tuple):
@@ -685,7 +687,7 @@ def normal_map_newton(op, lam, x, value, jacobian, rel, floor, start, what):
                 residual=nf,
                 iterations=its,
             )
-    return y, step, its, (w, y, fy)
+    return Resolvent(y, None, lam, x, iterations=its, step=step, state=(w, y, fy))
 
 
 def _closed_form(lam, x, y, v, what):
@@ -760,7 +762,7 @@ def _box_lvi(a, b, lo, hi, side, what):
 
 def _newton_route(op, lam, x, warm):
     try:
-        y, step, its, state = normal_map_newton(
+        return normal_map_newton(
             op,
             lam,
             x,
@@ -781,7 +783,6 @@ def _newton_route(op, lam, x, warm):
         y, side = _box_lvi(_eye(op.dim) + lam * m, x - lam * q, lo, hi, side, "resolvent affine + box")
         fy = m.dot(y) + q
         return _closed_form(lam, x, y, fy + np.where(side == 0, 0.0, (x - y) / lam - fy), "affine + box pivoting")
-    return Resolvent(y, None, lam, x, iterations=its, step=step, state=state)
 
 
 def resolvent(op, lam, x, warm=None):

@@ -170,10 +170,10 @@ def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
     """Inexact resolvent of the anchored surrogate sur plus the normal cone.
 
     Runs operators.normal_map_newton on w + lam*sur(P(w)) - x and stops as
-    soon as the residual is within sigma_hat * ||P(w) - x||.  Returns
-    (y, u, state) with u an exact element of (sur + H)(y), so the
-    inexactness lives entirely in the residual ||lam*u + y - x|| <=
-    sigma_hat * ||y - x||, and state = (w, y, sur(y)) the Newton exit
+    soon as the residual is within sigma_hat * ||P(w) - x||.  Returns its
+    Resolvent r: r.v is an exact element of (sur + H)(r.y), so the
+    inexactness lives entirely in the residual ||lam*v + y - x|| <=
+    sigma_hat * ||y - x||, and r.state = (w, y, sur(y)) is the Newton exit
     state.  warm is None (w = x), a bare w, or the state of an earlier
     solve of the same sur; a state spares projecting w and evaluating sur
     there, with the same bits.
@@ -189,11 +189,7 @@ def surrogate_resolvent(sur, x, lam, sigma_hat, warm=None):
         raise InnerSolverDiverged(
             f"{UNSOLVABLE} at residual >= {bound:.3e}", residual=bound, iterations=0
         )
-    y, _, _, state = ops.normal_map_newton(
-        sur.op, lam, x, sur.value, sur.jacobian, sigma_hat, floor, warm, "surrogate"
-    )
-    w, _, fy = state
-    return y, fy + (w - y) / lam, state
+    return ops.normal_map_newton(sur.op, lam, x, sur.value, sur.jacobian, sigma_hat, floor, warm, "surrogate")
 
 
 def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
@@ -202,24 +198,24 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     The surrogate is anchored at the domain projection of x, checked once
     (order; at p >= 3 monotonicity of its Jacobian there) and built once for
     every trial lam, so what depends on the anchor alone is formed once
-    per search (see operators.TaylorSurrogate).  For p = 1 the window
-    constrains lam itself and the arithmetic midpoint is taken directly.
-    For p >= 2 x must not be stationary (residual, when given, is
-    ops.min_norm_residual(op, x) and is read instead of evaluated again),
-    and the product is nondecreasing in lam wherever the surrogate
-    subproblem is solvable.  One loop keeps a bracket (lo, hi), from
-    (0, inf) and the hint as first trial: a trial below the window sets lo,
-    one above it sets hi, and the next trial is 2*lo while hi is inf, hi/2
+    per search (see operators.TaylorSurrogate).  x must not be stationary
+    (residual, when given, is ops.min_norm_residual(op, x) and is read
+    instead of evaluated again), and the product lam * r.step^(p-1), read
+    from each trial's Resolvent r, is nondecreasing in lam wherever the
+    surrogate subproblem is solvable; at p = 1 it is lam itself.  One loop
+    keeps a bracket (lo, hi), from (0, inf) and the hint, else
+    sqrt(wlo * whi), as first trial: a trial below the window sets lo, one
+    above it sets hi, and the next trial is 2*lo while hi is inf, hi/2
     while lo is 0, else sqrt(lo*hi).  An anchored surrogate of degree >= 2
     is only locally monotone, so the subproblem can lose solvability past a
     finite lam; a failed solve, like a NaN product, therefore counts as
     above the window.  The first trial starts from warm (None or a bare
-    w); each later one starts from the exit state (w, y, sur(y)) of the
-    last solve that succeeded, which spares it projecting w and evaluating
-    the surrogate there, with the same bits.
+    w); each later one starts from the exit state r.state = (w, y, sur(y))
+    of the last solve that succeeded, which spares it projecting w and
+    evaluating the surrogate there, with the same bits.
 
-    Returns (lam, y, v, 0.0, w): v = F(y) + u - sur(y) in A(y) exactly,
-    the surrogate error folded into the accepted solve's u, eps = 0, and w
+    Returns (lam, y, v, 0.0, w): v = F(y) + r.v - sur(y) in A(y) exactly,
+    the surrogate error folded into the accepted solve's r.v, eps = 0, and w
     its exit point, a bare warm start for a search with another anchor.
     The Taylor remainder bound together with the window's upper edge gives
     ||lam*v + y - x|| <= (sigma_hat + sigma_u) ||y - x||.  After
@@ -230,10 +226,9 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
     p = cfg.p
     x = np.asarray(x, dtype=float)
     anchor = op.domain.project(x)
-    if p >= 2:
-        res = ops.min_norm_residual(op, x) if residual is None else residual
-        if res <= STATIONARITY_TOL:
-            raise StationaryPoint("window search undefined on the solution set", x=x)
+    res = ops.min_norm_residual(op, x) if residual is None else residual
+    if res <= STATIONARITY_TOL:
+        raise StationaryPoint("window search undefined on the solution set", x=x)
     _check_surrogate_order(op, p)
     sur = ops.TaylorSurrogate(op, anchor, p)
     if p >= 3:
@@ -242,26 +237,20 @@ def lambda_window_search(problem, x, cfg, hint=None, warm=None, residual=None):
         if eig < -1e-10 * max(1.0, float(np.abs(jac).max())):
             raise SurrogateNonmonotone(f"surrogate Jacobian at the anchor has eigenvalue {eig:.3e}")
 
-    def fold(lam, y, u, state):
-        # state[2] is sur(y), as the solve evaluated it.
-        return lam, y, ops.single_value(op, y) + u - state[2], 0.0, state[0]
-
     wlo, whi = cfg.window
-    if p == 1:
-        lam = 0.5 * (wlo + whi)
-        return fold(lam, *surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm))
-
     lo, hi = 0.0, math.inf
     lam = float(hint) if hint is not None and hint > 0 else math.sqrt(wlo * whi)
     for _ in range(MAX_TRIALS):
         try:
-            y, u, warm = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
+            r = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
         except InnerSolverDiverged:
             s = math.inf
         else:
-            s = lam * ops.norm(y - x) ** (p - 1)
+            warm = r.state
+            s = lam * r.step ** (p - 1)
         if wlo <= s <= whi:
-            return fold(lam, y, u, warm)
+            # r.state[2] is sur(y), as the solve evaluated it.
+            return lam, r.y, ops.single_value(op, r.y) + r.v - r.state[2], 0.0, r.state[0]
         if s < wlo:
             lo = lam
         else:

@@ -8,14 +8,15 @@ from monoflow import checks
 from monoflow import operators as ops
 from monoflow.checks import SUITE_NAMES, SUITES, run_suites
 from monoflow.errors import InnerSolverDiverged, MonoflowError, StationaryPoint
-from monoflow.hpe import HpeConfig, verify_step
+from monoflow.hpe import HpeConfig, IterateRecord, verify_step
 from monoflow.tensor import lambda_window_search
 
 
 def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     """Reference: the TENSOR audit as a hand-written replay of the oracle
     loop, step by step, beside hpe.run, carrying each step's lam and warm
-    start to the next search."""
+    start to the next search.  Returns the replayed records and the
+    HpeConfig, which the suite's lemma audit reads."""
     op = prob.operator
     hcfg = HpeConfig(
         sigma=tcfg.sigma, theta=tcfg.theta, p=tcfg.p, max_iters=iters, stop_res=1e-11
@@ -23,6 +24,7 @@ def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     wlo, whi = tcfg.window
     x = np.asarray(x0, dtype=float).copy()
     hint = warm = None
+    records = []
     m_cert = m_win = m_hat = m_taylor = m_member = math.inf
     steps = 0
     for _ in range(iters):
@@ -36,6 +38,7 @@ def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
         steps += 1
         cert = verify_step(hcfg, x, lam, y, v, eps)
         m_cert = min(m_cert, cert.relative_error_slack, cert.large_step_slack)
+        records.append(IterateRecord(steps, x, lam, y, v, eps, x - lam * v, cert))
 
         s = lam * float(np.linalg.norm(y - x)) ** (tcfg.p - 1)
         if tcfg.p >= 2:
@@ -70,6 +73,7 @@ def _ref_tensor_step_audit(rep, tag, prob, tcfg, x0, iters):
     rep.add(f"{tag}: surrogate solve within its inexactness budget", m_hat)
     rep.add(f"{tag}: Taylor remainder within the derivative bound", m_taylor)
     rep.add(f"{tag}: output direction lies in A(y)", m_member)
+    return records, hcfg
 
 
 def _outcomes(rep):

@@ -191,12 +191,40 @@ class TestRun:
         # The summary fits the gap series first, then the residue series.
         assert all(math.isnan(v) for v in fitted[-1][2:])
 
+    # From x0 = 1e200 on cubic_1d the poly resolvent route overflows (its
+    # own missed bound, ROADMAP item 10); these tests are about what the
+    # law does with the result, so numpy's overflow warning is let through.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
         payload = flow_payload(tmp_path / "x.csv", T=1.0)
-        payload["x0"] = [0.0, 0.0]  # already solves the inclusion
+        # No finite resolvent step: even at p = 1, whose law value is lam alone.
+        payload.update(problem={"name": "cubic_1d"}, x0=[1e200])
         cfg = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("payload", [flow_payload(None, T=1.0), hpe_payload(None, iters=5)], ids=["FLOW", "HPE_EXACT"])
+    def test_law_value_that_overflows_is_a_typed_error(self, tmp_path, capsys, payload):
+        # From x0 = 1e200 the resolvent's step ||x - y|| overflows at every
+        # lam; the law cannot read a value from it, so the first solve
+        # fails, instead of halving lam until the bracket budget is spent.
+        payload = dict(payload, problem={"name": "cubic_1d"}, params={"theta": 0.1, "p": 2}, x0=[1e200])
+        payload["out"] = str(tmp_path / "x.csv")
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 1
+        assert "resolvent step ||x - y|| = inf not finite at lam 1.000e+00" in capsys.readouterr().err
+
+    def test_flow_from_a_stationary_start_exits_zero(self, tmp_path, capsys):
+        out = tmp_path / "flow.csv"
+        payload = dict(flow_payload(out, T=1.0), x0=[0.0, 0.0])  # already solves the inclusion
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert out.read_text().splitlines() == [
+            "t,x0,x1,lambda,speed,gap_ergodic,residue_pointwise,dist,E"
+        ]
+        assert (summary["status"], summary["stop"], summary["samples"]) == ("STATIONARY", "law_solve", 0)
+        assert summary["certificates"] == {"control_law_within_tol": 0, "total": 0}
+        assert summary["final"] == {"t": 0.0, "gap_ergodic": None, "residue_pointwise": 0.0, "dist": 0.0}
 
 
 class TestConfigRejection:

@@ -541,7 +541,7 @@ class TestOracleShapeBitIdentity:
         want = _outcome(_ref_run, problem, _RefTensorOracle(problem, tc), cfg, x0)
         assert got == want and got[1]
 
-    @pytest.mark.parametrize("suite, runs", [("HPE", 5), ("TENSOR", 6)])
+    @pytest.mark.parametrize("suite, runs", [("HPE", 5), ("TENSOR", 5)])
     def test_suite_runs(self, monkeypatch, suite, runs):
         # Every run a suite makes, replayed with the reference loop and class
         # built from the suite's partial.

@@ -576,11 +576,12 @@ def _ref_dispatch(op, lam, x, warm):
     else:
         value, jacobian = (lambda z: ops.single_value(op, z)), (lambda z: ops.single_jacobian(op, z))
     try:
-        y, _, its, state = ops.normal_map_newton(
+        r = ops.normal_map_newton(
             op, lam, x, value, jacobian, ops.RESOLVENT_TOL, ops.RESOLVENT_TOL, warm, "resolvent"
         )
     except InnerSolverDiverged as exc:
         return exc
+    y, its, state = r.y, r.iterations, r.state
     v = value(y) + (state[0] - y) / lam
     return _RefResolvent(y=y, v=v, residual=ops.norm(lam * v + y - x), iterations=its, state=state)
 
@@ -1262,7 +1263,7 @@ class TestKernelBitIdentity:
 def _parent_newton_route(op, lam, x, warm):
     """The Newton route as it stood when every solve handed the kernel two
     fresh closures over single_value and single_jacobian."""
-    y, step, its, state = ops.normal_map_newton(
+    r = ops.normal_map_newton(
         op,
         lam,
         x,
@@ -1273,7 +1274,7 @@ def _parent_newton_route(op, lam, x, warm):
         warm,
         "resolvent",
     )
-    return ops.Resolvent(y, None, lam, x, iterations=its, step=step, state=state)
+    return ops.Resolvent(r.y, None, lam, x, iterations=r.iterations, step=r.step, state=r.state)
 
 
 def _warm_start(solve, op, lam, x, kind):
@@ -2122,7 +2123,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
     anchor = np.asarray(anchor, dtype=float)
     floor = 1e-14 * (1.0 + float(np.linalg.norm(x)))
     try:
-        y, _, _, (w, _, fy) = ops.normal_map_newton(
+        r = ops.normal_map_newton(
             op,
             lam,
             x,
@@ -2135,6 +2136,7 @@ def _ref_surrogate_resolvent(problem, anchor, x, lam, cfg, warm=None):
         )
     except InnerSolverDiverged as exc:
         return exc
+    y, (w, _, fy) = r.y, r.state
     return y, _ref_taylor_value(op, anchor, p, y) + (w - y) / lam, (w, y, fy)
 
 
@@ -2202,7 +2204,7 @@ class TestSurrogateBitIdentity:
             return
         got = surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
         # y, u and the exit state (w, y, value(y)).
-        for a, b in zip(got[:2] + got[2], want[:2] + want[2]):
+        for a, b in zip((got.y, got.v) + got.state, want[:2] + want[2]):
             assert a.tobytes() == b.tobytes()
 
     @settings(max_examples=120)
@@ -2227,7 +2229,7 @@ class TestSurrogateBitIdentity:
             # first trial, from the step before).
             try:
                 sur = ops.TaylorSurrogate(problem.operator, x, p)
-                warm = surrogate_resolvent(sur, x, lam * warm_ratio, cfg.sigma_hat)[2]
+                warm = surrogate_resolvent(sur, x, lam * warm_ratio, cfg.sigma_hat).state
                 warm = warm if warm_state else warm[0]
             except InnerSolverDiverged:
                 pass

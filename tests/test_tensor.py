@@ -48,7 +48,8 @@ def _ref_window_search(problem, x, cfg, hint=None, warm=None):
     def product(lam):
         nonlocal warm
         try:
-            y, u, warm = tensor.surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
+            r = tensor.surrogate_resolvent(sur, x, lam, cfg.sigma_hat, warm=warm)
+            y, u, warm = r.y, r.v, r.state
         except InnerSolverDiverged:
             return None
         return lam * ops.norm(y - x) ** (p - 1), y, u, warm
@@ -137,7 +138,8 @@ class TestSurrogateResolvent:
     def test_residual_within_budget(self):
         tc = cubic_config()
         x = np.array([2.0])
-        y, u, w = surrogate_resolvent(ops.TaylorSurrogate(CUBIC.operator, x, 3), x, 0.5, tc.sigma_hat)
+        r = surrogate_resolvent(ops.TaylorSurrogate(CUBIC.operator, x, 3), x, 0.5, tc.sigma_hat)
+        y, u = r.y, r.v
         res = float(np.linalg.norm(0.5 * u + y - x))
         assert res <= tc.sigma_hat * float(np.linalg.norm(y - x)) + 1e-12
 
@@ -145,7 +147,8 @@ class TestSurrogateResolvent:
         tc = cubic_config()
         x = np.array([2.0])
         sur = ops.TaylorSurrogate(CUBIC.operator, x, 3)
-        y, u, w = surrogate_resolvent(sur, x, 0.5, tc.sigma_hat)
+        r = surrogate_resolvent(sur, x, 0.5, tc.sigma_hat)
+        y, u = r.y, r.v
         assert np.allclose(u, sur.value(y), atol=1e-12)
 
     # The window search checks the order once, before it builds the surrogate.
@@ -161,9 +164,12 @@ class TestSurrogateResolvent:
 
 class TestWindowSearch:
     def test_first_order_takes_midpoint(self):
+        # At p = 1 the product is lam itself, so the first trial, the
+        # geometric midpoint sqrt(wlo * whi) of the window, is accepted.
         tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=1)
         lam, y, u, eps, w = lambda_window_search(SADDLE, np.full(2, 0.7), tc)
-        assert lam == 0.5
+        wlo, whi = tc.window
+        assert lam == math.sqrt(wlo * whi) and wlo <= lam <= whi
 
     def test_product_lands_in_window(self):
         tc = TensorConfig(sigma_hat=0.05, sigma_l=0.3, sigma_u=0.7, L=1.0, p=2)
@@ -219,7 +225,7 @@ class TestWindowFailures:
 
         def fake(sur, x, lam, sigma_hat, warm=None):
             trials.append(lam)
-            return solve(x, lam), np.zeros_like(x), None
+            return ops.Resolvent(solve(x, lam), np.zeros_like(x), lam, x)
 
         monkeypatch.setattr(tensor, "surrogate_resolvent", fake)
         with pytest.raises(WindowUnreachable) as info:
