@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -210,6 +210,7 @@ def _run_iterative(cfg):
         "mode": cfg.mode,
         "problem": cfg.problem_name,
         "status": result.status,
+        "stop": result.stop,
         "iterations": len(records),
         "final": {
             "gap_ergodic": gaps[-1] if gaps else float("nan"),
@@ -236,7 +237,12 @@ def _summary_path(out):
     return (stem if ext.lower() == ".csv" else out) + ".summary.json"
 
 
-def _write_outputs(out, header, rows, summary):
+def _summary_text(summary):
+    """The summary as run prints it and writes it, newline included."""
+    return json.dumps(_jsonsafe(summary), indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(out, header, rows, summary_text):
     if out is None:
         return
     text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
@@ -244,7 +250,7 @@ def _write_outputs(out, header, rows, summary):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with open(_summary_path(out), "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(_jsonsafe(summary), indent=2, sort_keys=True) + "\n")
+            fh.write(summary_text)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
 
@@ -270,6 +276,8 @@ def _load_with_overrides(args):
         cfg = replace(cfg, **updates)
     if cfg.out is not None:
         # Refuse an out that cannot be opened before any step runs, not after.
+        if not cfg.out:
+            raise ConfigError("cannot write output: out is an empty path")
         folder = os.path.dirname(cfg.out) or "."
         if os.path.isdir(cfg.out):
             raise ConfigError(f"cannot write output: {cfg.out!r} is a directory")
@@ -281,15 +289,16 @@ def _load_with_overrides(args):
 def cmd_run(args):
     cfg = _load_with_overrides(args)
     header, rows, summary, _ = _execute(cfg)
-    _write_outputs(cfg.out, header, rows, summary)
-    print(json.dumps(_jsonsafe(summary), indent=2, sort_keys=True))
+    text = _summary_text(summary)
+    _write_outputs(cfg.out, header, rows, text)
+    sys.stdout.write(text)
     return 0
 
 
 def cmd_rates(args):
     cfg = _load_with_overrides(args)
     header, rows, summary, gap_off = _execute(cfg)
-    _write_outputs(cfg.out, header, rows, summary)
+    _write_outputs(cfg.out, header, rows, _summary_text(summary))
     p = cfg.params.p
     slopes = summary["slopes"]
     residue = "residue_pointwise" if cfg.mode == "FLOW" else "residue_min_so_far"
@@ -332,7 +341,18 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
+@cache
 def build_parser():
+    """The monoflow argument parser, built on the first call and shared by
+    every later one in the process.
+
+    A build makes four ArgumentParsers, with their gettext lookups and
+    terminal-size probes: a fixed cost that is a large share of a short
+    TENSOR run for a caller that sends many main() calls in one process.
+    Parsing reads the parser and changes nothing in it, so one parser
+    serves every call.  Importing this module builds none;
+    build_parser.cache_clear() drops the shared one.
+    """
     parser = argparse.ArgumentParser(
         prog="monoflow",
         description="Monotone-inclusion solver laboratory.",

@@ -105,8 +105,21 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """The records of a run and the rule that ended it.
+
+    stop is "residual" (ops.min_norm_residual <= stop_res at the point a
+    step would start from), "oracle_stationary" (the oracle raised
+    StationaryPoint), "final_residual" (the point after the last budgeted
+    step meets stop_res) or "max_iters" (the budget ran out).  status is
+    MAX_ITERS for the last rule and SOLVED for the other three.
+    """
+
     records: list[IterateRecord]
-    status: str  # SOLVED | MAX_ITERS
+    stop: str
+
+    @property
+    def status(self):
+        return "MAX_ITERS" if self.stop == "max_iters" else "SOLVED"
 
 
 def verify_step(cfg, x_prev, lam, y, v, eps):
@@ -184,17 +197,17 @@ def run(problem, oracle, cfg, x0):
     op = problem.operator
     x = np.asarray(x0, dtype=float).copy()
     records = []
-    status = "MAX_ITERS"
+    stop = "max_iters"
     lam = warm = None
     for k in range(1, cfg.max_iters + 1):
         res = ops.min_norm_residual(op, x)
         if res <= cfg.stop_res:
-            status = "SOLVED"
+            stop = "residual"
             break
         try:
             lam, y, v, eps, warm = oracle(x, residual=res, hint=lam, warm=warm)
         except StationaryPoint:
-            status = "SOLVED"
+            stop = "oracle_stationary"
             break
         except MonoflowError as exc:
             raise OracleFailure(f"oracle failed at k={k}: {exc}", k=k, records=records) from exc
@@ -214,8 +227,8 @@ def run(problem, oracle, cfg, x0):
         x = x_next
     else:
         if ops.min_norm_residual(op, x) <= cfg.stop_res:
-            status = "SOLVED"
-    return RunResult(records=records, status=status)
+            stop = "final_residual"
+    return RunResult(records=records, stop=stop)
 
 
 def check_discrete_lemmas(records, problem, cfg):

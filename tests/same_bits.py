@@ -9,9 +9,12 @@ Each CONFIG_RUNS entry, which reaches a corner of the config layer (a random
 x0 under a --seed override, a sample stride, sigma, stop_res), is run with
 `run` and with `rates`, and its CSV, summary, stdout and stderr are written;
 for each REJECTED config, the exit code and stderr.
-The program is imported from the src/ next to this file.  Run it on two
-checkouts and compare: `diff -r OUTDIR_A OUTDIR_B` lists every output that
-changed.  pytest does not collect this file.
+Every call is made twice in this process, and the script exits 1, naming
+the call, when the second call's exit code, stdout, CSV or summary differs
+from the first's: a state that one cli.main call leaves behind for the
+next shows there.  The program is imported from the src/ next to this
+file.  Run it on two checkouts and compare: `diff -r OUTDIR_A OUTDIR_B`
+lists every output that changed.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -84,12 +87,29 @@ REJECTED = {
 }
 
 
-def _call(cli, argv):
-    """(exit code, stdout, stderr) of cli.main(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
-    return rc, out.getvalue(), err.getvalue()
+def _call(cli, argv, differs):
+    """(exit code, stdout, stderr) of cli.main(argv), called twice.
+
+    argv is appended to differs when the second call's exit code, stdout or
+    written files (the --out CSV and its summary) differ from the first's.
+    stderr is not compared: a numpy warning prints once per process.
+    """
+    files = [Path(argv[argv.index("--out") + 1])] if "--out" in argv else []
+    files += [f.with_suffix(".summary.json") for f in files]
+    calls = []
+    for _ in range(2):
+        for f in files:
+            f.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        written = [f.read_bytes() if f.exists() else None for f in files]
+        calls.append(((rc, out.getvalue(), written), err.getvalue()))
+    (first, err), (again, _) = calls
+    if again != first:
+        differs.append(" ".join(argv))
+    rc, out, _ = first
+    return rc, out, err
 
 
 def main():
@@ -102,28 +122,31 @@ def main():
     from monoflow import cli
     from workloads import WORKLOADS
 
+    differs = []
     for workload in WORKLOADS.values():
         for i, call in enumerate(workload.reference()):
             stem = str(outdir / f"{workload.name}.{i}")
             Path(stem + ".json").write_text(json.dumps(call.config), encoding="utf-8")
-            rc, out, _ = _call(cli, [call.cmd, "--config", stem + ".json", "--out", stem + ".csv"])
+            rc, out, _ = _call(cli, [call.cmd, "--config", stem + ".json", "--out", stem + ".csv"], differs)
             Path(stem + ".stdout").write_text(f"exit {rc}\n{out}", encoding="utf-8")
     for seed in CHECK_SEEDS:
-        rc, out, _ = _call(cli, ["check", "--suite", "ALL", "--seed", str(seed)])
+        rc, out, _ = _call(cli, ["check", "--suite", "ALL", "--seed", str(seed)], differs)
         (outdir / f"check_ALL.{seed}.stdout").write_text(f"exit {rc}\n{out}", encoding="utf-8")
     for name, (config, extra) in CONFIG_RUNS.items():
         for cmd in ("run", "rates"):
             stem = str(outdir / f"config.{name}.{cmd}")
             Path(stem + ".json").write_text(json.dumps(config), encoding="utf-8")
-            rc, out, err = _call(cli, [cmd, "--config", stem + ".json", "--out", stem + ".csv", *extra])
+            rc, out, err = _call(cli, [cmd, "--config", stem + ".json", "--out", stem + ".csv", *extra], differs)
             Path(stem + ".stdout").write_text(f"exit {rc}\n{out}", encoding="utf-8")
             Path(stem + ".stderr").write_text(err, encoding="utf-8")
     for name, config in REJECTED.items():
         stem = str(outdir / f"rejected.{name}")
         Path(stem + ".json").write_text(json.dumps(config), encoding="utf-8")
-        rc, out, err = _call(cli, ["run", "--config", stem + ".json"])
+        rc, out, err = _call(cli, ["run", "--config", stem + ".json"], differs)
         Path(stem + ".stderr").write_text(f"exit {rc}\n{out}{err}", encoding="utf-8")
-    return 0
+    for argv in differs:
+        print(f"second in-process call differs from the first: {argv}", file=sys.stderr)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

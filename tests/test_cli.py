@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import json
@@ -107,7 +108,7 @@ class TestRun:
         cfg = write_config(tmp_path, hpe_payload(out, iters=50))
         assert cli.main(["run", "--config", str(cfg)]) == 0
         summary = json.loads((tmp_path / "h.summary.json").read_text())
-        assert summary["iterations"] == 50
+        assert (summary["status"], summary["stop"], summary["iterations"]) == ("MAX_ITERS", "max_iters", 50)
         assert summary["certificates"]["passed"] == 50
         assert summary["certificates"]["total"] == 50
         header = out.read_text().splitlines()[0].split(",")
@@ -149,6 +150,32 @@ class TestRun:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: cannot write output: "), err
+
+    @pytest.mark.parametrize("cmd", ["run", "rates"])
+    @pytest.mark.parametrize("given", ["config", "flag"])
+    def test_empty_out_refused_before_the_run(self, tmp_path, capsys, monkeypatch, cmd, given):
+        def run(*args, **kwargs):
+            raise AssertionError("hpe.run ran before out was checked")
+
+        monkeypatch.setattr(cli.hpe, "run", run)
+        payload = hpe_payload("" if given == "config" else tmp_path / "ok.csv", iters=3000)
+        argv = [cmd, "--config", str(write_config(tmp_path, payload))] + (["--out", ""] if given == "flag" else [])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: cannot write output: out is an empty path\n"
+
+    @pytest.mark.parametrize("mode", ["HPE_EXACT", "TENSOR"])
+    def test_iterative_summary_names_a_residual_stop(self, tmp_path, capsys, mode):
+        # x0 already meets stop_res on this scale: 0 records, stopped by the
+        # residual test before the first step.
+        out = tmp_path / "s.csv"
+        payload = dict(hpe_payload(out), problem={"name": "bilinear_saddle", "params": {"d": 2, "scale": 1e-300}})
+        payload.update(x0=[1.0, 1.0], params={"sigma": 0.0, "theta": 0.1, "p": 2})
+        if mode == "TENSOR":
+            payload.update(mode="TENSOR", params={"sigma_hat": 0.05, "sigma_l": 0.3, "sigma_u": 0.7, "L": 1.0, "p": 2})
+        assert cli.main(["run", "--config", str(write_config(tmp_path, payload))]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["status"], summary["stop"], summary["iterations"]) == ("SOLVED", "residual", 0)
+        assert out.read_text().splitlines() == ["k,lambda,v_norm,eps,step_norm,gap_ergodic,residue_min_so_far,dist"]
 
     def test_flow_theta_above_one_runs(self, tmp_path, capsys):
         # The law needs only theta > 0; theta = 1.5 holds it at every state.
@@ -474,6 +501,68 @@ class TestRates:
         assert lines[1].startswith("residue: slope ") and lines[1].endswith(" PASS")
 
 
+class TestSharedParser:
+    """main builds its parser once per process and carries nothing from
+    one call into the next."""
+
+    def test_built_once_across_calls(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        cfg = str(write_config(tmp_path, hpe_payload(tmp_path / "h.csv", iters=20)))
+        assert cli.main(["run", "--config", cfg]) == 0
+        cli.main(["rates", "--config", cfg])
+        assert cli.main(["check", "--suite", "METRICS"]) == 0
+        assert cli.main(["run"]) == 2
+        capsys.readouterr()
+        # The top-level parser and one per subcommand.
+        assert len(built) == 4
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "real = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or real(self, *a, **k)\n"
+            "import monoflow.cli\n"
+            "print(len(built), monoflow.cli.build_parser.cache_info().currsize)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0 0"
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        # A random x0 under a --seed override, then a usage error, then the
+        # config's own seed: the last call reads as it does on a new parser.
+        from same_bits import CONFIG_RUNS
+
+        config, extra = CONFIG_RUNS["random_x0"]
+        assert extra == ["--seed", "7"]
+        cfg = str(write_config(tmp_path, config))
+
+        def outputs(name, *flags):
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["run", "--config", cfg, "--out", str(out), *flags]) == 0
+            return out.read_bytes(), (tmp_path / f"{name}.summary.json").read_bytes(), capsys.readouterr().out
+
+        seeded = outputs("seeded", *extra)
+        assert cli.main(["run", "--config", cfg, "--seed", "-1"]) == 2
+        capsys.readouterr()
+        after = outputs("after")
+        cli.build_parser.cache_clear()
+        fresh = outputs("fresh")
+        assert after == fresh
+        assert after[0] != seeded[0]
+
+
 class TestHelp:
     def test_epilog_documents_outputs(self):
         text = cli.build_parser().format_help()
@@ -710,6 +799,7 @@ def _ref_run_iterative(cfg):
         "mode": cfg.mode,
         "problem": cfg.problem_name,
         "status": result.status,
+        "stop": result.stop,
         "iterations": len(result.records),
         "final": {
             "gap_ergodic": gaps[-1] if gaps else float("nan"),

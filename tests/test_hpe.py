@@ -171,7 +171,7 @@ class TestRun:
         prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
         cfg = HpeConfig(sigma=0.0, theta=0.5, p=1, max_iters=500, stop_res=1e-6)
         res = run(prob, partial(exact_oracle, prob, cfg=cfg), cfg, np.array([1.0, 1.0]))
-        assert res.status == "SOLVED"
+        assert (res.status, res.stop) == ("SOLVED", "residual")
         last = res.records[-1].x_next
         assert ops.min_norm_residual(prob.operator, last) <= 1e-6
 
@@ -181,21 +181,21 @@ class TestRun:
         prob = problems.make_strongly_monotone_affine(d=2, mu=1.0)
         cfg = HpeConfig(sigma=0.0, theta=0.5, p=1, max_iters=500, stop_res=1e-6)
         n = len(run(prob, partial(exact_oracle, prob, cfg=cfg), cfg, np.array([1.0, 1.0])).records)
-        for iters, status in ((n, "SOLVED"), (n - 1, "MAX_ITERS")):
+        for iters, status, stop in ((n, "SOLVED", "final_residual"), (n - 1, "MAX_ITERS", "max_iters")):
             cfg = HpeConfig(sigma=0.0, theta=0.5, p=1, max_iters=iters, stop_res=1e-6)
             res = run(prob, partial(exact_oracle, prob, cfg=cfg), cfg, np.array([1.0, 1.0]))
-            assert (res.status, len(res.records)) == (status, iters)
+            assert (res.status, res.stop, len(res.records)) == (status, stop, iters)
 
     def test_zero_budget(self):
         cfg = saddle_config(iters=0)
         res = run(SADDLE, partial(exact_oracle, SADDLE, cfg=cfg), cfg, np.array([0.7, 0.7]))
         assert res.records == []
-        assert res.status == "MAX_ITERS"
+        assert (res.status, res.stop) == ("MAX_ITERS", "max_iters")
 
     def test_stationary_start_is_solved(self):
         cfg = saddle_config(iters=10, stop=1e-9)
         res = run(SADDLE, partial(exact_oracle, SADDLE, cfg=cfg), cfg, np.zeros(2))
-        assert res.status == "SOLVED"
+        assert (res.status, res.stop) == ("SOLVED", "residual")
         assert res.records == []
 
     @pytest.mark.parametrize("p, mode", [(1, "exact"), (2, "exact"), (2, "tensor")], ids=["1", "2", "tensor-2"])
@@ -431,7 +431,8 @@ class TestOracleHandOff:
 
         if isinstance(exc, StationaryPoint):
             res = run(SADDLE, oracle, cfg, np.array([0.7, 0.7]))
-            assert res.status == "SOLVED" and [r.k for r in res.records] == [1, 2]
+            assert (res.status, res.stop) == ("SOLVED", "oracle_stationary")
+            assert [r.k for r in res.records] == [1, 2]
             return
         with pytest.raises(OracleFailure) as info:
             run(SADDLE, oracle, cfg, np.array([0.7, 0.7]))
@@ -445,16 +446,16 @@ def _ref_run(problem, oracle, cfg, x0):
     op = problem.operator
     x = np.asarray(x0, dtype=float).copy()
     records = []
-    status = "MAX_ITERS"
+    stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         res = ops.min_norm_residual(op, x)
         if res <= cfg.stop_res:
-            status = "SOLVED"
+            stop = "residual"
             break
         try:
             lam, y, v, eps = oracle(x, res)
         except StationaryPoint:
-            status = "SOLVED"
+            stop = "oracle_stationary"
             break
         except MonoflowError as exc:
             raise OracleFailure(f"oracle failed at k={k}: {exc}", k=k, records=records) from exc
@@ -467,8 +468,8 @@ def _ref_run(problem, oracle, cfg, x0):
         x = x_next
     else:
         if ops.min_norm_residual(op, x) <= cfg.stop_res:
-            status = "SOLVED"
-    return hpe.RunResult(records=records, status=status)
+            stop = "final_residual"
+    return hpe.RunResult(records=records, stop=stop)
 
 
 class _RefExactProxOracle:
